@@ -1,10 +1,10 @@
 """Command-line interface: counts, spectra, pair checks, scans, and check grids.
 
 Exit codes: 0 for success with nothing found, 1 when a scan or grid found a
-violation (the interesting outcome), 2 for usage and domain errors.  All
-machine output is deterministic: records carry big integers as decimal
-strings, field order is fixed, and rerunning an identical invocation
-produces identical bytes regardless of --parallelism.
+violation (the interesting outcome), 2 for usage and domain errors, 141 when
+the reader closed stdout early.  All machine output is deterministic: records
+carry big integers as decimal strings, field order is fixed, and rerunning an
+identical invocation produces identical bytes.
 """
 
 from __future__ import annotations
@@ -23,9 +23,8 @@ from .lemmas import LemmaInstance, lemma21_grid, lemma22_grid, structure_grid
 from .reciprocity import (
     FAMILIES,
     RECORD_FIELDS,
+    conjecture_scan,
     divisor_gap_free,
-    family_descriptors,
-    iter_pair_reports,
     pair_key,
     reciprocity_check,
     report_from_record,
@@ -188,43 +187,35 @@ def _load_log(path: str) -> dict:
 
 
 def _run_scan(args, families: tuple[str, ...]) -> int:
-    descriptors = family_descriptors(families, args.max_order)
     existing = _load_log(args.out) if args.out else {}
     out_fh = open(args.out, "a", encoding="utf-8") if args.out else None
     stream_stdout = args.out is None and args.format in ("csv", "jsonl")
-    csv_writer = None
-    if stream_stdout and args.format == "csv":
+    on_report = None
+    if out_fh is not None:
+        def on_report(report):
+            if not existing or pair_key(report.g, report.h) not in existing:
+                out_fh.write(_dump(report.to_record()) + "\n")
+    elif stream_stdout and args.format == "csv":
         csv_writer = csv.writer(sys.stdout, lineterminator="\n")
         csv_writer.writerow(RECORD_FIELDS)
-    checked = 0
-    violations = []
+
+        def on_report(report):
+            record = report.to_record()
+            csv_writer.writerow([_cell(record.get(c)) for c in RECORD_FIELDS])
+    elif stream_stdout:
+        def on_report(report):
+            print(_dump(report.to_record()))
     try:
-        for report in iter_pair_reports(descriptors, existing=existing, parallelism=args.parallelism):
-            checked += 1
-            if not report.iff_consistent:
-                violations.append(report)
-            is_new = pair_key(report.g, report.h) not in existing
-            if out_fh is not None and is_new:
-                out_fh.write(_dump(report.to_record()) + "\n")
-            elif stream_stdout:
-                record = report.to_record()
-                if csv_writer is not None:
-                    csv_writer.writerow([_cell(record.get(c)) for c in RECORD_FIELDS])
-                else:
-                    print(_dump(record))
+        summary = conjecture_scan(families, args.max_order, existing=existing, on_report=on_report)
     finally:
         if out_fh is not None:
             out_fh.close()
-    summary = {
-        "pairs_checked": checked, "violations": len(violations),
-        "max_order": args.max_order, "families": list(families),
-    }
     human = [
-        f"families: {', '.join(families)}",
-        f"pairs checked (order <= {args.max_order}): {checked}",
-        f"violations: {len(violations)}",
+        f"families: {', '.join(summary.families)}",
+        f"pairs checked (order <= {args.max_order}): {summary.pairs_checked}",
+        f"violations: {len(summary.violations)}",
     ]
-    human += [f"  VIOLATION {r.to_record()['g']} vs {r.to_record()['h']}" for r in violations]
+    human += [f"  VIOLATION {r.g.notation()} vs {r.h.notation()}" for r in summary.violations]
     if stream_stdout:
         for line in human:
             print(line, file=sys.stderr)
@@ -232,12 +223,12 @@ def _run_scan(args, families: tuple[str, ...]) -> int:
         for line in human:
             print(line)
     elif args.format == "csv":
-        _write_csv(sys.stdout, [summary])
+        _write_csv(sys.stdout, [summary.to_record()])
     else:
-        payload = dict(summary)
-        payload["violating_pairs"] = [r.to_record() for r in violations]
+        payload = summary.to_record()
+        payload["violating_pairs"] = [r.to_record() for r in summary.violations]
         print(_dump(payload))
-    return 1 if violations else 0
+    return 1 if summary.violations else 0
 
 
 def _cmd_verify_theorem(args) -> int:
@@ -245,11 +236,7 @@ def _cmd_verify_theorem(args) -> int:
 
 
 def _cmd_scan_conjecture(args) -> int:
-    parts = [p for p in args.families.split(",") if p]
-    unknown = set(parts) - set(FAMILIES)
-    if unknown:
-        raise ValueError(f"unknown families {sorted(unknown)}; valid names: {', '.join(FAMILIES)}")
-    families = tuple(f for f in FAMILIES if f in parts)
+    families = tuple(p for p in args.families.split(",") if p)
     if not families:
         raise ValueError("at least one family is required")
     return _run_scan(args, families)
@@ -326,8 +313,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default="human",
                         help="output format (default: human)")
-    common.add_argument("--parallelism", type=_positive_int, default=1,
-                        help="worker processes for scans (default: 1)")
     parser = argparse.ArgumentParser(
         prog="zsr",
         description="Exact zero-sum multiset counting over finite groups, "
@@ -392,10 +377,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (GroupParseError, BudgetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull so that the flush at
+        # interpreter exit cannot fail again, and exit as SIGPIPE would (128 + 13).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

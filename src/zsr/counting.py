@@ -39,7 +39,7 @@ def count_formula(spectrum: OrderSpectrum, m: int) -> int:
 
     Sums spectrum[d] * C((n+m)/d, n/d) over the divisors d of gcd(n, m) and
     divides by n + m; the division is exact for a genuine spectrum, and a
-    failed exactness assertion means the spectrum is inconsistent.
+    ValueError for an inexact one means the spectrum is inconsistent.
     """
     if m < 0:
         raise ValueError(f"multiset length must be nonnegative, got {m}")
@@ -47,7 +47,8 @@ def count_formula(spectrum: OrderSpectrum, m: int) -> int:
     total = 0
     for d in divisors(gcd(n, m)):
         total += spectrum.count_of(d) * binomial((n + m) // d, n // d)
-    assert total % (n + m) == 0, f"divisor sum {total} not divisible by {n + m}: inconsistent spectrum"
+    if total % (n + m):
+        raise ValueError(f"divisor sum {total} not divisible by {n + m}: inconsistent spectrum")
     return total // (n + m)
 
 
@@ -111,7 +112,8 @@ def count_molien(spectrum: OrderSpectrum, m: int, *, max_order: int = DEFAULT_MO
         c = n // d
         for i in range(m // d + 1):
             coeffs[d * i] += phi * binomial(c - 1 + i, i)
-    assert coeffs[m] % n == 0, f"coefficient {coeffs[m]} not divisible by group order {n}"
+    if coeffs[m] % n:
+        raise ValueError(f"coefficient {coeffs[m]} not divisible by group order {n}")
     return coeffs[m] // n
 
 
@@ -122,5 +124,6 @@ def rational_catalan(n: int, m: int) -> int:
     if gcd(n, m) != 1:
         raise ValueError(f"rational_catalan requires coprime arguments, gcd({n}, {m}) = {gcd(n, m)}")
     top = binomial(n + m, n)
-    assert top % (n + m) == 0
+    if top % (n + m):
+        raise ValueError(f"C({n + m}, {n}) = {top} not divisible by {n + m}")
     return top // (n + m)

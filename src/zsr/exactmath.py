@@ -7,6 +7,7 @@ No floats anywhere; any inexact division is a bug, not a rounding concern.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 # Exact rational type used by the inequality checkers.  Fraction already
 # normalizes to lowest terms with a positive denominator, which is exactly
@@ -60,18 +61,12 @@ def mobius(n: int) -> int:
 
 
 def binomial(top: int, bottom: int) -> int:
-    """Binomial coefficient C(top, bottom) by the exact running product."""
+    """Binomial coefficient C(top, bottom), exact, for 0 <= bottom <= top."""
     if top < 0 or bottom < 0:
         raise ValueError(f"binomial requires nonnegative arguments, got ({top}, {bottom})")
     if bottom > top:
         raise ValueError(f"binomial lower index {bottom} exceeds upper index {top}")
-    bottom = min(bottom, top - bottom)
-    result = 1
-    for i in range(1, bottom + 1):
-        # Each partial product is itself a binomial coefficient, so the
-        # division is exact at every step.
-        result = result * (top - bottom + i) // i
-    return result
+    return comb(top, bottom)
 
 
 def valuation(n: int, p: int) -> int:

@@ -9,7 +9,6 @@ pair check records both sides plus an iff-consistency verdict.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import gcd
 from time import perf_counter
@@ -99,31 +98,38 @@ class ScanSummary:
         }
 
 
-def _condition_from_spectra(sg: OrderSpectrum, sh: OrderSpectrum) -> tuple[bool, int | None]:
-    for d in divisors(gcd(sg.group_order, sh.group_order)):
+def _witness(sg: OrderSpectrum, sh: OrderSpectrum, shared) -> int | None:
+    """The smallest of the shared divisors on which the spectra differ, or None."""
+    for d in shared:
         if sg.count_of(d) != sh.count_of(d):
-            return False, d
-    return True, None
+            return d
+    return None
 
 
-def spectrum_condition(g, h) -> tuple[bool, int | None]:
-    """(True, None) if the spectra agree on every shared divisor, else (False, smallest witness)."""
-    return _condition_from_spectra(order_spectrum(g), order_spectrum(h))
-
-
-def reciprocity_check(g: GroupDescriptor, h: GroupDescriptor) -> ReciprocityReport:
-    """Run the full pair check: spectra condition plus both cross counts."""
-    sg = order_spectrum(g)
-    sh = order_spectrum(h)
-    agree, witness = _condition_from_spectra(sg, sh)
-    count_gh = count_formula(sg, sh.group_order)
-    count_hg = count_formula(sh, sg.group_order)
+def _pair_report(g, h, sg, sh, count_gh: int, count_hg: int, shared) -> ReciprocityReport:
+    """The report for one pair, from both spectra, both cross counts and the divisors of gcd(|G|, |H|)."""
+    witness = _witness(sg, sh, shared)
+    agree = witness is None
     counts_agree = count_gh == count_hg
     return ReciprocityReport(
         g=g, h=h, spectra_agree=agree, witness_divisor=witness,
         count_g_at_h=count_gh, count_h_at_g=count_hg,
         counts_agree=counts_agree, iff_consistent=agree == counts_agree,
     )
+
+
+def spectrum_condition(g, h) -> tuple[bool, int | None]:
+    """(True, None) if the spectra agree on every shared divisor, else (False, smallest witness)."""
+    sg, sh = order_spectrum(g), order_spectrum(h)
+    witness = _witness(sg, sh, divisors(gcd(sg.group_order, sh.group_order)))
+    return witness is None, witness
+
+
+def reciprocity_check(g: GroupDescriptor, h: GroupDescriptor) -> ReciprocityReport:
+    """Run the full pair check: spectra condition plus both cross counts."""
+    sg, sh = order_spectrum(g), order_spectrum(h)
+    n, m = sg.group_order, sh.group_order
+    return _pair_report(g, h, sg, sh, count_formula(sg, m), count_formula(sh, n), divisors(gcd(n, m)))
 
 
 def divisor_gap_free(n: int) -> bool:
@@ -185,65 +191,62 @@ def pair_key(g: GroupDescriptor, h: GroupDescriptor) -> tuple[str, str]:
     return g.notation(), h.notation()
 
 
-def _check_pair(pair) -> ReciprocityReport:
-    return reciprocity_check(*pair)
-
-
-def _cached_check(g, h, spectra: dict, counts: dict) -> ReciprocityReport:
-    for d in (g, h):
-        if d not in spectra:
-            spectra[d] = order_spectrum(d)
-    sg, sh = spectra[g], spectra[h]
-    agree, witness = _condition_from_spectra(sg, sh)
-    for d, m in ((g, sh.group_order), (h, sg.group_order)):
-        if (d, m) not in counts:
-            counts[(d, m)] = count_formula(spectra[d], m)
-    count_gh = counts[(g, sh.group_order)]
-    count_hg = counts[(h, sg.group_order)]
-    counts_agree = count_gh == count_hg
-    return ReciprocityReport(
-        g=g, h=h, spectra_agree=agree, witness_divisor=witness,
-        count_g_at_h=count_gh, count_h_at_g=count_hg,
-        counts_agree=counts_agree, iff_consistent=agree == counts_agree,
-    )
-
-
-def iter_pair_reports(descriptors, existing=None, parallelism: int = 1):
+def iter_pair_reports(descriptors, existing=None):
     """Yield one report per pair in canonical order.
 
     existing maps pair_key -> ReciprocityReport for pairs already on record
-    (they are passed through, not recomputed).  With parallelism > 1 the
-    missing pairs are computed in worker processes; results are still yielded
-    in canonical order, so output is byte-for-byte independent of parallelism.
+    (they are passed through, not recomputed).  Descriptors are addressed by
+    position: counts[i][m] is |M(descriptors[i], m)|, and the divisors of each
+    gcd of two orders are listed once per scan.
     """
-    pairs = pair_sequence(descriptors)
-    existing = existing or {}
-    if parallelism <= 1:
-        spectra: dict = {}
-        counts: dict = {}
-        for g, h in pairs:
-            report = existing.get(pair_key(g, h))
-            yield report if report is not None else _cached_check(g, h, spectra, counts)
-        return
-    missing = [(g, h) for g, h in pairs if pair_key(g, h) not in existing]
-    with ProcessPoolExecutor(max_workers=parallelism) as pool:
-        chunk = max(1, len(missing) // (parallelism * 8)) if missing else 1
-        computed = pool.map(_check_pair, missing, chunksize=chunk)
-        for g, h in pairs:
-            report = existing.get(pair_key(g, h))
-            yield report if report is not None else next(computed)
+    spectra = [order_spectrum(d) for d in descriptors]
+    orders = [s.group_order for s in spectra]
+    counts: list[dict[int, int]] = [{} for _ in descriptors]
+    shared: dict[int, list[int]] = {}
+    for i, g in enumerate(descriptors):
+        sg, n, row_g = spectra[i], orders[i], counts[i]
+        for j in range(i, len(descriptors)):
+            h = descriptors[j]
+            if existing:
+                report = existing.get(pair_key(g, h))
+                if report is not None:
+                    yield report
+                    continue
+            sh, m, row_h = spectra[j], orders[j], counts[j]
+            count_gh = row_g.get(m)
+            if count_gh is None:
+                count_gh = row_g[m] = count_formula(sg, m)
+            count_hg = row_h.get(n)
+            if count_hg is None:
+                count_hg = row_h[n] = count_formula(sh, n)
+            k = gcd(n, m)
+            divs = shared.get(k)
+            if divs is None:
+                divs = shared[k] = divisors(k)
+            yield _pair_report(g, h, sg, sh, count_gh, count_hg, divs)
 
 
-def conjecture_scan(families, max_order: int, parallelism: int = 1) -> ScanSummary:
-    """Check every pair from the chosen families up to max_order."""
+def conjecture_scan(families, max_order: int, *, existing=None, on_report=None) -> ScanSummary:
+    """Check every pair from the chosen families up to max_order.
+
+    An unknown family name raises ValueError.  existing is passed to
+    iter_pair_reports; on_report, if given, is called with each report in
+    canonical order as it is produced.
+    """
     start = perf_counter()
+    descriptors = family_descriptors(families, max_order)
     family_tuple = tuple(f for f in FAMILIES if f in set(families))
-    descriptors = family_descriptors(family_tuple, max_order)
-    reports = list(iter_pair_reports(descriptors, parallelism=parallelism))
-    violations = [r for r in reports if not r.iff_consistent]
+    checked = 0
+    violations = []
+    for report in iter_pair_reports(descriptors, existing):
+        checked += 1
+        if not report.iff_consistent:
+            violations.append(report)
+        if on_report is not None:
+            on_report(report)
     elapsed_ms = int((perf_counter() - start) * 1000)
     return ScanSummary(
-        pairs_checked=len(reports), violations=violations,
+        pairs_checked=checked, violations=violations,
         max_order=max_order, families=family_tuple, elapsed_ms=elapsed_ms,
     )
 

@@ -1,10 +1,15 @@
 """Tests for the zero-sum multiset counting routes."""
 
+import os
+import subprocess
+import sys
 from itertools import combinations_with_replacement, product as cartesian
 from math import gcd
+from pathlib import Path
 
 import pytest
 
+import zsr
 from zsr.counting import (
     DEFAULT_DP_MAX_LENGTH,
     DEFAULT_DP_MAX_ORDER,
@@ -17,7 +22,15 @@ from zsr.counting import (
 )
 from zsr.errors import BudgetError
 from zsr.exactmath import binomial
-from zsr.groups import AbelianGroup, Dicyclic, Dihedral, enumerate_abelian, order_spectrum, parse_group
+from zsr.groups import (
+    AbelianGroup,
+    Dicyclic,
+    Dihedral,
+    OrderSpectrum,
+    enumerate_abelian,
+    order_spectrum,
+    parse_group,
+)
 
 
 def count_by_listing(factors, m):
@@ -117,6 +130,28 @@ def test_negative_length_rejected():
         count_dp(AbelianGroup((4,)), -1)
     with pytest.raises(ValueError):
         count_molien(spectrum, -2)
+
+
+def test_inexact_division_raises_value_error():
+    # Order 4 with three elements of order 4 is no group; the divisor sum is not divisible.
+    spectrum = OrderSpectrum({1: 1, 2: 0, 4: 3}, 4)
+    with pytest.raises(ValueError, match="inconsistent spectrum"):
+        count_formula(spectrum, 2)
+    with pytest.raises(ValueError, match="not divisible by group order 4"):
+        count_molien(spectrum, 2)
+    # The check must not be an assert, which python -O strips.
+    code = ("from zsr.counting import count_formula\n"
+            "from zsr.groups import OrderSpectrum\n"
+            "try:\n"
+            "    print(count_formula(OrderSpectrum({1: 1, 2: 0, 4: 3}, 4), 2))\n"
+            "except ValueError as exc:\n"
+            "    print('ValueError:', exc)\n")
+    env = dict(os.environ)
+    src = str(Path(zsr.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("ValueError: divisor sum 15 not divisible by 6")
 
 
 def test_dp_budget():

@@ -164,6 +164,10 @@ def test_family_descriptors_single_families():
     assert [d.notation() for d in family_descriptors(("dicyclic",), 17)] == ["Dic2", "Dic3", "Dic4"]
     with pytest.raises(ValueError):
         family_descriptors(("abelien",), 10)
+    with pytest.raises(ValueError):
+        conjecture_scan(("abelien",), 10)
+    with pytest.raises(ValueError):
+        conjecture_scan(("abelian", "abelien"), 10)
 
 
 def test_pair_sequence_is_upper_triangle():
@@ -188,11 +192,13 @@ def test_iter_pair_reports_trusts_existing_records():
     assert resumed[1:] == baseline[1:]
 
 
-def test_iter_pair_reports_parallel_matches_serial():
-    descriptors = family_descriptors(FAMILIES, 12)
-    serial = list(iter_pair_reports(descriptors, parallelism=1))
-    parallel = list(iter_pair_reports(descriptors, parallelism=2))
-    assert serial == parallel
+def test_iter_pair_reports_matches_reciprocity_check():
+    descriptors = family_descriptors(FAMILIES, 24)
+    pairs = pair_sequence(descriptors)
+    reports = list(iter_pair_reports(descriptors))
+    assert len(reports) == len(pairs)
+    for (g, h), report in zip(pairs, reports):
+        assert report == reciprocity_check(g, h)
 
 
 def test_coprime_order_pairs_are_consistent():
