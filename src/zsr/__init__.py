@@ -5,7 +5,7 @@ routines with independent oracles (counting), pair reciprocity checks and
 family scans (reciprocity), and inequality/structure check grids (lemmas).
 """
 
-from .counting import CountReport, count_dp, count_formula, count_molien, rational_catalan
+from .counting import count_dp, count_formula, count_molien, rational_catalan
 from .errors import BudgetError, GroupParseError
 from .exactmath import ExactRatio, binomial, divisors, factorize, mobius
 from .groups import (
@@ -47,7 +47,7 @@ from .reciprocity import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Abelian", "AbelianGroup", "BudgetError", "CountReport", "Dicyclic", "Dihedral",
+    "Abelian", "AbelianGroup", "BudgetError", "Dicyclic", "Dihedral",
     "ExactRatio", "GridResult", "GroupDescriptor", "GroupParseError", "LemmaInstance",
     "OrderSpectrum", "Product", "ReciprocityReport", "ScanSummary", "binomial",
     "canonicalize", "check_lemma21", "check_lemma22", "check_structure_lemmas",

@@ -10,6 +10,7 @@ identical invocation produces identical bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -25,9 +26,7 @@ from .reciprocity import (
     RECORD_FIELDS,
     conjecture_scan,
     divisor_gap_free,
-    pair_key,
     reciprocity_check,
-    report_from_record,
 )
 
 FORMATS = ("human", "json", "csv", "jsonl")
@@ -164,64 +163,84 @@ def _cmd_check(args) -> int:
     return 0 if report.iff_consistent else 1
 
 
-def _load_log(path: str) -> dict:
-    """Parse a partial scan log; truncates a torn final line and returns key -> report."""
-    if not os.path.exists(path):
-        return {}
-    existing = {}
-    good_bytes = 0
-    with open(path, "rb") as fh:
-        for raw in fh:
-            if not raw.endswith(b"\n"):
-                break
-            try:
-                record = json.loads(raw.decode("utf-8"))
-                existing[(record["g"], record["h"])] = report_from_record(record)
-            except (ValueError, KeyError):
-                break
-            good_bytes += len(raw)
-    if good_bytes < os.path.getsize(path):
-        with open(path, "r+b") as fh:
-            fh.truncate(good_bytes)
-    return existing
+class _ScanLog:
+    """A JSONL scan log, checked line by line against a scan's records and then completed.
+
+    A line with a record's bytes is skipped, a line for the same pair with
+    other content counts as a violation, and a line for another pair or past
+    the last pair raises ValueError.  The log is written (created, cut back to
+    its complete lines, appended to) only after all its complete lines have
+    matched, so a refused log is left as it was.  Files close with the stack.
+    """
+
+    def __init__(self, path: str, stack: contextlib.ExitStack):
+        self.path = path
+        self.stack = stack
+        self.lines = stack.enter_context(contextlib.closing(self._complete_lines()))
+        self.matched_bytes = 0
+        self.out = None
+
+    def _complete_lines(self):
+        if os.path.exists(self.path):
+            with open(self.path, "rb") as fh:
+                yield from enumerate((line for line in fh if line.endswith(b"\n")), 1)
+
+    def __call__(self, report) -> bool:
+        """Check or append one report's record; True when the logged record differs."""
+        line = (_dump(report.to_record()) + "\n").encode()
+        number, logged = next(self.lines, (0, None))
+        if logged is None:
+            self._append(line)
+            return False
+        self.matched_bytes += len(logged)
+        if logged == line:
+            return False
+        where = f"log {self.path} line {number}"
+        pair = f"{report.g.notation()} vs {report.h.notation()}"
+        if not logged.startswith(line[:line.index(b',"order_g"') + 1]):
+            raise ValueError(f"{where} is not the record for {pair}; it is the log of another scan")
+        print(f"{where}: the record for {pair} differs from its recomputation", file=sys.stderr)
+        return True
+
+    def _append(self, line: bytes) -> None:
+        if self.out is None:
+            self.out = self.stack.enter_context(open(self.path, "ab"))
+            if self.out.tell() > self.matched_bytes:
+                self.out.truncate(self.matched_bytes)
+        self.out.write(line)
+
+    def finish(self) -> None:
+        """Refuse a line past the last pair, then create the log or cut its torn tail."""
+        for number, _ in self.lines:
+            raise ValueError(f"log {self.path} line {number} is past the last pair; "
+                             "it is the log of another scan")
+        self._append(b"")
 
 
 def _run_scan(args, families: tuple[str, ...]) -> int:
-    existing = _load_log(args.out) if args.out else {}
-    out_fh = open(args.out, "a", encoding="utf-8") if args.out else None
     stream_stdout = args.out is None and args.format in ("csv", "jsonl")
-    on_report = None
-    if out_fh is not None:
-        def on_report(report):
-            if not existing or pair_key(report.g, report.h) not in existing:
-                out_fh.write(_dump(report.to_record()) + "\n")
-    elif stream_stdout and args.format == "csv":
-        csv_writer = csv.writer(sys.stdout, lineterminator="\n")
-        csv_writer.writerow(RECORD_FIELDS)
+    with contextlib.ExitStack() as stack:
+        log = on_report = _ScanLog(args.out, stack) if args.out else None
+        if stream_stdout and args.format == "csv":
+            csv_writer = csv.writer(sys.stdout, lineterminator="\n")
+            csv_writer.writerow(RECORD_FIELDS)
 
-        def on_report(report):
-            record = report.to_record()
-            csv_writer.writerow([_cell(record.get(c)) for c in RECORD_FIELDS])
-    elif stream_stdout:
-        def on_report(report):
-            print(_dump(report.to_record()))
-    try:
-        summary = conjecture_scan(families, args.max_order, existing=existing, on_report=on_report)
-    finally:
-        if out_fh is not None:
-            out_fh.close()
+            def on_report(report):
+                csv_writer.writerow([_cell(v) for v in report.to_record().values()])
+        elif stream_stdout:
+            def on_report(report):
+                print(_dump(report.to_record()))
+        summary = conjecture_scan(families, args.max_order, on_report=on_report)
+        if log is not None:
+            log.finish()
     human = [
         f"families: {', '.join(summary.families)}",
         f"pairs checked (order <= {args.max_order}): {summary.pairs_checked}",
         f"violations: {len(summary.violations)}",
     ]
     human += [f"  VIOLATION {r.g.notation()} vs {r.h.notation()}" for r in summary.violations]
-    if stream_stdout:
-        for line in human:
-            print(line, file=sys.stderr)
-    elif args.format == "human":
-        for line in human:
-            print(line)
+    if stream_stdout or args.format == "human":
+        print("\n".join(human), file=sys.stderr if stream_stdout else sys.stdout)
     elif args.format == "csv":
         _write_csv(sys.stdout, [summary.to_record()])
     else:

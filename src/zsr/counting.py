@@ -10,28 +10,17 @@ beyond binomial(), which is what makes cross-checking them meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as cartesian
 from math import gcd
 
 from .errors import BudgetError
 from .exactmath import binomial, divisors
-from .groups import AbelianGroup, GroupDescriptor, OrderSpectrum
+from .groups import AbelianGroup, OrderSpectrum
 
 DEFAULT_DP_MAX_ORDER = 36
 DEFAULT_DP_MAX_LENGTH = 36
 DEFAULT_MOLIEN_MAX_ORDER = 64
 DEFAULT_MOLIEN_MAX_LENGTH = 128
-
-
-@dataclass(frozen=True)
-class CountReport:
-    """One counting result, tagged with the method that produced it."""
-
-    group: GroupDescriptor
-    length: int
-    value: int
-    method: str  # "formula" | "dp_oracle" | "molien_oracle"
 
 
 def count_formula(spectrum: OrderSpectrum, m: int) -> int:

@@ -24,7 +24,6 @@ from .groups import (
     enumerate_abelian,
     make_product,
     order_spectrum,
-    parse_group,
 )
 
 FAMILIES = ("abelian", "dihedral", "dicyclic", "products")
@@ -61,22 +60,6 @@ class ReciprocityReport:
             "count_h_at_g": str(self.count_h_at_g),
             "iff_consistent": self.iff_consistent,
         }
-
-
-def report_from_record(record: dict) -> ReciprocityReport:
-    """Rebuild a report from its JSON record (used when resuming a scan log)."""
-    cgh = int(record["count_g_at_h"])
-    chg = int(record["count_h_at_g"])
-    return ReciprocityReport(
-        g=parse_group(record["g"]),
-        h=parse_group(record["h"]),
-        spectra_agree=record["spectra_agree"],
-        witness_divisor=record["witness_divisor"],
-        count_g_at_h=cgh,
-        count_h_at_g=chg,
-        counts_agree=cgh == chg,
-        iff_consistent=record["iff_consistent"],
-    )
 
 
 @dataclass
@@ -187,17 +170,12 @@ def pair_sequence(descriptors) -> list[tuple[GroupDescriptor, GroupDescriptor]]:
             for j in range(i, len(descriptors))]
 
 
-def pair_key(g: GroupDescriptor, h: GroupDescriptor) -> tuple[str, str]:
-    return g.notation(), h.notation()
-
-
-def iter_pair_reports(descriptors, existing=None):
+def iter_pair_reports(descriptors):
     """Yield one report per pair in canonical order.
 
-    existing maps pair_key -> ReciprocityReport for pairs already on record
-    (they are passed through, not recomputed).  Descriptors are addressed by
-    position: counts[i][m] is |M(descriptors[i], m)|, and the divisors of each
-    gcd of two orders are listed once per scan.
+    Descriptors are addressed by position: counts[i][m] is
+    |M(descriptors[i], m)|, and the divisors of each gcd of two orders are
+    listed once per scan.
     """
     spectra = [order_spectrum(d) for d in descriptors]
     orders = [s.group_order for s in spectra]
@@ -206,12 +184,6 @@ def iter_pair_reports(descriptors, existing=None):
     for i, g in enumerate(descriptors):
         sg, n, row_g = spectra[i], orders[i], counts[i]
         for j in range(i, len(descriptors)):
-            h = descriptors[j]
-            if existing:
-                report = existing.get(pair_key(g, h))
-                if report is not None:
-                    yield report
-                    continue
             sh, m, row_h = spectra[j], orders[j], counts[j]
             count_gh = row_g.get(m)
             if count_gh is None:
@@ -223,27 +195,26 @@ def iter_pair_reports(descriptors, existing=None):
             divs = shared.get(k)
             if divs is None:
                 divs = shared[k] = divisors(k)
-            yield _pair_report(g, h, sg, sh, count_gh, count_hg, divs)
+            yield _pair_report(g, descriptors[j], sg, sh, count_gh, count_hg, divs)
 
 
-def conjecture_scan(families, max_order: int, *, existing=None, on_report=None) -> ScanSummary:
+def conjecture_scan(families, max_order: int, *, on_report=None) -> ScanSummary:
     """Check every pair from the chosen families up to max_order.
 
-    An unknown family name raises ValueError.  existing is passed to
-    iter_pair_reports; on_report, if given, is called with each report in
-    canonical order as it is produced.
+    An unknown family name raises ValueError.  on_report, if given, is called
+    with each report in canonical order as it is produced; a true return value
+    counts the pair as a violation even when its report is consistent.
     """
     start = perf_counter()
     descriptors = family_descriptors(families, max_order)
     family_tuple = tuple(f for f in FAMILIES if f in set(families))
     checked = 0
     violations = []
-    for report in iter_pair_reports(descriptors, existing):
+    for report in iter_pair_reports(descriptors):
         checked += 1
-        if not report.iff_consistent:
+        flagged = on_report(report) if on_report is not None else False
+        if flagged or not report.iff_consistent:
             violations.append(report)
-        if on_report is not None:
-            on_report(report)
     elapsed_ms = int((perf_counter() - start) * 1000)
     return ScanSummary(
         pairs_checked=checked, violations=violations,
@@ -251,6 +222,6 @@ def conjecture_scan(families, max_order: int, *, existing=None, on_report=None) 
     )
 
 
-def verify_theorem(max_order: int, abelian_only: bool = True) -> ScanSummary:
-    """Scan all pairs up to max_order; abelian_only=False adds every family."""
-    return conjecture_scan(("abelian",) if abelian_only else FAMILIES, max_order)
+def verify_theorem(max_order: int) -> ScanSummary:
+    """Scan all pairs of abelian groups up to max_order."""
+    return conjecture_scan(("abelian",), max_order)

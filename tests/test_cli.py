@@ -185,6 +185,81 @@ def test_doctored_log_reports_violation(tmp_path, capsys):
     assert "violations: 1" in out
 
 
+def test_doctored_counts_report_violation(tmp_path, capsys):
+    log = tmp_path / "log.jsonl"
+    run(capsys, "verify-theorem", "--max-order", "6", "--out", str(log))
+    lines = log.read_text().splitlines(keepends=True)
+    record = json.loads(lines[3])
+    assert record["spectra_agree"] and record["iff_consistent"]
+    for field in ("count_g_at_h", "count_h_at_g"):
+        record[field] = str(int(record[field]) + 1)
+    lines[3] = json.dumps(record, separators=(",", ":")) + "\n"
+    log.write_text("".join(lines))
+    code, out, err = run(capsys, "verify-theorem", "--max-order", "6", "--out", str(log))
+    assert code == 1
+    assert "violations: 1" in out
+    assert f"log {log} line 4:" in err
+
+
+def test_log_of_another_scan_is_left_unchanged(tmp_path, capsys):
+    log = tmp_path / "order20.jsonl"
+    run(capsys, "scan-conjecture", "--max-order", "20", "--out", str(log))
+    before = log.read_bytes()
+    assert before.count(b"\n") == 1035
+    code, out, err = run(capsys, "scan-conjecture", "--max-order", "12", "--out", str(log))
+    assert code == 2 and out == ""
+    assert "line 24" in err and "C2 vs C2" in err
+    assert log.read_bytes() == before
+    # a complete log with one more line after the last pair
+    longer = tmp_path / "longer.jsonl"
+    run(capsys, "verify-theorem", "--max-order", "6", "--out", str(longer))
+    extended = longer.read_bytes() + before.splitlines(keepends=True)[0]
+    longer.write_bytes(extended)
+    code, out, err = run(capsys, "verify-theorem", "--max-order", "6", "--out", str(longer))
+    assert code == 2 and out == ""
+    assert "line 29" in err
+    assert longer.read_bytes() == extended
+
+
+def test_bad_scan_arguments_leave_the_log_alone(tmp_path, capsys):
+    missing = tmp_path / "missing.jsonl"
+    torn = tmp_path / "torn.jsonl"
+    torn.write_bytes(b'{"g":"C1","h"')
+    for log in (missing, torn):
+        code, _, err = run(capsys, "scan-conjecture", "--families", "abelian,weird",
+                           "--max-order", "12", "--out", str(log))
+        assert code == 2 and "unknown families" in err
+    assert not missing.exists()
+    assert torn.read_bytes() == b'{"g":"C1","h"'
+
+
+def test_resume_of_a_damaged_log_is_exact_or_refused(tmp_path, capsys):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    log = tmp_path / "scan.jsonl"
+    argv = ("scan-conjecture", "--max-order", "10", "--format", "json", "--out", str(log))
+    _, fresh_out, _ = run(capsys, *argv)
+    fresh = log.read_bytes()
+    truncated = st.integers(0, len(fresh)).map(lambda cut: fresh[:cut])
+    flipped = st.tuples(st.integers(0, len(fresh) - 1), st.integers(1, 255)).map(
+        lambda flip: fresh[:flip[0]] + bytes([fresh[flip[0]] ^ flip[1]]) + fresh[flip[0] + 1:])
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(st.one_of(truncated, flipped))
+    def check(damaged):
+        log.write_bytes(damaged)
+        code, out, _ = run(capsys, *argv)
+        if code == 0:
+            assert log.read_bytes() == fresh and out == fresh_out
+        elif code == 1:
+            assert json.loads(out)["violations"] >= 1
+        else:
+            assert code == 2 and out == ""
+            assert log.read_bytes() == damaged
+
+    check()
+
+
 def test_lemma_grid_formats(capsys):
     code, out, _ = run(capsys, "lemma", "--id", "2.1i", "--max", "20", "--format", "json")
     assert code == 0
