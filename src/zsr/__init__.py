@@ -9,7 +9,6 @@ from .counting import count_dp, count_formula, count_molien, rational_catalan
 from .errors import BudgetError, GroupParseError
 from .exactmath import ExactRatio, binomial, divisors, factorize, mobius
 from .groups import (
-    Abelian,
     AbelianGroup,
     Dicyclic,
     Dihedral,
@@ -47,7 +46,7 @@ from .reciprocity import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Abelian", "AbelianGroup", "BudgetError", "Dicyclic", "Dihedral",
+    "AbelianGroup", "BudgetError", "Dicyclic", "Dihedral",
     "ExactRatio", "GridResult", "GroupDescriptor", "GroupParseError", "LemmaInstance",
     "OrderSpectrum", "Product", "ReciprocityReport", "ScanSummary", "binomial",
     "canonicalize", "check_lemma21", "check_lemma22", "check_structure_lemmas",

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .counting import count_dp, count_formula, count_molien, rational_catalan
 from .errors import BudgetError, GroupParseError
-from .groups import Abelian, enumerate_abelian, order_spectrum, order_spectrum_bruteforce, parse_group
+from .groups import AbelianGroup, enumerate_abelian, order_spectrum, order_spectrum_bruteforce, parse_group
 from .lemmas import LemmaInstance, lemma21_grid, lemma22_grid, structure_grid
 from .reciprocity import (
     FAMILIES,
@@ -30,7 +30,14 @@ from .reciprocity import (
 )
 
 FORMATS = ("human", "json", "csv", "jsonl")
-LEMMA_IDS = ("2.1i", "2.1ii", "2.2i", "2.2ii", "struct")
+# Grid runners by lemma id; each takes the grid bound.
+LEMMA_GRIDS = {
+    "2.1i": lambda bound: lemma21_grid(bound, "i"),
+    "2.1ii": lambda bound: lemma21_grid(bound, "ii"),
+    "2.2i": lambda bound: lemma22_grid(bound, "i"),
+    "2.2ii": lambda bound: lemma22_grid(bound, "ii"),
+    "struct": structure_grid,
+}
 LEMMA_CSV_COLUMNS = ("lemma_id", "m", "n", "a", "b", "p", "q", "lhs", "rhs")
 
 
@@ -83,14 +90,14 @@ def _emit(args, records: list[dict], human_lines: list[str]) -> None:
 
 
 def _cmd_count(args) -> int:
-    desc = parse_group(args.group)
+    desc = parse_group(args.notation)
     if args.method == "formula":
         value = count_formula(order_spectrum(desc), args.length)
         method = "formula"
     elif args.method == "dp":
-        if not isinstance(desc, Abelian):
+        if not isinstance(desc, AbelianGroup):
             raise ValueError("the dp oracle enumerates elements of abelian groups only")
-        value = count_dp(desc.group, args.length)
+        value = count_dp(desc, args.length)
         method = "dp_oracle"
     else:
         value = count_molien(order_spectrum(desc), args.length)
@@ -104,11 +111,11 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    desc = parse_group(args.group)
+    desc = parse_group(args.notation)
     if args.brute_force:
-        if not isinstance(desc, Abelian):
+        if not isinstance(desc, AbelianGroup):
             raise ValueError("brute-force spectra enumerate elements of abelian groups only")
-        spectrum = order_spectrum_bruteforce(desc.group)
+        spectrum = order_spectrum_bruteforce(desc)
         method = "brute_force"
     else:
         spectrum = order_spectrum(desc)
@@ -273,14 +280,7 @@ def _lemma_record(instance: LemmaInstance) -> dict:
 
 
 def _cmd_lemma(args) -> int:
-    runners = {
-        "2.1i": lambda: lemma21_grid(args.max, "i"),
-        "2.1ii": lambda: lemma21_grid(args.max, "ii"),
-        "2.2i": lambda: lemma22_grid(args.max, "i"),
-        "2.2ii": lambda: lemma22_grid(args.max, "ii"),
-        "struct": lambda: structure_grid(args.max),
-    }
-    result = runners[args.id]()
+    result = LEMMA_GRIDS[args.id](args.max)
     failure_records = [_lemma_record(inst) for inst in result.failures]
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -340,13 +340,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", parents=[common], help="count zero-sum multisets of a given length")
-    p.add_argument("--group", required=True, help="group notation, e.g. C2xC6, D10, Dic3, Q8")
+    p.add_argument("--group", dest="notation", metavar="GROUP", required=True,
+                   help="group notation, e.g. C2xC6, D10, Dic3, Q8")
     p.add_argument("--length", type=int, required=True, help="multiset length m")
     p.add_argument("--method", choices=("formula", "dp", "molien"), default="formula")
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("spectrum", parents=[common], help="element counts by exact order")
-    p.add_argument("--group", required=True)
+    p.add_argument("--group", dest="notation", metavar="GROUP", required=True)
     p.add_argument("--brute-force", action="store_true",
                    help="enumerate elements instead of using the structural rules")
     p.set_defaults(func=_cmd_spectrum)
@@ -375,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_scan_conjecture)
 
     p = sub.add_parser("lemma", parents=[common], help="run one inequality/structure grid")
-    p.add_argument("--id", choices=LEMMA_IDS, required=True)
+    p.add_argument("--id", choices=LEMMA_GRIDS, required=True)
     p.add_argument("--max", type=_positive_int, required=True,
                    help="grid bound (m, n bound for 2.*, order bound for struct)")
     p.add_argument("--out", help="CSV failure report path")

@@ -14,7 +14,7 @@ from itertools import product as cartesian
 from math import gcd
 
 from .errors import BudgetError
-from .exactmath import binomial, divisors
+from .exactmath import binomial
 from .groups import AbelianGroup, OrderSpectrum
 
 DEFAULT_DP_MAX_ORDER = 36
@@ -28,14 +28,17 @@ def count_formula(spectrum: OrderSpectrum, m: int) -> int:
 
     Sums spectrum[d] * C((n+m)/d, n/d) over the divisors d of gcd(n, m) and
     divides by n + m; the division is exact for a genuine spectrum, and a
-    ValueError for an inexact one means the spectrum is inconsistent.
+    ValueError for an inexact one means the spectrum is inconsistent.  The
+    divisors of n are the spectrum's keys, so those of gcd(n, m) are the keys
+    that divide m.
     """
     if m < 0:
         raise ValueError(f"multiset length must be nonnegative, got {m}")
     n = spectrum.group_order
     total = 0
-    for d in divisors(gcd(n, m)):
-        total += spectrum.count_of(d) * binomial((n + m) // d, n // d)
+    for d, count in spectrum.entries.items():
+        if m % d == 0:
+            total += count * binomial((n + m) // d, n // d)
     if total % (n + m):
         raise ValueError(f"divisor sum {total} not divisible by {n + m}: inconsistent spectrum")
     return total // (n + m)
@@ -94,8 +97,7 @@ def count_molien(spectrum: OrderSpectrum, m: int, *, max_order: int = DEFAULT_MO
             f"got order {n}, degree {m}"
         )
     coeffs = [0] * (m + 1)
-    for d in divisors(n):
-        phi = spectrum.count_of(d)
+    for d, phi in spectrum.entries.items():
         if phi == 0:
             continue
         c = n // d

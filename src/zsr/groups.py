@@ -14,7 +14,7 @@ from itertools import product as cartesian
 from math import gcd, lcm, prod
 
 from .errors import BudgetError, GroupParseError
-from .exactmath import divisors, factorize, mobius
+from .exactmath import divisors, factorize
 
 DEFAULT_SPECTRUM_BOUND = 5000
 
@@ -47,20 +47,6 @@ class AbelianGroup:
         if not self.invariant_factors:
             return "C1"
         return "x".join(f"C{f}" for f in self.invariant_factors)
-
-
-@dataclass(frozen=True)
-class Abelian:
-    """Descriptor wrapper for an abelian group."""
-
-    group: AbelianGroup
-
-    @property
-    def order(self) -> int:
-        return self.group.order
-
-    def notation(self) -> str:
-        return self.group.notation()
 
 
 @dataclass(frozen=True)
@@ -115,7 +101,7 @@ class Product:
         object.__setattr__(self, "factors", facs)
         if len(facs) < 2:
             raise ValueError("a product needs at least two factors")
-        if all(isinstance(f, Abelian) for f in facs):
+        if all(isinstance(f, AbelianGroup) for f in facs):
             raise ValueError("all-abelian products must be normalized via make_product")
 
     @property
@@ -126,7 +112,7 @@ class Product:
         return "x".join(f.notation() for f in self.factors)
 
 
-GroupDescriptor = Abelian | Dihedral | Dicyclic | Product
+GroupDescriptor = AbelianGroup | Dihedral | Dicyclic | Product
 
 
 def make_product(factors) -> GroupDescriptor:
@@ -136,9 +122,8 @@ def make_product(factors) -> GroupDescriptor:
         raise ValueError("a product needs at least one factor")
     if len(facs) == 1:
         return facs[0]
-    if all(isinstance(f, Abelian) for f in facs):
-        merged = [x for f in facs for x in f.group.invariant_factors]
-        return Abelian(canonicalize(merged))
+    if all(isinstance(f, AbelianGroup) for f in facs):
+        return canonicalize([x for f in facs for x in f.invariant_factors])
     return Product(facs)
 
 
@@ -213,11 +198,11 @@ def parse_group(text: str) -> GroupDescriptor:
         if pos == len(text):
             raise GroupParseError("expected a group term after 'x'", pos)
     if all(kind == "C" for kind, _ in terms):
-        return Abelian(canonicalize([value for _, value in terms if value > 1]))
+        return canonicalize([value for _, value in terms if value > 1])
     descriptors: list[GroupDescriptor] = []
     for kind, value in terms:
         if kind == "C":
-            descriptors.append(Abelian(canonicalize([value] if value > 1 else [])))
+            descriptors.append(canonicalize([value] if value > 1 else []))
         elif kind == "D":
             descriptors.append(Dihedral(value // 2))
         else:
@@ -261,20 +246,22 @@ def _parse_term(text: str, pos: int) -> tuple[tuple[str, int], int]:
 class OrderSpectrum:
     """Element counts by exact order, with an entry for every divisor of the order.
 
-    entries[d] is the number of elements of order exactly d; zero counts are
-    kept so that two spectra over the same order always have equal key sets.
+    entries[d] is the number of elements of order exactly d.  The keys are the
+    divisors of the order in increasing order, zero counts included, so they
+    are the divisor list that counts and pair checks walk.
     """
 
     entries: dict[int, int]
     group_order: int
 
     def __post_init__(self):
-        entries = dict(self.entries)
-        object.__setattr__(self, "entries", entries)
         if self.group_order < 1:
             raise ValueError(f"group order must be positive, got {self.group_order}")
-        if set(entries) != set(divisors(self.group_order)):
+        divs = divisors(self.group_order)
+        if set(self.entries) != set(divs):
             raise ValueError("spectrum must have an entry for every divisor of the group order")
+        entries = {d: self.entries[d] for d in divs}
+        object.__setattr__(self, "entries", entries)
         if entries[1] != 1:
             raise ValueError(f"a group has exactly one identity element, got {entries[1]}")
         if any(v < 0 for v in entries.values()):
@@ -288,7 +275,7 @@ class OrderSpectrum:
 
     def key(self) -> tuple[tuple[int, int], ...]:
         """Hashable canonical form, sorted by order."""
-        return tuple(sorted(self.entries.items()))
+        return tuple(self.entries.items())
 
 
 def _spectrum_from_counts(counts: dict[int, int], order: int) -> OrderSpectrum:
@@ -297,21 +284,20 @@ def _spectrum_from_counts(counts: dict[int, int], order: int) -> OrderSpectrum:
 
 
 def _abelian_spectrum(group: AbelianGroup) -> OrderSpectrum:
-    # Number of elements of order dividing l is the product of gcd(n_i, l);
-    # Mobius inversion over the divisors of d isolates the exact-order count.
+    # Number of elements of order dividing d is the product of gcd(n_i, d);
+    # taking away those of the smaller orders dividing d, counted first since
+    # the divisors come in increasing order, leaves the exact-order count.
     facs = group.invariant_factors
-    counts = {}
+    counts: dict[int, int] = {}
     for d in divisors(group.order):
-        counts[d] = sum(mobius(d // l) * prod(gcd(f, l) for f in facs) for l in divisors(d))
-    return _spectrum_from_counts(counts, group.order)
+        counts[d] = prod(gcd(f, d) for f in facs) - sum(c for l, c in counts.items() if d % l == 0)
+    return OrderSpectrum(counts, group.order)
 
 
-def order_spectrum(g: GroupDescriptor | AbelianGroup) -> OrderSpectrum:
-    """Order spectrum of a descriptor (or bare AbelianGroup)."""
+def order_spectrum(g: GroupDescriptor) -> OrderSpectrum:
+    """Order spectrum of a descriptor."""
     if isinstance(g, AbelianGroup):
-        g = Abelian(g)
-    if isinstance(g, Abelian):
-        return _abelian_spectrum(g.group)
+        return _abelian_spectrum(g)
     if isinstance(g, Dihedral):
         # k rotations forming a cyclic group, plus k reflections of order 2.
         k = g.half_order

@@ -16,9 +16,6 @@ from math import gcd
 from .exactmath import binomial, divisors, factorize, prime_power_root, valuation
 from .groups import AbelianGroup, enumerate_abelian, order_spectrum
 
-LEMMA_IDS = ("L21i", "L21ii", "L22i", "L22ii", "L23", "L24", "L25")
-
-
 @dataclass(frozen=True)
 class LemmaInstance:
     """One evaluated check: its id, inputs, verdict, and the compared values.

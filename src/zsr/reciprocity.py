@@ -10,13 +10,10 @@ pair check records both sides plus an iff-consistency verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
-from time import perf_counter
 
 from .counting import count_formula
 from .exactmath import divisors
 from .groups import (
-    Abelian,
     Dicyclic,
     Dihedral,
     GroupDescriptor,
@@ -70,7 +67,6 @@ class ScanSummary:
     violations: list[ReciprocityReport]
     max_order: int
     families: tuple[str, ...]
-    elapsed_ms: int
 
     def to_record(self) -> dict:
         return {
@@ -81,17 +77,18 @@ class ScanSummary:
         }
 
 
-def _witness(sg: OrderSpectrum, sh: OrderSpectrum, shared) -> int | None:
-    """The smallest of the shared divisors on which the spectra differ, or None."""
-    for d in shared:
-        if sg.count_of(d) != sh.count_of(d):
+def _witness(sg: OrderSpectrum, sh: OrderSpectrum) -> int | None:
+    """The smallest shared divisor of the two orders on which the spectra differ, or None."""
+    m = sh.group_order
+    for d, count in sg.entries.items():
+        if m % d == 0 and count != sh.entries[d]:
             return d
     return None
 
 
-def _pair_report(g, h, sg, sh, count_gh: int, count_hg: int, shared) -> ReciprocityReport:
-    """The report for one pair, from both spectra, both cross counts and the divisors of gcd(|G|, |H|)."""
-    witness = _witness(sg, sh, shared)
+def _pair_report(g, h, sg, sh, count_gh: int, count_hg: int) -> ReciprocityReport:
+    """The report for one pair, from both spectra and both cross counts."""
+    witness = _witness(sg, sh)
     agree = witness is None
     counts_agree = count_gh == count_hg
     return ReciprocityReport(
@@ -104,7 +101,7 @@ def _pair_report(g, h, sg, sh, count_gh: int, count_hg: int, shared) -> Reciproc
 def spectrum_condition(g, h) -> tuple[bool, int | None]:
     """(True, None) if the spectra agree on every shared divisor, else (False, smallest witness)."""
     sg, sh = order_spectrum(g), order_spectrum(h)
-    witness = _witness(sg, sh, divisors(gcd(sg.group_order, sh.group_order)))
+    witness = _witness(sg, sh)
     return witness is None, witness
 
 
@@ -112,7 +109,7 @@ def reciprocity_check(g: GroupDescriptor, h: GroupDescriptor) -> ReciprocityRepo
     """Run the full pair check: spectra condition plus both cross counts."""
     sg, sh = order_spectrum(g), order_spectrum(h)
     n, m = sg.group_order, sh.group_order
-    return _pair_report(g, h, sg, sh, count_formula(sg, m), count_formula(sh, n), divisors(gcd(n, m)))
+    return _pair_report(g, h, sg, sh, count_formula(sg, m), count_formula(sh, n))
 
 
 def divisor_gap_free(n: int) -> bool:
@@ -136,7 +133,7 @@ def family_descriptors(families, max_order: int) -> list[GroupDescriptor]:
         raise ValueError(f"unknown families {sorted(unknown)}; valid names: {', '.join(FAMILIES)}")
     if max_order < 1:
         raise ValueError(f"max_order must be positive, got {max_order}")
-    abelian = [Abelian(g) for n in range(1, max_order + 1) for g in enumerate_abelian(n)]
+    abelian = [g for n in range(1, max_order + 1) for g in enumerate_abelian(n)]
     dihedral = [Dihedral(k) for k in range(3, max_order // 2 + 1)]
     dicyclic = [Dicyclic(k) for k in range(2, max_order // 4 + 1)]
     pool: list[GroupDescriptor] = []
@@ -174,13 +171,11 @@ def iter_pair_reports(descriptors):
     """Yield one report per pair in canonical order.
 
     Descriptors are addressed by position: counts[i][m] is
-    |M(descriptors[i], m)|, and the divisors of each gcd of two orders are
-    listed once per scan.
+    |M(descriptors[i], m)|.
     """
     spectra = [order_spectrum(d) for d in descriptors]
     orders = [s.group_order for s in spectra]
     counts: list[dict[int, int]] = [{} for _ in descriptors]
-    shared: dict[int, list[int]] = {}
     for i, g in enumerate(descriptors):
         sg, n, row_g = spectra[i], orders[i], counts[i]
         for j in range(i, len(descriptors)):
@@ -191,11 +186,7 @@ def iter_pair_reports(descriptors):
             count_hg = row_h.get(n)
             if count_hg is None:
                 count_hg = row_h[n] = count_formula(sh, n)
-            k = gcd(n, m)
-            divs = shared.get(k)
-            if divs is None:
-                divs = shared[k] = divisors(k)
-            yield _pair_report(g, descriptors[j], sg, sh, count_gh, count_hg, divs)
+            yield _pair_report(g, descriptors[j], sg, sh, count_gh, count_hg)
 
 
 def conjecture_scan(families, max_order: int, *, on_report=None) -> ScanSummary:
@@ -205,7 +196,6 @@ def conjecture_scan(families, max_order: int, *, on_report=None) -> ScanSummary:
     with each report in canonical order as it is produced; a true return value
     counts the pair as a violation even when its report is consistent.
     """
-    start = perf_counter()
     descriptors = family_descriptors(families, max_order)
     family_tuple = tuple(f for f in FAMILIES if f in set(families))
     checked = 0
@@ -215,10 +205,9 @@ def conjecture_scan(families, max_order: int, *, on_report=None) -> ScanSummary:
         flagged = on_report(report) if on_report is not None else False
         if flagged or not report.iff_consistent:
             violations.append(report)
-    elapsed_ms = int((perf_counter() - start) * 1000)
     return ScanSummary(
         pairs_checked=checked, violations=violations,
-        max_order=max_order, families=family_tuple, elapsed_ms=elapsed_ms,
+        max_order=max_order, families=family_tuple,
     )
 
 

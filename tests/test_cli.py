@@ -371,6 +371,12 @@ def test_installed_zsr_on_path():
     assert_counts_c2xc2(shutil.which("zsr"))
 
 
+def test_package_exports_resolve():
+    for name in zsr.__all__:
+        getattr(zsr, name)
+    assert "Abelian" not in zsr.__all__
+
+
 def test_closed_stdout_exits_141_without_traceback():
     command = [sys.executable, "-m", "zsr.cli", "scan-conjecture", "--max-order", "40", "--format", "jsonl"]
     with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,

@@ -122,6 +122,16 @@ def test_counts_depend_only_on_spectrum():
         assert count_formula(left, m) == count_formula(right, m)
 
 
+def test_spectrum_entries_are_kept_in_increasing_order():
+    shuffled = OrderSpectrum({4: 2, 2: 1, 1: 1}, 4)
+    ordered = OrderSpectrum({1: 1, 2: 1, 4: 2}, 4)
+    assert list(shuffled.entries) == [1, 2, 4]
+    assert shuffled.key() == ((1, 1), (2, 1), (4, 2))
+    for m in range(13):
+        assert count_formula(shuffled, m) == count_formula(ordered, m)
+        assert count_molien(shuffled, m) == count_molien(ordered, m)
+
+
 def test_negative_length_rejected():
     spectrum = spectrum_of("C4")
     with pytest.raises(ValueError):

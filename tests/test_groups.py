@@ -8,7 +8,6 @@ import pytest
 
 from zsr.errors import BudgetError, GroupParseError
 from zsr.groups import (
-    Abelian,
     AbelianGroup,
     DEFAULT_SPECTRUM_BOUND,
     Dicyclic,
@@ -147,24 +146,24 @@ def test_descriptor_orders_and_notation():
 
 
 def test_parse_group_accepts_standard_notation():
-    assert parse_group("C6") == Abelian(AbelianGroup((6,)))
-    assert parse_group("C2xC6") == Abelian(AbelianGroup((2, 6)))
+    assert parse_group("C6") == AbelianGroup((6,))
+    assert parse_group("C2xC6") == AbelianGroup((2, 6))
     assert parse_group("D10") == Dihedral(5)
     assert parse_group("Dic3") == Dicyclic(3)
     assert parse_group("Q8") == Dicyclic(2)
-    assert parse_group("C1") == Abelian(AbelianGroup(()))
+    assert parse_group("C1") == AbelianGroup(())
 
 
 def test_parse_group_canonicalizes_abelian_terms():
-    assert parse_group("C4xC2") == Abelian(AbelianGroup((2, 4)))
-    assert parse_group("C2xC3") == Abelian(AbelianGroup((6,)))
-    assert parse_group("C1xC1") == Abelian(AbelianGroup(()))
-    assert parse_group("C2xC2xC3") == Abelian(AbelianGroup((2, 6)))
+    assert parse_group("C4xC2") == AbelianGroup((2, 4))
+    assert parse_group("C2xC3") == AbelianGroup((6,))
+    assert parse_group("C1xC1") == AbelianGroup(())
+    assert parse_group("C2xC2xC3") == AbelianGroup((2, 6))
 
 
 def test_parse_group_mixed_products_keep_term_order():
     left = parse_group("C3xD10")
-    assert left == Product((Abelian(AbelianGroup((3,))), Dihedral(5)))
+    assert left == Product((AbelianGroup((3,)), Dihedral(5)))
     assert left.notation() == "C3xD10"
     right = parse_group("D10xC3")
     assert right.notation() == "D10xC3"
@@ -278,12 +277,6 @@ def test_order_spectrum_matches_bruteforce_on_abelian_groups():
             assert order_spectrum(group).entries == order_spectrum_bruteforce(group).entries
 
 
-def test_order_spectrum_accepts_wrapped_and_bare_abelian():
-    bare = order_spectrum(AbelianGroup((2, 6)))
-    wrapped = order_spectrum(Abelian(AbelianGroup((2, 6))))
-    assert bare.entries == wrapped.entries
-
-
 def test_dihedral_spectrum_structure():
     # rotations contribute a cyclic spectrum, reflections all have order 2
     for k in range(3, 30):
@@ -310,9 +303,9 @@ def test_dicyclic_spectrum_structure():
 
 def test_product_spectrum_is_symmetric_and_complete():
     pairs = [
-        (Dihedral(3), Abelian(AbelianGroup((2,)))),
+        (Dihedral(3), AbelianGroup((2,))),
         (Dihedral(3), Dicyclic(2)),
-        (Dicyclic(3), Abelian(AbelianGroup((5,)))),
+        (Dicyclic(3), AbelianGroup((5,))),
     ]
     for left, right in pairs:
         forward = order_spectrum(Product((left, right)))
@@ -322,17 +315,17 @@ def test_product_spectrum_is_symmetric_and_complete():
 
 
 def test_product_of_dihedral_and_c2_matches_double_dihedral():
-    product = order_spectrum(Product((Dihedral(3), Abelian(AbelianGroup((2,))))))
+    product = order_spectrum(Product((Dihedral(3), AbelianGroup((2,)))))
     assert product.entries == order_spectrum(Dihedral(6)).entries
 
 
 def test_make_product_merges_all_abelian_factors():
-    merged = make_product((Abelian(AbelianGroup((2,))), Abelian(AbelianGroup((3,)))))
-    assert merged == Abelian(AbelianGroup((6,)))
-    mixed = make_product((Abelian(AbelianGroup((2,))), Dihedral(3)))
+    merged = make_product((AbelianGroup((2,)), AbelianGroup((3,))))
+    assert merged == AbelianGroup((6,))
+    mixed = make_product((AbelianGroup((2,)), Dihedral(3)))
     assert isinstance(mixed, Product)
     with pytest.raises(ValueError):
-        Product((Abelian(AbelianGroup((2,))), Abelian(AbelianGroup((3,)))))
+        Product((AbelianGroup((2,)), AbelianGroup((3,))))
 
 
 def test_bruteforce_spectrum_budget():

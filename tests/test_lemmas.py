@@ -8,7 +8,6 @@ from zsr.exactmath import binomial
 from zsr.groups import AbelianGroup, parse_group
 from zsr.lemmas import (
     GridResult,
-    LEMMA_IDS,
     LemmaInstance,
     check_lemma21,
     check_lemma22,
@@ -143,8 +142,8 @@ def test_check_lemma22_domain_errors():
 
 
 def test_structure_lemmas_on_order_sixteen_pair():
-    g = parse_group("C2xC8").group
-    h = parse_group("C4xC4").group
+    g = parse_group("C2xC8")
+    h = parse_group("C4xC4")
     instances = check_structure_lemmas(g, h)
     assert [i.lemma_id for i in instances] == ["L23", "L23", "L24", "L25"]
     first, second, third, fourth = instances
@@ -159,8 +158,8 @@ def test_structure_lemmas_on_order_sixteen_pair():
 
 
 def test_structure_lemmas_on_order_four_pair():
-    g = parse_group("C4").group
-    h = parse_group("C2xC2").group
+    g = parse_group("C4")
+    h = parse_group("C2xC2")
     instances = check_structure_lemmas(g, h)
     assert [i.lemma_id for i in instances] == ["L23", "L23", "L24"]
     assert instances[0].parameters["min_EG"] == 4
@@ -170,7 +169,7 @@ def test_structure_lemmas_on_order_four_pair():
 
 
 def test_structure_lemmas_empty_when_spectra_agree():
-    g = parse_group("C2xC6").group
+    g = parse_group("C2xC6")
     assert check_structure_lemmas(g, g) == []
     # different orders with agreeing shared divisors also yield nothing
     assert check_structure_lemmas(AbelianGroup((2,)), AbelianGroup((4,))) == []
@@ -209,7 +208,9 @@ def test_grid_variant_validation():
 
 
 def test_lemma_instance_shape():
-    assert LEMMA_IDS == ("L21i", "L21ii", "L22i", "L22ii", "L23", "L24", "L25")
     instance = check_lemma21(6, 6, 2, 3, "i")
     assert isinstance(instance, LemmaInstance)
+    # variant i of lemma 2.2 returns from the {2, 3} branch and from the general one
+    assert check_lemma22(24, 24, 2, 3, 2, 3, "i").lemma_id == "L22i"
+    assert check_lemma22(28, 28, 4, 7, 2, 7, "i").lemma_id == "L22i"
     assert instance.parameters["m"] == 6 and instance.parameters["b"] == 3
