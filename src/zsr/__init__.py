@@ -7,7 +7,7 @@ family scans (reciprocity), and inequality/structure check grids (lemmas).
 
 from .counting import count_dp, count_formula, count_molien, rational_catalan
 from .errors import BudgetError, GroupParseError
-from .exactmath import ExactRatio, binomial, divisors, factorize, mobius
+from .exactmath import binomial, divisors, factorize
 from .groups import (
     AbelianGroup,
     Dicyclic,
@@ -47,12 +47,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AbelianGroup", "BudgetError", "Dicyclic", "Dihedral",
-    "ExactRatio", "GridResult", "GroupDescriptor", "GroupParseError", "LemmaInstance",
+    "GridResult", "GroupDescriptor", "GroupParseError", "LemmaInstance",
     "OrderSpectrum", "Product", "ReciprocityReport", "ScanSummary", "binomial",
     "canonicalize", "check_lemma21", "check_lemma22", "check_structure_lemmas",
     "conjecture_scan", "count_dp", "count_formula", "count_molien", "delta",
     "divisor_gap_free", "divisors", "enumerate_abelian", "factorize", "lemma21_grid",
-    "lemma22_grid", "make_product", "mobius", "order_spectrum",
+    "lemma22_grid", "make_product", "order_spectrum",
     "order_spectrum_bruteforce", "parse_group", "rational_catalan",
     "reciprocity_check", "spectrum_condition", "structure_grid", "verify_theorem",
 ]

@@ -1,18 +1,12 @@
-"""Exact integer arithmetic helpers: factorization, divisors, Mobius, binomials.
+"""Exact integer arithmetic helpers: factorization, divisors, binomials, valuations.
 
-Everything here is plain ``int`` (arbitrary precision) or ``fractions.Fraction``.
-No floats anywhere; any inexact division is a bug, not a rounding concern.
+Everything here is plain ``int`` (arbitrary precision).  No floats anywhere;
+any inexact division is a bug, not a rounding concern.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
-
-# Exact rational type used by the inequality checkers.  Fraction already
-# normalizes to lowest terms with a positive denominator, which is exactly
-# the representation the comparison logic relies on.
-ExactRatio = Fraction
 
 # A factorization is an ordered list of (prime, exponent) pairs with the
 # primes strictly increasing and every exponent >= 1.  factorize(1) == [].
@@ -46,18 +40,6 @@ def divisors(n: int) -> list[int]:
     for p, e in factorize(n):
         divs = [d * p**k for d in divs for k in range(e + 1)]
     return sorted(divs)
-
-
-def mobius(n: int) -> int:
-    """Mobius function: 0 on non-squarefree n, else (-1)^(number of primes)."""
-    if n < 1:
-        raise ValueError(f"mobius requires a positive integer, got {n}")
-    result = 1
-    for _, e in factorize(n):
-        if e > 1:
-            return 0
-        result = -result
-    return result
 
 
 def binomial(top: int, bottom: int) -> int:

@@ -188,10 +188,21 @@ def check_structure_lemmas(g: AbelianGroup, h: AbelianGroup) -> list[LemmaInstan
 def _structure_instances(sg, sh) -> list[LemmaInstance]:
     n = sg.group_order
     m = sh.group_order
+    # The divisors of gcd(n, m) are the keys of sg's spectrum that divide m.
+    excess_g: list[int] = []
+    excess_h: list[int] = []
+    for d, count in sg.entries.items():
+        if m % d == 0:
+            other = sh.entries[d]
+            if count > other:
+                excess_g.append(d)
+            elif count < other:
+                excess_h.append(d)
+    if not excess_g and not excess_h:
+        # Spectra agreeing on every shared divisor give no instance.
+        return []
     shared = gcd(n, m)
     out: list[LemmaInstance] = []
-    excess_g = [d for d in divisors(shared) if sg.count_of(d) > sh.count_of(d)]
-    excess_h = [d for d in divisors(shared) if sg.count_of(d) < sh.count_of(d)]
     for label, side in (("min_EG", excess_g), ("min_EH", excess_h)):
         if not side:
             continue

@@ -1,18 +1,30 @@
 """Reciprocity checks: spectra agreement versus cross-count agreement.
 
-For a pair of groups G, H the interesting comparison is between
-|M(G, |H|)| and |M(H, |G|)| (zero-sum multiset counts of each group at the
-other's order).  The theorem under test says these counts agree exactly
-when the order spectra of G and H agree on every shared divisor, so each
-pair check records both sides plus an iff-consistency verdict.
+For groups G, H of orders n, m the comparison is between |M(G, m)| and
+|M(H, n)| (zero-sum multiset counts of each group at the other's order).  The
+theorem under test says these counts agree exactly when the order spectra of
+G and H agree on every divisor of gcd(n, m), so each pair check records both
+sides plus an iff-consistency verdict.
+
+Both counts read only the spectrum entries at the divisors d of gcd(n, m),
+weighted by the blocks C((n+m)/d, n/d) = C((n+m)/d, m/d).  A scan therefore
+decides by spectrum class: for each pair of orders it builds one block table,
+groups the groups of each order by their spectrum restricted to the shared
+divisors, and gives each class one count.  A pair is a violation exactly when
+its two classes differ but their counts are equal.  A summary scan finds those
+class pairs with a dict keyed by count and expands only them into pairs; a
+scan that hands out records walks every pair in canonical order and reads both
+counts from the class counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
+from operator import mul
 
 from .counting import count_formula
-from .exactmath import divisors
+from .exactmath import binomial, divisors
 from .groups import (
     Dicyclic,
     Dihedral,
@@ -167,46 +179,152 @@ def pair_sequence(descriptors) -> list[tuple[GroupDescriptor, GroupDescriptor]]:
             for j in range(i, len(descriptors))]
 
 
-def iter_pair_reports(descriptors):
-    """Yield one report per pair in canonical order.
+def _block_table(n: int, m: int, shared: list[int], last: dict) -> list[int]:
+    """The blocks C((n+m)/d, n/d) for d in shared, for n <= m; the same for (m, n).
 
-    Descriptors are addressed by position: counts[i][m] is
-    |M(descriptors[i], m)|.
+    With a = n/d and b = m/d a block is C(a+b, a) = C(a+b-1, a) * (a+b) / b.
+    last maps (n, d) to the (b, block) computed last, and a block for a
+    larger b is stepped from it with exact small-integer products and
+    quotients, which costs far less than a fresh binomial when scans walk m
+    upwards; a smaller b starts afresh.
+    """
+    blocks = []
+    for d in shared:
+        a, b = n // d, m // d
+        k, block = last.get((n, d), (b + 1, 0))
+        if k > b:
+            k, block = b, binomial(a + b, a)
+        for t in range(k + 1, b + 1):
+            block = block * (a + t) // t
+        last[n, d] = b, block
+        blocks.append(block)
+    return blocks
+
+
+class _ClassTable:
+    """Descriptors grouped by order, and per shared divisor by restricted spectrum.
+
+    Descriptors are addressed by position in the scan.  For an order n and a
+    divisor g of n, the restricted key of a descriptor is its tuple of
+    spectrum entries at the divisors of g, in increasing order.  The table
+    also keeps the last block of each (n, d), which _block_table steps from.
+    """
+
+    def __init__(self, spectra: list[OrderSpectrum]):
+        self.spectra = spectra
+        self.members: dict[int, list[int]] = {}
+        for i, spectrum in enumerate(spectra):
+            self.members.setdefault(spectrum.group_order, []).append(i)
+        self._classes: dict[tuple[int, int], tuple] = {}
+        self._last_blocks: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def classes(self, n: int, g: int):
+        """(divisors of g, {key: positions}, {position: key}) for the order-n descriptors."""
+        entry = self._classes.get((n, g))
+        if entry is None:
+            members = self.members[n]
+            shared = [d for d in self.spectra[members[0]].entries if g % d == 0]
+            by_key: dict[tuple[int, ...], list[int]] = {}
+            key_of: dict[int, tuple[int, ...]] = {}
+            for i in members:
+                entries = self.spectra[i].entries
+                key = key_of[i] = tuple(entries[d] for d in shared)
+                by_key.setdefault(key, []).append(i)
+            entry = self._classes[n, g] = (shared, by_key, key_of)
+        return entry
+
+    def order_pair(self, n: int, m: int):
+        """The classes of orders n and m at gcd(n, m), and one count per restricted key.
+
+        A key's count is its dot product with the block table divided by
+        n + m, which is |M(G, m)| for a group G of order n in that class (and
+        the same with n and m swapped).  An inexact division means an
+        inconsistent spectrum and raises ValueError.
+        """
+        g = gcd(n, m)
+        shared, left, left_key = self.classes(n, g)
+        _, right, right_key = self.classes(m, g)
+        table = _block_table(min(n, m), max(n, m), shared, self._last_blocks)
+        total = n + m
+        counts: dict[tuple[int, ...], int] = {}
+        for key in (*left, *right):
+            if key not in counts:
+                divisor_sum = sum(map(mul, key, table))
+                if divisor_sum % total:
+                    raise ValueError(f"divisor sum {divisor_sum} not divisible by {total}: "
+                                     "inconsistent spectrum")
+                counts[key] = divisor_sum // total
+        return left, left_key, right, right_key, counts
+
+
+def iter_pair_reports(descriptors):
+    """Yield one report per pair in canonical order, with counts from the class table."""
+    spectra = [order_spectrum(d) for d in descriptors]
+    table = _ClassTable(spectra)
+    orders = [s.group_order for s in spectra]
+    row_order, row = None, {}
+    for i, g in enumerate(descriptors):
+        n = orders[i]
+        if n != row_order:
+            row_order, row = n, {}
+        for j in range(i, len(descriptors)):
+            m = orders[j]
+            cached = row.get(m)
+            if cached is None:
+                cached = row[m] = table.order_pair(n, m)
+            _, left_key, _, right_key, counts = cached
+            yield _pair_report(g, descriptors[j], spectra[i], spectra[j],
+                               counts[left_key[i]], counts[right_key[j]])
+
+
+def _violation_reports(descriptors) -> list[ReciprocityReport]:
+    """Reports of the violating pairs in canonical order, found class by class.
+
+    For each pair of orders, a violation is two different restricted keys, one
+    on each side, with the same count; a dict keyed by count finds them.
     """
     spectra = [order_spectrum(d) for d in descriptors]
-    orders = [s.group_order for s in spectra]
-    counts: list[dict[int, int]] = [{} for _ in descriptors]
-    for i, g in enumerate(descriptors):
-        sg, n, row_g = spectra[i], orders[i], counts[i]
-        for j in range(i, len(descriptors)):
-            sh, m, row_h = spectra[j], orders[j], counts[j]
-            count_gh = row_g.get(m)
-            if count_gh is None:
-                count_gh = row_g[m] = count_formula(sg, m)
-            count_hg = row_h.get(n)
-            if count_hg is None:
-                count_hg = row_h[n] = count_formula(sh, n)
-            yield _pair_report(g, descriptors[j], sg, sh, count_gh, count_hg)
+    table = _ClassTable(spectra)
+    orders = sorted(table.members)
+    found = {}
+    for a, n in enumerate(orders):
+        for m in orders[a:]:
+            left, _, right, _, counts = table.order_pair(n, m)
+            if len(counts) < 2:
+                continue
+            by_count: dict[int, list[tuple[int, ...]]] = {}
+            for key in left:
+                by_count.setdefault(counts[key], []).append(key)
+            for key in right:
+                count = counts[key]
+                for other in by_count.get(count, ()):
+                    if other != key:
+                        for i in left[other]:
+                            for j in right[key]:
+                                found[min(i, j), max(i, j)] = count
+    return [_pair_report(descriptors[i], descriptors[j], spectra[i], spectra[j], count, count)
+            for (i, j), count in sorted(found.items())]
 
 
 def conjecture_scan(families, max_order: int, *, on_report=None) -> ScanSummary:
     """Check every pair from the chosen families up to max_order.
 
-    An unknown family name raises ValueError.  on_report, if given, is called
-    with each report in canonical order as it is produced; a true return value
-    counts the pair as a violation even when its report is consistent.
+    An unknown family name raises ValueError.  Without on_report the scan
+    decides by spectrum class and builds reports only for violating pairs.
+    on_report, if given, is called with each report in canonical order as it
+    is produced; a true return value counts the pair as a violation even when
+    its report is consistent.
     """
     descriptors = family_descriptors(families, max_order)
     family_tuple = tuple(f for f in FAMILIES if f in set(families))
-    checked = 0
-    violations = []
-    for report in iter_pair_reports(descriptors):
-        checked += 1
-        flagged = on_report(report) if on_report is not None else False
-        if flagged or not report.iff_consistent:
-            violations.append(report)
+    if on_report is None:
+        violations = _violation_reports(descriptors)
+    else:
+        violations = [report for report in iter_pair_reports(descriptors)
+                      if on_report(report) or not report.iff_consistent]
+    k = len(descriptors)
     return ScanSummary(
-        pairs_checked=checked, violations=violations,
+        pairs_checked=k * (k + 1) // 2, violations=violations,
         max_order=max_order, families=family_tuple,
     )
 

@@ -1,4 +1,4 @@
-"""Tests for the exact integer and rational helpers."""
+"""Tests for the exact integer helpers."""
 
 import random
 from math import isqrt
@@ -6,11 +6,9 @@ from math import isqrt
 import pytest
 
 from zsr.exactmath import (
-    ExactRatio,
     binomial,
     divisors,
     factorize,
-    mobius,
     prime_power_root,
     valuation,
 )
@@ -117,22 +115,6 @@ def test_divisors_count_and_order():
         assert all(a < b for a, b in zip(divs, divs[1:]))
 
 
-def test_mobius_known_values():
-    assert mobius(1) == 1
-    assert mobius(2) == -1
-    assert mobius(6) == 1
-    assert mobius(12) == 0
-    assert mobius(30) == -1
-    assert mobius(49) == 0
-
-
-def test_mobius_divisor_sums_collapse():
-    # sum of mobius over the divisors of n is 1 at n = 1 and 0 elsewhere
-    for n in range(1, 2001):
-        total = sum(mobius(d) for d in divisors(n))
-        assert total == (1 if n == 1 else 0)
-
-
 def test_valuation():
     assert valuation(24, 2) == 3
     assert valuation(24, 3) == 1
@@ -159,30 +141,3 @@ def test_prime_power_root():
             assert root == facs[0]
         else:
             assert root is None
-
-
-def test_exact_ratio_comparisons_are_cross_multiplication():
-    rng = random.Random(20879)
-    for _ in range(1000):
-        a = rng.randint(-(10**12), 10**12)
-        c = rng.randint(-(10**12), 10**12)
-        b = rng.randint(1, 10**12)
-        d = rng.randint(1, 10**12)
-        assert (ExactRatio(a, b) < ExactRatio(c, d)) == (a * d < c * b)
-        assert (ExactRatio(a, b) == ExactRatio(c, d)) == (a * d == c * b)
-
-
-def test_exact_ratio_normalization():
-    assert ExactRatio(6, 4) == ExactRatio(3, 2)
-    assert ExactRatio(6, 4).denominator == 2
-    assert ExactRatio(1, -2).denominator == 2
-    assert ExactRatio(1, -2).numerator == -1
-    with pytest.raises(ZeroDivisionError):
-        ExactRatio(1, 0)
-
-
-def test_exact_ratio_arithmetic_stays_exact():
-    assert ExactRatio(1, 3) * 3 == 1
-    assert ExactRatio(2, 3) ** 5 == ExactRatio(32, 243)
-    total = sum(ExactRatio(1, k) for k in range(1, 11))
-    assert total == ExactRatio(7381, 2520)

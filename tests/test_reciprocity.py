@@ -1,9 +1,16 @@
 """Tests for reciprocity checks, the scan engine, and the gap-free predicate."""
 
-from math import gcd
+import os
+import subprocess
+import sys
+from itertools import combinations
+from math import comb, gcd
+from pathlib import Path
 
 import pytest
 
+import zsr
+from zsr import reciprocity
 from zsr.counting import count_formula
 from zsr.groups import AbelianGroup, Dihedral, enumerate_abelian, order_spectrum, parse_group
 from zsr.reciprocity import (
@@ -201,3 +208,66 @@ def test_scan_summary_record_shape():
     assert record["violations"] == 0
     assert record["families"] == ["abelian", "dihedral"]
     assert record["max_order"] == 10
+
+
+def restricted(spectrum, shared):
+    """Spectrum entries at the divisors of shared, found by trial division."""
+    return [spectrum.count_of(d) for d in range(1, shared + 1) if shared % d == 0]
+
+
+def test_planted_collisions_reach_both_scan_paths(monkeypatch):
+    # With every block equal to n + m, a class's count is the sum of its
+    # restricted entries, so different restricted spectra collide often.
+    monkeypatch.setattr(reciprocity, "_block_table", lambda n, m, shared, last: [n + m] * len(shared))
+    expected = []
+    for g, h in pair_sequence(family_descriptors(FAMILIES, 32)):
+        shared = gcd(g.order, h.order)
+        rg = restricted(order_spectrum(g), shared)
+        rh = restricted(order_spectrum(h), shared)
+        if rg != rh and sum(rg) == sum(rh):
+            expected.append((g.notation(), h.notation(), sum(rg)))
+    assert len(expected) > 100
+    summary = conjecture_scan(FAMILIES, 32)
+    records = conjecture_scan(FAMILIES, 32, on_report=lambda report: False)
+    assert summary.violations == records.violations
+    assert [(r.g.notation(), r.h.notation(), r.count_g_at_h) for r in summary.violations] == expected
+    assert all(r.count_h_at_g == r.count_g_at_h and not r.spectra_agree for r in summary.violations)
+
+
+def test_block_table_steps_match_fresh_binomials():
+    # Scans ask for growing m, but a table must also be right after a gap or a step back.
+    last = {}
+    for n in (1, 6, 12, 30):
+        for m in [*range(n, 3 * n + 40, 1), *range(n, 200, 7), 5 * n, n, 2 * n]:
+            shared = [d for d in range(1, n + 1) if n % d == 0 and m % d == 0]
+            expected = [comb((n + m) // d, n // d) for d in shared]
+            assert reciprocity._block_table(n, m, shared, last) == expected, (n, m)
+
+
+def test_class_scan_matches_pairs_for_every_family_subset():
+    for size in range(1, len(FAMILIES) + 1):
+        for families in combinations(FAMILIES, size):
+            summary = conjecture_scan(families, 30)
+            assert summary.pairs_checked == len(pair_sequence(family_descriptors(families, 30)))
+            assert summary == conjecture_scan(families, 30, on_report=lambda report: False)
+
+
+def test_class_scan_raises_on_inconsistent_spectrum_under_optimize():
+    # C4 given three elements of order 4 is no group: at the order pair (2, 4)
+    # its class has divisor sum C(6, 2) = 15, which 6 does not divide.  Both
+    # scan paths must refuse it, also under python -O, which strips asserts.
+    code = ("import zsr.reciprocity as r\n"
+            "from zsr.groups import OrderSpectrum, order_spectrum\n"
+            "bad = OrderSpectrum({1: 1, 2: 0, 4: 3}, 4)\n"
+            "r.order_spectrum = lambda d: bad if d.notation() == 'C4' else order_spectrum(d)\n"
+            "for consumer in (None, lambda report: False):\n"
+            "    try:\n"
+            "        print(r.conjecture_scan(('abelian',), 4, on_report=consumer))\n"
+            "    except ValueError as exc:\n"
+            "        print('ValueError:', exc)\n")
+    env = dict(os.environ)
+    src = str(Path(zsr.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "ValueError: divisor sum 15 not divisible by 6: inconsistent spectrum\n" * 2
