@@ -163,10 +163,7 @@ def _cmd_check(args) -> int:
         f"|M(H, {record['order_g']})| = {report.count_h_at_g}",
         f"iff consistent: {'yes' if report.iff_consistent else 'NO'}",
     ]
-    if args.format == "csv":
-        _write_csv(sys.stdout, [record], RECORD_FIELDS)
-    else:
-        _emit(args, [record], human)
+    _emit(args, [record], human)
     return 0 if report.iff_consistent else 1
 
 

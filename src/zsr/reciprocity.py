@@ -8,13 +8,14 @@ sides plus an iff-consistency verdict.
 
 Both counts read only the spectrum entries at the divisors d of gcd(n, m),
 weighted by the blocks C((n+m)/d, n/d) = C((n+m)/d, m/d).  A scan therefore
-decides by spectrum class: for each pair of orders it builds one block table,
-groups the groups of each order by their spectrum restricted to the shared
-divisors, and gives each class one count.  A pair is a violation exactly when
-its two classes differ but their counts are equal.  A summary scan finds those
-class pairs with a dict keyed by count and expands only them into pairs; a
-scan that hands out records walks every pair in canonical order and reads both
-counts from the class counts.
+decides by spectrum class, in one walk over the orders in increasing n: for
+each n and every order m >= n it builds one block table, groups the groups of
+both orders by their spectrum restricted to the shared divisors, and gives each
+class one count.  A pair is a violation exactly when its two classes differ but
+their counts are equal.  Each spectrum is computed once, while the candidates
+are deduplicated.  A summary scan finds violating class pairs with a dict keyed
+by count and expands only them into pairs; a scan that hands out records reads
+each group's counts from the walk's row and yields every pair in canonical order.
 """
 
 from __future__ import annotations
@@ -139,6 +140,11 @@ def family_descriptors(families, max_order: int) -> list[GroupDescriptor]:
     (order, spectrum) so e.g. a two-factor product that is isomorphic to a
     listed group appears only once.
     """
+    return _scan_groups(families, max_order)[0]
+
+
+def _scan_groups(families, max_order: int) -> tuple[list[GroupDescriptor], list[OrderSpectrum]]:
+    """family_descriptors(families, max_order) and their spectra, each computed once."""
     chosen = set(families)
     unknown = chosen - set(FAMILIES)
     if unknown:
@@ -162,14 +168,11 @@ def family_descriptors(families, max_order: int) -> list[GroupDescriptor]:
                 if left.order * right.order <= max_order:
                     pool.append(make_product((left, right)))
     pool.sort(key=lambda d: (d.order, d.notation()))
-    seen = set()
-    out = []
+    first: dict[tuple, tuple[GroupDescriptor, OrderSpectrum]] = {}
     for desc in pool:
-        key = (desc.order, order_spectrum(desc).key())
-        if key not in seen:
-            seen.add(key)
-            out.append(desc)
-    return out
+        spectrum = order_spectrum(desc)
+        first.setdefault((desc.order, spectrum.key()), (desc, spectrum))
+    return [desc for desc, _ in first.values()], [spectrum for _, spectrum in first.values()]
 
 
 def pair_sequence(descriptors) -> list[tuple[GroupDescriptor, GroupDescriptor]]:
@@ -201,95 +204,89 @@ def _block_table(n: int, m: int, shared: list[int], last: dict) -> list[int]:
     return blocks
 
 
-class _ClassTable:
-    """Descriptors grouped by order, and per shared divisor by restricted spectrum.
+def _class_walk(spectra: list[OrderSpectrum]):
+    """Walk the orders of spectra upwards and give each spectrum class one count.
 
-    Descriptors are addressed by position in the scan.  For an order n and a
-    divisor g of n, the restricted key of a descriptor is its tuple of
-    spectrum entries at the divisors of g, in increasing order.  The table
-    also keeps the last block of each (n, d), which _block_table steps from.
+    Spectra are addressed by position.  For each order n, in increasing order,
+    this yields the positions of order n and a row with one (m, left, right,
+    counts) for every order m >= n.  left and right map each restricted key of
+    order n and of order m (a spectrum's entries at the divisors of gcd(n, m),
+    in increasing order) to its positions.  counts gives each key its dot
+    product with the block table divided by n + m, which is |M(G, m)| for a
+    group G of order n in that class (and the same with n and m swapped).  An
+    inexact division means an inconsistent spectrum and raises ValueError.
     """
+    members: dict[int, list[int]] = {}
+    for i, spectrum in enumerate(spectra):
+        members.setdefault(spectrum.group_order, []).append(i)
+    classes: dict[tuple[int, int], tuple] = {}
+    last_blocks: dict[tuple[int, int], tuple[int, int]] = {}
 
-    def __init__(self, spectra: list[OrderSpectrum]):
-        self.spectra = spectra
-        self.members: dict[int, list[int]] = {}
-        for i, spectrum in enumerate(spectra):
-            self.members.setdefault(spectrum.group_order, []).append(i)
-        self._classes: dict[tuple[int, int], tuple] = {}
-        self._last_blocks: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def classes(self, n: int, g: int):
-        """(divisors of g, {key: positions}, {position: key}) for the order-n descriptors."""
-        entry = self._classes.get((n, g))
+    def classes_at(n: int, g: int):
+        """(divisors of g, {restricted key: positions}) for order n, computed once."""
+        entry = classes.get((n, g))
         if entry is None:
-            members = self.members[n]
-            shared = [d for d in self.spectra[members[0]].entries if g % d == 0]
+            shared = [d for d in spectra[members[n][0]].entries if g % d == 0]
             by_key: dict[tuple[int, ...], list[int]] = {}
-            key_of: dict[int, tuple[int, ...]] = {}
-            for i in members:
-                entries = self.spectra[i].entries
-                key = key_of[i] = tuple(entries[d] for d in shared)
-                by_key.setdefault(key, []).append(i)
-            entry = self._classes[n, g] = (shared, by_key, key_of)
+            for i in members[n]:
+                entries = spectra[i].entries
+                by_key.setdefault(tuple(entries[d] for d in shared), []).append(i)
+            entry = classes[n, g] = (shared, by_key)
         return entry
 
-    def order_pair(self, n: int, m: int):
-        """The classes of orders n and m at gcd(n, m), and one count per restricted key.
-
-        A key's count is its dot product with the block table divided by
-        n + m, which is |M(G, m)| for a group G of order n in that class (and
-        the same with n and m swapped).  An inexact division means an
-        inconsistent spectrum and raises ValueError.
-        """
-        g = gcd(n, m)
-        shared, left, left_key = self.classes(n, g)
-        _, right, right_key = self.classes(m, g)
-        table = _block_table(min(n, m), max(n, m), shared, self._last_blocks)
-        total = n + m
-        counts: dict[tuple[int, ...], int] = {}
-        for key in (*left, *right):
-            if key not in counts:
-                divisor_sum = sum(map(mul, key, table))
-                if divisor_sum % total:
-                    raise ValueError(f"divisor sum {divisor_sum} not divisible by {total}: "
-                                     "inconsistent spectrum")
-                counts[key] = divisor_sum // total
-        return left, left_key, right, right_key, counts
+    orders = sorted(members)
+    for a, n in enumerate(orders):
+        row = []
+        for m in orders[a:]:
+            g = gcd(n, m)
+            shared, left = classes_at(n, g)
+            right = classes_at(m, g)[1]
+            table = _block_table(n, m, shared, last_blocks)
+            total = n + m
+            counts: dict[tuple[int, ...], int] = {}
+            for key in (*left, *right):
+                if key not in counts:
+                    divisor_sum = sum(map(mul, key, table))
+                    if divisor_sum % total:
+                        raise ValueError(f"divisor sum {divisor_sum} not divisible by {total}: "
+                                         "inconsistent spectrum")
+                    counts[key] = divisor_sum // total
+            row.append((m, left, right, counts))
+        yield members[n], row
 
 
-def iter_pair_reports(descriptors):
-    """Yield one report per pair in canonical order, with counts from the class table."""
-    spectra = [order_spectrum(d) for d in descriptors]
-    table = _ClassTable(spectra)
+def iter_pair_reports(descriptors, spectra):
+    """Yield one report per pair in canonical order, with counts from the class walk.
+
+    spectra[i] is the spectrum of descriptors[i], and the descriptors are in
+    scan order (orders never decrease), as family_descriptors gives them.
+    """
     orders = [s.group_order for s in spectra]
-    row_order, row = None, {}
-    for i, g in enumerate(descriptors):
-        n = orders[i]
-        if n != row_order:
-            row_order, row = n, {}
-        for j in range(i, len(descriptors)):
-            m = orders[j]
-            cached = row.get(m)
-            if cached is None:
-                cached = row[m] = table.order_pair(n, m)
-            _, left_key, _, right_key, counts = cached
-            yield _pair_report(g, descriptors[j], spectra[i], spectra[j],
-                               counts[left_key[i]], counts[right_key[j]])
+    for positions, row in _class_walk(spectra):
+        count_at: dict[tuple[int, int], int] = {}
+        count_of: dict[int, int] = {}
+        for m, left, right, counts in row:
+            for key, members in left.items():
+                for i in members:
+                    count_at[i, m] = counts[key]
+            for key, members in right.items():
+                for j in members:
+                    count_of[j] = counts[key]
+        for i in positions:
+            for j in range(i, len(descriptors)):
+                yield _pair_report(descriptors[i], descriptors[j], spectra[i], spectra[j],
+                                   count_at[i, orders[j]], count_of[j])
 
 
-def _violation_reports(descriptors) -> list[ReciprocityReport]:
+def _violation_reports(descriptors, spectra) -> list[ReciprocityReport]:
     """Reports of the violating pairs in canonical order, found class by class.
 
     For each pair of orders, a violation is two different restricted keys, one
     on each side, with the same count; a dict keyed by count finds them.
     """
-    spectra = [order_spectrum(d) for d in descriptors]
-    table = _ClassTable(spectra)
-    orders = sorted(table.members)
     found = {}
-    for a, n in enumerate(orders):
-        for m in orders[a:]:
-            left, _, right, _, counts = table.order_pair(n, m)
+    for _, row in _class_walk(spectra):
+        for _, left, right, counts in row:
             if len(counts) < 2:
                 continue
             by_count: dict[int, list[tuple[int, ...]]] = {}
@@ -315,12 +312,12 @@ def conjecture_scan(families, max_order: int, *, on_report=None) -> ScanSummary:
     is produced; a true return value counts the pair as a violation even when
     its report is consistent.
     """
-    descriptors = family_descriptors(families, max_order)
+    descriptors, spectra = _scan_groups(families, max_order)
     family_tuple = tuple(f for f in FAMILIES if f in set(families))
     if on_report is None:
-        violations = _violation_reports(descriptors)
+        violations = _violation_reports(descriptors, spectra)
     else:
-        violations = [report for report in iter_pair_reports(descriptors)
+        violations = [report for report in iter_pair_reports(descriptors, spectra)
                       if on_report(report) or not report.iff_consistent]
     k = len(descriptors)
     return ScanSummary(

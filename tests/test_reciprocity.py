@@ -186,10 +186,26 @@ def test_pair_sequence_is_upper_triangle():
 def test_iter_pair_reports_matches_reciprocity_check():
     descriptors = family_descriptors(FAMILIES, 24)
     pairs = pair_sequence(descriptors)
-    reports = list(iter_pair_reports(descriptors))
+    reports = list(iter_pair_reports(descriptors, [order_spectrum(d) for d in descriptors]))
     assert len(reports) == len(pairs)
     for (g, h), report in zip(pairs, reports):
         assert report == reciprocity_check(g, h)
+
+
+def test_scan_computes_each_candidate_spectrum_once(monkeypatch):
+    calls = []
+
+    def counted(desc):
+        calls.append(desc)
+        return order_spectrum(desc)
+
+    monkeypatch.setattr(reciprocity, "order_spectrum", counted)
+    family_descriptors(FAMILIES, 48)
+    alone = len(calls)
+    for consumer in (None, lambda report: False):
+        calls.clear()
+        conjecture_scan(FAMILIES, 48, on_report=consumer)
+        assert len(calls) == alone
 
 
 def test_coprime_order_pairs_are_consistent():
