@@ -225,16 +225,22 @@ def _run_scan(args, families: tuple[str, ...]) -> int:
     stream_stdout = args.out is None and args.format in ("csv", "jsonl")
     with contextlib.ExitStack() as stack:
         log = on_report = _ScanLog(args.out, stack) if args.out else None
-        if stream_stdout and args.format == "csv":
+        # The CSV header waits for the first record, or for the end of a scan
+        # with no pairs, so that a scan refused by conjecture_scan prints nothing.
+        header = [RECORD_FIELDS] if stream_stdout and args.format == "csv" else []
+        if header:
             csv_writer = csv.writer(sys.stdout, lineterminator="\n")
-            csv_writer.writerow(RECORD_FIELDS)
 
             def on_report(report):
+                if header:
+                    csv_writer.writerow(header.pop())
                 csv_writer.writerow([_cell(v) for v in report.to_record().values()])
         elif stream_stdout:
             def on_report(report):
                 print(_dump(report.to_record()))
         summary = conjecture_scan(families, args.max_order, on_report=on_report)
+        if header:
+            csv_writer.writerow(header.pop())
         if log is not None:
             log.finish()
     human = [

@@ -5,6 +5,11 @@ compare blocks of the counting formula, C((m+n)/d, m/d) for divisors d of
 gcd(m, n), against explicit lower bounds.  The structure checks (L23, L24,
 L25) constrain where two order spectra can first disagree.  Every check is
 a decidable statement about concrete integers, evaluated exactly.
+
+The Lemma 2.1 grid compares integers only: it takes the blocks of each
+(m, n) from one block table, decides each instance by cross-multiplying
+its inequality, and builds a LemmaInstance, with its exact Fraction values,
+only for an instance that fails.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .exactmath import binomial, divisors, factorize, prime_power_root, valuation
+from .exactmath import binomial, block_table, factorize, prime_power_root, valuation
 from .groups import AbelianGroup, enumerate_abelian, order_spectrum
 
 @dataclass(frozen=True)
@@ -69,16 +74,27 @@ def check_lemma21(m: int, n: int, a: int, b: int, variant: str) -> LemmaInstance
     block_a = _block(m, n, a)
     block_b = _block(m, n, b)
     params = {"m": m, "n": n, "a": a, "b": b}
+    holds = _lemma21_holds(m, n, a, b, block_a, block_b, variant)
     if variant == "i":
-        lhs = Fraction(block_a, block_b)
         exp_n = n // a - n // b
         exp_m = m // a - m // b
         rhs = Fraction(n + m, n) ** exp_n * Fraction(b * m + a * n, b * m) ** exp_m
-        holds = lhs >= rhs and block_a > block_b
-        return LemmaInstance("L21i", params, holds, lhs, rhs)
-    lhs_ii = a * block_a
-    rhs_ii = max(m, n) * block_b
-    return LemmaInstance("L21ii", params, lhs_ii > rhs_ii, lhs_ii, rhs_ii)
+        return LemmaInstance("L21i", params, holds, Fraction(block_a, block_b), rhs)
+    return LemmaInstance("L21ii", params, holds, a * block_a, max(m, n) * block_b)
+
+
+def _lemma21_holds(m: int, n: int, a: int, b: int, block_a: int, block_b: int, variant: str) -> bool:
+    """The verdict of check_lemma21 from the blocks of a and b, in integers only.
+
+    Variant i multiplies block_a / block_b >= rhs by the positive
+    block_b * n^en * (b*m)^em, where en = n/a - n/b and em = m/a - m/b.
+    """
+    if variant == "ii":
+        return a * block_a > max(m, n) * block_b
+    exp_n = n // a - n // b
+    exp_m = m // a - m // b
+    return block_a > block_b and (block_a * n ** exp_n * (b * m) ** exp_m
+                                  >= block_b * (n + m) ** exp_n * (b * m + a * n) ** exp_m)
 
 
 def delta(m: int, n: int, a: int, b: int, p: int, q: int) -> Fraction:
@@ -250,22 +266,35 @@ def _structure_instances(sg, sh) -> list[LemmaInstance]:
 
 
 def lemma21_grid(max_mn: int, variant: str) -> GridResult:
-    """Exhaustive sweep of check_lemma21 over 2 <= m, n <= max_mn."""
+    """Exhaustive sweep of check_lemma21 over 2 <= m, n <= max_mn.
+
+    For each m the blocks come from one block table as n grows, and each
+    instance is decided by _lemma21_holds; check_lemma21 builds the reported
+    instance of a failing tuple only.
+    """
     if variant not in ("i", "ii"):
         raise ValueError(f"variant must be 'i' or 'ii', got {variant!r}")
+    # The divisors >= 2 of every g <= max_mn, in increasing order.
+    divisors_of: list[list[int]] = [[] for _ in range(max_mn + 1)]
+    for d in range(2, max_mn + 1):
+        for multiple in range(d, max_mn + 1, d):
+            divisors_of[multiple].append(d)
     checked = 0
     failures = []
     for m in range(2, max_mn + 1):
+        last_blocks: dict[tuple[int, int], tuple[int, int]] = {}
         for n in range(2, max_mn + 1):
-            divs = [d for d in divisors(gcd(m, n)) if d >= 2]
-            for i, a in enumerate(divs):
-                for b in divs[i + 1:]:
+            divs = divisors_of[gcd(m, n)]
+            if len(divs) < 2:
+                continue
+            blocks = block_table(m, n, divs, last_blocks)
+            for i, (a, block_a) in enumerate(zip(divs, blocks)):
+                for b, block_b in zip(divs[i + 1:], blocks[i + 1:]):
                     if variant == "ii" and b < 2 * a:
                         continue
-                    instance = check_lemma21(m, n, a, b, variant)
                     checked += 1
-                    if not instance.holds:
-                        failures.append(instance)
+                    if not _lemma21_holds(m, n, a, b, block_a, block_b, variant):
+                        failures.append(check_lemma21(m, n, a, b, variant))
     return GridResult(f"2.1{variant}", checked, failures)
 
 

