@@ -27,6 +27,7 @@ from .reciprocity import (
     conjecture_scan,
     divisor_gap_free,
     reciprocity_check,
+    record_line,
 )
 
 FORMATS = ("human", "json", "csv", "jsonl")
@@ -170,6 +171,8 @@ def _cmd_check(args) -> int:
 class _ScanLog:
     """A JSONL scan log, checked line by line against a scan's records and then completed.
 
+    It is called with each pair's record values, in canonical order.
+
     A line with a record's bytes is skipped, a line for the same pair with
     other content counts as a violation, and a line for another pair or past
     the last pair raises ValueError.  The log is written (created, cut back to
@@ -189,9 +192,9 @@ class _ScanLog:
             with open(self.path, "rb") as fh:
                 yield from enumerate((line for line in fh if line.endswith(b"\n")), 1)
 
-    def __call__(self, report) -> bool:
-        """Check or append one report's record; True when the logged record differs."""
-        line = (_dump(report.to_record()) + "\n").encode()
+    def __call__(self, values) -> bool:
+        """Check or append one pair's record; True when the logged record differs."""
+        line = (record_line(values) + "\n").encode()
         number, logged = next(self.lines, (0, None))
         if logged is None:
             self._append(line)
@@ -200,7 +203,7 @@ class _ScanLog:
         if logged == line:
             return False
         where = f"log {self.path} line {number}"
-        pair = f"{report.g.notation()} vs {report.h.notation()}"
+        pair = f"{values[0]} vs {values[1]}"
         if not logged.startswith(line[:line.index(b',"order_g"') + 1]):
             raise ValueError(f"{where} is not the record for {pair}; it is the log of another scan")
         print(f"{where}: the record for {pair} differs from its recomputation", file=sys.stderr)
@@ -231,13 +234,13 @@ def _run_scan(args, families: tuple[str, ...]) -> int:
         if header:
             csv_writer = csv.writer(sys.stdout, lineterminator="\n")
 
-            def on_report(report):
+            def on_report(values):
                 if header:
                     csv_writer.writerow(header.pop())
-                csv_writer.writerow([_cell(v) for v in report.to_record().values()])
+                csv_writer.writerow([_cell(v) for v in values])
         elif stream_stdout:
-            def on_report(report):
-                print(_dump(report.to_record()))
+            def on_report(values):
+                print(record_line(values))
         summary = conjecture_scan(families, args.max_order, on_report=on_report)
         if header:
             csv_writer.writerow(header.pop())

@@ -12,4 +12,4 @@ class GroupParseError(ValueError):
 
 
 class BudgetError(ValueError):
-    """An enumeration oracle refused an input beyond its configured budget."""
+    """An input beyond a documented budget was refused (an oracle's, or factorize's ceiling)."""

@@ -8,15 +8,23 @@ from __future__ import annotations
 
 from math import comb
 
+from .errors import BudgetError
+
+# Trial division is the one factorizer, so it refuses inputs above this
+# ceiling (about 10**6 steps) rather than run for ages on a large prime.
+FACTORIZE_CEILING = 10**12
+
 # A factorization is an ordered list of (prime, exponent) pairs with the
 # primes strictly increasing and every exponent >= 1.  factorize(1) == [].
 Factorization = list[tuple[int, int]]
 
 
 def factorize(n: int) -> Factorization:
-    """Trial-division factorization of a positive integer."""
+    """Trial-division factorization of a positive integer up to FACTORIZE_CEILING."""
     if n < 1:
         raise ValueError(f"factorize requires a positive integer, got {n}")
+    if n > FACTORIZE_CEILING:
+        raise BudgetError(f"factorize is limited to n <= {FACTORIZE_CEILING}, got n = {n}")
     out: Factorization = []
     d = 2
     while d * d <= n:

@@ -57,19 +57,30 @@ class ReciprocityReport:
     counts_agree: bool
     iff_consistent: bool
 
+    def values(self) -> tuple:
+        """The record's values in RECORD_FIELDS order; counts as decimal strings."""
+        return (self.g.notation(), self.h.notation(), self.g.order, self.h.order,
+                self.spectra_agree, self.witness_divisor, str(self.count_g_at_h),
+                str(self.count_h_at_g), self.iff_consistent)
+
     def to_record(self) -> dict:
         """JSON-ready dict in canonical field order; counts as decimal strings."""
-        return {
-            "g": self.g.notation(),
-            "h": self.h.notation(),
-            "order_g": self.g.order,
-            "order_h": self.h.order,
-            "spectra_agree": self.spectra_agree,
-            "witness_divisor": self.witness_divisor,
-            "count_g_at_h": str(self.count_g_at_h),
-            "count_h_at_g": str(self.count_h_at_g),
-            "iff_consistent": self.iff_consistent,
-        }
+        return dict(zip(RECORD_FIELDS, self.values()))
+
+
+def record_line(values) -> str:
+    """The compact JSON text of a record given by its values in RECORD_FIELDS order.
+
+    It equals json.dumps(dict(zip(RECORD_FIELDS, values)), separators=(",", ":")).
+    Notations hold only letters, digits and x, and counts only digits, so no
+    string needs escaping.
+    """
+    g, h, order_g, order_h, agree, witness, count_gh, count_hg, consistent = values
+    return (f'{{"g":"{g}","h":"{h}","order_g":{order_g},"order_h":{order_h},'
+            f'"spectra_agree":{"true" if agree else "false"},'
+            f'"witness_divisor":{"null" if witness is None else witness},'
+            f'"count_g_at_h":"{count_gh}","count_h_at_g":"{count_hg}",'
+            f'"iff_consistent":{"true" if consistent else "false"}}}')
 
 
 @dataclass
@@ -233,27 +244,36 @@ def _class_walk(spectra: list[OrderSpectrum]):
         yield members[n], row
 
 
-def iter_pair_reports(descriptors, spectra):
-    """Yield one report per pair in canonical order, with counts from the class walk.
+def iter_pair_records(descriptors, spectra):
+    """Yield (i, j, values) for every pair i <= j in canonical order, with counts from the class walk.
 
-    spectra[i] is the spectrum of descriptors[i], and the descriptors are in
-    scan order (orders never decrease), as family_descriptors gives them.
+    values is the pair's record in RECORD_FIELDS order, as ReciprocityReport.values
+    gives it.  Each notation is rendered once per scan and each class count once
+    per row.  spectra[i] is the spectrum of descriptors[i], and the descriptors
+    are in scan order (orders never decrease), as family_descriptors gives them.
     """
+    names = [d.notation() for d in descriptors]
     orders = [s.group_order for s in spectra]
+    k = len(descriptors)
     for positions, row in _class_walk(spectra):
-        count_at: dict[tuple[int, int], int] = {}
-        count_of: dict[int, int] = {}
+        count_at: dict[int, dict[int, str]] = {i: {} for i in positions}
+        count_of: dict[int, str] = {}
         for m, left, right, counts in row:
+            texts = {key: str(count) for key, count in counts.items()}
             for key, members in left.items():
                 for i in members:
-                    count_at[i, m] = counts[key]
+                    count_at[i][m] = texts[key]
             for key, members in right.items():
                 for j in members:
-                    count_of[j] = counts[key]
+                    count_of[j] = texts[key]
         for i in positions:
-            for j in range(i, len(descriptors)):
-                yield _pair_report(descriptors[i], descriptors[j], spectra[i], spectra[j],
-                                   count_at[i, orders[j]], count_of[j])
+            g, n, sg, at = names[i], orders[i], spectra[i], count_at[i]
+            for j in range(i, k):
+                count_gh, count_hg = at[orders[j]], count_of[j]
+                witness = _witness(sg, spectra[j])
+                agree = witness is None
+                yield i, j, (g, names[j], n, orders[j], agree, witness,
+                             count_gh, count_hg, agree == (count_gh == count_hg))
 
 
 def _violation_reports(descriptors, spectra) -> list[ReciprocityReport]:
@@ -286,17 +306,20 @@ def conjecture_scan(families, max_order: int, *, on_report=None) -> ScanSummary:
 
     An unknown family name raises ValueError.  Without on_report the scan
     decides by spectrum class and builds reports only for violating pairs.
-    on_report, if given, is called with each report in canonical order as it
-    is produced; a true return value counts the pair as a violation even when
-    its report is consistent.
+    on_report, if given, is called with each pair's record values (in
+    RECORD_FIELDS order) in canonical order as they are produced; a true
+    return value counts the pair as a violation even when its record is
+    consistent.  Reports are built only for the pairs counted as violations.
     """
     descriptors, spectra = _scan_groups(families, max_order)
     family_tuple = tuple(f for f in FAMILIES if f in set(families))
     if on_report is None:
         violations = _violation_reports(descriptors, spectra)
     else:
-        violations = [report for report in iter_pair_reports(descriptors, spectra)
-                      if on_report(report) or not report.iff_consistent]
+        violations = [_pair_report(descriptors[i], descriptors[j], spectra[i], spectra[j],
+                                   int(values[6]), int(values[7]))
+                      for i, j, values in iter_pair_records(descriptors, spectra)
+                      if on_report(values) or not values[-1]]
     k = len(descriptors)
     return ScanSummary(
         pairs_checked=k * (k + 1) // 2, violations=violations,

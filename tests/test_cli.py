@@ -180,6 +180,17 @@ def test_scan_bytes_are_pinned(tmp_path, capsys):
     assert sha256(out.encode()).hexdigest() == "d018a42161e4db4090bf620b21f48c60e4ce876654b223e5912d6fef43929383"
 
 
+def test_streamed_scan_bytes_are_pinned(capsys):
+    # Streamed records are rendered from per-group fields; these hashes were taken
+    # from the earlier encoder, which built a dict per record and called json.dumps.
+    summary = "families: abelian, dihedral, dicyclic, products\npairs checked (order <= 40): 6903\nviolations: 0\n"
+    for fmt, digest in (("jsonl", "79022a00e5ba622b196ca484462bebc706e3ae92b7d169a765fa84d50a90e49b"),
+                        ("csv", "fc0d64922f79049137ce3e03b10f9193fc211f618dc02fc3f7a2217c20e91caf")):
+        code, out, err = run(capsys, "scan-conjecture", "--max-order", "40", "--format", fmt)
+        assert code == 0 and err == summary
+        assert sha256(out.encode()).hexdigest() == digest, fmt
+
+
 def test_scan_log_rerun_appends_nothing(tmp_path, capsys):
     log = tmp_path / "scan.jsonl"
     run(capsys, "scan-conjecture", "--max-order", "8", "--out", str(log))
@@ -216,6 +227,24 @@ def test_doctored_counts_report_violation(tmp_path, capsys):
     assert code == 1
     assert "violations: 1" in out
     assert f"log {log} line 4:" in err
+
+
+def test_doctored_counts_are_caught_under_optimize(tmp_path):
+    # python -O strips asserts; the log check must not rest on one.
+    log = tmp_path / "log.jsonl"
+    command = [sys.executable, "-O", "-m", "zsr.cli", "scan-conjecture", "--max-order", "12",
+               "--out", str(log)]
+    assert subprocess.run(command, capture_output=True, env=child_env()).returncode == 0
+    lines = log.read_text().splitlines(keepends=True)
+    record = json.loads(lines[5])
+    record["count_h_at_g"] = str(int(record["count_h_at_g"]) + 1)
+    lines[5] = json.dumps(record, separators=(",", ":")) + "\n"
+    log.write_text("".join(lines))
+    result = subprocess.run(command, capture_output=True, text=True, env=child_env())
+    assert result.returncode == 1
+    assert "violations: 1" in result.stdout
+    assert result.stderr == (f"log {log} line 6: the record for {record['g']} vs {record['h']} "
+                             "differs from its recomputation\n")
 
 
 def test_log_of_another_scan_is_left_unchanged(tmp_path, capsys):
@@ -325,6 +354,21 @@ def test_error_exit_codes(capsys):
         assert code == 2, argv
         assert captured.err == message
         assert captured.out == ""
+
+
+def test_orders_past_the_factorize_ceiling_exit_2():
+    huge = "100000000000000000039"
+    for argv in (["spectrum", "--group", f"C{huge}"], ["check", "--g", f"C{huge}", "--h", "C2"],
+                 ["enumerate", "--order", huge], ["gapfree", "--n", huge]):
+        result = subprocess.run([sys.executable, "-m", "zsr.cli", *argv], capture_output=True,
+                                text=True, env=child_env(), timeout=30)
+        assert result.returncode == 2, argv
+        assert result.stdout == ""
+        assert result.stderr == f"error: factorize is limited to n <= 1000000000000, got n = {huge}\n"
+    result = subprocess.run([sys.executable, "-m", "zsr.cli", "gapfree", "--n", "999999999989"],
+                            capture_output=True, text=True, env=child_env(), timeout=30)
+    assert result.returncode == 0
+    assert result.stdout == "999999999989 has no consecutive divisors above 1\n"
 
 
 def test_refused_csv_scan_prints_nothing(capsys):

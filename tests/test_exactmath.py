@@ -5,7 +5,9 @@ from math import comb, isqrt
 
 import pytest
 
+from zsr.errors import BudgetError
 from zsr.exactmath import (
+    FACTORIZE_CEILING,
     binomial,
     block_table,
     divisors,
@@ -85,6 +87,17 @@ def test_factorize_bases_are_prime():
     for n in range(2, 2001):
         for p, _ in factorize(n):
             assert is_prime(p), f"{p} in factorize({n}) is not prime"
+
+
+def test_factorize_refuses_inputs_past_its_ceiling():
+    assert FACTORIZE_CEILING == 10**12
+    assert factorize(FACTORIZE_CEILING) == [(2, 12), (5, 12)]
+    assert factorize(999999999989) == [(999999999989, 1)]
+    with pytest.raises(BudgetError) as exc:
+        factorize(FACTORIZE_CEILING + 1)
+    assert str(exc.value) == "factorize is limited to n <= 1000000000000, got n = 1000000000001"
+    with pytest.raises(BudgetError):
+        divisors(10**20 + 39)
 
 
 def test_factorize_rejects_nonpositive():

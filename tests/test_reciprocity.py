@@ -1,9 +1,10 @@
 """Tests for reciprocity checks, the scan engine, and the gap-free predicate."""
 
+import json
 import os
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 from pathlib import Path
 
@@ -19,9 +20,10 @@ from zsr.reciprocity import (
     conjecture_scan,
     divisor_gap_free,
     family_descriptors,
-    iter_pair_reports,
+    iter_pair_records,
     pair_sequence,
     reciprocity_check,
+    record_line,
     spectrum_condition,
     verify_theorem,
 )
@@ -118,6 +120,30 @@ def test_record_round_trip():
     record = report.to_record()
     assert tuple(record.keys()) == RECORD_FIELDS
     assert record["count_g_at_h"] == str(report.count_g_at_h)
+    assert tuple(record.values()) == report.values()
+    assert record_line(report.values()) == '{"g":"C4","h":"C2xC2","order_g":4,"order_h":4,' \
+        '"spectra_agree":false,"witness_divisor":2,"count_g_at_h":"10","count_h_at_g":"11",' \
+        '"iff_consistent":true}'
+
+
+def dumped(values):
+    return json.dumps(dict(zip(RECORD_FIELDS, values)), separators=(",", ":"))
+
+
+def test_record_line_matches_json_dumps():
+    descriptors = family_descriptors(FAMILIES, 48)
+    spectra = [order_spectrum(d) for d in descriptors]
+    seen = 0
+    for _, _, values in iter_pair_records(descriptors, spectra):
+        assert record_line(values) == dumped(values)
+        seen += 1
+    assert seen == len(pair_sequence(descriptors))
+    big = str(7**300)
+    assert len(big) > 200
+    for agree, consistent, witness, counts in product(
+            (True, False), (True, False), (None, 1, 2, 12), (("1", "1"), ("10", "11"), (big, "9" + big))):
+        values = ("C2xC6", "Dic3xD10", 12, 240, agree, witness, *counts, consistent)
+        assert record_line(values) == dumped(values)
 
 
 def test_verify_theorem_small_orders():
@@ -183,13 +209,14 @@ def test_pair_sequence_is_upper_triangle():
     assert all(indices[g] <= indices[h] for g, h in pairs)
 
 
-def test_iter_pair_reports_matches_reciprocity_check():
+def test_iter_pair_records_matches_reciprocity_check():
     descriptors = family_descriptors(FAMILIES, 24)
     pairs = pair_sequence(descriptors)
-    reports = list(iter_pair_reports(descriptors, [order_spectrum(d) for d in descriptors]))
-    assert len(reports) == len(pairs)
-    for (g, h), report in zip(pairs, reports):
-        assert report == reciprocity_check(g, h)
+    records = list(iter_pair_records(descriptors, [order_spectrum(d) for d in descriptors]))
+    assert len(records) == len(pairs)
+    for (g, h), (i, j, values) in zip(pairs, records):
+        assert (descriptors[i], descriptors[j]) == (g, h)
+        assert values == reciprocity_check(g, h).values()
 
 
 def test_scan_computes_each_candidate_spectrum_once(monkeypatch):
@@ -202,7 +229,7 @@ def test_scan_computes_each_candidate_spectrum_once(monkeypatch):
     monkeypatch.setattr(reciprocity, "order_spectrum", counted)
     family_descriptors(FAMILIES, 48)
     alone = len(calls)
-    for consumer in (None, lambda report: False):
+    for consumer in (None, lambda values: False):
         calls.clear()
         conjecture_scan(FAMILIES, 48, on_report=consumer)
         assert len(calls) == alone
@@ -244,7 +271,7 @@ def test_planted_collisions_reach_both_scan_paths(monkeypatch):
             expected.append((g.notation(), h.notation(), sum(rg)))
     assert len(expected) > 100
     summary = conjecture_scan(FAMILIES, 32)
-    records = conjecture_scan(FAMILIES, 32, on_report=lambda report: False)
+    records = conjecture_scan(FAMILIES, 32, on_report=lambda values: False)
     assert summary.violations == records.violations
     assert [(r.g.notation(), r.h.notation(), r.count_g_at_h) for r in summary.violations] == expected
     assert all(r.count_h_at_g == r.count_g_at_h and not r.spectra_agree for r in summary.violations)
@@ -255,7 +282,7 @@ def test_class_scan_matches_pairs_for_every_family_subset():
         for families in combinations(FAMILIES, size):
             summary = conjecture_scan(families, 30)
             assert summary.pairs_checked == len(pair_sequence(family_descriptors(families, 30)))
-            assert summary == conjecture_scan(families, 30, on_report=lambda report: False)
+            assert summary == conjecture_scan(families, 30, on_report=lambda values: False)
 
 
 def test_class_scan_raises_on_inconsistent_spectrum_under_optimize():
@@ -266,7 +293,7 @@ def test_class_scan_raises_on_inconsistent_spectrum_under_optimize():
             "from zsr.groups import OrderSpectrum, order_spectrum\n"
             "bad = OrderSpectrum({1: 1, 2: 0, 4: 3}, 4)\n"
             "r.order_spectrum = lambda d: bad if d.notation() == 'C4' else order_spectrum(d)\n"
-            "for consumer in (None, lambda report: False):\n"
+            "for consumer in (None, lambda values: False):\n"
             "    try:\n"
             "        print(r.conjecture_scan(('abelian',), 4, on_report=consumer))\n"
             "    except ValueError as exc:\n"
