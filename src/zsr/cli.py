@@ -11,48 +11,33 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .counting import count_dp, count_formula, count_molien, rational_catalan
 from .errors import BudgetError, GroupParseError
-from .groups import AbelianGroup, enumerate_abelian, order_spectrum, order_spectrum_bruteforce, parse_group
-from .lemmas import LemmaInstance, lemma21_grid, lemma22_grid, structure_grid
-from .reciprocity import (
+from .groups import (
     FAMILIES,
-    RECORD_FIELDS,
-    conjecture_scan,
-    divisor_gap_free,
-    reciprocity_check,
-    record_line,
+    AbelianGroup,
+    enumerate_abelian,
+    order_spectrum,
+    order_spectrum_bruteforce,
+    parse_group,
 )
 
+# The lemma, reciprocity and csv modules are imported by the commands that use
+# them, so that a count or spectrum call does not load them.
+
 FORMATS = ("human", "json", "csv", "jsonl")
-# Grid runners by lemma id; each takes the grid bound.
-LEMMA_GRIDS = {
-    "2.1i": lambda bound: lemma21_grid(bound, "i"),
-    "2.1ii": lambda bound: lemma21_grid(bound, "ii"),
-    "2.2i": lambda bound: lemma22_grid(bound, "i"),
-    "2.2ii": lambda bound: lemma22_grid(bound, "ii"),
-    "struct": structure_grid,
-}
+# Grid ids: "2.1i" runs lemmas.lemma21_grid with variant "i", and so on;
+# "struct" runs lemmas.structure_grid.
+LEMMA_IDS = ("2.1i", "2.1ii", "2.2i", "2.2ii", "struct")
 LEMMA_CSV_COLUMNS = ("lemma_id", "m", "n", "a", "b", "p", "q", "lhs", "rhs")
 
 
 def _dump(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
-
-
-def _exact_str(value) -> str:
-    """Decimal string for integers, num/den for non-integral exact ratios."""
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
-    return str(value)
 
 
 def _cell(value) -> str:
@@ -66,6 +51,8 @@ def _cell(value) -> str:
 
 
 def _write_csv(fh, records, columns=None) -> None:
+    import csv
+
     writer = csv.writer(fh, lineterminator="\n")
     if columns is None:
         if not records:
@@ -154,6 +141,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .reciprocity import reciprocity_check
+
     report = reciprocity_check(parse_group(args.g), parse_group(args.h))
     record = report.to_record()
     agree = "yes" if report.spectra_agree else f"no (first difference at d = {report.witness_divisor})"
@@ -181,8 +170,11 @@ class _ScanLog:
     """
 
     def __init__(self, path: str, stack: contextlib.ExitStack):
+        from .reciprocity import record_line
+
         self.path = path
         self.stack = stack
+        self.record_line = record_line
         self.lines = stack.enter_context(contextlib.closing(self._complete_lines()))
         self.matched_bytes = 0
         self.out = None
@@ -194,7 +186,7 @@ class _ScanLog:
 
     def __call__(self, values) -> bool:
         """Check or append one pair's record; True when the logged record differs."""
-        line = (record_line(values) + "\n").encode()
+        line = (self.record_line(values) + "\n").encode()
         number, logged = next(self.lines, (0, None))
         if logged is None:
             self._append(line)
@@ -225,6 +217,8 @@ class _ScanLog:
 
 
 def _run_scan(args, families: tuple[str, ...]) -> int:
+    from .reciprocity import RECORD_FIELDS, conjecture_scan, record_line
+
     stream_stdout = args.out is None and args.format in ("csv", "jsonl")
     with contextlib.ExitStack() as stack:
         log = on_report = _ScanLog(args.out, stack) if args.out else None
@@ -232,6 +226,8 @@ def _run_scan(args, families: tuple[str, ...]) -> int:
         # with no pairs, so that a scan refused by conjecture_scan prints nothing.
         header = [RECORD_FIELDS] if stream_stdout and args.format == "csv" else []
         if header:
+            import csv
+
             csv_writer = csv.writer(sys.stdout, lineterminator="\n")
 
             def on_report(values):
@@ -274,19 +270,26 @@ def _cmd_scan_conjecture(args) -> int:
     return _run_scan(args, families)
 
 
-def _lemma_record(instance: LemmaInstance) -> dict:
+def _lemma_record(instance) -> dict:
     params = instance.parameters
     return {
         "lemma_id": instance.lemma_id,
         "m": params.get("m"), "n": params.get("n"),
         "a": params.get("a"), "b": params.get("b"),
         "p": params.get("p"), "q": params.get("q"),
-        "lhs": _exact_str(instance.lhs), "rhs": _exact_str(instance.rhs),
+        # str gives an int's digits and a Fraction's num/den (its numerator when integral).
+        "lhs": str(instance.lhs), "rhs": str(instance.rhs),
     }
 
 
 def _cmd_lemma(args) -> int:
-    result = LEMMA_GRIDS[args.id](args.max)
+    from .lemmas import lemma21_grid, lemma22_grid, structure_grid
+
+    if args.id == "struct":
+        result = structure_grid(args.max)
+    else:
+        grid = lemma21_grid if args.id.startswith("2.1") else lemma22_grid
+        result = grid(args.max, args.id[3:])
     failure_records = [_lemma_record(inst) for inst in result.failures]
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -320,6 +323,8 @@ def _cmd_catalan(args) -> int:
 
 
 def _cmd_gapfree(args) -> int:
+    from .reciprocity import divisor_gap_free
+
     result = divisor_gap_free(args.n)
     record = {"n": args.n, "gap_free": result}
     verdict = "has no consecutive divisors above 1" if result else "has consecutive divisors above 1"
@@ -382,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_scan_conjecture)
 
     p = sub.add_parser("lemma", parents=[common], help="run one inequality/structure grid")
-    p.add_argument("--id", choices=LEMMA_GRIDS, required=True)
+    p.add_argument("--id", choices=LEMMA_IDS, required=True)
     p.add_argument("--max", type=_positive_int, required=True,
                    help="grid bound (m, n bound for 2.*, order bound for struct)")
     p.add_argument("--out", help="CSV failure report path")
@@ -402,6 +407,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # Exact counts print in full: lift the interpreter's limit on int-to-str
+    # digits (where it has one), which argument parsing above still kept.
+    set_int_max_str_digits = getattr(sys, "set_int_max_str_digits", None)
+    if set_int_max_str_digits is not None:
+        set_int_max_str_digits(0)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -9,35 +9,36 @@ of each order d the group has, for every divisor d of the group order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as cartesian
 from math import gcd, lcm, prod
 
 from .errors import BudgetError, GroupParseError
 from .exactmath import divisors, factorize
+from .value import Value, set_field
 
 DEFAULT_SPECTRUM_BOUND = 5000
+# The group families a pair scan can draw from, in the order records list them.
+FAMILIES = ("abelian", "dihedral", "dicyclic", "products")
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(Value):
     """Finite abelian group given by invariant factors, each dividing the next.
 
     The empty tuple is the trivial group.  Use canonicalize() to build one
     from an arbitrary list of cyclic orders.
     """
 
-    invariant_factors: tuple[int, ...]
+    __slots__ = ("invariant_factors",)
 
-    def __post_init__(self):
-        facs = tuple(self.invariant_factors)
-        object.__setattr__(self, "invariant_factors", facs)
+    def __init__(self, invariant_factors: tuple[int, ...]):
+        facs = tuple(invariant_factors)
         for f in facs:
             if f < 2:
                 raise ValueError(f"invariant factors must be >= 2, got {f}")
         for a, b in zip(facs, facs[1:]):
             if b % a != 0:
                 raise ValueError(f"invariant factors must form a divisibility chain, got {facs}")
+        set_field(self, "invariant_factors", facs)
 
     @property
     def order(self) -> int:
@@ -49,15 +50,15 @@ class AbelianGroup:
         return "x".join(f"C{f}" for f in self.invariant_factors)
 
 
-@dataclass(frozen=True)
-class Dihedral:
+class Dihedral(Value):
     """Dihedral group of order 2k: k rotations and k reflections (k >= 3)."""
 
-    half_order: int
+    __slots__ = ("half_order",)
 
-    def __post_init__(self):
-        if self.half_order < 3:
-            raise ValueError(f"dihedral descriptor requires k >= 3, got k = {self.half_order}")
+    def __init__(self, half_order: int):
+        if half_order < 3:
+            raise ValueError(f"dihedral descriptor requires k >= 3, got k = {half_order}")
+        set_field(self, "half_order", half_order)
 
     @property
     def order(self) -> int:
@@ -67,15 +68,15 @@ class Dihedral:
         return f"D{2 * self.half_order}"
 
 
-@dataclass(frozen=True)
-class Dicyclic:
+class Dicyclic(Value):
     """Dicyclic group of order 4k (k >= 2); Dic_2 is the quaternion group."""
 
-    index: int
+    __slots__ = ("index",)
 
-    def __post_init__(self):
-        if self.index < 2:
-            raise ValueError(f"dicyclic descriptor requires k >= 2, got k = {self.index}")
+    def __init__(self, index: int):
+        if index < 2:
+            raise ValueError(f"dicyclic descriptor requires k >= 2, got k = {index}")
+        set_field(self, "index", index)
 
     @property
     def order(self) -> int:
@@ -85,8 +86,7 @@ class Dicyclic:
         return f"Dic{self.index}"
 
 
-@dataclass(frozen=True)
-class Product:
+class Product(Value):
     """Direct product of two or more descriptors, at least one non-abelian.
 
     An all-abelian product has a canonical single-descriptor form, so it is
@@ -94,15 +94,15 @@ class Product:
     performs that normalization.
     """
 
-    factors: tuple["GroupDescriptor", ...]
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        facs = tuple(self.factors)
-        object.__setattr__(self, "factors", facs)
+    def __init__(self, factors: tuple[GroupDescriptor, ...]):
+        facs = tuple(factors)
         if len(facs) < 2:
             raise ValueError("a product needs at least two factors")
         if all(isinstance(f, AbelianGroup) for f in facs):
             raise ValueError("all-abelian products must be normalized via make_product")
+        set_field(self, "factors", facs)
 
     @property
     def order(self) -> int:
@@ -242,8 +242,7 @@ def _parse_term(text: str, pos: int) -> tuple[tuple[str, int], int]:
     return (kind, value), pos
 
 
-@dataclass(frozen=True)
-class OrderSpectrum:
+class OrderSpectrum(Value):
     """Element counts by exact order, with an entry for every divisor of the order.
 
     entries[d] is the number of elements of order exactly d.  The keys are the
@@ -251,23 +250,23 @@ class OrderSpectrum:
     are the divisor list that counts and pair checks walk.
     """
 
-    entries: dict[int, int]
-    group_order: int
+    __slots__ = ("entries", "group_order")
 
-    def __post_init__(self):
-        if self.group_order < 1:
-            raise ValueError(f"group order must be positive, got {self.group_order}")
-        divs = divisors(self.group_order)
-        if set(self.entries) != set(divs):
+    def __init__(self, entries: dict[int, int], group_order: int):
+        if group_order < 1:
+            raise ValueError(f"group order must be positive, got {group_order}")
+        divs = divisors(group_order)
+        if set(entries) != set(divs):
             raise ValueError("spectrum must have an entry for every divisor of the group order")
-        entries = {d: self.entries[d] for d in divs}
-        object.__setattr__(self, "entries", entries)
+        entries = {d: entries[d] for d in divs}
         if entries[1] != 1:
             raise ValueError(f"a group has exactly one identity element, got {entries[1]}")
         if any(v < 0 for v in entries.values()):
             raise ValueError("element counts cannot be negative")
-        if sum(entries.values()) != self.group_order:
+        if sum(entries.values()) != group_order:
             raise ValueError("element counts must sum to the group order")
+        set_field(self, "entries", entries)
+        set_field(self, "group_order", group_order)
 
     def count_of(self, d: int) -> int:
         """Number of elements of order exactly d (0 for non-divisors)."""

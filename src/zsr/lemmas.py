@@ -14,15 +14,15 @@ only for an instance that fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .exactmath import binomial, block_table, factorize, prime_power_root, valuation
 from .groups import AbelianGroup, enumerate_abelian, order_spectrum
+from .value import Value, set_field
 
-@dataclass(frozen=True)
-class LemmaInstance:
+
+class LemmaInstance(Value):
     """One evaluated check: its id, inputs, verdict, and the compared values.
 
     holds covers every comparison the instance asserts; when an instance
@@ -30,20 +30,26 @@ class LemmaInstance:
     lhs/rhs record the failing comparison if any, else the primary one.
     """
 
-    lemma_id: str
-    parameters: dict[str, int]
-    holds: bool
-    lhs: int | Fraction
-    rhs: int | Fraction
+    __slots__ = ("lemma_id", "parameters", "holds", "lhs", "rhs")
+
+    def __init__(self, lemma_id: str, parameters: dict[str, int], holds: bool,
+                 lhs: int | Fraction, rhs: int | Fraction):
+        set_field(self, "lemma_id", lemma_id)
+        set_field(self, "parameters", parameters)
+        set_field(self, "holds", holds)
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
 
 
-@dataclass
-class GridResult:
+class GridResult(Value):
     """Outcome of an exhaustive parameter sweep of one check."""
 
-    lemma: str
-    checked: int
-    failures: list[LemmaInstance]
+    __slots__ = ("lemma", "checked", "failures")
+
+    def __init__(self, lemma: str, checked: int, failures: list[LemmaInstance]):
+        set_field(self, "lemma", lemma)
+        set_field(self, "checked", checked)
+        set_field(self, "failures", failures)
 
 
 def _block(m: int, n: int, d: int) -> int:

@@ -20,13 +20,13 @@ each group's counts from the walk's row and yields every pair in canonical order
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import mul
 
 from .counting import count_formula
 from .exactmath import block_table, divisors
 from .groups import (
+    FAMILIES,
     Dicyclic,
     Dihedral,
     GroupDescriptor,
@@ -35,8 +35,7 @@ from .groups import (
     make_product,
     order_spectrum,
 )
-
-FAMILIES = ("abelian", "dihedral", "dicyclic", "products")
+from .value import Value, set_field
 
 RECORD_FIELDS = (
     "g", "h", "order_g", "order_h", "spectra_agree", "witness_divisor",
@@ -44,18 +43,23 @@ RECORD_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
-class ReciprocityReport:
+class ReciprocityReport(Value):
     """Outcome of one pair check."""
 
-    g: GroupDescriptor
-    h: GroupDescriptor
-    spectra_agree: bool
-    witness_divisor: int | None
-    count_g_at_h: int
-    count_h_at_g: int
-    counts_agree: bool
-    iff_consistent: bool
+    __slots__ = ("g", "h", "spectra_agree", "witness_divisor", "count_g_at_h", "count_h_at_g",
+                 "counts_agree", "iff_consistent")
+
+    def __init__(self, g: GroupDescriptor, h: GroupDescriptor, spectra_agree: bool,
+                 witness_divisor: int | None, count_g_at_h: int, count_h_at_g: int,
+                 counts_agree: bool, iff_consistent: bool):
+        set_field(self, "g", g)
+        set_field(self, "h", h)
+        set_field(self, "spectra_agree", spectra_agree)
+        set_field(self, "witness_divisor", witness_divisor)
+        set_field(self, "count_g_at_h", count_g_at_h)
+        set_field(self, "count_h_at_g", count_h_at_g)
+        set_field(self, "counts_agree", counts_agree)
+        set_field(self, "iff_consistent", iff_consistent)
 
     def values(self) -> tuple:
         """The record's values in RECORD_FIELDS order; counts as decimal strings."""
@@ -83,14 +87,17 @@ def record_line(values) -> str:
             f'"iff_consistent":{"true" if consistent else "false"}}}')
 
 
-@dataclass
-class ScanSummary:
+class ScanSummary(Value):
     """Aggregate result of a pair scan."""
 
-    pairs_checked: int
-    violations: list[ReciprocityReport]
-    max_order: int
-    families: tuple[str, ...]
+    __slots__ = ("pairs_checked", "violations", "max_order", "families")
+
+    def __init__(self, pairs_checked: int, violations: list[ReciprocityReport], max_order: int,
+                 families: tuple[str, ...]):
+        set_field(self, "pairs_checked", pairs_checked)
+        set_field(self, "violations", violations)
+        set_field(self, "max_order", max_order)
+        set_field(self, "families", families)
 
     def to_record(self) -> dict:
         return {

@@ -1,5 +1,6 @@
 """End-to-end tests for the zsr command line."""
 
+import ast
 import json
 import os
 import pkgutil
@@ -7,12 +8,15 @@ import shutil
 import subprocess
 import sys
 from hashlib import sha256
+from math import comb
 from pathlib import Path
 
 import pytest
 
 import zsr
 from zsr.cli import main
+from zsr.counting import count_formula
+from zsr.groups import AbelianGroup, order_spectrum
 from zsr.reciprocity import RECORD_FIELDS
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -369,6 +373,50 @@ def test_orders_past_the_factorize_ceiling_exit_2():
                             capture_output=True, text=True, env=child_env(), timeout=30)
     assert result.returncode == 0
     assert result.stdout == "999999999989 has no consecutive divisors above 1\n"
+
+
+def decimal_value(text: str) -> int:
+    """The integer a decimal string spells, read in chunks below the interpreter's digit limit."""
+    value = 0
+    for start in range(0, len(text), 1000):
+        chunk = text[start:start + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def test_counts_past_the_digit_limit_print_in_full():
+    def value_of(*argv):
+        result = subprocess.run([sys.executable, "-m", "zsr.cli", *argv, "--format", "json"],
+                                capture_output=True, text=True, env=child_env(), timeout=60)
+        assert result.returncode == 0, result.stderr
+        return json.loads(result.stdout)["value"]
+
+    catalan = value_of("catalan", "--n", "8000", "--m", "8001")
+    assert decimal_value(catalan) == comb(16001, 8000) // 16001
+    count = value_of("count", "--group", "C8000", "--length", "8000")
+    assert len(count) > 4300
+    assert decimal_value(count) == count_formula(order_spectrum(AbelianGroup((8000,))), 8000)
+
+
+def test_one_shot_commands_import_only_what_they_run():
+    # Without site, so that no .pth file can load a watched module first.
+    probe = "\n".join([
+        "import sys",
+        "import zsr.cli",
+        "def loaded(): print([m for m in sys.argv[1:] if m in sys.modules], file=sys.stderr)",
+        "loaded()",
+        "zsr.cli.main(['count', '--group', 'C2xC6', '--length', '4'])",
+        "loaded()",
+        "zsr.cli.main(['lemma', '--id', '2.1i', '--max', '20'])",
+        "loaded()",
+    ])
+    watched = ["dataclasses", "inspect", "fractions", "csv", "zsr.lemmas", "zsr.reciprocity"]
+    result = subprocess.run([sys.executable, "-S", "-c", probe, *watched], capture_output=True,
+                            text=True, env=child_env(), timeout=60)
+    assert result.returncode == 0, result.stderr
+    at_import, after_count, after_lemma = map(ast.literal_eval, result.stderr.splitlines())
+    assert at_import == [] and after_count == []
+    assert "zsr.lemmas" in after_lemma and "zsr.reciprocity" not in after_lemma
 
 
 def test_refused_csv_scan_prints_nothing(capsys):

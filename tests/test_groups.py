@@ -200,6 +200,40 @@ def test_parse_round_trips_notation():
         assert parse_group(descriptor.notation()) == descriptor
 
 
+def test_parse_round_trip_and_error_offsets_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    term = st.one_of(
+        st.integers(1, 60).map(lambda n: f"C{n}"),
+        st.integers(3, 30).map(lambda k: f"D{2 * k}"),
+        st.integers(2, 20).map(lambda k: f"Dic{k}"),
+        st.just("Q8"),
+    )
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.lists(term, min_size=1, max_size=4), st.data())
+    def check(terms, data):
+        text = "x".join(terms)
+        descriptor = parse_group(text)
+        assert parse_group(descriptor.notation()) == descriptor
+        # The bytes the parser reads with a fresh expectation: each term's first
+        # byte, the byte after its letters, and the byte after the term.
+        positions = set()
+        start = 0
+        for t in terms:
+            positions |= {start, start + len(t)}
+            if t != "Q8":
+                positions.add(start + (3 if t.startswith("Dic") else 1))
+            start += len(t) + 1
+        k = data.draw(st.sampled_from(sorted(positions)))
+        bad = data.draw(st.sampled_from(" !#-.cyX"))
+        with pytest.raises(GroupParseError) as exc:
+            parse_group(text[:k] + bad + text[k:])
+        assert exc.value.offset == k
+
+    check()
+
+
 def test_canonicalize_known_values():
     assert canonicalize([]) == AbelianGroup(())
     assert canonicalize([5]) == AbelianGroup((5,))
