@@ -55,26 +55,28 @@ def _write_csv(fh, records, columns=None) -> None:
 
     writer = csv.writer(fh, lineterminator="\n")
     if columns is None:
-        if not records:
-            return
         columns = list(records[0].keys())
     writer.writerow(columns)
     for record in records:
         writer.writerow([_cell(record.get(c)) for c in columns])
 
 
-def _emit(args, records: list[dict], human_lines: list[str]) -> None:
-    """Render one command's records to stdout in the requested format."""
+def _emit(args, human: list[str], value, records=None, rows=None, columns=None) -> None:
+    """Render one command's output to stdout in the requested format.
+
+    json prints value; jsonl prints each of records, and csv writes rows under
+    columns (the first row's keys by default).  records and rows default to [value].
+    """
     if args.format == "human":
-        for line in human_lines:
+        for line in human:
             print(line)
     elif args.format == "json":
-        print(_dump(records[0] if len(records) == 1 else records))
+        print(_dump(value))
     elif args.format == "jsonl":
-        for record in records:
+        for record in [value] if records is None else records:
             print(_dump(record))
     else:
-        _write_csv(sys.stdout, records)
+        _write_csv(sys.stdout, [value] if rows is None else rows, columns)
 
 
 def _cmd_count(args) -> int:
@@ -94,7 +96,7 @@ def _cmd_count(args) -> int:
         "group": desc.notation(), "order": desc.order, "length": args.length,
         "method": method, "value": str(value),
     }
-    _emit(args, [record], [f"|M({desc.notation()}, {args.length})| = {value}  [{method}]"])
+    _emit(args, [f"|M({desc.notation()}, {args.length})| = {value}  [{method}]"], record)
     return 0
 
 
@@ -109,18 +111,15 @@ def _cmd_spectrum(args) -> int:
         spectrum = order_spectrum(desc)
         method = "structural"
     ordered = sorted(spectrum.entries.items())
-    if args.format == "csv":
-        rows = [{"group": desc.notation(), "order": spectrum.group_order, "method": method,
-                 "d": d, "count": c} for d, c in ordered]
-        _write_csv(sys.stdout, rows)
-        return 0
     record = {
         "group": desc.notation(), "order": spectrum.group_order, "method": method,
         "spectrum": {str(d): c for d, c in ordered},
     }
+    rows = [{"group": desc.notation(), "order": spectrum.group_order, "method": method,
+             "d": d, "count": c} for d, c in ordered]
     human = [f"order spectrum of {desc.notation()} (order {spectrum.group_order}, {method}):"]
     human += [f"  d = {d}: {c}" for d, c in ordered]
-    _emit(args, [record], human)
+    _emit(args, human, record, rows=rows)
     return 0
 
 
@@ -128,15 +127,10 @@ def _cmd_enumerate(args) -> int:
     groups = enumerate_abelian(args.order)
     records = [{"order": args.order, "group": g.notation(),
                 "invariant_factors": list(g.invariant_factors)} for g in groups]
+    rows = [dict(r, invariant_factors="x".join(map(str, r["invariant_factors"]))) for r in records]
     human = [f"abelian groups of order {args.order}: {len(groups)}"]
     human += [f"  {g.notation()}" for g in groups]
-    if args.format == "csv":
-        rows = [{"order": r["order"], "group": r["group"],
-                 "invariant_factors": "x".join(str(f) for f in r["invariant_factors"])}
-                for r in records]
-        _write_csv(sys.stdout, rows)
-        return 0
-    _emit(args, records, human)
+    _emit(args, human, records, records, rows)
     return 0
 
 
@@ -153,7 +147,7 @@ def _cmd_check(args) -> int:
         f"|M(H, {record['order_g']})| = {report.count_h_at_g}",
         f"iff consistent: {'yes' if report.iff_consistent else 'NO'}",
     ]
-    _emit(args, [record], human)
+    _emit(args, human, record)
     return 0 if report.iff_consistent else 1
 
 
@@ -216,9 +210,12 @@ class _ScanLog:
         self._append(b"")
 
 
-def _run_scan(args, families: tuple[str, ...]) -> int:
+def _cmd_scan_conjecture(args) -> int:
     from .reciprocity import RECORD_FIELDS, conjecture_scan, record_line
 
+    families = tuple(p for p in args.families.split(",") if p)
+    if not families:
+        raise ValueError("at least one family is required")
     stream_stdout = args.out is None and args.format in ("csv", "jsonl")
     with contextlib.ExitStack() as stack:
         log = on_report = _ScanLog(args.out, stack) if args.out else None
@@ -248,26 +245,13 @@ def _run_scan(args, families: tuple[str, ...]) -> int:
         f"violations: {len(summary.violations)}",
     ]
     human += [f"  VIOLATION {r.g.notation()} vs {r.h.notation()}" for r in summary.violations]
-    if stream_stdout or args.format == "human":
-        print("\n".join(human), file=sys.stderr if stream_stdout else sys.stdout)
-    elif args.format == "csv":
-        _write_csv(sys.stdout, [summary.to_record()])
+    if stream_stdout:
+        print("\n".join(human), file=sys.stderr)
     else:
-        payload = summary.to_record()
-        payload["violating_pairs"] = [r.to_record() for r in summary.violations]
-        print(_dump(payload))
+        record = summary.to_record()
+        violating = [r.to_record() for r in summary.violations]
+        _emit(args, human, dict(record, violating_pairs=violating), rows=[record])
     return 1 if summary.violations else 0
-
-
-def _cmd_verify_theorem(args) -> int:
-    return _run_scan(args, ("abelian",))
-
-
-def _cmd_scan_conjecture(args) -> int:
-    families = tuple(p for p in args.families.split(",") if p)
-    if not families:
-        raise ValueError("at least one family is required")
-    return _run_scan(args, families)
 
 
 def _lemma_record(instance) -> dict:
@@ -296,29 +280,20 @@ def _cmd_lemma(args) -> int:
             _write_csv(fh, failure_records, LEMMA_CSV_COLUMNS)
     summary = {"lemma": result.lemma, "max": args.max,
                "checked": result.checked, "failures": len(result.failures)}
-    if args.format == "human":
-        print(f"check {result.lemma} up to {args.max}: {result.checked} instances, "
-              f"{len(result.failures)} failures")
-        for record in failure_records:
-            print(f"  FAIL {record}")
-    elif args.format == "csv":
-        _write_csv(sys.stdout, failure_records, LEMMA_CSV_COLUMNS)
+    human = [f"check {result.lemma} up to {args.max}: {result.checked} instances, "
+             f"{len(result.failures)} failures"]
+    human += [f"  FAIL {record}" for record in failure_records]
+    _emit(args, human, dict(summary, failing_instances=failure_records),
+          failure_records + [summary], failure_records, LEMMA_CSV_COLUMNS)
+    if args.format == "csv":
         print(f"checked: {result.checked}, failures: {len(result.failures)}", file=sys.stderr)
-    elif args.format == "jsonl":
-        for record in failure_records:
-            print(_dump(record))
-        print(_dump(summary))
-    else:
-        payload = dict(summary)
-        payload["failing_instances"] = failure_records
-        print(_dump(payload))
     return 1 if result.failures else 0
 
 
 def _cmd_catalan(args) -> int:
     value = rational_catalan(args.n, args.m)
     record = {"n": args.n, "m": args.m, "value": str(value)}
-    _emit(args, [record], [f"C({args.n + args.m}, {args.n}) / {args.n + args.m} = {value}"])
+    _emit(args, [f"C({args.n + args.m}, {args.n}) / {args.n + args.m} = {value}"], record)
     return 0
 
 
@@ -328,7 +303,7 @@ def _cmd_gapfree(args) -> int:
     result = divisor_gap_free(args.n)
     record = {"n": args.n, "gap_free": result}
     verdict = "has no consecutive divisors above 1" if result else "has consecutive divisors above 1"
-    _emit(args, [record], [f"{args.n} {verdict}"])
+    _emit(args, [f"{args.n} {verdict}"], record)
     return 0
 
 
@@ -376,7 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="scan all abelian pairs up to an order bound")
     p.add_argument("--max-order", type=_positive_int, required=True)
     p.add_argument("--out", help="JSONL log path (append; enables resume)")
-    p.set_defaults(func=_cmd_verify_theorem)
+    p.set_defaults(func=_cmd_scan_conjecture, families="abelian")
 
     p = sub.add_parser("scan-conjecture", parents=[common],
                        help="scan pairs from chosen families up to an order bound")

@@ -44,21 +44,21 @@ def count_formula(spectrum: OrderSpectrum, m: int) -> int:
     return total // (n + m)
 
 
-def count_dp(group: AbelianGroup, m: int, *, max_order: int = DEFAULT_DP_MAX_ORDER,
-             max_length: int = DEFAULT_DP_MAX_LENGTH) -> int:
+def count_dp(group: AbelianGroup, m: int) -> int:
     """Count zero-sum multisets by dynamic programming over the group elements.
 
     Standard multiset-knapsack recurrence: admit one element at a time and
     track (multiset size, running sum).  Exact but exponential in spirit, so
-    it refuses inputs beyond its budget.
+    it refuses orders above DEFAULT_DP_MAX_ORDER and lengths above
+    DEFAULT_DP_MAX_LENGTH.
     """
     if m < 0:
         raise ValueError(f"multiset length must be nonnegative, got {m}")
     n = group.order
-    if n > max_order or m > max_length:
+    if n > DEFAULT_DP_MAX_ORDER or m > DEFAULT_DP_MAX_LENGTH:
         raise BudgetError(
-            f"dp oracle budget is order <= {max_order} and length <= {max_length}, "
-            f"got order {n}, length {m}"
+            f"dp oracle budget is order <= {DEFAULT_DP_MAX_ORDER} and length <= "
+            f"{DEFAULT_DP_MAX_LENGTH}, got order {n}, length {m}"
         )
     facs = group.invariant_factors
     elements = list(cartesian(*(range(f) for f in facs)))
@@ -78,23 +78,23 @@ def count_dp(group: AbelianGroup, m: int, *, max_order: int = DEFAULT_DP_MAX_ORD
     return dp[m][identity]
 
 
-def count_molien(spectrum: OrderSpectrum, m: int, *, max_order: int = DEFAULT_MOLIEN_MAX_ORDER,
-                 max_length: int = DEFAULT_MOLIEN_MAX_LENGTH) -> int:
+def count_molien(spectrum: OrderSpectrum, m: int) -> int:
     """Count zero-sum multisets as a coefficient of an averaged power series.
 
     Each element of order d contributes the series (1 - t^d)^(-n/d); averaging
     the n contributions and reading off the t^m coefficient counts invariant
     monomials of degree m, which biject with zero-sum multisets.  The series
     is expanded exactly (negative binomial identity) in a dense coefficient
-    array truncated at degree m.
+    array truncated at degree m.  It refuses orders above DEFAULT_MOLIEN_MAX_ORDER
+    and degrees above DEFAULT_MOLIEN_MAX_LENGTH.
     """
     if m < 0:
         raise ValueError(f"series degree must be nonnegative, got {m}")
     n = spectrum.group_order
-    if n > max_order or m > max_length:
+    if n > DEFAULT_MOLIEN_MAX_ORDER or m > DEFAULT_MOLIEN_MAX_LENGTH:
         raise BudgetError(
-            f"series oracle budget is order <= {max_order} and degree <= {max_length}, "
-            f"got order {n}, degree {m}"
+            f"series oracle budget is order <= {DEFAULT_MOLIEN_MAX_ORDER} and degree <= "
+            f"{DEFAULT_MOLIEN_MAX_LENGTH}, got order {n}, degree {m}"
         )
     coeffs = [0] * (m + 1)
     for d, phi in spectrum.entries.items():

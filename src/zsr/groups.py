@@ -197,8 +197,6 @@ def parse_group(text: str) -> GroupDescriptor:
         pos += 1
         if pos == len(text):
             raise GroupParseError("expected a group term after 'x'", pos)
-    if all(kind == "C" for kind, _ in terms):
-        return canonicalize([value for _, value in terms if value > 1])
     descriptors: list[GroupDescriptor] = []
     for kind, value in terms:
         if kind == "C":
@@ -207,9 +205,7 @@ def parse_group(text: str) -> GroupDescriptor:
             descriptors.append(Dihedral(value // 2))
         else:
             descriptors.append(Dicyclic(value))
-    if len(descriptors) == 1:
-        return descriptors[0]
-    return Product(tuple(descriptors))
+    return make_product(descriptors)
 
 
 def _parse_term(text: str, pos: int) -> tuple[tuple[str, int], int]:
@@ -297,18 +293,14 @@ def order_spectrum(g: GroupDescriptor) -> OrderSpectrum:
     """Order spectrum of a descriptor."""
     if isinstance(g, AbelianGroup):
         return _abelian_spectrum(g)
-    if isinstance(g, Dihedral):
-        # k rotations forming a cyclic group, plus k reflections of order 2.
-        k = g.half_order
-        counts = dict(_abelian_spectrum(AbelianGroup((k,))).entries)
-        counts[2] = counts.get(2, 0) + k
-        return _spectrum_from_counts(counts, 2 * k)
-    if isinstance(g, Dicyclic):
-        # A cyclic subgroup of order 2k, plus 2k elements of order 4 outside it.
-        k = g.index
-        counts = dict(_abelian_spectrum(AbelianGroup((2 * k,))).entries)
-        counts[4] = counts.get(4, 0) + 2 * k
-        return _spectrum_from_counts(counts, 4 * k)
+    if isinstance(g, (Dihedral, Dicyclic)):
+        # A cyclic subgroup of half the order, plus the other half: all of
+        # order 2 (the reflections) in a dihedral group, all of order 4 in a dicyclic one.
+        half = g.order // 2
+        counts = dict(_abelian_spectrum(AbelianGroup((half,))).entries)
+        outside = 2 if isinstance(g, Dihedral) else 4
+        counts[outside] = counts.get(outside, 0) + half
+        return _spectrum_from_counts(counts, g.order)
     if isinstance(g, Product):
         entries = {1: 1}
         order = 1
@@ -329,11 +321,12 @@ def order_spectrum(g: GroupDescriptor) -> OrderSpectrum:
     raise TypeError(f"not a group descriptor: {g!r}")
 
 
-def order_spectrum_bruteforce(group: AbelianGroup, bound: int = DEFAULT_SPECTRUM_BOUND) -> OrderSpectrum:
-    """Spectrum by enumerating every element tuple; refuses orders above bound."""
+def order_spectrum_bruteforce(group: AbelianGroup) -> OrderSpectrum:
+    """Spectrum by enumerating every element tuple; refuses orders above DEFAULT_SPECTRUM_BOUND."""
     n = group.order
-    if n > bound:
-        raise BudgetError(f"brute-force spectrum is limited to order <= {bound}, got order {n}")
+    if n > DEFAULT_SPECTRUM_BOUND:
+        raise BudgetError(f"brute-force spectrum is limited to order <= {DEFAULT_SPECTRUM_BOUND}, "
+                          f"got order {n}")
     counts: dict[int, int] = {}
     facs = group.invariant_factors
     for point in cartesian(*(range(f) for f in facs)):

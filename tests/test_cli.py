@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import zsr
+from zsr import lemmas
 from zsr.cli import main
 from zsr.counting import count_formula
 from zsr.groups import AbelianGroup, order_spectrum
@@ -92,6 +93,11 @@ def test_enumerate_formats(capsys):
         {"order": 4, "group": "C2xC2", "invariant_factors": [2, 2]},
         {"order": 4, "group": "C4", "invariant_factors": [4]},
     ]
+    # a list also when the order has one abelian group
+    code, out, _ = run(capsys, "enumerate", "--order", "7", "--format", "json")
+    assert code == 0 and out == '[{"order":7,"group":"C7","invariant_factors":[7]}]\n'
+    code, out, _ = run(capsys, "enumerate", "--order", "1", "--format", "json")
+    assert code == 0 and out == '[{"order":1,"group":"C1","invariant_factors":[]}]\n'
 
 
 def test_check_json_and_human(capsys):
@@ -358,6 +364,191 @@ def test_error_exit_codes(capsys):
         assert code == 2, argv
         assert captured.err == message
         assert captured.out == ""
+
+
+# One invocation per subcommand and outcome, each run in every format.  The
+# "planted" case fails two Lemma 2.1 instances to render a failing grid.
+GOLDEN_CASES = {
+    "count-formula": ("count", "--group", "C2xC6", "--length", "4"),
+    "count-dp": ("count", "--group", "C4", "--length", "4", "--method", "dp"),
+    "count-molien": ("count", "--group", "D10", "--length", "10", "--method", "molien"),
+    "count-product": ("count", "--group", "C3xD10", "--length", "6"),
+    "count-bad-notation": ("count", "--group", "D7", "--length", "2"),
+    "count-dp-budget": ("count", "--group", "C40", "--length", "2", "--method", "dp"),
+    "count-dp-nonabelian": ("count", "--group", "D10", "--length", "3", "--method", "dp"),
+    "spectrum-dihedral": ("spectrum", "--group", "D10"),
+    "spectrum-dicyclic": ("spectrum", "--group", "Dic3"),
+    "spectrum-product": ("spectrum", "--group", "C2xQ8"),
+    "spectrum-brute-force": ("spectrum", "--group", "C2xC6", "--brute-force"),
+    "spectrum-brute-force-budget": ("spectrum", "--group", "C6000", "--brute-force"),
+    "enumerate-36": ("enumerate", "--order", "36"),
+    "enumerate-4": ("enumerate", "--order", "4"),
+    "enumerate-7": ("enumerate", "--order", "7"),
+    "enumerate-1": ("enumerate", "--order", "1"),
+    "check-agree": ("check", "--g", "C4", "--h", "C2xC2"),
+    "check-dihedral": ("check", "--g", "D10", "--h", "C10"),
+    "verify-theorem": ("verify-theorem", "--max-order", "8"),
+    "scan-conjecture": ("scan-conjecture", "--max-order", "12"),
+    "scan-families": ("scan-conjecture", "--families", "dihedral,dicyclic", "--max-order", "16"),
+    "scan-unknown-family": ("scan-conjecture", "--families", "abelian,weird", "--max-order", "10"),
+    "scan-no-family": ("scan-conjecture", "--families", ",", "--max-order", "10"),
+    "lemma-2.1i": ("lemma", "--id", "2.1i", "--max", "20"),
+    "lemma-2.1ii": ("lemma", "--id", "2.1ii", "--max", "20"),
+    "lemma-2.2i": ("lemma", "--id", "2.2i", "--max", "40"),
+    "lemma-2.2ii": ("lemma", "--id", "2.2ii", "--max", "30"),
+    "lemma-struct": ("lemma", "--id", "struct", "--max", "12"),
+    "lemma-2.1i-planted": ("lemma", "--id", "2.1i", "--max", "30"),
+    "catalan": ("catalan", "--n", "5", "--m", "3"),
+    "catalan-not-coprime": ("catalan", "--n", "6", "--m", "3"),
+    "gapfree-no": ("gapfree", "--n", "12"),
+    "gapfree-yes": ("gapfree", "--n", "35"),
+}
+LEMMA21_PLANTED = [(12, 18, 2, 3), (20, 30, 2, 5)]
+# sha256 of the JSON list [exit code, stdout, stderr] of each case in each format.
+# enumerate-1 and enumerate-7 in json are pinned in test_enumerate_formats.
+GOLDEN = {
+    "count-formula/human": "e83fff0536eba66939b7f01ba2c837b5e854731fc4af3caf264eec8e2e5903fc",
+    "count-formula/json": "804bb88d0f3d5f9acd584cdfbdeb28018e63d3b1d3fccf0b39c829de08256ed7",
+    "count-formula/csv": "ebec01879e21ec92a9301496902816e823f48096d3e5310802c1d7f9e3228f9f",
+    "count-formula/jsonl": "804bb88d0f3d5f9acd584cdfbdeb28018e63d3b1d3fccf0b39c829de08256ed7",
+    "count-dp/human": "3fc7048e5a3492d2a72ca0b563f8f3a964b6f460df24ed2948ad3e89b6e1bcc4",
+    "count-dp/json": "a504bc7da843d14a75f2878d9c69036a2adeda263cb8910e02db9fee3634a0f3",
+    "count-dp/csv": "d6976c23cbaf6ae906649339c34aa2b1e4813a928d2f7f7e1274df57ba6421c7",
+    "count-dp/jsonl": "a504bc7da843d14a75f2878d9c69036a2adeda263cb8910e02db9fee3634a0f3",
+    "count-molien/human": "6272b872e7fcf6c1cb9c38501170b0d0eec6d3ee059464d0f14c01aa9b9a4370",
+    "count-molien/json": "a8c83f822c7ce088bde8860ed4f332782cd1c9064ad7ce7f3fdc5b272d32dadf",
+    "count-molien/csv": "2506f64f9b4c0235abd4a34942082a7200b06820cb544f28c5fcac62847c3405",
+    "count-molien/jsonl": "a8c83f822c7ce088bde8860ed4f332782cd1c9064ad7ce7f3fdc5b272d32dadf",
+    "count-product/human": "5a6fcd7c1e44eae9102cce21e2be6d938d89f736862d7ca6b32ddca074f402a7",
+    "count-product/json": "ca9c2456c6a637c62e6ead6f8aae06e3e7dd74db14557d5ab169f192a8661ffb",
+    "count-product/csv": "0806d8bfc675c545ffb19eb05d9905cd128276aebf6a682009f71524f902d698",
+    "count-product/jsonl": "ca9c2456c6a637c62e6ead6f8aae06e3e7dd74db14557d5ab169f192a8661ffb",
+    "count-bad-notation/human": "2cf13ab1923f04bf47a96c08ef70d0c66613cf862ff022db00a350d1f74d9864",
+    "count-bad-notation/json": "2cf13ab1923f04bf47a96c08ef70d0c66613cf862ff022db00a350d1f74d9864",
+    "count-bad-notation/csv": "2cf13ab1923f04bf47a96c08ef70d0c66613cf862ff022db00a350d1f74d9864",
+    "count-bad-notation/jsonl": "2cf13ab1923f04bf47a96c08ef70d0c66613cf862ff022db00a350d1f74d9864",
+    "count-dp-budget/human": "7444463e36ca899353355b54d85758f2e1fc8c95b5d49786a51941bb54c5263d",
+    "count-dp-budget/json": "7444463e36ca899353355b54d85758f2e1fc8c95b5d49786a51941bb54c5263d",
+    "count-dp-budget/csv": "7444463e36ca899353355b54d85758f2e1fc8c95b5d49786a51941bb54c5263d",
+    "count-dp-budget/jsonl": "7444463e36ca899353355b54d85758f2e1fc8c95b5d49786a51941bb54c5263d",
+    "count-dp-nonabelian/human": "5854f568345764cff229323dd9c2bd64bb48facdcc03031eb8545b94904a1543",
+    "count-dp-nonabelian/json": "5854f568345764cff229323dd9c2bd64bb48facdcc03031eb8545b94904a1543",
+    "count-dp-nonabelian/csv": "5854f568345764cff229323dd9c2bd64bb48facdcc03031eb8545b94904a1543",
+    "count-dp-nonabelian/jsonl": "5854f568345764cff229323dd9c2bd64bb48facdcc03031eb8545b94904a1543",
+    "spectrum-dihedral/human": "9ee85ce6ff8ebb73c76fc9f3eb7fbc1655c357710ef9995777408ae710b4f908",
+    "spectrum-dihedral/json": "85d1733f0c410685c33a27a2aa56314f0d0afb5a084eb0d4b7fa27b011eee4dd",
+    "spectrum-dihedral/csv": "e9d41a3644250fe4f0416d176e0248d11ca9cf3a32036ee7afd0e85c5b2a81ad",
+    "spectrum-dihedral/jsonl": "85d1733f0c410685c33a27a2aa56314f0d0afb5a084eb0d4b7fa27b011eee4dd",
+    "spectrum-dicyclic/human": "66eb49266c9f747618a83cdf842a389d803f6470a58516483876131436548d81",
+    "spectrum-dicyclic/json": "6ef2e1b0efeac7996ecea850ccce783e0efffcb5e2ffb9356ce3ae86bf57da3e",
+    "spectrum-dicyclic/csv": "1632799e99104e55bdec135e0c83d1de6be7a02e17aace4d96eac0dc7602706f",
+    "spectrum-dicyclic/jsonl": "6ef2e1b0efeac7996ecea850ccce783e0efffcb5e2ffb9356ce3ae86bf57da3e",
+    "spectrum-product/human": "7d01aff1e7f34a2dbff1692b398f82ee514f70f5a489defa6239fd0472ca6d08",
+    "spectrum-product/json": "5554cd2245ddcfe327d81a1e8d0b169c6a4da450508d4678b890052c5fd0cfd5",
+    "spectrum-product/csv": "be29c8576f811591c03aac1b6aaff95b6136657f83f272f38fb16809613f512e",
+    "spectrum-product/jsonl": "5554cd2245ddcfe327d81a1e8d0b169c6a4da450508d4678b890052c5fd0cfd5",
+    "spectrum-brute-force/human": "8194c48f6e02e13d8b5c05dd54964e1da1edae8946e04215244d0c6f71de8561",
+    "spectrum-brute-force/json": "28a54bdd5d4b1f28e32478c94d6267d230dcc525a0b239cae2d457bc22503369",
+    "spectrum-brute-force/csv": "f92d5049247513c299ed24295aae52a92285b1225a760fbd97d0ccb830668773",
+    "spectrum-brute-force/jsonl": "28a54bdd5d4b1f28e32478c94d6267d230dcc525a0b239cae2d457bc22503369",
+    "spectrum-brute-force-budget/human": "2322d2f5b989a053708f8c11e0df2e45ab3c28f30a34cc64bdec77a985aad988",
+    "spectrum-brute-force-budget/json": "2322d2f5b989a053708f8c11e0df2e45ab3c28f30a34cc64bdec77a985aad988",
+    "spectrum-brute-force-budget/csv": "2322d2f5b989a053708f8c11e0df2e45ab3c28f30a34cc64bdec77a985aad988",
+    "spectrum-brute-force-budget/jsonl": "2322d2f5b989a053708f8c11e0df2e45ab3c28f30a34cc64bdec77a985aad988",
+    "enumerate-36/human": "32375887c041bed822f20f2d46705389f78c5ea6732f791d71fdc14f9b975c7c",
+    "enumerate-36/json": "5d4f37549db63b3f8b048e8f8bebb8f8af27e8ff207d8b81735039c72b2a7a45",
+    "enumerate-36/csv": "f05f356a8b262e9c400c6f3330f26b3f2fb4950ba72b18785430b526c6202e75",
+    "enumerate-36/jsonl": "06327800d42ee896f97086f3cc20943ab2b515e2ff4b70f3cc51ebe7cb9400cc",
+    "enumerate-4/human": "0827e5834ee27240aa4e7f921cc8d57cce9199c74160e8364711adac2fbe2fc3",
+    "enumerate-4/json": "9ed7de572f7b965bb2a5ccc44452af54eef419d17c8ce8454037a995b1901084",
+    "enumerate-4/csv": "f8fd4bad15363ef6b7b7fbe2040549a2648119ea1db8e1f217be43c7a96de392",
+    "enumerate-4/jsonl": "90b09ec576c3201ed11b6a0ac167d55a51b0c902525dd6a1e08accbf656d71fa",
+    "enumerate-7/human": "30d5cc9e234fb5323045c7dbb22bc29a0939845d7f6db99b03822b200a8090d3",
+    "enumerate-7/csv": "038f97dfcc15cafbe384cd177951292697f8fe1aa7debf8453e0d7e185e8d811",
+    "enumerate-7/jsonl": "4650871b158f37de07c6979d83abebf019e553d177fa51266e9307bfba6eff9e",
+    "enumerate-1/human": "25d54d0cd126713edc144857baa92982fcfcd6f153b3c6ec8ae430f430b63427",
+    "enumerate-1/csv": "0ad60a973b05d416876875ee0d47ef114170532fb8097c80067e1d00c3071c3e",
+    "enumerate-1/jsonl": "7b3e9214ebe809ddfb256523adafdee8de090f2f330f0c9af7700ec97a6fd6c8",
+    "check-agree/human": "f47083f547baacf26e9918016808aebe06bff278f6267c2c3fa09a29621101ce",
+    "check-agree/json": "bd0d6ebfaf779123fca40b217240b1fdea57742e800a8c2a7e017155762f4bca",
+    "check-agree/csv": "53c7d494f01ebf8ed1094148d733f645fa52fe7a96a377b235e5933ac00bb1ed",
+    "check-agree/jsonl": "bd0d6ebfaf779123fca40b217240b1fdea57742e800a8c2a7e017155762f4bca",
+    "check-dihedral/human": "6e36e319401a836e666df89c9a183e52961df34f3042e31f5033940c5a7713bf",
+    "check-dihedral/json": "95f00d75ced4a9e677a60d710a1d6599f81495b1d22b29549c1909412c08865f",
+    "check-dihedral/csv": "5df1000eb1634e1b6b20d6cf48bd8071687a8b73e0180a3e2d0749bf931a1b6a",
+    "check-dihedral/jsonl": "95f00d75ced4a9e677a60d710a1d6599f81495b1d22b29549c1909412c08865f",
+    "verify-theorem/human": "9a5cc968f51cee7b3c81eb5bb15afa97b286d1f91161412f671a13b1394e50ac",
+    "verify-theorem/json": "3854800d87a83ba8485d9e9de83794d71f6f54c76cfa38907c361b499714a051",
+    "verify-theorem/csv": "2f180981503a345b9aa47ee97afe97263641055e5e73aa8860164854be6f0642",
+    "verify-theorem/jsonl": "b8819b3e5d8e6d490512dffebddb4b6861abb85db26c942fa47906f7930caa58",
+    "scan-conjecture/human": "5101ca659eb9850cd6eeeb26970d10da1559dafbc5809e960c1261c535bbde3c",
+    "scan-conjecture/json": "1d42e3f34fa27ea7022cf9c21ec193ea3e8603808725780c949e8c540cd5c5fe",
+    "scan-conjecture/csv": "ca2493e78fff0ea45398dd9065573adef6a9be68294e088a0e1259fdcb77304b",
+    "scan-conjecture/jsonl": "af875fb52a3b6b28ee488c4d8a51bfb31a4151a2a33dd683ef90674a6be13107",
+    "scan-families/human": "3008036f3dd1ce96a9f32f5ad56b0995a291efe42bf7e4520a83a96dae730784",
+    "scan-families/json": "1273f5794ec2144f1006577fe3aac30335b9e172236e26718c967e4557c4ca1d",
+    "scan-families/csv": "f24b53b677a05b407902f2fb8665bd8124949fc77584a438074d518dc5415275",
+    "scan-families/jsonl": "f7fa29e96e26f4ff9998f0ee23fe993e69470de09bb75702fbb4c5995e38d8ec",
+    "scan-unknown-family/human": "5e060139458564841b5513dde4a6ff2226e66ae508c57ac949b3ef2abb3a8d89",
+    "scan-unknown-family/json": "5e060139458564841b5513dde4a6ff2226e66ae508c57ac949b3ef2abb3a8d89",
+    "scan-unknown-family/csv": "5e060139458564841b5513dde4a6ff2226e66ae508c57ac949b3ef2abb3a8d89",
+    "scan-unknown-family/jsonl": "5e060139458564841b5513dde4a6ff2226e66ae508c57ac949b3ef2abb3a8d89",
+    "scan-no-family/human": "f954deeea19f5284ce5d85960d77f8373a7d462f8f140214b64c0590a53fac09",
+    "scan-no-family/json": "f954deeea19f5284ce5d85960d77f8373a7d462f8f140214b64c0590a53fac09",
+    "scan-no-family/csv": "f954deeea19f5284ce5d85960d77f8373a7d462f8f140214b64c0590a53fac09",
+    "scan-no-family/jsonl": "f954deeea19f5284ce5d85960d77f8373a7d462f8f140214b64c0590a53fac09",
+    "lemma-2.1i/human": "161287e38f60cd997d4367f06a9c973efe85dd8393bb01b71eadcf46459c9d06",
+    "lemma-2.1i/json": "c470e9eee2b33196f99f9529a9991fbbd11be65c045ae9ebf97efd3a6b46a387",
+    "lemma-2.1i/csv": "f707bbfb61ca53144c70b238250e7b847674015549522993606f72e9eca83f4d",
+    "lemma-2.1i/jsonl": "b3f742f3a543ee8028f5e9a16e229c325e7a55d69dbd7c4198445211f1b8c25e",
+    "lemma-2.1ii/human": "347b934a8f4d62e55d8cfd5d1d865f4480c34e0e18b4497c0c2554a1ce8118b3",
+    "lemma-2.1ii/json": "11138605b5b9fd8cb77b3942272418fc76d32f39515b0e8f18b30987013c92c4",
+    "lemma-2.1ii/csv": "4f71ad727e08e3d689411934762375df68abad6938d5bca2d1c1c5d12feca649",
+    "lemma-2.1ii/jsonl": "ecf00d57f049041d949db6e7a5693913ac5bb6ad88e90352881928c48de4e7a0",
+    "lemma-2.2i/human": "8ada5e625c80354286b66e4c04fa93e864942322d814c9d1a309b4ae76804470",
+    "lemma-2.2i/json": "2966bd22cf1a07ea7a51116bae85ed687c3561893a82905f3c3cf2613e233b7e",
+    "lemma-2.2i/csv": "481850f5b37d35e3d247e7eda0599ce6da66ff01c9ca6ad048886d44fb2aaa8e",
+    "lemma-2.2i/jsonl": "2634a82f13690649943bba0cec01c4473de17194b3b4727350dba3f7c906f305",
+    "lemma-2.2ii/human": "6334a2269c3c7da7ce1c8eef99cae223b0a73809855b31ed72df4245269a34cd",
+    "lemma-2.2ii/json": "af7352509a8a17cdfea958ca0bec8a5ad9a708a93b444ba501add91254a3cde4",
+    "lemma-2.2ii/csv": "311aceca974d86d8cf5a0d7c788bbbfbea3c308ff8ed7f4bb9c5592907cdd8f1",
+    "lemma-2.2ii/jsonl": "ac5720ca7d8112659be98747a78ba5e86b482a064db65db78117a5fc408473b9",
+    "lemma-struct/human": "f55218985dc09138ffd26347a4b0a247bd3e538a6b0383c977e46cf45b7911a2",
+    "lemma-struct/json": "066db0b10dc3f893c88e9d110be128538798502b1ad8140ebbbbff8be8b965a8",
+    "lemma-struct/csv": "8aab4bcc1f44ef67cff68bb623bcfb2b116f6a7975da4a0663e6bdf498257c56",
+    "lemma-struct/jsonl": "152548dc61957b65b42504de235afd17a100c2e6e8bde9bd4f18f868a014a84b",
+    "lemma-2.1i-planted/human": "7cbda147d76f668b60bcfa0c387e488a2a9cbee33bd6771b9254db99fbda3170",
+    "lemma-2.1i-planted/json": "791f174f74805cbed4717bb9dea0c3f0e22e0ebfd0fcf3408c3b849e1f856af4",
+    "lemma-2.1i-planted/csv": "3fd9b57831710ca7871326bbfafddf5184cecbabe0cb1ed20a01b674c81eba9d",
+    "lemma-2.1i-planted/jsonl": "485a9c61605c9619527be0786b733f03616c669a00fedbc39d9ebbb0bc3d8784",
+    "catalan/human": "9912a2b9c59e3594efe357dec4857b4677eca98fd00a6eb987ff84412d2644b7",
+    "catalan/json": "862eb8b10778fbec276cc18fcb1d4d435039f9c34f882f25afa091bd1b3f37c7",
+    "catalan/csv": "3489b533c74bf9714c6b0422102ade8cca098fc7c8fb00cf60e6ad40095e5fd2",
+    "catalan/jsonl": "862eb8b10778fbec276cc18fcb1d4d435039f9c34f882f25afa091bd1b3f37c7",
+    "catalan-not-coprime/human": "b2da29bbf96e919e8b2c94361e051ea591d513078d2aa67a385871027c7419e4",
+    "catalan-not-coprime/json": "b2da29bbf96e919e8b2c94361e051ea591d513078d2aa67a385871027c7419e4",
+    "catalan-not-coprime/csv": "b2da29bbf96e919e8b2c94361e051ea591d513078d2aa67a385871027c7419e4",
+    "catalan-not-coprime/jsonl": "b2da29bbf96e919e8b2c94361e051ea591d513078d2aa67a385871027c7419e4",
+    "gapfree-no/human": "b5cc6e85714dabdc34a583be8695aa0661ca40d38f1a4b2569ecc82d9509716e",
+    "gapfree-no/json": "1450e8eaa57ab618e334bd9b92501c56a569176d86383f65158c744fa800dc5b",
+    "gapfree-no/csv": "c288fb7721b1764f3889a805d000a11c379f930277e94df1d75982644b2182ec",
+    "gapfree-no/jsonl": "1450e8eaa57ab618e334bd9b92501c56a569176d86383f65158c744fa800dc5b",
+    "gapfree-yes/human": "8443c242c663a40e7e4658a68761556223904ee014011aad2c942ea1ea8b17f1",
+    "gapfree-yes/json": "94b6a8fa4312ab1026cf147487f24c2e58ba43a9689e621bb0f428b5746188e9",
+    "gapfree-yes/csv": "e04207f190c2b196bb27034c0efed8d365cc41f199aea77c89299943495db374",
+    "gapfree-yes/jsonl": "94b6a8fa4312ab1026cf147487f24c2e58ba43a9689e621bb0f428b5746188e9",
+}
+
+
+@pytest.mark.parametrize("key", GOLDEN)
+def test_cli_output_bytes_are_pinned(key, monkeypatch, capsys):
+    name, fmt = key.split("/")
+    if name.endswith("planted"):
+        decide = lemmas._lemma21_holds
+        monkeypatch.setattr(lemmas, "_lemma21_holds", lambda m, n, a, b, *rest: (
+            (m, n, a, b) not in LEMMA21_PLANTED and decide(m, n, a, b, *rest)))
+    outcome = run(capsys, *GOLDEN_CASES[name], "--format", fmt)
+    assert sha256(json.dumps(outcome).encode()).hexdigest() == GOLDEN[key], outcome
 
 
 def test_orders_past_the_factorize_ceiling_exit_2():

@@ -172,9 +172,11 @@ def test_dp_budget():
     with pytest.raises(BudgetError) as exc:
         count_dp(AbelianGroup((4,)), DEFAULT_DP_MAX_LENGTH + 1)
     assert str(DEFAULT_DP_MAX_LENGTH) in str(exc.value)
-    # an explicit budget raises the ceiling
-    widened = count_dp(too_big, 2, max_order=37)
-    assert widened == count_formula(order_spectrum(too_big), 2)
+    # the largest admitted inputs still count
+    largest = AbelianGroup((DEFAULT_DP_MAX_ORDER,))
+    assert count_dp(largest, 2) == count_formula(order_spectrum(largest), 2)
+    assert count_dp(AbelianGroup((4,)), DEFAULT_DP_MAX_LENGTH) == count_formula(
+        spectrum_of("C4"), DEFAULT_DP_MAX_LENGTH)
 
 
 def test_molien_budget():
@@ -186,8 +188,10 @@ def test_molien_budget():
     with pytest.raises(BudgetError) as exc:
         count_molien(spectrum, DEFAULT_MOLIEN_MAX_LENGTH + 1)
     assert str(DEFAULT_MOLIEN_MAX_LENGTH) in str(exc.value)
-    widened = count_molien(too_big, 2, max_order=65)
-    assert widened == count_formula(too_big, 2)
+    largest = order_spectrum(AbelianGroup((DEFAULT_MOLIEN_MAX_ORDER,)))
+    assert count_molien(largest, 2) == count_formula(largest, 2)
+    assert count_molien(spectrum, DEFAULT_MOLIEN_MAX_LENGTH) == count_formula(
+        spectrum, DEFAULT_MOLIEN_MAX_LENGTH)
 
 
 def test_cyclic_reciprocity_symmetry():

@@ -273,6 +273,8 @@ def test_enumerate_abelian_known_values():
         (6, 6),
         (36,),
     ]
+    with pytest.raises(ValueError, match="group order must be positive, got 0"):
+        enumerate_abelian(0)
 
 
 def test_enumerate_abelian_counts_match_partition_oracle():
@@ -295,6 +297,8 @@ def test_order_spectrum_known_values():
     assert order_spectrum(AbelianGroup((2, 6))).entries == {1: 1, 2: 3, 3: 2, 4: 0, 6: 6, 12: 0}
     assert order_spectrum(AbelianGroup((4,))).entries == {1: 1, 2: 1, 4: 2}
     assert order_spectrum(AbelianGroup((2, 2))).entries == {1: 1, 2: 3, 4: 0}
+    with pytest.raises(TypeError, match="not a group descriptor"):
+        order_spectrum(object())
 
 
 def test_cyclic_spectrum_counts_totients():
@@ -360,6 +364,8 @@ def test_make_product_merges_all_abelian_factors():
     assert isinstance(mixed, Product)
     with pytest.raises(ValueError):
         Product((AbelianGroup((2,)), AbelianGroup((3,))))
+    with pytest.raises(ValueError, match="at least one factor"):
+        make_product(())
 
 
 def test_bruteforce_spectrum_budget():
@@ -367,10 +373,8 @@ def test_bruteforce_spectrum_budget():
     with pytest.raises(BudgetError) as exc:
         order_spectrum_bruteforce(big)
     assert str(DEFAULT_SPECTRUM_BOUND) in str(exc.value)
-    small = AbelianGroup((12,))
-    with pytest.raises(BudgetError):
-        order_spectrum_bruteforce(small, bound=10)
-    assert order_spectrum_bruteforce(small, bound=12).entries == order_spectrum(small).entries
+    largest = AbelianGroup((10, DEFAULT_SPECTRUM_BOUND // 10))
+    assert order_spectrum_bruteforce(largest).entries == order_spectrum(largest).entries
 
 
 def test_order_spectrum_validation_rejects_malformed_tables():

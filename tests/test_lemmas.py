@@ -34,6 +34,15 @@ def test_delta_known_values():
     assert delta(360, 360, 8, 9, 2, 3) == Fraction(25, 2)
 
 
+def test_delta_domain_errors():
+    with pytest.raises(ValueError, match="p = q = 2"):
+        delta(12, 12, 2, 4, 2, 2)
+    with pytest.raises(ValueError, match="m = 0, n = 12"):
+        delta(0, 12, 2, 3, 2, 3)
+    with pytest.raises(ValueError, match="m = 12, n = 0"):
+        delta(12, 0, 2, 3, 2, 3)
+
+
 def test_delta_on_pure_prime_power_pairs():
     # with m = n = p^(s+1) * q^t the expression collapses to p
     for p, q in [(2, 3), (3, 2), (2, 5), (5, 2), (3, 5)]:
@@ -116,6 +125,17 @@ def test_check_lemma22_small_scale_skips_consequence():
     assert instance.rhs == 7
 
 
+def test_check_lemma22_reports_a_failing_consequence(monkeypatch):
+    # With genuine (positive) blocks and D >= 1 the ratio bound implies the
+    # consequence, so planted blocks of negative sign are what reach this branch:
+    # 8 * (-10^6) / (-1) > 225 holds, while -8 * 10^6 > 2 * 9 * (-1) does not.
+    monkeypatch.setattr(lemmas, "_block", lambda m, n, d: -10 ** 6 if d == 8 else -1)
+    instance = check_lemma22(360, 360, 8, 9, 2, 3, "i")
+    assert not instance.holds
+    assert instance.lhs == -8 * 10 ** 6  # a * block_a - (q^d - q^t) * block_b, with d = t = 2
+    assert instance.rhs == -18  # 2 * b * block_b
+
+
 def test_check_lemma22_variant_ii():
     instance = check_lemma22(15, 15, 3, 5, 3, 5, "ii")
     assert instance.lemma_id == "L22ii"
@@ -142,6 +162,10 @@ def test_check_lemma22_domain_errors():
         check_lemma22(12, 12, 2, 3, 2, 3, "i")  # spread too small for variant i
     with pytest.raises(ValueError):
         check_lemma22(8, 24, 4, 6, 2, 3, "i")  # b = 6 is not a prime power
+    with pytest.raises(ValueError, match="variant must be 'i' or 'ii'"):
+        check_lemma22(24, 24, 2, 3, 2, 3, "iii")
+    with pytest.raises(ValueError, match="must divide gcd"):
+        check_lemma22(24, 30, 4, 3, 2, 3, "i")  # 4 does not divide gcd 6
 
 
 def test_structure_lemmas_on_order_sixteen_pair():
@@ -247,6 +271,45 @@ def test_lemma21_grid_reports_failures_unchanged(monkeypatch, capsys):
     assert out == ("lemma_id,m,n,a,b,p,q,lhs,rhs\n"
                    "L21i,12,18,2,3,,,143/6,500/27\n"
                    "L21i,20,30,2,5,,,326876/21,32768000/19683\n")
+
+
+def failed(instance):
+    """The same instance with its verdict turned to a failure."""
+    return LemmaInstance(instance.lemma_id, instance.parameters, False, instance.lhs, instance.rhs)
+
+
+def test_lemma22_grid_reports_failures_in_grid_order(monkeypatch, capsys):
+    check = lemmas.check_lemma22
+    planted = [(12, 36, 3, 4, 3, 2), (28, 28, 4, 7, 2, 7)]  # in grid order: m, then n, a, b
+    monkeypatch.setattr(lemmas, "check_lemma22", lambda *args: (
+        failed(check(*args)) if args[:6] in planted else check(*args)))
+    expected = [failed(check(*parameters, "i")) for parameters in planted]
+    grid = lemma22_grid(40, "i")
+    assert grid.checked == 31 and grid.failures == expected
+    assert main(["lemma", "--id", "2.2i", "--max", "40", "--format", "csv"]) == 1
+    out = capsys.readouterr().out
+    assert out == ("lemma_id,m,n,a,b,p,q,lhs,rhs\n"
+                   "L22i,12,36,3,4,3,2,273/11,8\n"
+                   "L22i,28,28,4,7,2,7,6864/35,7\n")
+
+
+def test_structure_grid_reports_failures_in_grid_order(monkeypatch, capsys):
+    instances = lemmas._structure_instances
+    planted = [
+        LemmaInstance("L24", {"n": 4, "m": 8, "q": 2, "t": 2, "delta": 3, "phi_g": 0, "phi_h": 4},
+                      False, 4, 4),
+        LemmaInstance("L23", {"n": 6, "m": 9, "min_EH": 3}, False, 3, 3),
+    ]
+    monkeypatch.setattr(lemmas, "_structure_instances", lambda sg, sh: [
+        failed(instance) if failed(instance) in planted else instance
+        for instance in instances(sg, sh)])
+    grid = structure_grid(12)
+    assert grid.checked == 80 and grid.failures == planted
+    assert main(["lemma", "--id", "struct", "--max", "12", "--format", "csv"]) == 1
+    out = capsys.readouterr().out
+    assert out == ("lemma_id,m,n,a,b,p,q,lhs,rhs\n"
+                   "L24,8,4,,,,2,4,4\n"
+                   "L23,9,6,,,,,3,3\n")
 
 
 def test_lemma22_grid_boundary_instances():

@@ -198,6 +198,8 @@ def test_family_descriptors_single_families():
         conjecture_scan(("abelien",), 10)
     with pytest.raises(ValueError):
         conjecture_scan(("abelian", "abelien"), 10)
+    with pytest.raises(ValueError, match="max_order must be positive, got 0"):
+        conjecture_scan(FAMILIES, 0)
 
 
 def test_pair_sequence_is_upper_triangle():
