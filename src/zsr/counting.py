@@ -50,8 +50,10 @@ def count_dp(group: AbelianGroup, m: int) -> int:
     Standard multiset-knapsack recurrence: admit one element at a time and
     track (multiset size, running sum).  Exact but exponential in spirit, so
     it refuses orders above DEFAULT_DP_MAX_ORDER and lengths above
-    DEFAULT_DP_MAX_LENGTH.
+    DEFAULT_DP_MAX_LENGTH.  A non-abelian descriptor raises ValueError.
     """
+    if not isinstance(group, AbelianGroup):
+        raise ValueError("the dp oracle enumerates elements of abelian groups only")
     if m < 0:
         raise ValueError(f"multiset length must be nonnegative, got {m}")
     n = group.order

@@ -278,51 +278,49 @@ def _spectrum_from_counts(counts: dict[int, int], order: int) -> OrderSpectrum:
     return OrderSpectrum(entries, order)
 
 
-def _abelian_spectrum(group: AbelianGroup) -> OrderSpectrum:
-    # Number of elements of order dividing d is the product of gcd(n_i, d);
-    # taking away those of the smaller orders dividing d, counted first since
-    # the divisors come in increasing order, leaves the exact-order count.
-    facs = group.invariant_factors
-    counts: dict[int, int] = {}
-    for d in divisors(group.order):
-        counts[d] = prod(gcd(f, d) for f in facs) - sum(c for l, c in counts.items() if d % l == 0)
-    return OrderSpectrum(counts, group.order)
-
-
 def order_spectrum(g: GroupDescriptor) -> OrderSpectrum:
-    """Order spectrum of a descriptor."""
-    if isinstance(g, AbelianGroup):
-        return _abelian_spectrum(g)
-    if isinstance(g, (Dihedral, Dicyclic)):
-        # A cyclic subgroup of half the order, plus the other half: all of
-        # order 2 (the reflections) in a dihedral group, all of order 4 in a dicyclic one.
-        half = g.order // 2
-        counts = dict(_abelian_spectrum(AbelianGroup((half,))).entries)
-        outside = 2 if isinstance(g, Dihedral) else 4
-        counts[outside] = counts.get(outside, 0) + half
-        return _spectrum_from_counts(counts, g.order)
+    """Order spectrum of a descriptor.
+
+    In a direct product, elements of orders d1 and d2 make one of order
+    lcm(d1, d2), so a product's counts are merged factor by factor.  A cyclic
+    group, and so an abelian one, is a product of cyclic groups C_(p^e) of
+    prime-power order, and C_(p^e) has phi(p^k) = p^k - p^(k-1) elements of
+    order p^k for 1 <= k <= e.
+    """
     if isinstance(g, Product):
-        entries = {1: 1}
-        order = 1
-        for factor in g.factors:
-            sp = order_spectrum(factor)
-            merged: dict[int, int] = {}
-            for d1, c1 in entries.items():
-                if c1 == 0:
+        parts = [order_spectrum(factor).entries for factor in g.factors]
+    elif isinstance(g, (AbelianGroup, Dihedral, Dicyclic)):
+        # A dihedral or dicyclic group is a cyclic subgroup of half the order,
+        # plus the other half: all of order 2 (the reflections) in a dihedral
+        # group, all of order 4 in a dicyclic one.
+        cyclic = g.invariant_factors if isinstance(g, AbelianGroup) else (g.order // 2,)
+        parts = [{p ** k: p ** k - p ** (k - 1) if k else 1 for k in range(e + 1)}
+                 for f in cyclic for p, e in factorize(f)]
+    else:
+        raise TypeError(f"not a group descriptor: {g!r}")
+    counts = {1: 1}
+    for part in parts:
+        merged: dict[int, int] = {}
+        for d1, c1 in counts.items():
+            for d2, c2 in part.items():
+                if c2 == 0:
                     continue
-                for d2, c2 in sp.entries.items():
-                    if c2 == 0:
-                        continue
-                    d = lcm(d1, d2)
-                    merged[d] = merged.get(d, 0) + c1 * c2
-            entries = merged
-            order *= sp.group_order
-        return _spectrum_from_counts(entries, order)
-    raise TypeError(f"not a group descriptor: {g!r}")
+                d = lcm(d1, d2)
+                merged[d] = merged.get(d, 0) + c1 * c2
+        counts = merged
+    if isinstance(g, (Dihedral, Dicyclic)):
+        outside = 2 if isinstance(g, Dihedral) else 4
+        counts[outside] = counts.get(outside, 0) + g.order // 2
+    return _spectrum_from_counts(counts, g.order)
 
 
 def order_spectrum_bruteforce(group: AbelianGroup) -> OrderSpectrum:
-    """Spectrum by enumerating every element tuple; refuses orders above DEFAULT_SPECTRUM_BOUND."""
+    """Spectrum by enumerating every element tuple; refuses orders above DEFAULT_SPECTRUM_BOUND.
+
+    A non-abelian descriptor raises ValueError.
+    """
+    if not isinstance(group, AbelianGroup):
+        raise ValueError("brute-force spectra enumerate elements of abelian groups only")
     n = group.order
     if n > DEFAULT_SPECTRUM_BOUND:
         raise BudgetError(f"brute-force spectrum is limited to order <= {DEFAULT_SPECTRUM_BOUND}, "

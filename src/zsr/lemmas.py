@@ -25,9 +25,9 @@ from .value import Value, set_field
 class LemmaInstance(Value):
     """One evaluated check: its id, inputs, verdict, and the compared values.
 
-    holds covers every comparison the instance asserts; when an instance
-    asserts more than one (a ratio bound plus a consequence inequality),
-    lhs/rhs record the failing comparison if any, else the primary one.
+    holds is the verdict of the one comparison lhs/rhs record.  A Lemma 2.2
+    instance with D >= 1 records its ratio bound only, because with positive
+    blocks that bound implies the consequence inequality (see check_lemma22).
     """
 
     __slots__ = ("lemma_id", "parameters", "holds", "lhs", "rhs")
@@ -136,11 +136,13 @@ def check_lemma22(m: int, n: int, a: int, b: int, p: int, q: int, variant: str) 
     """Scaled block comparison for prime powers a = p^s, b = q^t with b < 2a.
 
     With D = delta(m, n, a, b, p, q) and d the q-valuation of m, variant "i"
-    (n/a - n/b >= 3) asserts a * block_a / block_b > 2 * D * q^d, and when
-    D >= 1 also the consequence a * block_a - (q^d - q^t) * block_b >
-    2 * b * block_b; for {a, b} = {2, 3} only that consequence is asserted.
-    Variant "ii" (n/a - n/b = 2, {a, b} != {2, 3}) asserts the same pair
-    without the factor 2.
+    (n/a - n/b >= 3) asserts a * block_a / block_b > 2 * D * q^d; for
+    {a, b} = {2, 3} it asserts instead the consequence a * block_a -
+    (q^d - q^t) * block_b > 2 * b * block_b.  Variant "ii" (n/a - n/b = 2,
+    {a, b} != {2, 3}) asserts the ratio bound without the factor 2.  The
+    consequence is not tested when D >= 1, because the ratio bound implies it
+    there: divide it by the positive block_b, and with f the factor and
+    d >= t, f * D * q^d >= f * q^d >= f * q^t + q^d - q^t.
     """
     if variant not in ("i", "ii"):
         raise ValueError(f"variant must be 'i' or 'ii', got {variant!r}")
@@ -173,24 +175,15 @@ def check_lemma22(m: int, n: int, a: int, b: int, p: int, q: int, variant: str) 
     factor = 2 if variant == "i" else 1
     block_a = _block(m, n, a)
     block_b = _block(m, n, b)
-    conseq_lhs = a * block_a - (q ** delta_q - q ** t) * block_b
-    conseq_rhs = factor * b * block_b
     if special:
         # The {2, 3} case asserts only the consequence inequality, with no
         # scale condition on D.
+        conseq_lhs = a * block_a - (q ** delta_q - q ** t) * block_b
+        conseq_rhs = factor * b * block_b
         return LemmaInstance(lemma_id, params, conseq_lhs > conseq_rhs, conseq_lhs, conseq_rhs)
-    scale = delta(m, n, a, b, p, q)
     ratio_lhs = Fraction(a * block_a, block_b)
-    ratio_rhs = factor * scale * q ** delta_q
-    holds = ratio_lhs > ratio_rhs
-    lhs_out: int | Fraction = ratio_lhs
-    rhs_out: int | Fraction = ratio_rhs
-    if scale >= 1:
-        conseq_holds = conseq_lhs > conseq_rhs
-        if holds and not conseq_holds:
-            lhs_out, rhs_out = conseq_lhs, conseq_rhs
-        holds = holds and conseq_holds
-    return LemmaInstance(lemma_id, params, holds, lhs_out, rhs_out)
+    ratio_rhs = factor * delta(m, n, a, b, p, q) * q ** delta_q
+    return LemmaInstance(lemma_id, params, ratio_lhs > ratio_rhs, ratio_lhs, ratio_rhs)
 
 
 def check_structure_lemmas(g: AbelianGroup, h: AbelianGroup) -> list[LemmaInstance]:
@@ -210,42 +203,38 @@ def check_structure_lemmas(g: AbelianGroup, h: AbelianGroup) -> list[LemmaInstan
 def _structure_instances(sg, sh) -> list[LemmaInstance]:
     n = sg.group_order
     m = sh.group_order
-    # The divisors of gcd(n, m) are the keys of sg's spectrum that divide m.
-    excess_g: list[int] = []
-    excess_h: list[int] = []
+    # The divisors of gcd(n, m) are the keys of sg's spectrum that divide m,
+    # in increasing order, so the first excess of each side is its smallest.
+    min_g = min_h = None
     for d, count in sg.entries.items():
         if m % d == 0:
             other = sh.entries[d]
-            if count > other:
-                excess_g.append(d)
-            elif count < other:
-                excess_h.append(d)
-    if not excess_g and not excess_h:
+            if count > other and min_g is None:
+                min_g = d
+            elif count < other and min_h is None:
+                min_h = d
+    if min_g is None and min_h is None:
         # Spectra agreeing on every shared divisor give no instance.
         return []
     shared = gcd(n, m)
     out: list[LemmaInstance] = []
-    for label, side in (("min_EG", excess_g), ("min_EH", excess_h)):
-        if not side:
+    for label, smallest in (("min_EG", min_g), ("min_EH", min_h)):
+        if smallest is None:
             continue
-        smallest = min(side)
         top_power = max(p ** e for p, e in factorize(smallest))
         out.append(LemmaInstance(
             "L23", {"n": n, "m": m, label: smallest},
             smallest == top_power, smallest, top_power,
         ))
-    for prime, _ in factorize(shared):
-        scales = []
-        power = prime
-        while shared % power == 0:
-            if sg.count_of(power) != sh.count_of(power):
-                scales.append(valuation(power, prime))
-            power *= prime
-        if not scales:
+    for prime, top in factorize(shared):
+        # t is the first power of prime at which the spectra differ.
+        for t in range(1, top + 1):
+            phi_g = sg.count_of(prime ** t)
+            phi_h = sh.count_of(prime ** t)
+            if phi_g != phi_h:
+                break
+        else:
             continue
-        t = scales[0]
-        phi_g = sg.count_of(prime ** t)
-        phi_h = sh.count_of(prime ** t)
         # L24, applied with the roles arranged so the richer side is second.
         rich_order = m if phi_g < phi_h else n
         diff = abs(phi_h - phi_g)
@@ -257,8 +246,8 @@ def _structure_instances(sg, sh) -> list[LemmaInstance]:
             {"n": n, "m": m, "q": prime, "t": t, "delta": d_exp, "phi_g": phi_g, "phi_h": phi_h},
             l24_holds, diff, upper,
         ))
-        if t >= 2 and shared % prime ** (t + 1) == 0:
-            first = sg.count_of(prime ** t) - sh.count_of(prime ** t)
+        if 2 <= t < top:
+            first = phi_g - phi_h
             second = sg.count_of(prime ** (t + 1)) - sh.count_of(prime ** (t + 1))
             if (first > 0 > second) or (first < 0 < second):
                 alpha = valuation(n, prime)

@@ -181,9 +181,10 @@ def _scan_groups(families, max_order: int) -> tuple[list[GroupDescriptor], list[
         pool.extend(dicyclic)
     if "products" in chosen:
         bases = [d for d in abelian if d.order >= 2] + dihedral + dicyclic
+        orders = [d.order for d in bases]
         for i, left in enumerate(bases):
-            for right in bases[i:]:
-                if left.order * right.order <= max_order:
+            for right, order in zip(bases[i:], orders[i:]):
+                if orders[i] * order <= max_order:
                     pool.append(make_product((left, right)))
     pool.sort(key=lambda d: (d.order, d.notation()))
     first: dict[tuple, tuple[GroupDescriptor, OrderSpectrum]] = {}

@@ -347,6 +347,9 @@ def test_error_exit_codes(capsys):
     cases = [
         (["count", "--group", "D7", "--length", "2"],
          "error: D7 is not supported: D<n> needs even n >= 6 (at byte 0)\n"),
+        # The whole notation is checked before any order is factorized.
+        (["count", "--group", "C10000000000000xZ", "--length", "2"],
+         "error: expected a group term (C<n>, D<2k>, Dic<k>, or Q8), found 'Z' (at byte 16)\n"),
         (["count", "--group", "D10", "--length", "3", "--method", "dp"],
          "error: the dp oracle enumerates elements of abelian groups only\n"),
         (["spectrum", "--group", "D10", "--brute-force"],

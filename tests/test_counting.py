@@ -29,6 +29,7 @@ from zsr.groups import (
     OrderSpectrum,
     enumerate_abelian,
     order_spectrum,
+    order_spectrum_bruteforce,
     parse_group,
 )
 
@@ -177,6 +178,16 @@ def test_dp_budget():
     assert count_dp(largest, 2) == count_formula(order_spectrum(largest), 2)
     assert count_dp(AbelianGroup((4,)), DEFAULT_DP_MAX_LENGTH) == count_formula(
         spectrum_of("C4"), DEFAULT_DP_MAX_LENGTH)
+
+
+def test_element_oracles_refuse_nonabelian_descriptors():
+    # The domain check comes first, ahead of the length and budget checks.
+    for notation, m in (("D6", 2), ("Dic3", -1), ("C2xD100", 2)):
+        with pytest.raises(ValueError, match="^the dp oracle enumerates elements of abelian groups only$"):
+            count_dp(parse_group(notation), m)
+    for notation in ("Q8", "C3xD6", "D10002"):
+        with pytest.raises(ValueError, match="^brute-force spectra enumerate elements of abelian groups only$"):
+            order_spectrum_bruteforce(parse_group(notation))
 
 
 def test_molien_budget():

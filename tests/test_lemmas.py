@@ -1,5 +1,6 @@
 """Tests for the block-ratio and spectrum-structure lemma checkers."""
 
+import hashlib
 from fractions import Fraction
 from math import gcd
 
@@ -8,7 +9,7 @@ import pytest
 from zsr import lemmas
 from zsr.cli import main
 from zsr.exactmath import binomial
-from zsr.groups import AbelianGroup, parse_group
+from zsr.groups import AbelianGroup, enumerate_abelian, order_spectrum, parse_group
 from zsr.lemmas import (
     GridResult,
     LemmaInstance,
@@ -125,15 +126,27 @@ def test_check_lemma22_small_scale_skips_consequence():
     assert instance.rhs == 7
 
 
-def test_check_lemma22_reports_a_failing_consequence(monkeypatch):
-    # With genuine (positive) blocks and D >= 1 the ratio bound implies the
-    # consequence, so planted blocks of negative sign are what reach this branch:
-    # 8 * (-10^6) / (-1) > 225 holds, while -8 * 10^6 > 2 * 9 * (-1) does not.
-    monkeypatch.setattr(lemmas, "_block", lambda m, n, d: -10 ** 6 if d == 8 else -1)
-    instance = check_lemma22(360, 360, 8, 9, 2, 3, "i")
-    assert not instance.holds
-    assert instance.lhs == -8 * 10 ** 6  # a * block_a - (q^d - q^t) * block_b, with d = t = 2
-    assert instance.rhs == -18  # 2 * b * block_b
+def test_check_lemma22_ratio_bound_implies_consequence(monkeypatch):
+    # With D >= 1 check_lemma22 tests the ratio bound alone.  On every such grid
+    # instance the consequence holds too, with blocks from fresh binomials.
+    check = lemmas.check_lemma22
+    for variant, factor, expected in (("i", 2, 2096), ("ii", 1, 75)):
+        seen = []
+
+        def spy(*args):
+            instance = check(*args)
+            seen.append(instance.parameters)
+            return instance
+
+        monkeypatch.setattr(lemmas, "check_lemma22", spy)
+        assert lemma22_grid(360, variant).failures == []
+        scaled = [params for params in seen if {params["a"], params["b"]} != {2, 3}
+                  and delta(*(params[k] for k in "mnabpq")) >= 1]
+        assert len(scaled) == expected
+        for params in scaled:
+            m, n, a, b, q = (params[k] for k in "mnabq")
+            slack = q ** params["delta"] - q ** params["t"]
+            assert a * block(m, n, a) - slack * block(m, n, b) > factor * b * block(m, n, b), params
 
 
 def test_check_lemma22_variant_ii():
@@ -200,6 +213,21 @@ def test_structure_lemmas_empty_when_spectra_agree():
     assert check_structure_lemmas(g, g) == []
     # different orders with agreeing shared divisors also yield nothing
     assert check_structure_lemmas(AbelianGroup((2,)), AbelianGroup((4,))) == []
+
+
+def test_structure_instances_are_pinned():
+    # Every instance, field by field, for each ordered pair of abelian groups
+    # up to order 48 (82 groups), as the reprs of the instance lists hash.
+    spectra = [order_spectrum(g) for n in range(1, 49) for g in enumerate_abelian(n)]
+    digest = hashlib.sha256()
+    total = 0
+    for sg in spectra:
+        for sh in spectra:
+            instances = lemmas._structure_instances(sg, sh)
+            total += len(instances)
+            digest.update(repr(instances).encode())
+    assert total == 5592
+    assert digest.hexdigest() == "33c1dcec9aadfa6ea1dc6057db7e9f51a5dc7ec0353f1c0e5003416edae7f5c2"
 
 
 def test_lemma_grids_are_clean_at_small_bounds():
