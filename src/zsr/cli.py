@@ -147,91 +147,98 @@ def _cmd_check(args) -> int:
 
 
 class _ScanLog:
-    """A JSONL scan log, checked line by line against a scan's records and then completed.
+    """A JSONL scan log, checked row by row against a scan's records and then completed.
 
-    It is called with each pair's record values, in canonical order.
+    It is called with the text of each row of records, in canonical order.
 
-    A line with a record's bytes is skipped, a line for the same pair with
-    other content counts as a violation, and a line for another pair or past
-    the last pair raises ValueError.  The log is written (created, cut back to
-    its complete lines, appended to) only after all its complete lines have
-    matched, so a refused log is left as it was.  Files close with the stack.
+    A row whose bytes are the log's next bytes is skipped after one read.  Any
+    other row is checked line by line: a line with a record's bytes is
+    skipped, a line for the same pair with other content counts as a
+    violation, and a line for another pair or past the last pair raises
+    ValueError.  A torn last line ends the log.  The log is written (created,
+    cut back to its complete lines, appended to) only after all its complete
+    lines have matched, so a refused log is left as it was.  Files close with
+    the stack.
     """
 
     def __init__(self, path: str, stack: contextlib.ExitStack):
-        from .reciprocity import record_line
-
         self.path = path
         self.stack = stack
-        self.record_line = record_line
-        self.lines = stack.enter_context(contextlib.closing(self._complete_lines()))
+        self.log = stack.enter_context(open(path, "rb")) if os.path.exists(path) else None
         self.matched_bytes = 0
+        self.matched_lines = 0
         self.out = None
 
-    def _complete_lines(self):
-        if os.path.exists(self.path):
-            with open(self.path, "rb") as fh:
-                yield from enumerate((line for line in fh if line.endswith(b"\n")), 1)
+    def __call__(self, text: str) -> list[int]:
+        """Check or append one row; the offsets of its lines whose logged record differs."""
+        row = text.encode()
+        if self.log is None:
+            self._append(row)
+            return []
+        if self.log.read(len(row)) == row:
+            self.matched_bytes += len(row)
+            self.matched_lines += row.count(b"\n")
+            return []
+        self.log.seek(self.matched_bytes)
+        return self._check_lines(row.splitlines(keepends=True))
 
-    def __call__(self, values) -> bool:
-        """Check or append one pair's record; True when the logged record differs."""
-        line = (self.record_line(values) + "\n").encode()
-        number, logged = next(self.lines, (0, None))
-        if logged is None:
-            self._append(line)
-            return False
-        self.matched_bytes += len(logged)
-        if logged == line:
-            return False
-        where = f"log {self.path} line {number}"
-        pair = f"{values[0]} vs {values[1]}"
-        if not logged.startswith(line[:line.index(b',"order_g"') + 1]):
-            raise ValueError(f"{where} is not the record for {pair}; it is the log of another scan")
-        print(f"{where}: the record for {pair} differs from its recomputation", file=sys.stderr)
-        return True
+    def _check_lines(self, lines: list[bytes]) -> list[int]:
+        differing = []
+        for offset, line in enumerate(lines):
+            logged = self.log.readline()
+            if not logged.endswith(b"\n"):
+                self.log = None
+                self._append(b"".join(lines[offset:]))
+                break
+            self.matched_bytes += len(logged)
+            self.matched_lines += 1
+            if logged == line:
+                continue
+            where = f"log {self.path} line {self.matched_lines}"
+            start = line[:line.index(b',"order_g"') + 1]
+            pair = start[6:-2].decode().replace('","h":"', " vs ")
+            if not logged.startswith(start):
+                raise ValueError(f"{where} is not the record for {pair}; it is the log of another scan")
+            print(f"{where}: the record for {pair} differs from its recomputation", file=sys.stderr)
+            differing.append(offset)
+        return differing
 
-    def _append(self, line: bytes) -> None:
+    def _append(self, data: bytes) -> None:
         if self.out is None:
             self.out = self.stack.enter_context(open(self.path, "ab"))
             if self.out.tell() > self.matched_bytes:
                 self.out.truncate(self.matched_bytes)
-        self.out.write(line)
+        self.out.write(data)
 
     def finish(self) -> None:
         """Refuse a line past the last pair, then create the log or cut its torn tail."""
-        for number, _ in self.lines:
-            raise ValueError(f"log {self.path} line {number} is past the last pair; "
+        if self.log is not None and self.log.readline().endswith(b"\n"):
+            raise ValueError(f"log {self.path} line {self.matched_lines + 1} is past the last pair; "
                              "it is the log of another scan")
         self._append(b"")
 
 
 def _cmd_scan_conjecture(args) -> int:
-    from .reciprocity import RECORD_FIELDS, conjecture_scan, record_line
+    from .reciprocity import RECORD_FIELDS, conjecture_scan
 
     families = tuple(p for p in args.families.split(",") if p)
     if not families:
         raise ValueError("at least one family is required")
     stream_stdout = args.out is None and args.format in ("csv", "jsonl")
     with contextlib.ExitStack() as stack:
-        log = on_report = _ScanLog(args.out, stack) if args.out else None
-        # The CSV header waits for the first record, or for the end of a scan
+        log = on_row = _ScanLog(args.out, stack) if args.out else None
+        # The CSV header waits for the first row, or for the end of a scan
         # with no pairs, so that a scan refused by conjecture_scan prints nothing.
-        header = [RECORD_FIELDS] if stream_stdout and args.format == "csv" else []
-        if header:
-            import csv
-
-            csv_writer = csv.writer(sys.stdout, lineterminator="\n")
-
-            def on_report(values):
+        header = [",".join(RECORD_FIELDS) + "\n"] if stream_stdout and args.format == "csv" else []
+        if stream_stdout:
+            def on_row(text):
                 if header:
-                    csv_writer.writerow(header.pop())
-                csv_writer.writerow([_cell(v) for v in values])
-        elif stream_stdout:
-            def on_report(values):
-                print(record_line(values))
-        summary = conjecture_scan(families, args.max_order, on_report=on_report)
+                    sys.stdout.write(header.pop())
+                sys.stdout.write(text)
+        summary = conjecture_scan(families, args.max_order, on_row=on_row,
+                                  record_format=args.format if stream_stdout else "jsonl")
         if header:
-            csv_writer.writerow(header.pop())
+            sys.stdout.write(header.pop())
         if log is not None:
             log.finish()
     human = [

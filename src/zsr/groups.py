@@ -251,7 +251,10 @@ class OrderSpectrum(Value):
     def __init__(self, entries: dict[int, int], group_order: int):
         if group_order < 1:
             raise ValueError(f"group order must be positive, got {group_order}")
-        divs = divisors(group_order)
+        self._fill(entries, group_order, divisors(group_order))
+
+    def _fill(self, entries: dict[int, int], group_order: int, divs: list[int]) -> None:
+        """Validate entries against divs, the divisors of group_order, and set the fields."""
         if set(entries) != set(divs):
             raise ValueError("spectrum must have an entry for every divisor of the group order")
         entries = {d: entries[d] for d in divs}
@@ -274,21 +277,26 @@ class OrderSpectrum(Value):
 
 
 def _spectrum_from_counts(counts: dict[int, int], order: int) -> OrderSpectrum:
-    entries = {d: counts.get(d, 0) for d in divisors(order)}
-    return OrderSpectrum(entries, order)
+    """The spectrum with counts at the divisors of order that counts lists and 0 elsewhere."""
+    divs = divisors(order)
+    spectrum = OrderSpectrum.__new__(OrderSpectrum)
+    spectrum._fill({d: counts.get(d, 0) for d in divs}, order, divs)
+    return spectrum
 
 
-def order_spectrum(g: GroupDescriptor) -> OrderSpectrum:
+def order_spectrum(g: GroupDescriptor, known: dict | None = None) -> OrderSpectrum:
     """Order spectrum of a descriptor.
 
     In a direct product, elements of orders d1 and d2 make one of order
     lcm(d1, d2), so a product's counts are merged factor by factor.  A cyclic
     group, and so an abelian one, is a product of cyclic groups C_(p^e) of
     prime-power order, and C_(p^e) has phi(p^k) = p^k - p^(k-1) elements of
-    order p^k for 1 <= k <= e.
+    order p^k for 1 <= k <= e.  known, if given, maps descriptors to their
+    spectra; a product's factors found there are merged without recomputing them.
     """
     if isinstance(g, Product):
-        parts = [order_spectrum(factor).entries for factor in g.factors]
+        known = known or {}
+        parts = [(known.get(factor) or order_spectrum(factor)).entries for factor in g.factors]
     elif isinstance(g, (AbelianGroup, Dihedral, Dicyclic)):
         # A dihedral or dicyclic group is a cyclic subgroup of half the order,
         # plus the other half: all of order 2 (the reflections) in a dihedral

@@ -117,11 +117,15 @@ def delta(m: int, n: int, a: int, b: int, p: int, q: int) -> Fraction:
         raise ValueError(f"p and q must be distinct primes, got p = q = {p}")
     if n < 1 or m < 1:
         raise ValueError(f"m and n must be positive, got m = {m}, n = {n}")
-    alpha = valuation(n, p)
-    beta = valuation(n, q)
-    gamma = valuation(m, p)
+    return _delta(m, n, p, q, s, t, valuation(n, p), valuation(n, q), valuation(m, p),
+                  valuation(m, q))
+
+
+def _delta(m: int, n: int, p: int, q: int, s: int, t: int, alpha: int, beta: int, gamma: int,
+           delta_q: int) -> Fraction:
+    """delta(m, n, p^s, q^t, p, q) from the valuations alpha, beta of n and gamma, delta_q of m."""
     n_prime = n // (p ** alpha * q ** beta)
-    m_prime = m // (p ** gamma * q ** valuation(m, q))
+    m_prime = m // (p ** gamma * q ** delta_q)
     return Fraction(p) ** (alpha + gamma - 2 * s - 1) * Fraction(q) ** (beta - t) * m_prime * n_prime
 
 
@@ -165,11 +169,10 @@ def check_lemma22(m: int, n: int, a: int, b: int, p: int, q: int, variant: str) 
             raise ValueError("variant ii excludes {a, b} = {2, 3}")
         if spread != 2:
             raise ValueError(f"variant ii requires n/a - n/b = 2, got {spread}")
-    delta_q = valuation(m, q)
+    alpha, beta, gamma, delta_q = valuation(n, p), valuation(n, q), valuation(m, p), valuation(m, q)
     params = {
         "m": m, "n": n, "a": a, "b": b, "p": p, "q": q, "s": s, "t": t,
-        "alpha": valuation(n, p), "beta": valuation(n, q),
-        "gamma": valuation(m, p), "delta": delta_q,
+        "alpha": alpha, "beta": beta, "gamma": gamma, "delta": delta_q,
     }
     lemma_id = "L22i" if variant == "i" else "L22ii"
     factor = 2 if variant == "i" else 1
@@ -182,7 +185,7 @@ def check_lemma22(m: int, n: int, a: int, b: int, p: int, q: int, variant: str) 
         conseq_rhs = factor * b * block_b
         return LemmaInstance(lemma_id, params, conseq_lhs > conseq_rhs, conseq_lhs, conseq_rhs)
     ratio_lhs = Fraction(a * block_a, block_b)
-    ratio_rhs = factor * delta(m, n, a, b, p, q) * q ** delta_q
+    ratio_rhs = factor * _delta(m, n, p, q, s, t, alpha, beta, gamma, delta_q) * q ** delta_q
     return LemmaInstance(lemma_id, params, ratio_lhs > ratio_rhs, ratio_lhs, ratio_rhs)
 
 

@@ -14,14 +14,16 @@ both orders by their spectrum restricted to the shared divisors, and gives each
 class one count.  A pair is a violation exactly when its two classes differ but
 their counts are equal.  Each spectrum is computed once, while the candidates
 are deduplicated.  A summary scan finds violating class pairs with a dict keyed
-by count and expands only them into pairs; a scan that hands out records reads
-each group's counts from the walk's row and yields every pair in canonical order.
+by count and expands only them into pairs; a scan that hands out records
+renders, from the walk's row, each group's records with itself and every later
+group as one text, in canonical order.
 """
 
 from __future__ import annotations
 
+from itertools import chain, repeat
 from math import gcd
-from operator import mul
+from operator import add, mul
 
 from .counting import count_formula
 from .exactmath import block_table, divisors
@@ -41,6 +43,19 @@ RECORD_FIELDS = (
     "g", "h", "order_g", "order_h", "spectra_agree", "witness_divisor",
     "count_g_at_h", "count_h_at_g", "iff_consistent",
 )
+
+# A record line is prefix + h + middle + left + right, in str.format templates
+# per format: prefix takes g's notation, middle both orders, left
+# spectra_agree, witness_divisor and count_g_at_h, and right count_h_at_g and
+# iff_consistent.  The last item stands for an absent witness.  Notations hold
+# only letters, digits and x, and counts only digits, so no text needs
+# escaping or quoting.
+RECORD_FORMATS = {
+    "jsonl": ('{{"g":"{}","h":"', '","order_g":{},"order_h":{},',
+              '"spectra_agree":{},"witness_divisor":{},"count_g_at_h":"{}","count_h_at_g":"',
+              '{}","iff_consistent":{}}}\n', "null"),
+    "csv": ("{},", ",{},{},", "{},{},{},", "{},{}\n", ""),
+}
 
 
 class ReciprocityReport(Value):
@@ -70,21 +85,6 @@ class ReciprocityReport(Value):
     def to_record(self) -> dict:
         """JSON-ready dict in canonical field order; counts as decimal strings."""
         return dict(zip(RECORD_FIELDS, self.values()))
-
-
-def record_line(values) -> str:
-    """The compact JSON text of a record given by its values in RECORD_FIELDS order.
-
-    It equals json.dumps(dict(zip(RECORD_FIELDS, values)), separators=(",", ":")).
-    Notations hold only letters, digits and x, and counts only digits, so no
-    string needs escaping.
-    """
-    g, h, order_g, order_h, agree, witness, count_gh, count_hg, consistent = values
-    return (f'{{"g":"{g}","h":"{h}","order_g":{order_g},"order_h":{order_h},'
-            f'"spectra_agree":{"true" if agree else "false"},'
-            f'"witness_divisor":{"null" if witness is None else witness},'
-            f'"count_g_at_h":"{count_gh}","count_h_at_g":"{count_hg}",'
-            f'"iff_consistent":{"true" if consistent else "false"}}}')
 
 
 class ScanSummary(Value):
@@ -187,9 +187,11 @@ def _scan_groups(families, max_order: int) -> tuple[list[GroupDescriptor], list[
                 if orders[i] * order <= max_order:
                     pool.append(make_product((left, right)))
     pool.sort(key=lambda d: (d.order, d.notation()))
+    # A product's factors have smaller orders, so their spectra are known first.
+    known: dict[GroupDescriptor, OrderSpectrum] = {}
     first: dict[tuple, tuple[GroupDescriptor, OrderSpectrum]] = {}
     for desc in pool:
-        spectrum = order_spectrum(desc)
+        spectrum = known[desc] = order_spectrum(desc, known)
         first.setdefault((desc.order, spectrum.key()), (desc, spectrum))
     return [desc for desc, _ in first.values()], [spectrum for _, spectrum in first.values()]
 
@@ -205,13 +207,16 @@ def _class_walk(spectra: list[OrderSpectrum]):
     """Walk the orders of spectra upwards and give each spectrum class one count.
 
     Spectra are addressed by position.  For each order n, in increasing order,
-    this yields the positions of order n and a row with one (m, left, right,
-    counts) for every order m >= n.  left and right map each restricted key of
-    order n and of order m (a spectrum's entries at the divisors of gcd(n, m),
-    in increasing order) to its positions.  counts gives each key its dot
-    product with the block table divided by n + m, which is |M(G, m)| for a
-    group G of order n in that class (and the same with n and m swapped).  An
-    inexact division means an inconsistent spectrum and raises ValueError.
+    this yields the positions of order n and a row with one (m, shared, left,
+    right, counts) for every order m >= n.  shared lists the divisors of
+    gcd(n, m) in increasing order.  left and right are the classes of order n
+    and of order m, each a triple (keys, of, positions): keys lists the
+    restricted keys (a spectrum's entries at shared) in order of first
+    appearance, and of gives each of the positions of that order, in turn,
+    the index of its key.  counts gives each key its dot product with the
+    block table divided by n + m, which is |M(G, m)| for a group G of order n
+    in that class (and the same with n and m swapped).  An inexact division
+    means an inconsistent spectrum and raises ValueError.
     """
     members: dict[int, list[int]] = {}
     for i, spectrum in enumerate(spectra):
@@ -220,15 +225,14 @@ def _class_walk(spectra: list[OrderSpectrum]):
     last_blocks: dict[tuple[int, int], tuple[int, int]] = {}
 
     def classes_at(n: int, g: int):
-        """(divisors of g, {restricted key: positions}) for order n, computed once."""
+        """(divisors of g, (keys, of, positions)) for order n, computed once."""
         entry = classes.get((n, g))
         if entry is None:
             shared = [d for d in spectra[members[n][0]].entries if g % d == 0]
-            by_key: dict[tuple[int, ...], list[int]] = {}
-            for i in members[n]:
-                entries = spectra[i].entries
-                by_key.setdefault(tuple(entries[d] for d in shared), []).append(i)
-            entry = classes[n, g] = (shared, by_key)
+            index: dict[tuple[int, ...], int] = {}
+            of = [index.setdefault(tuple(spectra[i].entries[d] for d in shared), len(index))
+                  for i in members[n]]
+            entry = classes[n, g] = (shared, (list(index), of, members[n]))
         return entry
 
     orders = sorted(members)
@@ -241,96 +245,141 @@ def _class_walk(spectra: list[OrderSpectrum]):
             table = block_table(n, m, shared, last_blocks)
             total = n + m
             counts: dict[tuple[int, ...], int] = {}
-            for key in (*left, *right):
+            for key in (*left[0], *right[0]):
                 if key not in counts:
                     divisor_sum = sum(map(mul, key, table))
                     if divisor_sum % total:
                         raise ValueError(f"divisor sum {divisor_sum} not divisible by {total}: "
                                          "inconsistent spectrum")
                     counts[key] = divisor_sum // total
-            row.append((m, left, right, counts))
+            row.append((m, shared, left, right, counts))
         yield members[n], row
 
 
-def iter_pair_records(descriptors, spectra):
-    """Yield (i, j, values) for every pair i <= j in canonical order, with counts from the class walk.
-
-    values is the pair's record in RECORD_FIELDS order, as ReciprocityReport.values
-    gives it.  Each notation is rendered once per scan and each class count once
-    per row.  spectra[i] is the spectrum of descriptors[i], and the descriptors
-    are in scan order (orders never decrease), as family_descriptors gives them.
-    """
-    names = [d.notation() for d in descriptors]
-    orders = [s.group_order for s in spectra]
-    k = len(descriptors)
-    for positions, row in _class_walk(spectra):
-        count_at: dict[int, dict[int, str]] = {i: {} for i in positions}
-        count_of: dict[int, str] = {}
-        for m, left, right, counts in row:
-            texts = {key: str(count) for key, count in counts.items()}
-            for key, members in left.items():
-                for i in members:
-                    count_at[i][m] = texts[key]
-            for key, members in right.items():
-                for j in members:
-                    count_of[j] = texts[key]
-        for i in positions:
-            g, n, sg, at = names[i], orders[i], spectra[i], count_at[i]
-            for j in range(i, k):
-                count_gh, count_hg = at[orders[j]], count_of[j]
-                witness = _witness(sg, spectra[j])
-                agree = witness is None
-                yield i, j, (g, names[j], n, orders[j], agree, witness,
-                             count_gh, count_hg, agree == (count_gh == count_hg))
+def _members(classes, c: int) -> list[int]:
+    """The positions in class c of classes, a (keys, of, positions) triple from the class walk."""
+    _, of, positions = classes
+    return [i for i, index in zip(positions, of) if index == c]
 
 
-def _violation_reports(descriptors, spectra) -> list[ReciprocityReport]:
-    """Reports of the violating pairs in canonical order, found class by class.
+def _violating_pairs(spectra) -> list[tuple[int, int, int, int]]:
+    """(i, j, count_g_at_h, count_h_at_g) of each violating pair in canonical order, by class.
 
     For each pair of orders, a violation is two different restricted keys, one
     on each side, with the same count; a dict keyed by count finds them.
     """
     found = {}
     for _, row in _class_walk(spectra):
-        for _, left, right, counts in row:
+        for _, _, left, right, counts in row:
             if len(counts) < 2:
                 continue
-            by_count: dict[int, list[tuple[int, ...]]] = {}
-            for key in left:
-                by_count.setdefault(counts[key], []).append(key)
-            for key in right:
+            left_keys = left[0]
+            by_count: dict[int, list[int]] = {}
+            for c, key in enumerate(left_keys):
+                by_count.setdefault(counts[key], []).append(c)
+            for c, key in enumerate(right[0]):
                 count = counts[key]
                 for other in by_count.get(count, ()):
-                    if other != key:
-                        for i in left[other]:
-                            for j in right[key]:
+                    if left_keys[other] != key:
+                        for i in _members(left, other):
+                            for j in _members(right, c):
                                 found[min(i, j), max(i, j)] = count
-    return [_pair_report(descriptors[i], descriptors[j], spectra[i], spectra[j], count, count)
-            for (i, j), count in sorted(found.items())]
+    return [(i, j, count, count) for (i, j), count in sorted(found.items())]
 
 
-def conjecture_scan(families, max_order: int, *, on_report=None) -> ScanSummary:
+def _record_rows(descriptors, spectra, on_row,
+                 record_format: str) -> list[tuple[int, int, int, int]]:
+    """Render every pair's record one row at a time and return the violating pairs.
+
+    The row of group i holds its records with every group j >= i, in canonical
+    order, one line each in record_format.  Each notation is rendered once per
+    scan, a line's middle once per order pair, its right part once per order
+    pair and class of j, and its left part once per group i, order of j and
+    witness; a row's lines are then joined with no Python step per pair.  on_row is called with each
+    row's text and may return the offsets, within the row, of lines to count
+    as violations.  Returns (i, j, count_g_at_h, count_h_at_g) for those lines
+    and for every inconsistent record, in canonical order.
+    """
+    prefix_format, middle_format, left_format, right_format, null = RECORD_FORMATS[record_format]
+    names = [d.notation() for d in descriptors]
+    orders = [s.group_order for s in spectra]
+    found = []
+    for positions, row in _class_walk(spectra):
+        first = positions[0]
+        n = orders[first]
+        middles = {m: middle_format.format(n, m) for m, *_ in row}
+        heads = list(map(add, names[first:], map(middles.__getitem__, orders[first:])))
+        blocks = {}
+        for m, shared, (left_keys, left_of, _), right, counts in row:
+            texts = {key: str(count) for key, count in counts.items()}
+            blocks[m] = (shared, left_keys, left_of, right, counts, texts,
+                         [right_format.format(texts[key], "true") for key in right[0]])
+        for i in positions:
+            lefts, rights, flagged = [], [], {}
+            for m, (shared, left_keys, left_of, right, counts, texts,
+                    block_rights) in blocks.items():
+                right_keys, right_of, _ = right
+                key = left_keys[left_of[i - first]]
+                count, text = counts[key], texts[key]
+                agree = left_format.format("true", null, text)
+                by_witness = {}
+                block_lefts = []
+                for c, other in enumerate(right_keys):
+                    if other == key:
+                        block_lefts.append(agree)
+                        continue
+                    for d, x, y in zip(shared, key, other):
+                        if x != y:
+                            break
+                    part = by_witness.get(d)
+                    if part is None:
+                        part = by_witness[d] = left_format.format("false", d, text)
+                    block_lefts.append(part)
+                    if counts[other] == count:
+                        # Spectra that differ with equal counts: an inconsistent record.
+                        flagged.update((j, (count, count)) for j in _members(right, c) if j >= i)
+                        block_rights = [*block_rights]
+                        block_rights[c] = right_format.format(texts[other], "false")
+                of = right_of[i - first:] if m == n else right_of
+                lefts.append(map(block_lefts.__getitem__, of))
+                rights.append(map(block_rights.__getitem__, of))
+            text = "".join(chain.from_iterable(zip(
+                repeat(prefix_format.format(names[i])), heads[i - first:],
+                chain.from_iterable(lefts), chain.from_iterable(rights))))
+            for offset in on_row(text) or ():
+                j = i + offset
+                _, left_keys, left_of, right, counts, *_ = blocks[orders[j]]
+                right_keys, right_of, right_at = right
+                key, other = left_keys[left_of[i - first]], right_keys[right_of[right_at.index(j)]]
+                flagged.setdefault(j, (counts[key], counts[other]))
+            found.extend((i, j, *flagged[j]) for j in sorted(flagged))
+    return found
+
+
+def conjecture_scan(families, max_order: int, *, on_row=None,
+                    record_format: str = "jsonl") -> ScanSummary:
     """Check every pair from the chosen families up to max_order.
 
-    An unknown family name raises ValueError.  Without on_report the scan
-    decides by spectrum class and builds reports only for violating pairs.
-    on_report, if given, is called with each pair's record values (in
-    RECORD_FIELDS order) in canonical order as they are produced; a true
-    return value counts the pair as a violation even when its record is
+    An unknown family name raises ValueError.  Without on_row the scan decides
+    by spectrum class and builds reports only for violating pairs.  With
+    on_row it also renders every pair's record as a line of record_format
+    ("jsonl" or "csv", the record's values in RECORD_FIELDS order) and calls
+    on_row with the text of each group's row: its records with itself and
+    every later group, in canonical order.  on_row may return the offsets,
+    within the row, of lines to count as violations even where the record is
     consistent.  Reports are built only for the pairs counted as violations.
     """
     descriptors, spectra = _scan_groups(families, max_order)
     family_tuple = tuple(f for f in FAMILIES if f in set(families))
-    if on_report is None:
-        violations = _violation_reports(descriptors, spectra)
+    if on_row is None:
+        pairs = _violating_pairs(spectra)
     else:
-        violations = [_pair_report(descriptors[i], descriptors[j], spectra[i], spectra[j],
-                                   int(values[6]), int(values[7]))
-                      for i, j, values in iter_pair_records(descriptors, spectra)
-                      if on_report(values) or not values[-1]]
+        pairs = _record_rows(descriptors, spectra, on_row, record_format)
     k = len(descriptors)
     return ScanSummary(
-        pairs_checked=k * (k + 1) // 2, violations=violations,
+        pairs_checked=k * (k + 1) // 2,
+        violations=[_pair_report(descriptors[i], descriptors[j], spectra[i], spectra[j], gh, hg)
+                    for i, j, gh, hg in pairs],
         max_order=max_order, families=family_tuple,
     )
 

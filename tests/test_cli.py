@@ -277,6 +277,51 @@ def test_log_of_another_scan_is_left_unchanged(tmp_path, capsys):
     assert longer.read_bytes() == extended
 
 
+def test_log_checks_hold_inside_and_across_rows(tmp_path, capsys):
+    # A logged scan writes and checks one row at a time: the records of group i
+    # with itself and every later group.  At order 40 there are 117 groups, so
+    # row i holds 117 - i lines and starts after i * 117 - i * (i - 1) / 2 lines.
+    log = tmp_path / "scan.jsonl"
+    argv = ("scan-conjecture", "--max-order", "40", "--format", "json", "--out", str(log))
+    _, fresh_out, _ = run(capsys, *argv)
+    fresh = log.read_bytes()
+    lines = fresh.splitlines(keepends=True)
+    assert len(lines) == 117 * 118 // 2
+    row_start = 3 * 117 - 3  # row 3 holds lines 349 to 462 (counted from 1)
+    middle = row_start + 57
+    # A doctored count in the middle of a row is one violation at its line.
+    record = json.loads(lines[middle])
+    record["count_g_at_h"] = str(int(record["count_g_at_h"]) + 1)
+    line = (json.dumps(record, separators=(",", ":")) + "\n").encode()
+    doctored = b"".join(lines[:middle]) + line + b"".join(lines[middle + 1:])
+    log.write_bytes(doctored)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and json.loads(out)["violations"] == 1
+    assert err == (f"log {log} line {middle + 1}: the record for {record['g']} vs {record['h']} "
+                   "differs from its recomputation\n")
+    assert log.read_bytes() == doctored
+    # A cut inside a line in the middle of a row, and a cut exactly at the end
+    # of a row, both resume to the fresh bytes.
+    row_end = len(b"".join(lines[:row_start + 114]))
+    for cut in (len(b"".join(lines[:middle])) + 40, row_end):
+        log.write_bytes(fresh[:cut])
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (0, fresh_out, "")
+        assert log.read_bytes() == fresh
+    # A complete order-20 log holds the first 45 records of row 0 and then row 1:
+    # its line 46 is not the record for C1 and the 46th group of order 40.
+    smaller = tmp_path / "order20.jsonl"
+    run(capsys, "scan-conjecture", "--max-order", "20", "--out", str(smaller))
+    before = smaller.read_bytes()
+    assert before.count(b"\n") == 45 * 46 // 2
+    code, out, err = run(capsys, *argv[:-1], str(smaller))
+    h = json.loads(lines[45])["h"]
+    assert code == 2 and out == ""
+    assert err == (f"error: log {smaller} line 46 is not the record for C1 vs {h}; "
+                   "it is the log of another scan\n")
+    assert smaller.read_bytes() == before
+
+
 def test_bad_scan_arguments_leave_the_log_alone(tmp_path, capsys):
     missing = tmp_path / "missing.jsonl"
     torn = tmp_path / "torn.jsonl"

@@ -381,7 +381,11 @@ def test_order_spectrum_validation_rejects_malformed_tables():
     with pytest.raises(ValueError):
         OrderSpectrum(entries={1: 1, 2: 1}, group_order=4)  # divisor 4 missing
     with pytest.raises(ValueError):
+        OrderSpectrum(entries={1: 1, 2: 1, 3: 0, 4: 2}, group_order=4)  # 3 is no divisor
+    with pytest.raises(ValueError):
         OrderSpectrum(entries={1: 0, 2: 3, 4: 1}, group_order=4)  # no identity
+    with pytest.raises(ValueError):
+        OrderSpectrum(entries={1: 2, 2: 1, 4: 1}, group_order=4)  # two identities
     with pytest.raises(ValueError):
         OrderSpectrum(entries={1: 1, 2: 1, 4: 1}, group_order=4)  # sums to 3
     spectrum = OrderSpectrum(entries={1: 1, 2: 3, 4: 0}, group_order=4)

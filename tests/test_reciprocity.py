@@ -1,29 +1,37 @@
 """Tests for reciprocity checks, the scan engine, and the gap-free predicate."""
 
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
-from itertools import combinations, product
+from itertools import combinations
 from math import gcd
 from pathlib import Path
 
 import pytest
 
 import zsr
-from zsr import reciprocity
+from zsr import groups, reciprocity
 from zsr.counting import count_formula
-from zsr.groups import AbelianGroup, Dihedral, enumerate_abelian, order_spectrum, parse_group
+from zsr.groups import (
+    AbelianGroup,
+    Dicyclic,
+    Dihedral,
+    enumerate_abelian,
+    make_product,
+    order_spectrum,
+    parse_group,
+)
 from zsr.reciprocity import (
     FAMILIES,
     RECORD_FIELDS,
     conjecture_scan,
     divisor_gap_free,
     family_descriptors,
-    iter_pair_records,
     pair_sequence,
     reciprocity_check,
-    record_line,
     spectrum_condition,
     verify_theorem,
 )
@@ -115,35 +123,51 @@ def test_equal_spectra_force_equal_counts():
     assert report.count_g_at_h == report.count_h_at_g
 
 
+def record_rows(families, max_order, record_format="jsonl"):
+    """The texts a record scan hands its on_row hook, one per group."""
+    rows = []
+    conjecture_scan(families, max_order, on_row=rows.append, record_format=record_format)
+    return rows
+
+
 def test_record_round_trip():
-    report = reciprocity_check(parse_group("C4"), parse_group("C2xC2"))
+    report = reciprocity_check(parse_group("C2xC2"), parse_group("C4"))
     record = report.to_record()
     assert tuple(record.keys()) == RECORD_FIELDS
     assert record["count_g_at_h"] == str(report.count_g_at_h)
     assert tuple(record.values()) == report.values()
-    assert record_line(report.values()) == '{"g":"C4","h":"C2xC2","order_g":4,"order_h":4,' \
-        '"spectra_agree":false,"witness_divisor":2,"count_g_at_h":"10","count_h_at_g":"11",' \
-        '"iff_consistent":true}'
+    line = '{"g":"C2xC2","h":"C4","order_g":4,"order_h":4,"spectra_agree":false,' \
+        '"witness_divisor":2,"count_g_at_h":"11","count_h_at_g":"10","iff_consistent":true}'
+    assert dumped(report.values()) == line
+    assert line + "\n" in "".join(record_rows(("abelian",), 4)).splitlines(keepends=True)
 
 
 def dumped(values):
     return json.dumps(dict(zip(RECORD_FIELDS, values)), separators=(",", ":"))
 
 
-def test_record_line_matches_json_dumps():
+def test_record_rows_match_json_dumps(monkeypatch):
     descriptors = family_descriptors(FAMILIES, 48)
-    spectra = [order_spectrum(d) for d in descriptors]
-    seen = 0
-    for _, _, values in iter_pair_records(descriptors, spectra):
-        assert record_line(values) == dumped(values)
-        seen += 1
-    assert seen == len(pair_sequence(descriptors))
-    big = str(7**300)
-    assert len(big) > 200
-    for agree, consistent, witness, counts in product(
-            (True, False), (True, False), (None, 1, 2, 12), (("1", "1"), ("10", "11"), (big, "9" + big))):
-        values = ("C2xC6", "Dic3xD10", 12, 240, agree, witness, *counts, consistent)
-        assert record_line(values) == dumped(values)
+    rows = record_rows(FAMILIES, 48)
+    assert len(rows) == len(descriptors)
+    pairs = iter(pair_sequence(descriptors))
+    for i, row in enumerate(rows):
+        lines = row.splitlines()
+        assert len(lines) == len(descriptors) - i and row.endswith("\n")
+        for line in lines:
+            assert line == dumped(reciprocity_check(*next(pairs)).values())
+    assert next(pairs, None) is None
+    # Counts of several hundred digits: every block times 10**300, so that each
+    # class count is its divisor sum over n + m times 10**300.
+    table = reciprocity.block_table
+    monkeypatch.setattr(reciprocity, "block_table",
+                        lambda n, m, shared, last: [b * 10**300 for b in table(n, m, shared, last)])
+    lines = "".join(record_rows(FAMILIES, 12)).splitlines()
+    assert len(lines) == len(pair_sequence(family_descriptors(FAMILIES, 12)))
+    for line in lines:
+        record = json.loads(line)
+        assert json.dumps(record, separators=(",", ":")) == line
+        assert len(record["count_g_at_h"]) > 300 and len(record["count_h_at_g"]) > 300
 
 
 def test_verify_theorem_small_orders():
@@ -211,29 +235,44 @@ def test_pair_sequence_is_upper_triangle():
     assert all(indices[g] <= indices[h] for g, h in pairs)
 
 
-def test_iter_pair_records_matches_reciprocity_check():
+def test_record_rows_match_reciprocity_check():
+    # The csv rows hold the values of the jsonl rows, as the csv module writes them.
     descriptors = family_descriptors(FAMILIES, 24)
-    pairs = pair_sequence(descriptors)
-    records = list(iter_pair_records(descriptors, [order_spectrum(d) for d in descriptors]))
-    assert len(records) == len(pairs)
-    for (g, h), (i, j, values) in zip(pairs, records):
-        assert (descriptors[i], descriptors[j]) == (g, h)
-        assert values == reciprocity_check(g, h).values()
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    for g, h in pair_sequence(descriptors):
+        writer.writerow(["" if v is None else str(v).lower() if isinstance(v, bool) else v
+                         for v in reciprocity_check(g, h).values()])
+    rows = record_rows(FAMILIES, 24, "csv")
+    assert len(rows) == len(descriptors)
+    assert "".join(rows) == expected.getvalue()
+    assert [row.count("\n") for row in rows] == list(range(len(descriptors), 0, -1))
 
 
 def test_scan_computes_each_candidate_spectrum_once(monkeypatch):
     calls = []
 
-    def counted(desc):
+    def counted(desc, known=None):
         calls.append(desc)
-        return order_spectrum(desc)
+        return spectrum_of(desc, known)
 
+    # Both names, so that a product's spectrum counts the calls it makes for its factors.
+    spectrum_of = groups.order_spectrum
+    monkeypatch.setattr(groups, "order_spectrum", counted)
     monkeypatch.setattr(reciprocity, "order_spectrum", counted)
     family_descriptors(FAMILIES, 48)
     alone = len(calls)
-    for consumer in (None, lambda values: False):
+    # The pool holds every group of the four families to order 48, duplicates
+    # included, and each spectrum is computed once: a product's factors are in it.
+    abelian = [g for n in range(1, 49) for g in enumerate_abelian(n)]
+    bases = [g for g in abelian if g.order > 1] + [Dihedral(k) for k in range(3, 25)] + \
+        [Dicyclic(k) for k in range(2, 13)]
+    products = [make_product((g, h)) for i, g in enumerate(bases) for h in bases[i:]
+                if g.order * h.order <= 48]
+    assert alone == len(abelian) + 22 + 11 + len(products) == 263
+    for consumer in (None, lambda text: None):
         calls.clear()
-        conjecture_scan(FAMILIES, 48, on_report=consumer)
+        conjecture_scan(FAMILIES, 48, on_row=consumer)
         assert len(calls) == alone
 
 
@@ -273,8 +312,12 @@ def test_planted_collisions_reach_both_scan_paths(monkeypatch):
             expected.append((g.notation(), h.notation(), sum(rg)))
     assert len(expected) > 100
     summary = conjecture_scan(FAMILIES, 32)
-    records = conjecture_scan(FAMILIES, 32, on_report=lambda values: False)
+    rows = []
+    records = conjecture_scan(FAMILIES, 32, on_row=rows.append)
     assert summary.violations == records.violations
+    inconsistent = [json.loads(line) for line in "".join(rows).splitlines()
+                    if line.endswith('"iff_consistent":false}')]
+    assert [(r["g"], r["h"], int(r["count_g_at_h"])) for r in inconsistent] == expected
     assert [(r.g.notation(), r.h.notation(), r.count_g_at_h) for r in summary.violations] == expected
     assert all(r.count_h_at_g == r.count_g_at_h and not r.spectra_agree for r in summary.violations)
 
@@ -284,7 +327,7 @@ def test_class_scan_matches_pairs_for_every_family_subset():
         for families in combinations(FAMILIES, size):
             summary = conjecture_scan(families, 30)
             assert summary.pairs_checked == len(pair_sequence(family_descriptors(families, 30)))
-            assert summary == conjecture_scan(families, 30, on_report=lambda values: False)
+            assert summary == conjecture_scan(families, 30, on_row=lambda text: None)
 
 
 def test_class_scan_raises_on_inconsistent_spectrum_under_optimize():
@@ -294,10 +337,10 @@ def test_class_scan_raises_on_inconsistent_spectrum_under_optimize():
     code = ("import zsr.reciprocity as r\n"
             "from zsr.groups import OrderSpectrum, order_spectrum\n"
             "bad = OrderSpectrum({1: 1, 2: 0, 4: 3}, 4)\n"
-            "r.order_spectrum = lambda d: bad if d.notation() == 'C4' else order_spectrum(d)\n"
-            "for consumer in (None, lambda values: False):\n"
+            "r.order_spectrum = lambda d, known: bad if d.notation() == 'C4' else order_spectrum(d)\n"
+            "for consumer in (None, lambda text: None):\n"
             "    try:\n"
-            "        print(r.conjecture_scan(('abelian',), 4, on_report=consumer))\n"
+            "        print(r.conjecture_scan(('abelian',), 4, on_row=consumer))\n"
             "    except ValueError as exc:\n"
             "        print('ValueError:', exc)\n")
     env = dict(os.environ)
