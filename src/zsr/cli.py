@@ -1,10 +1,11 @@
 """Command-line interface: counts, spectra, pair checks, scans, and check grids.
 
 Exit codes: 0 for success with nothing found, 1 when a scan or grid found a
-violation (the interesting outcome), 2 for usage and domain errors, 141 when
-the reader closed stdout early.  All machine output is deterministic: records
-carry big integers as decimal strings, field order is fixed, and rerunning an
-identical invocation produces identical bytes.
+violation (the interesting outcome), 2 for usage and domain errors and for an
+--out path that cannot be opened, 141 when the reader closed stdout early.
+All machine output is deterministic: records carry big integers as decimal
+strings, field order is fixed, and rerunning an identical invocation
+produces identical bytes.
 """
 
 from __future__ import annotations
@@ -401,6 +402,12 @@ def main(argv=None) -> int:
         # interpreter exit cannot fail again, and exit as SIGPIPE would (128 + 13).
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except OSError as exc:
+        # An --out path that cannot be opened: a directory, or a missing parent.
+        if exc.filename is None:
+            raise
+        print(f"error: cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

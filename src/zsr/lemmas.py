@@ -4,22 +4,41 @@ Two families of checks live here.  The binomial checks (ids L21*, L22*)
 compare blocks of the counting formula, C((m+n)/d, m/d) for divisors d of
 gcd(m, n), against explicit lower bounds.  The structure checks (L23, L24,
 L25) constrain where two order spectra can first disagree.  Every check is
-a decidable statement about concrete integers, evaluated exactly.
+a decidable statement about concrete integers, and every verdict is exact.
 
-The Lemma 2.1 grid compares integers only: it takes the blocks of each
-(m, n) from one block table, decides each instance by cross-multiplying
-its inequality, and builds a LemmaInstance, with its exact Fraction values,
-only for an instance that fails.
+The grids decide instances without Fractions.  The Lemma 2.1 grids take the
+blocks of each (m, n) from one block table.  Variant ii cross-multiplies
+each instance in integers.  Variant i first compares the logarithms of both
+sides in floats, with a proven error bound: an instance that clears the
+bound holds, and every other one (ties, near-ties and apparent failures) is
+settled by the same integer comparison.  The Lemma 2.2 grid cross-multiplies
+its ratio bound in integers.  A LemmaInstance, with its exact Fraction
+values, is built only for an instance that fails.
+
+Each grid refuses a bound above its ceiling (LEMMA21_GRID_MAX,
+LEMMA22_GRID_MAX, STRUCTURE_GRID_MAX) with BudgetError before any work.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, log2
 
+from .errors import BudgetError
 from .exactmath import binomial, block_table, factorize, prime_power_root, valuation
 from .groups import AbelianGroup, enumerate_abelian, order_spectrum
 from .value import Value, set_field
+
+# Grid ceilings: the largest m, n bound of lemma21_grid and lemma22_grid, and
+# the largest order bound of structure_grid.  At its ceiling each grid took
+# 10-15 s on a 2-core Xeon host (Python 3.11), so twice that on a slow day.
+LEMMA21_GRID_MAX = 3000
+LEMMA22_GRID_MAX = 2000
+STRUCTURE_GRID_MAX = 1024
+
+# Tolerance of the Lemma 2.1 float filter per bit of the magnitudes it sums
+# (see _lemma21i_failures).
+_FILTER_TOLERANCE = 2.0 ** -40
 
 
 class LemmaInstance(Value):
@@ -189,6 +208,23 @@ def check_lemma22(m: int, n: int, a: int, b: int, p: int, q: int, variant: str) 
     return LemmaInstance(lemma_id, params, ratio_lhs > ratio_rhs, ratio_lhs, ratio_rhs)
 
 
+def _lemma22_holds(m: int, n: int, a: int, b: int, p: int, q: int, variant: str) -> bool:
+    """The verdict of check_lemma22 on an admissible tuple, in integers only.
+
+    With n = p^alpha q^beta n' and m = p^gamma q^d m', the right side of the
+    ratio bound is f * D * q^d = f * m * n / (p^(2s+1) * q^t) = f * m * n /
+    (p * a^2 * b): its exponents of p and q move to the left side, and the
+    bound multiplied by the positive p * a^2 * b * block_b is
+    p * a^3 * b * block_a > f * m * n * block_b.
+    """
+    block_a = _block(m, n, a)
+    block_b = _block(m, n, b)
+    factor = 2 if variant == "i" else 1
+    if {a, b} == {2, 3}:
+        return a * block_a - (q ** valuation(m, q) - b) * block_b > factor * b * block_b
+    return p * a ** 3 * b * block_a > factor * m * n * block_b
+
+
 def check_structure_lemmas(g: AbelianGroup, h: AbelianGroup) -> list[LemmaInstance]:
     """Constraints on the first disagreements between two order spectra.
 
@@ -263,15 +299,69 @@ def _structure_instances(sg, sh) -> list[LemmaInstance]:
     return out
 
 
-def lemma21_grid(max_mn: int, variant: str) -> GridResult:
-    """Exhaustive sweep of check_lemma21 over 2 <= m, n <= max_mn.
+def _check_grid_bound(lemma: str, bound: int, ceiling: int) -> None:
+    if bound > ceiling:
+        raise BudgetError(f"grid {lemma} is limited to max <= {ceiling}, got max = {bound}")
 
-    For each m the blocks come from one block table as n grows, and each
-    instance is decided by _lemma21_holds; check_lemma21 builds the reported
-    instance of a failing tuple only.
+
+def _lemma21i_failures(m: int, n: int, divs: list[int], blocks: list[int]) -> list[tuple[int, int]]:
+    """The pairs a < b of divs failing variant i of Lemma 2.1, in grid order.
+
+    divs is increasing, each divides gcd(m, n) and is at least 2, and blocks
+    holds their blocks.  Each pair is first tested in floats with the margin
+    in bits of its cross-multiplied inequality,
+
+        lb_a - lb_b + en*(log2 n - log2(n+m)) + em*(log2 bm - log2(bm+an)),
+
+    where lb_d = log2(block_d), en = n/a - n/b and em = m/a - m/b.
+
+    Error bound.  math.log2 of an int x rounds x to 53 bits (to a float, or
+    to a mantissa and an exponent when x is too large for one) and takes the
+    platform log2, which is within one ulp; so it is within
+    2^-50 * (|log2 x| + 1) of log2 x.  Let S be the sum of the magnitudes
+    the margin combines: |lb_a| + |lb_b|, en and em times the magnitudes of
+    the two logarithms each multiplies, and 2 + 2en + 2em.  The logarithms
+    then contribute at most 2^-50 * S, and each of the seven float
+    subtractions, products and sums at most 2^-53 of a value below S, so
+    the float margin is within 2^-48 * S of the true one, and so is the
+    float lb_a - lb_b.  The tolerance tau = 2^-40 * scale takes an upper
+    bound on S over the whole row (the largest block logarithm twice,
+    n*log2(n+m), m*log2(max(divs)*(n+m)) and n + m + 2, as en <= n/2,
+    em <= m/2 and bm + an <= max(divs)*(n+m)); it exceeds the error
+    256-fold, which also covers the rounding of scale itself.  A pair whose
+    float margin and float lb_a - lb_b both exceed tau therefore holds.
+    Every other pair, including each tie, is decided by _lemma21_holds.
+    """
+    logs = [log2(block) for block in blocks]
+    shrink_n = log2(n) - log2(n + m)
+    scale = 2 * max(logs) + n * log2(n + m) + m * log2(divs[-1] * (n + m)) + n + m + 2
+    tau = _FILTER_TOLERANCE * scale
+    failing = []
+    for i, a in enumerate(divs):
+        lb_a, na, ma, an = logs[i], n // a, m // a, a * n
+        for j in range(i + 1, len(divs)):
+            b = divs[j]
+            gap = lb_a - logs[j]
+            bm = b * m
+            if gap > tau and (gap + (na - n // b) * shrink_n
+                              + (ma - m // b) * (log2(bm) - log2(bm + an))) > tau:
+                continue
+            if not _lemma21_holds(m, n, a, b, blocks[i], blocks[j], "i"):
+                failing.append((a, b))
+    return failing
+
+
+def lemma21_grid(max_mn: int, variant: str) -> GridResult:
+    """Exhaustive sweep of check_lemma21 over 2 <= m, n <= max_mn <= LEMMA21_GRID_MAX.
+
+    For each m the blocks come from one block table as n grows.  Variant i
+    decides each row with _lemma21i_failures, variant ii each instance with
+    _lemma21_holds; check_lemma21 builds the reported instance of a failing
+    tuple only.
     """
     if variant not in ("i", "ii"):
         raise ValueError(f"variant must be 'i' or 'ii', got {variant!r}")
+    _check_grid_bound(f"2.1{variant}", max_mn, LEMMA21_GRID_MAX)
     # The divisors >= 2 of every g <= max_mn, in increasing order.
     divisors_of: list[list[int]] = [[] for _ in range(max_mn + 1)]
     for d in range(2, max_mn + 1):
@@ -286,34 +376,53 @@ def lemma21_grid(max_mn: int, variant: str) -> GridResult:
             if len(divs) < 2:
                 continue
             blocks = block_table(m, n, divs, last_blocks)
-            for i, (a, block_a) in enumerate(zip(divs, blocks)):
-                for b, block_b in zip(divs[i + 1:], blocks[i + 1:]):
-                    if variant == "ii" and b < 2 * a:
-                        continue
-                    checked += 1
-                    if not _lemma21_holds(m, n, a, b, block_a, block_b, variant):
-                        failures.append(check_lemma21(m, n, a, b, variant))
+            if variant == "i":
+                checked += len(divs) * (len(divs) - 1) // 2
+                failing = _lemma21i_failures(m, n, divs, blocks)
+            else:
+                failing = []
+                for i, (a, block_a) in enumerate(zip(divs, blocks)):
+                    for b, block_b in zip(divs[i + 1:], blocks[i + 1:]):
+                        if b < 2 * a:
+                            continue
+                        checked += 1
+                        if not _lemma21_holds(m, n, a, b, block_a, block_b, "ii"):
+                            failing.append((a, b))
+            failures += [check_lemma21(m, n, a, b, variant) for a, b in failing]
     return GridResult(f"2.1{variant}", checked, failures)
 
 
 def lemma22_grid(max_mn: int, variant: str) -> GridResult:
-    """Exhaustive sweep of check_lemma22 over 2 <= m, n <= max_mn.
+    """Exhaustive sweep of check_lemma22 over 2 <= m, n <= max_mn <= LEMMA22_GRID_MAX.
 
     Admissible tuples are prime powers a = p^s, b = q^t of distinct primes
     with b < 2a, both dividing gcd(m, n), restricted to the variant's spread
     condition (for variant i this includes the {a, b} = {2, 3} clause).
+    Each is decided by _lemma22_holds; check_lemma22 builds the reported
+    instance of a failing tuple only.
     """
     if variant not in ("i", "ii"):
         raise ValueError(f"variant must be 'i' or 'ii', got {variant!r}")
+    _check_grid_bound(f"2.2{variant}", max_mn, LEMMA22_GRID_MAX)
+    # The prime powers (p^e, p) dividing every g <= max_mn, in increasing order.
+    powers_of: list[list[tuple[int, int]]] = [[] for _ in range(max_mn + 1)]
+    for p in range(2, max_mn + 1):
+        if powers_of[p]:
+            continue  # p has a smaller prime factor
+        power = p
+        while power <= max_mn:
+            for multiple in range(power, max_mn + 1, power):
+                powers_of[multiple].append((power, p))
+            power *= p
+    for powers in powers_of:
+        powers.sort()
     checked = 0
     failures = []
     for m in range(2, max_mn + 1):
         for n in range(2, max_mn + 1):
-            shared = gcd(m, n)
-            if shared < 6:
+            powers = powers_of[gcd(m, n)]
+            if len(powers) < 2:
                 continue
-            powers = [(pr ** e, pr) for pr, top in factorize(shared) for e in range(1, top + 1)]
-            powers.sort()
             for a, p in powers:
                 for b, q in powers:
                     if p == q or b >= 2 * a:
@@ -325,17 +434,20 @@ def lemma22_grid(max_mn: int, variant: str) -> GridResult:
                     else:
                         if spread != 2 or {a, b} == {2, 3}:
                             continue
-                    instance = check_lemma22(m, n, a, b, p, q, variant)
                     checked += 1
-                    if not instance.holds:
-                        failures.append(instance)
+                    if not _lemma22_holds(m, n, a, b, p, q, variant):
+                        failures.append(check_lemma22(m, n, a, b, p, q, variant))
     return GridResult(f"2.2{variant}", checked, failures)
 
 
 def structure_grid(max_order: int) -> GridResult:
-    """Structure checks over every unordered pair of abelian groups up to max_order."""
+    """Structure checks over every unordered pair of abelian groups up to max_order.
+
+    max_order is at most STRUCTURE_GRID_MAX.
+    """
     if max_order < 1:
         raise ValueError(f"max_order must be positive, got {max_order}")
+    _check_grid_bound("struct", max_order, STRUCTURE_GRID_MAX)
     groups = [g for n in range(1, max_order + 1) for g in enumerate_abelian(n)]
     spectra = [order_spectrum(g) for g in groups]
     checked = 0

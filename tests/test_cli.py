@@ -7,6 +7,7 @@ import pkgutil
 import shutil
 import subprocess
 import sys
+import time
 from hashlib import sha256
 from math import comb
 from pathlib import Path
@@ -589,12 +590,10 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("key", GOLDEN)
-def test_cli_output_bytes_are_pinned(key, monkeypatch, capsys):
+def test_cli_output_bytes_are_pinned(key, plant_lemma21_failures, capsys):
     name, fmt = key.split("/")
     if name.endswith("planted"):
-        decide = lemmas._lemma21_holds
-        monkeypatch.setattr(lemmas, "_lemma21_holds", lambda m, n, a, b, *rest: (
-            (m, n, a, b) not in LEMMA21_PLANTED and decide(m, n, a, b, *rest)))
+        plant_lemma21_failures(LEMMA21_PLANTED)
     outcome = run(capsys, *GOLDEN_CASES[name], "--format", fmt)
     assert sha256(json.dumps(outcome).encode()).hexdigest() == GOLDEN[key], outcome
 
@@ -612,6 +611,37 @@ def test_orders_past_the_factorize_ceiling_exit_2():
                             capture_output=True, text=True, env=child_env(), timeout=30)
     assert result.returncode == 0
     assert result.stdout == "999999999989 has no consecutive divisors above 1\n"
+
+
+@pytest.mark.parametrize("argv", [["scan-conjecture", "--max-order", "4"],
+                                  ["lemma", "--id", "2.1i", "--max", "10"]])
+def test_unusable_out_path_exits_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "DIR").mkdir()
+    (tmp_path / "DIR" / "kept.txt").write_text("kept\n")
+    for out, reason in (("DIR", "Is a directory"), ("missing/dir/x", "No such file or directory")):
+        assert main([*argv, "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot open {out}: {reason}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["DIR"]
+    assert [p.name for p in (tmp_path / "DIR").iterdir()] == ["kept.txt"]
+    assert (tmp_path / "DIR" / "kept.txt").read_text() == "kept\n"
+
+
+def test_grids_past_their_ceilings_exit_2_quickly(capsys):
+    ceilings = {"2.1i": lemmas.LEMMA21_GRID_MAX, "2.1ii": lemmas.LEMMA21_GRID_MAX,
+                "2.2i": lemmas.LEMMA22_GRID_MAX, "2.2ii": lemmas.LEMMA22_GRID_MAX,
+                "struct": lemmas.STRUCTURE_GRID_MAX}
+    assert (ceilings["2.1i"], ceilings["2.2i"], ceilings["struct"]) >= (1000, 360, 128)
+    for lemma_id, ceiling in ceilings.items():
+        start = time.perf_counter()
+        assert main(["lemma", "--id", lemma_id, "--max", str(ceiling + 1)]) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: grid {lemma_id} is limited to max <= {ceiling}, "
+                                f"got max = {ceiling + 1}\n")
 
 
 def decimal_value(text: str) -> int:

@@ -1,14 +1,18 @@
 """Tests for the block-ratio and spectrum-structure lemma checkers."""
 
 import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
 from zsr import lemmas
 from zsr.cli import main
-from zsr.exactmath import binomial
+from zsr.exactmath import binomial, prime_power_root, valuation
 from zsr.groups import AbelianGroup, enumerate_abelian, order_spectrum, parse_group
 from zsr.lemmas import (
     GridResult,
@@ -129,24 +133,22 @@ def test_check_lemma22_small_scale_skips_consequence():
 def test_check_lemma22_ratio_bound_implies_consequence(monkeypatch):
     # With D >= 1 check_lemma22 tests the ratio bound alone.  On every such grid
     # instance the consequence holds too, with blocks from fresh binomials.
-    check = lemmas.check_lemma22
+    decide = lemmas._lemma22_holds
     for variant, factor, expected in (("i", 2, 2096), ("ii", 1, 75)):
         seen = []
 
         def spy(*args):
-            instance = check(*args)
-            seen.append(instance.parameters)
-            return instance
+            seen.append(args[:6])
+            return decide(*args)
 
-        monkeypatch.setattr(lemmas, "check_lemma22", spy)
+        monkeypatch.setattr(lemmas, "_lemma22_holds", spy)
         assert lemma22_grid(360, variant).failures == []
-        scaled = [params for params in seen if {params["a"], params["b"]} != {2, 3}
-                  and delta(*(params[k] for k in "mnabpq")) >= 1]
+        scaled = [args for args in seen if {args[2], args[3]} != {2, 3} and delta(*args) >= 1]
         assert len(scaled) == expected
-        for params in scaled:
-            m, n, a, b, q = (params[k] for k in "mnabq")
-            slack = q ** params["delta"] - q ** params["t"]
-            assert a * block(m, n, a) - slack * block(m, n, b) > factor * b * block(m, n, b), params
+        for m, n, a, b, p, q in scaled:
+            slack = q ** valuation(m, q) - b
+            block_a, block_b = block(m, n, a), block(m, n, b)
+            assert a * block_a - slack * block_b > factor * b * block_b, (m, n, a, b)
 
 
 def test_check_lemma22_variant_ii():
@@ -246,27 +248,43 @@ def test_lemma_grids_are_clean_at_small_bounds():
     assert grid.checked == 1572 and grid.failures == []
 
 
+def lemma21_bound(m, n, a, b):
+    """The right side of variant i of Lemma 2.1, spelled out locally."""
+    return (
+        Fraction(n + m, n) ** (n // a - n // b)
+        * (1 + Fraction(a * n, b * m)) ** (m // a - m // b)
+    )
+
+
 def fraction_verdict(m, n, a, b, variant):
     """check_lemma21's verdict from Fractions and fresh binomials, spelled out locally."""
     ratio = Fraction(block(m, n, a), block(m, n, b))
     if variant == "ii":
         return a * ratio > max(m, n)
-    bound = (
-        Fraction(n + m, n) ** (n // a - n // b)
-        * (1 + Fraction(a * n, b * m)) ** (m // a - m // b)
-    )
-    return ratio >= bound and ratio > 1
+    return ratio >= lemma21_bound(m, n, a, b) and ratio > 1
 
 
 def test_lemma21_grid_integer_verdicts_match_fraction_reference(monkeypatch):
-    decide = lemmas._lemma21_holds
+    # Variant i decides a row of (m, n) at a time with _lemma21i_failures, and
+    # variant ii each instance with _lemma21_holds.  Spying on both shows every
+    # tuple the grids visit, with its blocks and its verdict.
+    decide_row, decide = lemmas._lemma21i_failures, lemmas._lemma21_holds
     seen = {"i": [], "ii": []}
+
+    def spy_row(m, n, divs, blocks):
+        failing = decide_row(m, n, divs, blocks)
+        for i, a in enumerate(divs):
+            for b, block_b in zip(divs[i + 1:], blocks[i + 1:]):
+                seen["i"].append((m, n, a, b, blocks[i], block_b, (a, b) not in failing))
+        return failing
 
     def spy(m, n, a, b, block_a, block_b, variant):
         holds = decide(m, n, a, b, block_a, block_b, variant)
-        seen[variant].append((m, n, a, b, block_a, block_b, holds))
+        if variant == "ii":
+            seen["ii"].append((m, n, a, b, block_a, block_b, holds))
         return holds
 
+    monkeypatch.setattr(lemmas, "_lemma21i_failures", spy_row)
     monkeypatch.setattr(lemmas, "_lemma21_holds", spy)
     for variant in ("i", "ii"):
         grid = lemma21_grid(60, variant)
@@ -286,13 +304,91 @@ def test_lemma21_grid_integer_verdicts_match_fraction_reference(monkeypatch):
     assert (6, 6, 2, 3, 20, 6, True) in seen["i"]
 
 
-def test_lemma21_grid_reports_failures_unchanged(monkeypatch, capsys):
+def test_lemma21_filter_passes_exactly_the_ties_on(monkeypatch):
+    # The float filter certifies every instance of variant i to 60 except the
+    # 51 where the inequality holds with equality; those reach _lemma21_holds.
     decide = lemmas._lemma21_holds
+    reached = []
+
+    def spy(m, n, a, b, *rest):
+        reached.append((m, n, a, b))
+        return decide(m, n, a, b, *rest)
+
+    monkeypatch.setattr(lemmas, "_lemma21_holds", spy)
+    assert lemma21_grid(60, "i").failures == []
+    assert reached[:3] == [(4, 4, 2, 4), (6, 6, 2, 3), (6, 6, 3, 6)]
+    ties = [(m, n, a, b) for m, n, a, b in reached
+            if Fraction(block(m, n, a), block(m, n, b)) == lemma21_bound(m, n, a, b)]
+    assert ties == reached and len(reached) == 51
+
+
+def test_lemma21_doctored_block_fails_through_the_filter(monkeypatch):
+    # In the row (12, 12) the true block_2 is 924, and (2, 3) needs
+    # block_2 >= 70 * 100/9, so 778 still holds and 777 fails, by about a
+    # thousandth of a bit; no other pair of the row changes its verdict.  The
+    # report is check_lemma21's, from fresh binomials.
+    assert (block(12, 12, 2), block(12, 12, 3)) == (924, 70)
+    assert lemma21_bound(12, 12, 2, 3) == Fraction(100, 9)
+    table, decide = lemmas.block_table, lemmas._lemma21_holds
+    reached = []
+
+    def spy(m, n, a, b, block_a, block_b, variant):
+        reached.append((m, n, a, b, block_a, block_b))
+        return decide(m, n, a, b, block_a, block_b, variant)
+
+    monkeypatch.setattr(lemmas, "_lemma21_holds", spy)
+    for doctored, failing in ((778, []), (777, [(12, 12, 2, 3)])):
+        def doctored_table(m, n, divs, last):
+            blocks = table(m, n, divs, last)
+            if (m, n) == (12, 12):
+                blocks[0] = doctored
+            return blocks
+
+        monkeypatch.setattr(lemmas, "block_table", doctored_table)
+        reached.clear()
+        grid = lemma21_grid(12, "i")
+        assert [tuple(f.parameters.values()) for f in grid.failures] == failing
+        assert grid.failures == [check_lemma21(*parameters, "i") for parameters in failing]
+        assert ((12, 12, 2, 3, 777, 70) in reached) == bool(failing)
+
+
+def test_lemma21_filter_or_exact_matches_fractions():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def instances(draw):
+        a = draw(st.integers(2, 40))
+        b = draw(st.integers(a + 1, 75))
+        step = a * b // gcd(a, b)  # at most 40 * 75 = 3000
+        m = step * draw(st.integers(1, 3000 // step))
+        n = step * draw(st.integers(1, 3000 // step))
+        return m, n, a, b
+
+    # shift None keeps the true blocks; an integer puts block_a that far from
+    # the least value for which the ratio bound holds, a near-tie in floats.
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(instances(), st.one_of(st.none(), st.integers(-2, 2)))
+    def check(instance, shift):
+        m, n, a, b = instance
+        block_a, block_b = block(m, n, a), block(m, n, b)
+        if shift is None:
+            holds = check_lemma21(m, n, a, b, "i").holds
+            assert holds == fraction_verdict(m, n, a, b, "i")
+        else:
+            threshold = lemma21_bound(m, n, a, b) * block_b
+            block_a = -(-threshold.numerator // threshold.denominator) + shift
+            holds = block_a > block_b and Fraction(block_a, block_b) >= lemma21_bound(m, n, a, b)
+        failing = lemmas._lemma21i_failures(m, n, [a, b], [block_a, block_b])
+        assert failing == ([] if holds else [(a, b)]), (m, n, a, b, shift)
+
+    check()
+
+
+def test_lemma21_grid_reports_failures_unchanged(plant_lemma21_failures, capsys):
     planted = [(12, 18, 2, 3), (20, 30, 2, 5)]  # in grid order: m, then n, a, b
-    monkeypatch.setattr(lemmas, "_lemma21_holds", lambda m, n, a, b, *rest: (
-        (m, n, a, b) not in planted and decide(m, n, a, b, *rest)))
+    plant_lemma21_failures(planted)
     expected = [check_lemma21(*parameters, "i") for parameters in planted]
-    assert [instance.holds for instance in expected] == [False, False]
     assert lemma21_grid(30, "i").failures == expected
     assert main(["lemma", "--id", "2.1i", "--max", "30", "--format", "csv"]) == 1
     out = capsys.readouterr().out
@@ -306,12 +402,51 @@ def failed(instance):
     return LemmaInstance(instance.lemma_id, instance.parameters, False, instance.lhs, instance.rhs)
 
 
+def admissible_lemma22(max_mn, variant):
+    """Every admissible (m, n, a, b, p, q) of lemma22_grid in grid order, spelled out locally."""
+    out = []
+    for m in range(2, max_mn + 1):
+        for n in range(2, max_mn + 1):
+            g = gcd(m, n)
+            powers = [(d, prime_power_root(d)[0]) for d in range(2, g + 1)
+                      if g % d == 0 and prime_power_root(d) is not None]
+            for a, p in powers:
+                for b, q in powers:
+                    spread = n // a - n // b
+                    if p == q or b >= 2 * a:
+                        continue
+                    if spread >= 3 if variant == "i" else spread == 2 and {a, b} != {2, 3}:
+                        out.append((m, n, a, b, p, q))
+    return out
+
+
+def test_lemma22_integer_verdicts_match_fractions(monkeypatch):
+    decide = lemmas._lemma22_holds
+    for variant, factor, count in (("i", 2, 560), ("ii", 1, 31)):
+        visited = []
+        monkeypatch.setattr(lemmas, "_lemma22_holds", lambda *args: (
+            visited.append(args[:6]) or decide(*args)))
+        assert lemma22_grid(120, variant).failures == []
+        tuples = admissible_lemma22(120, variant)
+        assert visited == tuples and len(tuples) == count
+        special = 0
+        for m, n, a, b, p, q in tuples:
+            instance = check_lemma22(m, n, a, b, p, q, variant)
+            assert decide(m, n, a, b, p, q, variant) == instance.holds, (m, n, a, b)
+            if {a, b} == {2, 3}:
+                special += 1
+            else:
+                # The cross-multiplied right side: f * D * q^d = f * m * n / (p * a^2 * b).
+                assert instance.rhs == Fraction(factor * m * n, p * a * a * b), (m, n, a, b)
+        assert (special > 0) == (variant == "i")
+
+
 def test_lemma22_grid_reports_failures_in_grid_order(monkeypatch, capsys):
-    check = lemmas.check_lemma22
+    decide = lemmas._lemma22_holds
     planted = [(12, 36, 3, 4, 3, 2), (28, 28, 4, 7, 2, 7)]  # in grid order: m, then n, a, b
-    monkeypatch.setattr(lemmas, "check_lemma22", lambda *args: (
-        failed(check(*args)) if args[:6] in planted else check(*args)))
-    expected = [failed(check(*parameters, "i")) for parameters in planted]
+    monkeypatch.setattr(lemmas, "_lemma22_holds", lambda *args: (
+        args[:6] not in planted and decide(*args)))
+    expected = [check_lemma22(*parameters, "i") for parameters in planted]
     grid = lemma22_grid(40, "i")
     assert grid.checked == 31 and grid.failures == expected
     assert main(["lemma", "--id", "2.2i", "--max", "40", "--format", "csv"]) == 1
@@ -319,6 +454,30 @@ def test_lemma22_grid_reports_failures_in_grid_order(monkeypatch, capsys):
     assert out == ("lemma_id,m,n,a,b,p,q,lhs,rhs\n"
                    "L22i,12,36,3,4,3,2,273/11,8\n"
                    "L22i,28,28,4,7,2,7,6864/35,7\n")
+
+
+def test_grids_report_doctored_failures_under_optimize():
+    # python -O strips asserts; the grid verdicts must not rest on one.
+    script = """
+from zsr import lemmas
+table, block = lemmas.block_table, lemmas._block
+def doctored_table(m, n, divs, last):
+    blocks = table(m, n, divs, last)
+    if (m, n) == (12, 12):
+        blocks[0] = 777
+    return blocks
+lemmas.block_table = doctored_table
+lemmas._block = lambda m, n, d: 1 if (m, n, d) == (28, 28, 4) else block(m, n, d)
+for grid in (lemmas.lemma21_grid(12, "i"), lemmas.lemma22_grid(28, "i")):
+    print(grid.checked, [tuple(f.parameters.values())[:6] for f in grid.failures])
+"""
+    src = str(Path(lemmas.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    result = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                            env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "33 [(12, 12, 2, 3)]\n9 [(28, 28, 4, 7, 2, 7)]\n"
 
 
 def test_structure_grid_reports_failures_in_grid_order(monkeypatch, capsys):
