@@ -1,8 +1,9 @@
 """Command-line interface: counts, spectra, pair checks, scans, and check grids.
 
 Exit codes: 0 for success with nothing found, 1 when a scan or grid found a
-violation (the interesting outcome), 2 for usage and domain errors and for an
---out path that cannot be opened, 141 when the reader closed stdout early.
+violation (the interesting outcome), 2 for usage and domain errors, for an
+--out path that cannot be opened or written and for a failed write to stdout,
+141 when the reader closed stdout early.
 All machine output is deterministic: records carry big integers as decimal
 strings, field order is fixed, and rerunning an identical invocation
 produces identical bytes.
@@ -34,6 +35,21 @@ FORMATS = ("human", "json", "csv", "jsonl")
 # "struct" runs lemmas.structure_grid.
 LEMMA_IDS = ("2.1i", "2.1ii", "2.2i", "2.2ii", "struct")
 LEMMA_CSV_COLUMNS = ("lemma_id", "m", "n", "a", "b", "p", "q", "lhs", "rhs")
+
+
+class _WriteError(OSError):
+    """A write to a named --out path failed."""
+
+
+@contextlib.contextmanager
+def _writes_to(path):
+    """Name path in each OSError of the block that names no file: a failed write to path."""
+    try:
+        yield
+    except OSError as exc:
+        if path is None or exc.filename is not None:
+            raise
+        raise _WriteError(exc.errno, exc.strerror, path) from None
 
 
 def _dump(obj) -> str:
@@ -165,7 +181,13 @@ class _ScanLog:
     def __init__(self, path: str, stack: contextlib.ExitStack):
         self.path = path
         self.stack = stack
-        self.log = stack.enter_context(open(path, "rb")) if os.path.exists(path) else None
+        self.log = None
+        if os.path.exists(path):
+            # A device or a FIFO is refused before it is read: it may never
+            # end or never answer.  A directory fails to open.
+            if not (os.path.isfile(path) or os.path.isdir(path)):
+                raise OSError(None, "not a regular file", path)
+            self.log = stack.enter_context(open(path, "rb"))
         self.matched_bytes = 0
         self.matched_lines = 0
         self.out = None
@@ -226,7 +248,7 @@ def _cmd_scan_conjecture(args) -> int:
     if not families:
         raise ValueError("at least one family is required")
     stream_stdout = args.out is None and args.format in ("csv", "jsonl")
-    with contextlib.ExitStack() as stack:
+    with _writes_to(args.out), contextlib.ExitStack() as stack:
         log = on_row = _ScanLog(args.out, stack) if args.out else None
         # The CSV header waits for the first row, or for the end of a scan
         # with no pairs, so that a scan refused by conjecture_scan prints nothing.
@@ -270,17 +292,22 @@ def _lemma_record(instance) -> dict:
 
 
 def _cmd_lemma(args) -> int:
-    from .lemmas import lemma21_grid, lemma22_grid, structure_grid
+    from . import lemmas
 
-    if args.id == "struct":
-        result = structure_grid(args.max)
-    else:
-        grid = lemma21_grid if args.id.startswith("2.1") else lemma22_grid
-        result = grid(args.max, args.id[3:])
-    failure_records = [_lemma_record(inst) for inst in result.failures]
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            _write_csv(fh, failure_records, LEMMA_CSV_COLUMNS)
+    with _writes_to(args.out), contextlib.ExitStack() as stack:
+        # The report is opened before the grid runs, so that an unusable path
+        # costs no grid time; a bound the grid refuses creates no file.
+        report = None
+        if args.out and args.max <= lemmas.GRID_CEILINGS[args.id]:
+            report = stack.enter_context(open(args.out, "w", encoding="utf-8", newline=""))
+        if args.id == "struct":
+            result = lemmas.structure_grid(args.max)
+        else:
+            grid = lemmas.lemma21_grid if args.id.startswith("2.1") else lemmas.lemma22_grid
+            result = grid(args.max, args.id[3:])
+        failure_records = [_lemma_record(inst) for inst in result.failures]
+        if report is not None:
+            _write_csv(report, failure_records, LEMMA_CSV_COLUMNS)
     summary = {"lemma": result.lemma, "max": args.max,
                "checked": result.checked, "failures": len(result.failures)}
     human = [f"check {result.lemma} up to {args.max}: {result.checked} instances, "
@@ -397,16 +424,20 @@ def main(argv=None) -> int:
     except (GroupParseError, BudgetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # The reader closed stdout.  Point it at devnull so that the flush at
-        # interpreter exit cannot fail again, and exit as SIGPIPE would (128 + 13).
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
     except OSError as exc:
-        # An --out path that cannot be opened: a directory, or a missing parent.
-        if exc.filename is None:
-            raise
-        print(f"error: cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
+        if exc.filename is not None:
+            # An --out path that cannot be opened (a directory, a missing
+            # parent, not a regular file) or written.
+            verb = "write" if isinstance(exc, _WriteError) else "open"
+            print(f"error: cannot {verb} {exc.filename}: {exc.strerror}", file=sys.stderr)
+            return 2
+        # A write to stdout failed.  Point stdout at devnull so that the flush
+        # at interpreter exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            # The reader closed stdout: exit as SIGPIPE would (128 + 13).
+            return 141
+        print(f"error: cannot write standard output: {exc.strerror}", file=sys.stderr)
         return 2
 
 

@@ -181,7 +181,8 @@ def parse_group(text: str) -> GroupDescriptor:
     The grammar is terms joined by ``x`` with no whitespace; C takes the
     cyclic order (C1 is the trivial group), D takes the full order 2k with
     k >= 3, Dic takes the index k with k >= 2, and Q8 is an alias for Dic2.
-    Raises GroupParseError with the byte offset of the first problem.
+    Numbers are ASCII digits.  Raises GroupParseError with the byte offset
+    of the first problem; every character before it is ASCII.
     """
     if not text:
         raise GroupParseError("empty group notation", 0)
@@ -224,7 +225,7 @@ def _parse_term(text: str, pos: int) -> tuple[tuple[str, int], int]:
     else:
         raise GroupParseError(f"expected a group term (C<n>, D<2k>, Dic<k>, or Q8), found {text[pos]!r}", pos)
     digits_start = pos
-    while pos < len(text) and text[pos].isdigit():
+    while pos < len(text) and text[pos] in "0123456789":
         pos += 1
     if pos == digits_start:
         raise GroupParseError(f"expected an integer after {kind!r}", pos)

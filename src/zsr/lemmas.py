@@ -6,17 +6,20 @@ gcd(m, n), against explicit lower bounds.  The structure checks (L23, L24,
 L25) constrain where two order spectra can first disagree.  Every check is
 a decidable statement about concrete integers, and every verdict is exact.
 
-The grids decide instances without Fractions.  The Lemma 2.1 grids take the
-blocks of each (m, n) from one block table.  Variant ii cross-multiplies
-each instance in integers.  Variant i first compares the logarithms of both
-sides in floats, with a proven error bound: an instance that clears the
-bound holds, and every other one (ties, near-ties and apparent failures) is
-settled by the same integer comparison.  The Lemma 2.2 grid cross-multiplies
-its ratio bound in integers.  A LemmaInstance, with its exact Fraction
-values, is built only for an instance that fails.
+The grids decide instances without Fractions, and list the divisors of each
+gcd(m, n) from one divisor sieve.  The Lemma 2.1 grids take the blocks of
+each (m, n) from one block table.  Variant ii cross-multiplies each instance
+in integers.  Variant i first compares the logarithms of both sides in
+floats, with a proven error bound: an instance that clears the bound holds,
+and every other one (ties, near-ties and apparent failures) is settled by
+the same integer comparison.  The Lemma 2.2 grid keeps the prime powers of
+the sieve and cross-multiplies its ratio bound in integers, the comparison
+check_lemma22 also takes its verdict from.  A LemmaInstance, with its exact
+Fraction values, is built only for an instance that fails.
 
 Each grid refuses a bound above its ceiling (LEMMA21_GRID_MAX,
-LEMMA22_GRID_MAX, STRUCTURE_GRID_MAX) with BudgetError before any work.
+LEMMA22_GRID_MAX, STRUCTURE_GRID_MAX; GRID_CEILINGS by grid id) with
+BudgetError before any work.
 """
 
 from __future__ import annotations
@@ -35,6 +38,9 @@ from .value import Value, set_field
 LEMMA21_GRID_MAX = 3000
 LEMMA22_GRID_MAX = 2000
 STRUCTURE_GRID_MAX = 1024
+# Each grid's ceiling by the id its GridResult carries.
+GRID_CEILINGS = {"2.1i": LEMMA21_GRID_MAX, "2.1ii": LEMMA21_GRID_MAX, "2.2i": LEMMA22_GRID_MAX,
+                 "2.2ii": LEMMA22_GRID_MAX, "struct": STRUCTURE_GRID_MAX}
 
 # Tolerance of the Lemma 2.1 float filter per bit of the magnitudes it sums
 # (see _lemma21i_failures).
@@ -128,7 +134,8 @@ def delta(m: int, n: int, a: int, b: int, p: int, q: int) -> Fraction:
     Here a = p^s, b = q^t for distinct primes p, q; alpha/beta are the p/q
     valuations of n, gamma/delta those of m, and n', m' are the parts of
     n, m coprime to pq.  Exponents may be negative, so the result is an
-    exact ratio that can fall below 1.
+    exact ratio that can fall below 1.  As m * n = p^(alpha+gamma) *
+    q^(beta+delta) * m' * n', it is m * n / (p^(2s+1) * q^(t+delta)).
     """
     s = _prime_power_exponent(a, p, "a")
     t = _prime_power_exponent(b, q, "b")
@@ -136,16 +143,7 @@ def delta(m: int, n: int, a: int, b: int, p: int, q: int) -> Fraction:
         raise ValueError(f"p and q must be distinct primes, got p = q = {p}")
     if n < 1 or m < 1:
         raise ValueError(f"m and n must be positive, got m = {m}, n = {n}")
-    return _delta(m, n, p, q, s, t, valuation(n, p), valuation(n, q), valuation(m, p),
-                  valuation(m, q))
-
-
-def _delta(m: int, n: int, p: int, q: int, s: int, t: int, alpha: int, beta: int, gamma: int,
-           delta_q: int) -> Fraction:
-    """delta(m, n, p^s, q^t, p, q) from the valuations alpha, beta of n and gamma, delta_q of m."""
-    n_prime = n // (p ** alpha * q ** beta)
-    m_prime = m // (p ** gamma * q ** delta_q)
-    return Fraction(p) ** (alpha + gamma - 2 * s - 1) * Fraction(q) ** (beta - t) * m_prime * n_prime
+    return Fraction(m * n, p ** (2 * s + 1) * q ** (t + valuation(m, q)))
 
 
 def _prime_power_exponent(value: int, prime: int, name: str) -> int:
@@ -197,19 +195,19 @@ def check_lemma22(m: int, n: int, a: int, b: int, p: int, q: int, variant: str) 
     factor = 2 if variant == "i" else 1
     block_a = _block(m, n, a)
     block_b = _block(m, n, b)
+    holds = _lemma22_holds(m, n, a, b, p, q, block_a, block_b, variant)
     if special:
         # The {2, 3} case asserts only the consequence inequality, with no
         # scale condition on D.
-        conseq_lhs = a * block_a - (q ** delta_q - q ** t) * block_b
-        conseq_rhs = factor * b * block_b
-        return LemmaInstance(lemma_id, params, conseq_lhs > conseq_rhs, conseq_lhs, conseq_rhs)
-    ratio_lhs = Fraction(a * block_a, block_b)
-    ratio_rhs = factor * _delta(m, n, p, q, s, t, alpha, beta, gamma, delta_q) * q ** delta_q
-    return LemmaInstance(lemma_id, params, ratio_lhs > ratio_rhs, ratio_lhs, ratio_rhs)
+        lhs = a * block_a - (q ** delta_q - b) * block_b
+        return LemmaInstance(lemma_id, params, holds, lhs, factor * b * block_b)
+    return LemmaInstance(lemma_id, params, holds, Fraction(a * block_a, block_b),
+                         Fraction(factor * m * n, p * a * a * b))
 
 
-def _lemma22_holds(m: int, n: int, a: int, b: int, p: int, q: int, variant: str) -> bool:
-    """The verdict of check_lemma22 on an admissible tuple, in integers only.
+def _lemma22_holds(m: int, n: int, a: int, b: int, p: int, q: int, block_a: int, block_b: int,
+                   variant: str) -> bool:
+    """The verdict of check_lemma22 on an admissible tuple from the blocks of a and b.
 
     With n = p^alpha q^beta n' and m = p^gamma q^d m', the right side of the
     ratio bound is f * D * q^d = f * m * n / (p^(2s+1) * q^t) = f * m * n /
@@ -217,8 +215,6 @@ def _lemma22_holds(m: int, n: int, a: int, b: int, p: int, q: int, variant: str)
     bound multiplied by the positive p * a^2 * b * block_b is
     p * a^3 * b * block_a > f * m * n * block_b.
     """
-    block_a = _block(m, n, a)
-    block_b = _block(m, n, b)
     factor = 2 if variant == "i" else 1
     if {a, b} == {2, 3}:
         return a * block_a - (q ** valuation(m, q) - b) * block_b > factor * b * block_b
@@ -299,9 +295,19 @@ def _structure_instances(sg, sh) -> list[LemmaInstance]:
     return out
 
 
-def _check_grid_bound(lemma: str, bound: int, ceiling: int) -> None:
+def _check_grid_bound(lemma: str, bound: int) -> None:
+    ceiling = GRID_CEILINGS[lemma]
     if bound > ceiling:
         raise BudgetError(f"grid {lemma} is limited to max <= {ceiling}, got max = {bound}")
+
+
+def _divisor_sieve(bound: int) -> list[list[int]]:
+    """The divisors >= 2 of every g <= bound, in increasing order, indexed by g."""
+    divisors_of: list[list[int]] = [[] for _ in range(bound + 1)]
+    for d in range(2, bound + 1):
+        for multiple in range(d, bound + 1, d):
+            divisors_of[multiple].append(d)
+    return divisors_of
 
 
 def _lemma21i_failures(m: int, n: int, divs: list[int], blocks: list[int]) -> list[tuple[int, int]]:
@@ -361,12 +367,8 @@ def lemma21_grid(max_mn: int, variant: str) -> GridResult:
     """
     if variant not in ("i", "ii"):
         raise ValueError(f"variant must be 'i' or 'ii', got {variant!r}")
-    _check_grid_bound(f"2.1{variant}", max_mn, LEMMA21_GRID_MAX)
-    # The divisors >= 2 of every g <= max_mn, in increasing order.
-    divisors_of: list[list[int]] = [[] for _ in range(max_mn + 1)]
-    for d in range(2, max_mn + 1):
-        for multiple in range(d, max_mn + 1, d):
-            divisors_of[multiple].append(d)
+    _check_grid_bound(f"2.1{variant}", max_mn)
+    divisors_of = _divisor_sieve(max_mn)
     checked = 0
     failures = []
     for m in range(2, max_mn + 1):
@@ -403,19 +405,14 @@ def lemma22_grid(max_mn: int, variant: str) -> GridResult:
     """
     if variant not in ("i", "ii"):
         raise ValueError(f"variant must be 'i' or 'ii', got {variant!r}")
-    _check_grid_bound(f"2.2{variant}", max_mn, LEMMA22_GRID_MAX)
-    # The prime powers (p^e, p) dividing every g <= max_mn, in increasing order.
-    powers_of: list[list[tuple[int, int]]] = [[] for _ in range(max_mn + 1)]
-    for p in range(2, max_mn + 1):
-        if powers_of[p]:
-            continue  # p has a smaller prime factor
-        power = p
-        while power <= max_mn:
-            for multiple in range(power, max_mn + 1, power):
-                powers_of[multiple].append((power, p))
-            power *= p
-    for powers in powers_of:
-        powers.sort()
+    _check_grid_bound(f"2.2{variant}", max_mn)
+    # The prime powers (d, p) dividing every g <= max_mn, in increasing order:
+    # d >= 2 is a power of its least divisor p >= 2 when d = p^k, with k its
+    # number of divisors >= 2.
+    divisors_of = _divisor_sieve(max_mn)
+    prime_of = {d: divs[0] for d, divs in enumerate(divisors_of)
+                if divs and divs[0] ** len(divs) == d}
+    powers_of = [[(d, prime_of[d]) for d in divs if d in prime_of] for divs in divisors_of]
     checked = 0
     failures = []
     for m in range(2, max_mn + 1):
@@ -435,7 +432,8 @@ def lemma22_grid(max_mn: int, variant: str) -> GridResult:
                         if spread != 2 or {a, b} == {2, 3}:
                             continue
                     checked += 1
-                    if not _lemma22_holds(m, n, a, b, p, q, variant):
+                    if not _lemma22_holds(m, n, a, b, p, q, _block(m, n, a), _block(m, n, b),
+                                          variant):
                         failures.append(check_lemma22(m, n, a, b, p, q, variant))
     return GridResult(f"2.2{variant}", checked, failures)
 
@@ -447,7 +445,7 @@ def structure_grid(max_order: int) -> GridResult:
     """
     if max_order < 1:
         raise ValueError(f"max_order must be positive, got {max_order}")
-    _check_grid_bound("struct", max_order, STRUCTURE_GRID_MAX)
+    _check_grid_bound("struct", max_order)
     groups = [g for n in range(1, max_order + 1) for g in enumerate_abelian(n)]
     spectra = [order_spectrum(g) for g in groups]
     checked = 0

@@ -12,15 +12,16 @@ decides by spectrum class, in one walk over the orders in increasing n: for
 each n and every order m >= n it builds one block table, groups the groups of
 both orders by their spectrum restricted to the shared divisors, and gives each
 class one count.  A pair is a violation exactly when its two classes differ but
-their counts are equal.  Each spectrum is computed once, while the candidates
-are deduplicated.  A summary scan finds violating class pairs with a dict keyed
-by count and expands only them into pairs; a scan that hands out records
-renders, from the walk's row, each group's records with itself and every later
-group as one text, in canonical order.
+their counts are equal; the walk finds such colliding classes once per order
+pair, with a dict keyed by count.  Each spectrum is computed once, while the
+candidates are deduplicated.  A summary scan expands only colliding classes
+into pairs; a record scan renders, from the walk's row, each group's records
+with itself and every later group as one text, in canonical order.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from itertools import chain, repeat
 from math import gcd
 from operator import add, mul
@@ -206,21 +207,23 @@ def pair_sequence(descriptors) -> list[tuple[GroupDescriptor, GroupDescriptor]]:
 def _class_walk(spectra: list[OrderSpectrum]):
     """Walk the orders of spectra upwards and give each spectrum class one count.
 
-    Spectra are addressed by position.  For each order n, in increasing order,
-    this yields the positions of order n and a row with one (m, shared, left,
-    right, counts) for every order m >= n.  shared lists the divisors of
-    gcd(n, m) in increasing order.  left and right are the classes of order n
-    and of order m, each a triple (keys, of, positions): keys lists the
-    restricted keys (a spectrum's entries at shared) in order of first
-    appearance, and of gives each of the positions of that order, in turn,
-    the index of its key.  counts gives each key its dot product with the
-    block table divided by n + m, which is |M(G, m)| for a group G of order n
-    in that class (and the same with n and m swapped).  An inexact division
-    means an inconsistent spectrum and raises ValueError.
+    Spectra are addressed by position and sorted by group order.  For each
+    order n, in increasing order, this yields the range of positions of order
+    n and a row with one (m, shared, left, right, counts, collisions) for
+    every order m >= n.  shared lists the divisors of gcd(n, m) in increasing
+    order.  left and right are the classes of order n and of order m, each a
+    triple (keys, of, positions): keys lists the restricted keys (a
+    spectrum's entries at shared) in order of first appearance, and of gives
+    each of the positions of that order, in turn, the index of its key.
+    counts gives each key its dot product with the block table divided by
+    n + m, which is |M(G, m)| for a group G of order n in that class (and the
+    same with n and m swapped).  An inexact division means an inconsistent
+    spectrum and raises ValueError.  collisions is a tuple of each (left
+    class, right class) with different keys and equal counts.
     """
-    members: dict[int, list[int]] = {}
-    for i, spectrum in enumerate(spectra):
-        members.setdefault(spectrum.group_order, []).append(i)
+    orders = [spectrum.group_order for spectrum in spectra]
+    members = {n: range(bisect_left(orders, n), bisect_right(orders, n))
+               for n in dict.fromkeys(orders)}
     classes: dict[tuple[int, int], tuple] = {}
     last_blocks: dict[tuple[int, int], tuple[int, int]] = {}
 
@@ -235,7 +238,7 @@ def _class_walk(spectra: list[OrderSpectrum]):
             entry = classes[n, g] = (shared, (list(index), of, members[n]))
         return entry
 
-    orders = sorted(members)
+    orders = list(members)
     for a, n in enumerate(orders):
         row = []
         for m in orders[a:]:
@@ -252,7 +255,16 @@ def _class_walk(spectra: list[OrderSpectrum]):
                         raise ValueError(f"divisor sum {divisor_sum} not divisible by {total}: "
                                          "inconsistent spectrum")
                     counts[key] = divisor_sum // total
-            row.append((m, shared, left, right, counts))
+            collisions = ()
+            if len(counts) > 1:
+                by_count: dict[int, list[int]] = {}
+                for c, key in enumerate(left[0]):
+                    by_count.setdefault(counts[key], []).append(c)
+                for c, key in enumerate(right[0]):
+                    for other in by_count.get(counts[key], ()):
+                        if left[0][other] != key:
+                            collisions += ((other, c),)
+            row.append((m, shared, left, right, counts, collisions))
         yield members[n], row
 
 
@@ -262,69 +274,60 @@ def _members(classes, c: int) -> list[int]:
     return [i for i, index in zip(positions, of) if index == c]
 
 
-def _violating_pairs(spectra) -> list[tuple[int, int, int, int]]:
-    """(i, j, count_g_at_h, count_h_at_g) of each violating pair in canonical order, by class.
-
-    For each pair of orders, a violation is two different restricted keys, one
-    on each side, with the same count; a dict keyed by count finds them.
-    """
-    found = {}
-    for _, row in _class_walk(spectra):
-        for _, _, left, right, counts in row:
-            if len(counts) < 2:
-                continue
-            left_keys = left[0]
-            by_count: dict[int, list[int]] = {}
-            for c, key in enumerate(left_keys):
-                by_count.setdefault(counts[key], []).append(c)
-            for c, key in enumerate(right[0]):
-                count = counts[key]
-                for other in by_count.get(count, ()):
-                    if left_keys[other] != key:
-                        for i in _members(left, other):
-                            for j in _members(right, c):
-                                found[min(i, j), max(i, j)] = count
-    return [(i, j, count, count) for (i, j), count in sorted(found.items())]
+def _violating_pairs(row, found: dict) -> None:
+    """Map in found each pair (i, j), i <= j, of colliding classes in a walk's row to its counts."""
+    for _, _, left, right, counts, collisions in row:
+        for c, other in collisions:
+            count = counts[left[0][c]]
+            for i in _members(left, c):
+                for j in _members(right, other):
+                    found[min(i, j), max(i, j)] = count, count
 
 
-def _record_rows(descriptors, spectra, on_row,
-                 record_format: str) -> list[tuple[int, int, int, int]]:
+def _record_rows(descriptors, spectra, on_row, record_format: str) -> dict:
     """Render every pair's record one row at a time and return the violating pairs.
 
     The row of group i holds its records with every group j >= i, in canonical
     order, one line each in record_format.  Each notation is rendered once per
     scan, a line's middle once per order pair, its right part once per order
-    pair and class of j, and its left part once per group i, order of j and
-    witness; a row's lines are then joined with no Python step per pair.  on_row is called with each
-    row's text and may return the offsets, within the row, of lines to count
-    as violations.  Returns (i, j, count_g_at_h, count_h_at_g) for those lines
-    and for every inconsistent record, in canonical order.
+    pair and class of j (and once more per colliding class of i), and its left
+    part once per group i, order of j and witness; a row's lines are then
+    joined with no Python step per pair.  on_row is called with each row's
+    text and may return the offsets, within the row, of lines to count as
+    violations.  Returns the pair (i, j) of those lines and of every
+    inconsistent record mapped to (count_g_at_h, count_h_at_g).
     """
     prefix_format, middle_format, left_format, right_format, null = RECORD_FORMATS[record_format]
     names = [d.notation() for d in descriptors]
     orders = [s.group_order for s in spectra]
-    found = []
+    found = {}
     for positions, row in _class_walk(spectra):
-        first = positions[0]
+        first = positions.start
         n = orders[first]
         middles = {m: middle_format.format(n, m) for m, *_ in row}
         heads = list(map(add, names[first:], map(middles.__getitem__, orders[first:])))
+        _violating_pairs(row, found)
         blocks = {}
-        for m, shared, (left_keys, left_of, _), right, counts in row:
+        for m, shared, (left_keys, left_of, _), right, counts, collisions in row:
             texts = {key: str(count) for key, count in counts.items()}
-            blocks[m] = (shared, left_keys, left_of, right, counts, texts,
-                         [right_format.format(texts[key], "true") for key in right[0]])
+            block_rights = [right_format.format(texts[key], "true") for key in right[0]]
+            # The right parts of each colliding class of i, inconsistent where it collides.
+            colliding = {}
+            for c, other in collisions:
+                class_rights = colliding.setdefault(c, [*block_rights])
+                class_rights[other] = right_format.format(texts[right[0][other]], "false")
+            blocks[m] = (shared, left_keys, left_of, right, counts, texts, block_rights, colliding)
         for i in positions:
-            lefts, rights, flagged = [], [], {}
-            for m, (shared, left_keys, left_of, right, counts, texts,
-                    block_rights) in blocks.items():
-                right_keys, right_of, _ = right
-                key = left_keys[left_of[i - first]]
-                count, text = counts[key], texts[key]
+            lefts, rights = [], []
+            for m, (shared, left_keys, left_of, (right_keys, right_of, _), _, texts,
+                    block_rights, colliding) in blocks.items():
+                c = left_of[i - first]
+                key = left_keys[c]
+                text = texts[key]
                 agree = left_format.format("true", null, text)
                 by_witness = {}
                 block_lefts = []
-                for c, other in enumerate(right_keys):
+                for other in right_keys:
                     if other == key:
                         block_lefts.append(agree)
                         continue
@@ -335,14 +338,9 @@ def _record_rows(descriptors, spectra, on_row,
                     if part is None:
                         part = by_witness[d] = left_format.format("false", d, text)
                     block_lefts.append(part)
-                    if counts[other] == count:
-                        # Spectra that differ with equal counts: an inconsistent record.
-                        flagged.update((j, (count, count)) for j in _members(right, c) if j >= i)
-                        block_rights = [*block_rights]
-                        block_rights[c] = right_format.format(texts[other], "false")
                 of = right_of[i - first:] if m == n else right_of
                 lefts.append(map(block_lefts.__getitem__, of))
-                rights.append(map(block_rights.__getitem__, of))
+                rights.append(map(colliding.get(c, block_rights).__getitem__, of))
             text = "".join(chain.from_iterable(zip(
                 repeat(prefix_format.format(names[i])), heads[i - first:],
                 chain.from_iterable(lefts), chain.from_iterable(rights))))
@@ -350,9 +348,8 @@ def _record_rows(descriptors, spectra, on_row,
                 j = i + offset
                 _, left_keys, left_of, right, counts, *_ = blocks[orders[j]]
                 right_keys, right_of, right_at = right
-                key, other = left_keys[left_of[i - first]], right_keys[right_of[right_at.index(j)]]
-                flagged.setdefault(j, (counts[key], counts[other]))
-            found.extend((i, j, *flagged[j]) for j in sorted(flagged))
+                key, other = left_keys[left_of[i - first]], right_keys[right_of[j - right_at.start]]
+                found.setdefault((i, j), (counts[key], counts[other]))
     return found
 
 
@@ -372,14 +369,16 @@ def conjecture_scan(families, max_order: int, *, on_row=None,
     descriptors, spectra = _scan_groups(families, max_order)
     family_tuple = tuple(f for f in FAMILIES if f in set(families))
     if on_row is None:
-        pairs = _violating_pairs(spectra)
+        found = {}
+        for _, row in _class_walk(spectra):
+            _violating_pairs(row, found)
     else:
-        pairs = _record_rows(descriptors, spectra, on_row, record_format)
+        found = _record_rows(descriptors, spectra, on_row, record_format)
     k = len(descriptors)
     return ScanSummary(
         pairs_checked=k * (k + 1) // 2,
-        violations=[_pair_report(descriptors[i], descriptors[j], spectra[i], spectra[j], gh, hg)
-                    for i, j, gh, hg in pairs],
+        violations=[_pair_report(descriptors[i], descriptors[j], spectra[i], spectra[j],
+                                 *found[i, j]) for i, j in sorted(found)],
         max_order=max_order, families=family_tuple,
     )
 

@@ -1,6 +1,7 @@
 """End-to-end tests for the zsr command line."""
 
 import ast
+import errno
 import json
 import os
 import pkgutil
@@ -406,6 +407,9 @@ def test_error_exit_codes(capsys):
          "error: dp oracle budget is order <= 36 and length <= 36, got order 40, length 2\n"),
         (["scan-conjecture", "--families", "abelian,weird", "--max-order", "10"],
          "error: unknown families ['weird']; valid names: abelian, dihedral, dicyclic, products\n"),
+        # Group notation takes ASCII digits only.
+        (["count", "--group", "C\u0663", "--length", "3"],
+         "error: expected an integer after 'C' (at byte 1)\n"),
     ]
     for argv, message in cases:
         code = main(argv)
@@ -627,6 +631,72 @@ def test_unusable_out_path_exits_2(argv, tmp_path, monkeypatch, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["DIR"]
     assert [p.name for p in (tmp_path / "DIR").iterdir()] == ["kept.txt"]
     assert (tmp_path / "DIR" / "kept.txt").read_text() == "kept\n"
+
+
+def test_lemma_refuses_an_unusable_out_before_the_grid(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "DIR").mkdir()
+    (tmp_path / "kept.csv").write_text("kept\n")
+    # A bound the grid refuses creates no report and leaves an old one alone.
+    for lemma_id, ceiling in lemmas.GRID_CEILINGS.items():
+        for out in ("report.csv", "kept.csv"):
+            assert main(["lemma", "--id", lemma_id, "--max", str(ceiling + 1), "--out", out]) == 2
+            assert capsys.readouterr().err.startswith(f"error: grid {lemma_id} is limited")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["DIR", "kept.csv"]
+    assert (tmp_path / "kept.csv").read_text() == "kept\n"
+
+    def no_grid(*args):
+        raise AssertionError("the grid ran before its report path was refused")
+
+    for name in ("lemma21_grid", "lemma22_grid", "structure_grid"):
+        monkeypatch.setattr(lemmas, name, no_grid)
+    for lemma_id in lemmas.GRID_CEILINGS:
+        for out, reason in (("DIR", "Is a directory"), ("missing/x.csv", "No such file or directory")):
+            assert main(["lemma", "--id", lemma_id, "--max", "1000", "--out", out]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: cannot open {out}: {reason}\n"
+
+
+def run_limited(*argv, stdout=subprocess.PIPE):
+    """Run zsr in a child with a 400 MB address-space limit and a timeout.
+
+    A regression that reads an endless stream, or waits on a FIFO, then fails
+    the test instead of exhausting the machine that runs it.
+    """
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (400 * 2**20, 400 * 2**20))
+
+    return subprocess.run([sys.executable, "-m", "zsr.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=child_env(), timeout=60,
+                          preexec_fn=limit)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_non_regular_scan_log_exits_2(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    for out in ("/dev/full", str(fifo)):
+        result = run_limited("scan-conjecture", "--max-order", "4", "--out", out)
+        assert result.returncode == 2, result.stderr
+        assert result.stdout == ""
+        assert result.stderr == f"error: cannot open {out}: not a regular file\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_write_errors_exit_2_with_the_path_named():
+    full = os.strerror(errno.ENOSPC)
+    result = run_limited("lemma", "--id", "2.1i", "--max", "10", "--out", "/dev/full")
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr == f"error: cannot write /dev/full: {full}\n"
+    with open("/dev/full", "w") as stdout:
+        for argv in (["count", "--group", "C6", "--length", "3"],
+                     ["scan-conjecture", "--max-order", "40", "--format", "jsonl"]):
+            result = run_limited(*argv, stdout=stdout)
+            assert result.returncode == 2, argv
+            assert result.stderr == f"error: cannot write standard output: {full}\n", argv
 
 
 def test_grids_past_their_ceilings_exit_2_quickly(capsys):

@@ -184,6 +184,9 @@ def test_parse_group_error_offsets():
         ("C2x", "expected a group term after 'x'", 3),
         ("C2xx", "expected a group term", 3),
         ("Q82", "expected 'x' or end of input", 2),
+        ("C\u0663", "expected an integer after 'C'", 1),  # ARABIC-INDIC DIGIT THREE
+        ("D\uff11\uff12", "expected an integer after 'D'", 1),  # FULLWIDTH DIGITS 1, 2
+        ("C\u00b2", "expected an integer after 'C'", 1),  # SUPERSCRIPT TWO
     ]
     for text, fragment, offset in cases:
         with pytest.raises(GroupParseError) as exc:

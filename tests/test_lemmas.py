@@ -12,7 +12,7 @@ import pytest
 
 from zsr import lemmas
 from zsr.cli import main
-from zsr.exactmath import binomial, prime_power_root, valuation
+from zsr.exactmath import binomial, divisors, prime_power_root, valuation
 from zsr.groups import AbelianGroup, enumerate_abelian, order_spectrum, parse_group
 from zsr.lemmas import (
     GridResult,
@@ -420,6 +420,22 @@ def admissible_lemma22(max_mn, variant):
     return out
 
 
+def delta_by_valuations(m, n, a, b, p, q):
+    """D = p^(alpha+gamma-2s-1) * q^(beta-t) * m' * n', spelled out from the valuations."""
+    s, t = prime_power_root(a)[1], prime_power_root(b)[1]
+    alpha, beta, gamma, d = valuation(n, p), valuation(n, q), valuation(m, p), valuation(m, q)
+    n_prime = n // (p ** alpha * q ** beta)
+    m_prime = m // (p ** gamma * q ** d)
+    return Fraction(p) ** (alpha + gamma - 2 * s - 1) * Fraction(q) ** (beta - t) * m_prime * n_prime
+
+
+def test_delta_matches_the_valuation_formula():
+    tuples = admissible_lemma22(120, "i") + admissible_lemma22(120, "ii")
+    assert len(tuples) == 591
+    for m, n, a, b, p, q in tuples:
+        assert delta(m, n, a, b, p, q) == delta_by_valuations(m, n, a, b, p, q), (m, n, a, b)
+
+
 def test_lemma22_integer_verdicts_match_fractions(monkeypatch):
     decide = lemmas._lemma22_holds
     for variant, factor, count in (("i", 2, 560), ("ii", 1, 31)):
@@ -432,13 +448,32 @@ def test_lemma22_integer_verdicts_match_fractions(monkeypatch):
         special = 0
         for m, n, a, b, p, q in tuples:
             instance = check_lemma22(m, n, a, b, p, q, variant)
-            assert decide(m, n, a, b, p, q, variant) == instance.holds, (m, n, a, b)
+            holds = decide(m, n, a, b, p, q, block(m, n, a), block(m, n, b), variant)
+            assert holds == (instance.lhs > instance.rhs), (m, n, a, b)
             if {a, b} == {2, 3}:
                 special += 1
             else:
-                # The cross-multiplied right side: f * D * q^d = f * m * n / (p * a^2 * b).
-                assert instance.rhs == Fraction(factor * m * n, p * a * a * b), (m, n, a, b)
+                # The ratio bound's right side f * D * q^d, with D from the valuations.
+                rhs = factor * delta_by_valuations(m, n, a, b, p, q) * q ** valuation(m, q)
+                assert instance.rhs == rhs, (m, n, a, b)
         assert (special > 0) == (variant == "i")
+
+
+def test_divisor_sieve_finds_the_prime_powers():
+    # lemma22_grid keeps a divisor d when its least divisor p >= 2 satisfies
+    # p^k = d, with k its number of divisors >= 2.
+    divisors_of = lemmas._divisor_sieve(lemmas.LEMMA22_GRID_MAX)
+    assert divisors_of[:2] == [[], []]
+    powers = 0
+    for d in range(2, lemmas.LEMMA22_GRID_MAX + 1):
+        divs = divisors_of[d]
+        assert divs == divisors(d)[1:], d
+        root = prime_power_root(d)
+        assert (divs[0] ** len(divs) == d) == (root is not None), d
+        if root is not None:
+            powers += 1
+            assert root == (divs[0], len(divs)), d
+    assert powers == 303 + 30  # the primes up to 2000 and their higher powers
 
 
 def test_lemma22_grid_reports_failures_in_grid_order(monkeypatch, capsys):
