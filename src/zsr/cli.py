@@ -296,10 +296,14 @@ def _cmd_lemma(args) -> int:
 
     with _writes_to(args.out), contextlib.ExitStack() as stack:
         # The report is opened before the grid runs, so that an unusable path
-        # costs no grid time; a bound the grid refuses creates no file.
+        # costs no grid time; a bound the grid refuses creates no file.  It is
+        # opened without blocking, so a FIFO with no reader fails at once
+        # (ENXIO) instead of waiting for one; writes then block as usual.
         report = None
         if args.out and args.max <= lemmas.GRID_CEILINGS[args.id]:
-            report = stack.enter_context(open(args.out, "w", encoding="utf-8", newline=""))
+            fd = os.open(args.out, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NONBLOCK, 0o666)
+            report = stack.enter_context(open(fd, "w", encoding="utf-8", newline=""))
+            os.set_blocking(fd, True)
         if args.id == "struct":
             result = lemmas.structure_grid(args.max)
         else:

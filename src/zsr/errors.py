@@ -12,4 +12,4 @@ class GroupParseError(ValueError):
 
 
 class BudgetError(ValueError):
-    """An input beyond a documented budget was refused (an oracle's, or factorize's ceiling)."""
+    """An input past a documented ceiling (an oracle's, a grid's, a scan's, factorize's) was refused."""

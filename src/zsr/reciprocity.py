@@ -27,6 +27,7 @@ from math import gcd
 from operator import add, mul
 
 from .counting import count_formula
+from .errors import BudgetError
 from .exactmath import block_table, divisors
 from .groups import (
     FAMILIES,
@@ -39,6 +40,10 @@ from .groups import (
     order_spectrum,
 )
 from .value import Value, set_field
+
+# Scans refuse max_order past this ceiling (BudgetError) before they enumerate
+# a group; a summary scan of all families at the ceiling took 11-15 s on 2 cores.
+SCAN_MAX_ORDER = 1024
 
 RECORD_FIELDS = (
     "g", "h", "order_g", "order_h", "spectra_agree", "witness_divisor",
@@ -170,6 +175,9 @@ def _scan_groups(families, max_order: int) -> tuple[list[GroupDescriptor], list[
         raise ValueError(f"unknown families {sorted(unknown)}; valid names: {', '.join(FAMILIES)}")
     if max_order < 1:
         raise ValueError(f"max_order must be positive, got {max_order}")
+    if max_order > SCAN_MAX_ORDER:
+        raise BudgetError(f"scans are limited to max_order <= {SCAN_MAX_ORDER}, "
+                          f"got max_order = {max_order}")
     abelian = [g for n in range(1, max_order + 1) for g in enumerate_abelian(n)]
     dihedral = [Dihedral(k) for k in range(3, max_order // 2 + 1)]
     dicyclic = [Dicyclic(k) for k in range(2, max_order // 4 + 1)]
@@ -288,14 +296,15 @@ def _record_rows(descriptors, spectra, on_row, record_format: str) -> dict:
     """Render every pair's record one row at a time and return the violating pairs.
 
     The row of group i holds its records with every group j >= i, in canonical
-    order, one line each in record_format.  Each notation is rendered once per
-    scan, a line's middle once per order pair, its right part once per order
-    pair and class of j (and once more per colliding class of i), and its left
-    part once per group i, order of j and witness; a row's lines are then
-    joined with no Python step per pair.  on_row is called with each row's
-    text and may return the offsets, within the row, of lines to count as
-    violations.  Returns the pair (i, j) of those lines and of every
-    inconsistent record mapped to (count_g_at_h, count_h_at_g).
+    order, one line each in record_format.  Every field of a record is fixed by
+    the spectrum classes of i and j at their order pair.  So a line's middle is
+    rendered once per order pair, its left part once per order pair, class of
+    i and witness, and its right part once per order pair and class of j (and
+    once more per colliding class of i); a group's row only selects the parts
+    of its class.  on_row is called with each row's text and may return the
+    offsets, within the row, of lines to count as violations.  Returns the
+    pair (i, j) of those lines and of every inconsistent record mapped to
+    (count_g_at_h, count_h_at_g).
     """
     prefix_format, middle_format, left_format, right_format, null = RECORD_FORMATS[record_format]
     names = [d.notation() for d in descriptors]
@@ -311,42 +320,42 @@ def _record_rows(descriptors, spectra, on_row, record_format: str) -> dict:
         for m, shared, (left_keys, left_of, _), right, counts, collisions in row:
             texts = {key: str(count) for key, count in counts.items()}
             block_rights = [right_format.format(texts[key], "true") for key in right[0]]
-            # The right parts of each colliding class of i, inconsistent where it collides.
-            colliding = {}
+            # The right parts of each class of i, inconsistent where it collides.
+            class_rights = [block_rights] * len(left_keys)
             for c, other in collisions:
-                class_rights = colliding.setdefault(c, [*block_rights])
-                class_rights[other] = right_format.format(texts[right[0][other]], "false")
-            blocks[m] = (shared, left_keys, left_of, right, counts, texts, block_rights, colliding)
-        for i in positions:
-            lefts, rights = [], []
-            for m, (shared, left_keys, left_of, (right_keys, right_of, _), _, texts,
-                    block_rights, colliding) in blocks.items():
-                c = left_of[i - first]
-                key = left_keys[c]
-                text = texts[key]
-                agree = left_format.format("true", null, text)
-                by_witness = {}
-                block_lefts = []
-                for other in right_keys:
-                    if other == key:
-                        block_lefts.append(agree)
-                        continue
+                if class_rights[c] is block_rights:
+                    class_rights[c] = [*block_rights]
+                class_rights[c][other] = right_format.format(texts[right[0][other]], "false")
+            class_lefts = []
+            for key in left_keys:
+                # The left part of class key with each class of j, by witness (None: agree).
+                by_witness = {None: left_format.format("true", null, texts[key])}
+                lefts = []
+                for other in right[0]:
                     for d, x, y in zip(shared, key, other):
                         if x != y:
                             break
+                    else:
+                        d = None
                     part = by_witness.get(d)
                     if part is None:
-                        part = by_witness[d] = left_format.format("false", d, text)
-                    block_lefts.append(part)
+                        part = by_witness[d] = left_format.format("false", d, texts[key])
+                    lefts.append(part)
+                class_lefts.append(lefts)
+            blocks[m] = (left_keys, left_of, right, counts, class_lefts, class_rights)
+        for i in positions:
+            lefts, rights = [], []
+            for m, (_, left_of, (_, right_of, _), _, class_lefts, class_rights) in blocks.items():
+                c = left_of[i - first]
                 of = right_of[i - first:] if m == n else right_of
-                lefts.append(map(block_lefts.__getitem__, of))
-                rights.append(map(colliding.get(c, block_rights).__getitem__, of))
+                lefts.append(map(class_lefts[c].__getitem__, of))
+                rights.append(map(class_rights[c].__getitem__, of))
             text = "".join(chain.from_iterable(zip(
                 repeat(prefix_format.format(names[i])), heads[i - first:],
                 chain.from_iterable(lefts), chain.from_iterable(rights))))
             for offset in on_row(text) or ():
                 j = i + offset
-                _, left_keys, left_of, right, counts, *_ = blocks[orders[j]]
+                left_keys, left_of, right, counts, *_ = blocks[orders[j]]
                 right_keys, right_of, right_at = right
                 key, other = left_keys[left_of[i - first]], right_keys[right_of[j - right_at.start]]
                 found.setdefault((i, j), (counts[key], counts[other]))

@@ -699,6 +699,48 @@ def test_write_errors_exit_2_with_the_path_named():
             assert result.stderr == f"error: cannot write standard output: {full}\n", argv
 
 
+def test_lemma_report_to_a_fifo_needs_a_reader(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    argv = ("lemma", "--id", "2.1i", "--max", "10", "--out", str(fifo))
+    # No reader: the report fails to open at once instead of waiting for one.
+    result = run_limited(*argv)
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr == f"error: cannot open {fifo}: {os.strerror(errno.ENXIO)}\n"
+    # A reader that is already waiting gets the report.
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        result = run_limited(*argv)
+        assert result.returncode == 0, result.stderr
+        assert os.read(reader, 1 << 16) == b"lemma_id,m,n,a,b,p,q,lhs,rhs\n"
+    finally:
+        os.close(reader)
+
+
+def test_scans_past_their_ceiling_exit_2_quickly(tmp_path, monkeypatch, capsys):
+    from zsr.reciprocity import SCAN_MAX_ORDER
+
+    monkeypatch.chdir(tmp_path)
+    kept = b'{"g":"C1","h":"C1"\n'
+    (tmp_path / "kept.jsonl").write_bytes(kept)
+    bound = str(SCAN_MAX_ORDER + 1)
+    for argv in (["verify-theorem", "--max-order", bound, "--out", "kept.jsonl"],
+                 ["verify-theorem", "--max-order", bound, "--out", "new.jsonl"],
+                 ["scan-conjecture", "--max-order", bound, "--out", "new.jsonl"],
+                 ["scan-conjecture", "--max-order", bound, "--format", "csv"],
+                 ["scan-conjecture", "--max-order", bound, "--families", "dicyclic"]):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: scans are limited to max_order <= {SCAN_MAX_ORDER}, "
+                                f"got max_order = {bound}\n")
+    # A refused scan leaves an existing log as it was and creates none.
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.jsonl"]
+    assert (tmp_path / "kept.jsonl").read_bytes() == kept
+
+
 def test_grids_past_their_ceilings_exit_2_quickly(capsys):
     ceilings = {"2.1i": lemmas.LEMMA21_GRID_MAX, "2.1ii": lemmas.LEMMA21_GRID_MAX,
                 "2.2i": lemmas.LEMMA22_GRID_MAX, "2.2ii": lemmas.LEMMA22_GRID_MAX,

@@ -28,6 +28,7 @@ from zsr.groups import (
     Dihedral,
     OrderSpectrum,
     enumerate_abelian,
+    make_product,
     order_spectrum,
     order_spectrum_bruteforce,
     parse_group,
@@ -210,6 +211,48 @@ def test_cyclic_reciprocity_symmetry():
     for n in range(1, 31):
         for m in range(1, 31):
             assert count_formula(spectra[n], m) == count_formula(spectra[m], n)
+
+
+def test_cyclic_reciprocity_symmetry_property():
+    """|M(C_n, m)| = |M(C_m, n)| for random n, m <= 2000, past the fixed grids."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def cyclic(n):
+        return order_spectrum(AbelianGroup(() if n == 1 else (n,)))
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.integers(1, 2000), st.integers(1, 2000))
+    def check(n, m):
+        assert count_formula(cyclic(n), m) == count_formula(cyclic(m), n)
+
+    check()
+
+
+def test_formula_matches_series_on_random_products_property():
+    """count_formula = count_molien on two-factor products within the series budget."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def factor(max_order):
+        """A cyclic, dihedral or dicyclic group of order at most max_order (>= 2)."""
+        options = [st.integers(2, max_order).map(lambda n: AbelianGroup((n,)))]
+        if max_order >= 6:
+            options.append(st.integers(3, max_order // 2).map(Dihedral))
+        if max_order >= 8:
+            options.append(st.integers(2, max_order // 4).map(Dicyclic))
+        return st.one_of(options)
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(factor(DEFAULT_MOLIEN_MAX_ORDER // 2), st.data(),
+                      st.integers(0, DEFAULT_MOLIEN_MAX_LENGTH))
+    def check(left, data, m):
+        right = data.draw(factor(DEFAULT_MOLIEN_MAX_ORDER // left.order))
+        spectrum = order_spectrum(make_product((left, right)))
+        assert spectrum.group_order <= DEFAULT_MOLIEN_MAX_ORDER
+        assert count_formula(spectrum, m) == count_molien(spectrum, m)
+
+    check()
 
 
 def test_rational_catalan_known_values():

@@ -226,6 +226,24 @@ def test_family_descriptors_single_families():
         conjecture_scan(FAMILIES, 0)
 
 
+def test_scans_refuse_orders_past_the_ceiling_before_enumerating(monkeypatch):
+    from zsr.errors import BudgetError
+
+    ceiling = reciprocity.SCAN_MAX_ORDER
+    summary = conjecture_scan(("dicyclic",), ceiling)
+    assert summary.max_order == ceiling and summary.pairs_checked == 255 * 256 // 2
+
+    def no_groups(*args):
+        raise AssertionError("groups were enumerated for a refused scan")
+
+    monkeypatch.setattr(reciprocity, "enumerate_abelian", no_groups)
+    for scan in (lambda: conjecture_scan(FAMILIES, ceiling + 1),
+                 lambda: verify_theorem(ceiling + 1),
+                 lambda: family_descriptors(("dihedral",), 100000)):
+        with pytest.raises(BudgetError, match=f"^scans are limited to max_order <= {ceiling}, got"):
+            scan()
+
+
 def test_pair_sequence_is_upper_triangle():
     descriptors = family_descriptors(("abelian",), 5)
     pairs = pair_sequence(descriptors)
