@@ -7,15 +7,19 @@ L25) constrain where two order spectra can first disagree.  Every check is
 a decidable statement about concrete integers, and every verdict is exact.
 
 The grids decide instances without Fractions, and list the divisors of each
-gcd(m, n) from one divisor sieve.  The Lemma 2.1 grids take the blocks of
-each (m, n) from one block table.  Variant ii cross-multiplies each instance
-in integers.  Variant i first compares the logarithms of both sides in
-floats, with a proven error bound: an instance that clears the bound holds,
-and every other one (ties, near-ties and apparent failures) is settled by
-the same integer comparison.  The Lemma 2.2 grid keeps the prime powers of
-the sieve and cross-multiplies its ratio bound in integers, the comparison
-check_lemma22 also takes its verdict from.  A LemmaInstance, with its exact
-Fraction values, is built only for an instance that fails.
+gcd(m, n) from one divisor sieve.  For each m they visit only the n that
+carry an instance: those sharing with m a product of two primes (two
+distinct ones for Lemma 2.2), taken from the sieve.  The Lemma 2.1 grids
+take the blocks of each (m, n) from one block table and decide the row in
+one call.  Variant ii cross-multiplies its bound in integers.  Variant i
+first compares the logarithms of both sides in floats, with a proven error
+bound: an instance that clears the bound holds, and every other one (ties,
+near-ties and apparent failures) is settled by the same integer comparison.
+The Lemma 2.2 grid keeps the prime powers of the sieve and cross-multiplies
+its ratio bound in integers, the comparison check_lemma22 also takes its
+verdict from.  The structure grid decides each pair of spectra into compact
+check tuples.  A LemmaInstance, with its exact Fraction values, is built
+only for an instance that fails, and fractions is imported only then.
 
 Each grid refuses a bound above its ceiling (LEMMA21_GRID_MAX,
 LEMMA22_GRID_MAX, STRUCTURE_GRID_MAX; GRID_CEILINGS by grid id) with
@@ -24,7 +28,7 @@ BudgetError before any work.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from bisect import bisect_left
 from math import gcd, log2
 
 from .errors import BudgetError
@@ -90,6 +94,8 @@ def check_lemma21(m: int, n: int, a: int, b: int, variant: str) -> LemmaInstance
     strict consequence block_a > block_b.  Variant "ii" (b >= 2a) asserts
     a * block_a > max(m, n) * block_b.
     """
+    from fractions import Fraction
+
     if variant not in ("i", "ii"):
         raise ValueError(f"variant must be 'i' or 'ii', got {variant!r}")
     for name, value in (("m", m), ("n", n), ("a", a), ("b", b)):
@@ -119,9 +125,10 @@ def _lemma21_holds(m: int, n: int, a: int, b: int, block_a: int, block_b: int, v
 
     Variant i multiplies block_a / block_b >= rhs by the positive
     block_b * n^en * (b*m)^em, where en = n/a - n/b and em = m/a - m/b.
+    Variant ii is the row {a, b} of _lemma21ii_failures.
     """
     if variant == "ii":
-        return a * block_a > max(m, n) * block_b
+        return not _lemma21ii_failures(m, n, [a, b], [block_a, block_b])
     exp_n = n // a - n // b
     exp_m = m // a - m // b
     return block_a > block_b and (block_a * n ** exp_n * (b * m) ** exp_m
@@ -137,6 +144,8 @@ def delta(m: int, n: int, a: int, b: int, p: int, q: int) -> Fraction:
     exact ratio that can fall below 1.  As m * n = p^(alpha+gamma) *
     q^(beta+delta) * m' * n', it is m * n / (p^(2s+1) * q^(t+delta)).
     """
+    from fractions import Fraction
+
     s = _prime_power_exponent(a, p, "a")
     t = _prime_power_exponent(b, q, "b")
     if p == q:
@@ -165,6 +174,8 @@ def check_lemma22(m: int, n: int, a: int, b: int, p: int, q: int, variant: str) 
     there: divide it by the positive block_b, and with f the factor and
     d >= t, f * D * q^d >= f * q^d >= f * q^t + q^d - q^t.
     """
+    from fractions import Fraction
+
     if variant not in ("i", "ii"):
         raise ValueError(f"variant must be 'i' or 'ii', got {variant!r}")
     s = _prime_power_exponent(a, p, "a")
@@ -238,34 +249,59 @@ def check_structure_lemmas(g: AbelianGroup, h: AbelianGroup) -> list[LemmaInstan
 def _structure_instances(sg, sh) -> list[LemmaInstance]:
     n = sg.group_order
     m = sh.group_order
+    return [_structure_instance(n, m, check) for check in _structure_checks(sg, sh)]
+
+
+# The kind of a structure check: its lemma id and the names of its
+# parameters after n and m.
+_L23_G = ("L23", "min_EG")
+_L23_H = ("L23", "min_EH")
+_L24 = ("L24", "q", "t", "delta", "phi_g", "phi_h")
+_L25 = ("L25", "p", "s", "alpha", "gamma")
+
+
+def _structure_instance(n: int, m: int, check: tuple) -> LemmaInstance:
+    """The LemmaInstance of one check of _structure_checks for orders n and m."""
+    (lemma_id, *names), holds, lhs, rhs, values = check
+    return LemmaInstance(lemma_id, dict(zip(("n", "m", *names), (n, m, *values))), holds, lhs, rhs)
+
+
+def _structure_checks(sg, sh) -> list[tuple]:
+    """The structure checks of two spectra, as (kind, holds, lhs, rhs, values) tuples.
+
+    values are the check's parameters after n and m, in the order its kind
+    names them.  A check is what check_structure_lemmas reports as one
+    instance, in the same order.
+    """
+    n = sg.group_order
+    m = sh.group_order
+    g_entries = sg.entries
+    h_entries = sh.entries
     # The divisors of gcd(n, m) are the keys of sg's spectrum that divide m,
     # in increasing order, so the first excess of each side is its smallest.
     min_g = min_h = None
-    for d, count in sg.entries.items():
+    for d, count in g_entries.items():
         if m % d == 0:
-            other = sh.entries[d]
+            other = h_entries[d]
             if count > other and min_g is None:
                 min_g = d
             elif count < other and min_h is None:
                 min_h = d
     if min_g is None and min_h is None:
-        # Spectra agreeing on every shared divisor give no instance.
+        # Spectra agreeing on every shared divisor give no check.
         return []
-    shared = gcd(n, m)
-    out: list[LemmaInstance] = []
-    for label, smallest in (("min_EG", min_g), ("min_EH", min_h)):
-        if smallest is None:
-            continue
-        top_power = max(p ** e for p, e in factorize(smallest))
-        out.append(LemmaInstance(
-            "L23", {"n": n, "m": m, label: smallest},
-            smallest == top_power, smallest, top_power,
-        ))
-    for prime, top in factorize(shared):
+    checks = []
+    for kind, smallest in ((_L23_G, min_g), (_L23_H, min_h)):
+        if smallest is not None:
+            top_power = max(p ** e for p, e in factorize(smallest))
+            checks.append((kind, smallest == top_power, smallest, top_power, (smallest,)))
+    for prime, top in factorize(gcd(n, m)):
         # t is the first power of prime at which the spectra differ.
+        power = 1
         for t in range(1, top + 1):
-            phi_g = sg.count_of(prime ** t)
-            phi_h = sh.count_of(prime ** t)
+            power *= prime
+            phi_g = g_entries[power]
+            phi_h = h_entries[power]
             if phi_g != phi_h:
                 break
         else:
@@ -274,25 +310,18 @@ def _structure_instances(sg, sh) -> list[LemmaInstance]:
         rich_order = m if phi_g < phi_h else n
         diff = abs(phi_h - phi_g)
         d_exp = valuation(rich_order, prime)
-        upper = prime ** d_exp - prime ** t
-        l24_holds = (rich_order % prime ** (t + 1) == 0) and (prime ** t <= diff <= upper)
-        out.append(LemmaInstance(
-            "L24",
-            {"n": n, "m": m, "q": prime, "t": t, "delta": d_exp, "phi_g": phi_g, "phi_h": phi_h},
-            l24_holds, diff, upper,
-        ))
+        upper = prime ** d_exp - power
+        l24_holds = rich_order % (power * prime) == 0 and power <= diff <= upper
+        checks.append((_L24, l24_holds, diff, upper, (prime, t, d_exp, phi_g, phi_h)))
         if 2 <= t < top:
             first = phi_g - phi_h
-            second = sg.count_of(prime ** (t + 1)) - sh.count_of(prime ** (t + 1))
+            second = g_entries[power * prime] - h_entries[power * prime]
             if (first > 0 > second) or (first < 0 < second):
                 alpha = valuation(n, prime)
                 gamma = valuation(m, prime)
-                out.append(LemmaInstance(
-                    "L25",
-                    {"n": n, "m": m, "p": prime, "s": t, "alpha": alpha, "gamma": gamma},
-                    min(alpha, gamma) >= t + 2, min(alpha, gamma), t + 2,
-                ))
-    return out
+                checks.append((_L25, min(alpha, gamma) >= t + 2, min(alpha, gamma), t + 2,
+                               (prime, t, alpha, gamma)))
+    return checks
 
 
 def _check_grid_bound(lemma: str, bound: int) -> None:
@@ -308,6 +337,24 @@ def _divisor_sieve(bound: int) -> list[list[int]]:
         for multiple in range(d, bound + 1, d):
             divisors_of[multiple].append(d)
     return divisors_of
+
+
+def _shared_rows(divisors_of: list[list[int]], m: int, distinct: bool) -> list[int]:
+    """The n in the sieve's range that share with m a product of two primes, in increasing order.
+
+    These are the n with gcd(m, n) composite, or, when distinct, with two
+    distinct primes dividing gcd(m, n).  A divisor d of m is a product of
+    two primes when d / p is prime, p being its least divisor >= 2, and they
+    are distinct when d / p is not p.
+    """
+    bound = len(divisors_of) - 1
+    steps = []
+    for d in divisors_of[m]:
+        p = divisors_of[d][0]
+        rest = divisors_of[d // p]
+        if len(rest) == 1 and not (distinct and rest[0] == p):
+            steps.append(d)
+    return sorted({n for d in steps for n in range(d, bound + 1, d)})
 
 
 def _lemma21i_failures(m: int, n: int, divs: list[int], blocks: list[int]) -> list[tuple[int, int]]:
@@ -357,40 +404,48 @@ def _lemma21i_failures(m: int, n: int, divs: list[int], blocks: list[int]) -> li
     return failing
 
 
+def _lemma21ii_failures(m: int, n: int, divs: list[int], blocks: list[int]) -> list[tuple[int, int]]:
+    """The pairs a, b of divs with b >= 2a failing variant ii of Lemma 2.1, in grid order.
+
+    divs and blocks are as for _lemma21i_failures.  Variant ii asserts
+    a * block_a > max(m, n) * block_b; each side is formed once per divisor.
+    """
+    upper = [a * block for a, block in zip(divs, blocks)]
+    lower = [max(m, n) * block for block in blocks]
+    return [(a, divs[j]) for i, a in enumerate(divs)
+            for j in range(bisect_left(divs, 2 * a), len(divs)) if upper[i] <= lower[j]]
+
+
 def lemma21_grid(max_mn: int, variant: str) -> GridResult:
     """Exhaustive sweep of check_lemma21 over 2 <= m, n <= max_mn <= LEMMA21_GRID_MAX.
 
-    For each m the blocks come from one block table as n grows.  Variant i
-    decides each row with _lemma21i_failures, variant ii each instance with
-    _lemma21_holds; check_lemma21 builds the reported instance of a failing
-    tuple only.
+    For each m it visits the n with gcd(m, n) composite, the others having
+    no pair a < b, and takes their blocks from one block table as n grows.
+    _lemma21i_failures or _lemma21ii_failures decides each row;
+    check_lemma21 builds the reported instance of a failing tuple only.
     """
     if variant not in ("i", "ii"):
         raise ValueError(f"variant must be 'i' or 'ii', got {variant!r}")
     _check_grid_bound(f"2.1{variant}", max_mn)
     divisors_of = _divisor_sieve(max_mn)
+    # The number of pairs a < b (with b >= 2a for variant ii) that a row with
+    # gcd g checks, indexed by g.
+    if variant == "i":
+        decide_row = _lemma21i_failures
+        pairs_of = [len(divs) * (len(divs) - 1) // 2 for divs in divisors_of]
+    else:
+        decide_row = _lemma21ii_failures
+        pairs_of = [sum(len(divs) - bisect_left(divs, 2 * a) for a in divs) for divs in divisors_of]
     checked = 0
     failures = []
     for m in range(2, max_mn + 1):
         last_blocks: dict[tuple[int, int], tuple[int, int]] = {}
-        for n in range(2, max_mn + 1):
-            divs = divisors_of[gcd(m, n)]
-            if len(divs) < 2:
-                continue
-            blocks = block_table(m, n, divs, last_blocks)
-            if variant == "i":
-                checked += len(divs) * (len(divs) - 1) // 2
-                failing = _lemma21i_failures(m, n, divs, blocks)
-            else:
-                failing = []
-                for i, (a, block_a) in enumerate(zip(divs, blocks)):
-                    for b, block_b in zip(divs[i + 1:], blocks[i + 1:]):
-                        if b < 2 * a:
-                            continue
-                        checked += 1
-                        if not _lemma21_holds(m, n, a, b, block_a, block_b, "ii"):
-                            failing.append((a, b))
-            failures += [check_lemma21(m, n, a, b, variant) for a, b in failing]
+        for n in _shared_rows(divisors_of, m, False):
+            shared = gcd(m, n)
+            divs = divisors_of[shared]
+            checked += pairs_of[shared]
+            for a, b in decide_row(m, n, divs, block_table(m, n, divs, last_blocks)):
+                failures.append(check_lemma21(m, n, a, b, variant))
     return GridResult(f"2.1{variant}", checked, failures)
 
 
@@ -399,8 +454,9 @@ def lemma22_grid(max_mn: int, variant: str) -> GridResult:
 
     Admissible tuples are prime powers a = p^s, b = q^t of distinct primes
     with b < 2a, both dividing gcd(m, n), restricted to the variant's spread
-    condition (for variant i this includes the {a, b} = {2, 3} clause).
-    Each is decided by _lemma22_holds; check_lemma22 builds the reported
+    condition (for variant i this includes the {a, b} = {2, 3} clause), so
+    for each m it visits the n with two distinct primes in gcd(m, n).  Each
+    tuple is decided by _lemma22_holds; check_lemma22 builds the reported
     instance of a failing tuple only.
     """
     if variant not in ("i", "ii"):
@@ -416,10 +472,8 @@ def lemma22_grid(max_mn: int, variant: str) -> GridResult:
     checked = 0
     failures = []
     for m in range(2, max_mn + 1):
-        for n in range(2, max_mn + 1):
+        for n in _shared_rows(divisors_of, m, True):
             powers = powers_of[gcd(m, n)]
-            if len(powers) < 2:
-                continue
             for a, p in powers:
                 for b, q in powers:
                     if p == q or b >= 2 * a:
@@ -450,10 +504,11 @@ def structure_grid(max_order: int) -> GridResult:
     spectra = [order_spectrum(g) for g in groups]
     checked = 0
     failures = []
-    for i in range(len(groups)):
-        for j in range(i, len(groups)):
-            for instance in _structure_instances(spectra[i], spectra[j]):
-                checked += 1
-                if not instance.holds:
-                    failures.append(instance)
+    for i, sg in enumerate(spectra):
+        for sh in spectra[i:]:
+            checks = _structure_checks(sg, sh)
+            if checks:
+                checked += len(checks)
+                failures += [_structure_instance(sg.group_order, sh.group_order, check)
+                             for check in checks if not check[1]]
     return GridResult("struct", checked, failures)

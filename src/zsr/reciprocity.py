@@ -44,6 +44,10 @@ from .value import Value, set_field
 # Scans refuse max_order past this ceiling (BudgetError) before they enumerate
 # a group; a summary scan of all families at the ceiling took 11-15 s on 2 cores.
 SCAN_MAX_ORDER = 1024
+# Record scans (with on_row) refuse more pairs than this (BudgetError) after
+# enumerating the groups and before the first row: one record per pair, and
+# all families at order 256 (879,801 records) wrote 272 MB of JSONL.
+RECORD_SCAN_MAX_PAIRS = 1_000_000
 
 RECORD_FIELDS = (
     "g", "h", "order_g", "order_h", "spectra_agree", "witness_divisor",
@@ -374,18 +378,24 @@ def conjecture_scan(families, max_order: int, *, on_row=None,
     every later group, in canonical order.  on_row may return the offsets,
     within the row, of lines to count as violations even where the record is
     consistent.  Reports are built only for the pairs counted as violations.
+    A scan with on_row over more than RECORD_SCAN_MAX_PAIRS pairs raises
+    BudgetError before its first row.
     """
     descriptors, spectra = _scan_groups(families, max_order)
     family_tuple = tuple(f for f in FAMILIES if f in set(families))
+    k = len(descriptors)
+    pairs = k * (k + 1) // 2
     if on_row is None:
         found = {}
         for _, row in _class_walk(spectra):
             _violating_pairs(row, found)
+    elif pairs > RECORD_SCAN_MAX_PAIRS:
+        raise BudgetError(f"record scans are limited to {RECORD_SCAN_MAX_PAIRS} pairs, "
+                          f"got {pairs} pairs at max_order = {max_order}")
     else:
         found = _record_rows(descriptors, spectra, on_row, record_format)
-    k = len(descriptors)
     return ScanSummary(
-        pairs_checked=k * (k + 1) // 2,
+        pairs_checked=pairs,
         violations=[_pair_report(descriptors[i], descriptors[j], spectra[i], spectra[j],
                                  *found[i, j]) for i, j in sorted(found)],
         max_order=max_order, families=family_tuple,

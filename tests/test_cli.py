@@ -741,6 +741,28 @@ def test_scans_past_their_ceiling_exit_2_quickly(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "kept.jsonl").read_bytes() == kept
 
 
+def test_record_scans_past_their_pair_budget_exit_2(tmp_path, monkeypatch, capsys):
+    from zsr.reciprocity import RECORD_SCAN_MAX_PAIRS
+
+    monkeypatch.chdir(tmp_path)
+    kept = b'{"g":"C1","h":"C1"\n'
+    (tmp_path / "kept.jsonl").write_bytes(kept)
+    # All families at 384 are 2,399,145 pairs, one record each.
+    for argv in (["--format", "jsonl"], ["--format", "csv"], ["--out", "kept.jsonl"],
+                 ["--out", "new.jsonl"]):
+        assert main(["scan-conjecture", "--max-order", "384", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: record scans are limited to {RECORD_SCAN_MAX_PAIRS} pairs, "
+                                "got 2399145 pairs at max_order = 384\n")
+    # A refused scan leaves an existing log as it was and creates none.
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.jsonl"]
+    assert (tmp_path / "kept.jsonl").read_bytes() == kept
+    # A summary scan of the same pairs writes no records and still runs.
+    code, out, _ = run(capsys, "scan-conjecture", "--max-order", "384", "--format", "json")
+    assert code == 0 and json.loads(out)["pairs_checked"] == 2399145
+
+
 def test_grids_past_their_ceilings_exit_2_quickly(capsys):
     ceilings = {"2.1i": lemmas.LEMMA21_GRID_MAX, "2.1ii": lemmas.LEMMA21_GRID_MAX,
                 "2.2i": lemmas.LEMMA22_GRID_MAX, "2.2ii": lemmas.LEMMA22_GRID_MAX,
@@ -798,6 +820,38 @@ def test_one_shot_commands_import_only_what_they_run():
     at_import, after_count, after_lemma = map(ast.literal_eval, result.stderr.splitlines())
     assert at_import == [] and after_count == []
     assert "zsr.lemmas" in after_lemma and "zsr.reciprocity" not in after_lemma
+
+
+def test_clean_grids_do_not_import_fractions():
+    # Without site, as above.  A grid builds its Fractions only for a failure,
+    # so a clean grid never loads fractions (or decimal, which it imports).
+    probe = "\n".join([
+        "import sys",
+        "import zsr.cli",
+        "from zsr import lemmas",
+        "def loaded(): print([m for m in ('fractions', 'decimal') if m in sys.modules], file=sys.stderr)",
+        "zsr.cli.main(['lemma', '--id', '2.1i', '--max', '20'])",
+        "zsr.cli.main(['lemma', '--id', 'struct', '--max', '20'])",
+        "loaded()",
+        # The row (12, 18) gets block_3 = block_2, so (2, 3) fails.
+        "table = lemmas.block_table",
+        "def doctored(m, n, divs, last):",
+        "    blocks = table(m, n, divs, last)",
+        "    if (m, n) == (12, 18):",
+        "        blocks[1] = blocks[0]",
+        "    return blocks",
+        "lemmas.block_table = doctored",
+        "zsr.cli.main(['lemma', '--id', '2.1i', '--max', '18', '--format', 'csv'])",
+        "loaded()",
+    ])
+    result = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                            env=child_env(), timeout=60)
+    assert result.returncode == 0, result.stderr
+    # The CSV run prints its summary on stderr too.
+    clean, planted = [ast.literal_eval(line) for line in result.stderr.splitlines()
+                      if line.startswith("[")]
+    assert clean == [] and planted == ["fractions", "decimal"]
+    assert result.stdout.endswith("lemma_id,m,n,a,b,p,q,lhs,rhs\nL21i,12,18,2,3,,,143/6,500/27\n")
 
 
 def test_refused_csv_scan_prints_nothing(capsys):

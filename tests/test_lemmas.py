@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
@@ -232,6 +232,48 @@ def test_structure_instances_are_pinned():
     assert digest.hexdigest() == "33c1dcec9aadfa6ea1dc6057db7e9f51a5dc7ec0353f1c0e5003416edae7f5c2"
 
 
+def test_lemma21ii_row_decider_matches_each_instance():
+    # Every row to 60, with its true blocks, with them reversed (which fails
+    # most pairs) and with blocks that tie each pair of neighbours (block_i =
+    # max(m, n)^(k-1-i) * divs[0] * ... * divs[i-1] for k divisors): the row
+    # decider fails exactly the pairs b >= 2a that _lemma21_holds fails, and
+    # those where a * block_a > max(m, n) * block_b is false.
+    divisors_of = lemmas._divisor_sieve(60)
+    rows = failing = 0
+    for m in range(2, 61):
+        for n in range(2, 61):
+            divs = divisors_of[gcd(m, n)]
+            if len(divs) < 2:
+                continue
+            rows += 1
+            ties = [max(m, n) ** (len(divs) - 1 - i) * prod(divs[:i]) for i in range(len(divs))]
+            for blocks in ([block(m, n, d) for d in divs], [block(m, n, d) for d in reversed(divs)],
+                           ties):
+                pairs = [(a, b, blocks[i], blocks[j]) for i, a in enumerate(divs)
+                         for j, b in enumerate(divs) if b >= 2 * a]
+                expected = [(a, b) for a, b, block_a, block_b in pairs
+                            if not lemmas._lemma21_holds(m, n, a, b, block_a, block_b, "ii")]
+                assert expected == [(a, b) for a, b, block_a, block_b in pairs
+                                    if not a * block_a > max(m, n) * block_b], (m, n)
+                assert lemmas._lemma21ii_failures(m, n, divs, blocks) == expected, (m, n)
+                failing += len(expected)
+    assert rows == 396 and failing > 0
+
+
+def test_structure_checks_match_the_instances():
+    # Every ordered pair of abelian groups up to order 64.
+    spectra = [order_spectrum(g) for n in range(1, 65) for g in enumerate_abelian(n)]
+    total = 0
+    for sg in spectra:
+        for sh in spectra:
+            checks = lemmas._structure_checks(sg, sh)
+            instances = lemmas._structure_instances(sg, sh)
+            assert len(checks) == len(instances)
+            assert [check[1] for check in checks] == [instance.holds for instance in instances]
+            total += len(checks)
+    assert len(spectra) == 117 and total == 12148
+
+
 def test_lemma_grids_are_clean_at_small_bounds():
     grid = lemma21_grid(60, "i")
     assert isinstance(grid, GridResult)
@@ -265,27 +307,24 @@ def fraction_verdict(m, n, a, b, variant):
 
 
 def test_lemma21_grid_integer_verdicts_match_fraction_reference(monkeypatch):
-    # Variant i decides a row of (m, n) at a time with _lemma21i_failures, and
-    # variant ii each instance with _lemma21_holds.  Spying on both shows every
-    # tuple the grids visit, with its blocks and its verdict.
-    decide_row, decide = lemmas._lemma21i_failures, lemmas._lemma21_holds
+    # Each variant decides a row of (m, n) at a time, variant i with
+    # _lemma21i_failures and variant ii with _lemma21ii_failures.  Spying on
+    # both shows every tuple the grids visit, with its blocks and its verdict.
+    deciders = {"i": lemmas._lemma21i_failures, "ii": lemmas._lemma21ii_failures}
     seen = {"i": [], "ii": []}
 
-    def spy_row(m, n, divs, blocks):
-        failing = decide_row(m, n, divs, blocks)
-        for i, a in enumerate(divs):
-            for b, block_b in zip(divs[i + 1:], blocks[i + 1:]):
-                seen["i"].append((m, n, a, b, blocks[i], block_b, (a, b) not in failing))
-        return failing
+    def spy_on(variant):
+        def spy_row(m, n, divs, blocks):
+            failing = deciders[variant](m, n, divs, blocks)
+            for i, a in enumerate(divs):
+                for b, block_b in zip(divs[i + 1:], blocks[i + 1:]):
+                    if variant == "i" or b >= 2 * a:
+                        seen[variant].append((m, n, a, b, blocks[i], block_b, (a, b) not in failing))
+            return failing
+        return spy_row
 
-    def spy(m, n, a, b, block_a, block_b, variant):
-        holds = decide(m, n, a, b, block_a, block_b, variant)
-        if variant == "ii":
-            seen["ii"].append((m, n, a, b, block_a, block_b, holds))
-        return holds
-
-    monkeypatch.setattr(lemmas, "_lemma21i_failures", spy_row)
-    monkeypatch.setattr(lemmas, "_lemma21_holds", spy)
+    monkeypatch.setattr(lemmas, "_lemma21i_failures", spy_on("i"))
+    monkeypatch.setattr(lemmas, "_lemma21ii_failures", spy_on("ii"))
     for variant in ("i", "ii"):
         grid = lemma21_grid(60, variant)
         expected = [
@@ -515,16 +554,46 @@ for grid in (lemmas.lemma21_grid(12, "i"), lemmas.lemma22_grid(28, "i")):
     assert result.stdout == "33 [(12, 12, 2, 3)]\n9 [(28, 28, 4, 7, 2, 7)]\n"
 
 
+def test_row_deciders_report_doctored_failures_under_optimize():
+    # The same under python -O for the row decider of variant ii and for the
+    # structure checks: in the row (12, 12), block_12 = 3 makes (6, 12) fail,
+    # 6 * 6 > 12 * 3 being false, and no other pair; the L23 check of the
+    # pair of orders (6, 9) is planted as a failure.
+    script = """
+from zsr import lemmas
+table, checks = lemmas.block_table, lemmas._structure_checks
+def doctored_table(m, n, divs, last):
+    blocks = table(m, n, divs, last)
+    if (m, n) == (12, 12):
+        blocks[-1] = 3
+    return blocks
+lemmas.block_table = doctored_table
+lemmas._structure_checks = lambda sg, sh: [
+    (check[0], False, *check[2:]) if (sg.group_order, sh.group_order, check[0]) == (6, 9, lemmas._L23_H)
+    else check for check in checks(sg, sh)]
+for grid in (lemmas.lemma21_grid(12, "ii"), lemmas.structure_grid(12)):
+    print(grid.checked, [(f.lemma_id, *f.parameters.values()) for f in grid.failures])
+"""
+    src = str(Path(lemmas.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    result = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                            env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "27 [('L21ii', 12, 12, 6, 12)]\n80 [('L23', 6, 9, 3)]\n"
+
+
 def test_structure_grid_reports_failures_in_grid_order(monkeypatch, capsys):
-    instances = lemmas._structure_instances
+    checks = lemmas._structure_checks
     planted = [
         LemmaInstance("L24", {"n": 4, "m": 8, "q": 2, "t": 2, "delta": 3, "phi_g": 0, "phi_h": 4},
                       False, 4, 4),
         LemmaInstance("L23", {"n": 6, "m": 9, "min_EH": 3}, False, 3, 3),
     ]
-    monkeypatch.setattr(lemmas, "_structure_instances", lambda sg, sh: [
-        failed(instance) if failed(instance) in planted else instance
-        for instance in instances(sg, sh)])
+    monkeypatch.setattr(lemmas, "_structure_checks", lambda sg, sh: [
+        (check[0], False, *check[2:])
+        if failed(lemmas._structure_instance(sg.group_order, sh.group_order, check)) in planted
+        else check for check in checks(sg, sh)])
     grid = structure_grid(12)
     assert grid.checked == 80 and grid.failures == planted
     assert main(["lemma", "--id", "struct", "--max", "12", "--format", "csv"]) == 1
