@@ -21,6 +21,9 @@ DEFAULT_DP_MAX_ORDER = 36
 DEFAULT_DP_MAX_LENGTH = 36
 DEFAULT_MOLIEN_MAX_ORDER = 64
 DEFAULT_MOLIEN_MAX_LENGTH = 128
+# The formula routes refuse n + m past this ceiling (BudgetError) before any
+# binomial: C(n+m, n) has about n + m bits, and check C100000 C100000 took 2.5 s.
+FORMULA_MAX_TOTAL = 200_000
 
 
 def count_formula(spectrum: OrderSpectrum, m: int) -> int:
@@ -30,11 +33,14 @@ def count_formula(spectrum: OrderSpectrum, m: int) -> int:
     divides by n + m; the division is exact for a genuine spectrum, and a
     ValueError for an inexact one means the spectrum is inconsistent.  The
     divisors of n are the spectrum's keys, so those of gcd(n, m) are the keys
-    that divide m.
+    that divide m.  It refuses n + m above FORMULA_MAX_TOTAL.
     """
     if m < 0:
         raise ValueError(f"multiset length must be nonnegative, got {m}")
     n = spectrum.group_order
+    if n + m > FORMULA_MAX_TOTAL:
+        raise BudgetError(f"count_formula is limited to order + length <= {FORMULA_MAX_TOTAL}, "
+                          f"got order {n} + length {m}")
     total = 0
     for d, count in spectrum.entries.items():
         if m % d == 0:
@@ -111,11 +117,17 @@ def count_molien(spectrum: OrderSpectrum, m: int) -> int:
 
 
 def rational_catalan(n: int, m: int) -> int:
-    """C(n+m, n) / (n+m) for coprime n, m (the coprime collapse of count_formula)."""
+    """C(n+m, n) / (n+m) for coprime n, m (the coprime collapse of count_formula).
+
+    It refuses n + m above FORMULA_MAX_TOTAL.
+    """
     if n < 1 or m < 1:
         raise ValueError(f"rational_catalan requires positive arguments, got ({n}, {m})")
     if gcd(n, m) != 1:
         raise ValueError(f"rational_catalan requires coprime arguments, gcd({n}, {m}) = {gcd(n, m)}")
+    if n + m > FORMULA_MAX_TOTAL:
+        raise BudgetError(f"rational_catalan is limited to n + m <= {FORMULA_MAX_TOTAL}, "
+                          f"got n = {n}, m = {m}")
     top = binomial(n + m, n)
     if top % (n + m):
         raise ValueError(f"C({n + m}, {n}) = {top} not divisible by {n + m}")

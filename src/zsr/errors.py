@@ -12,4 +12,4 @@ class GroupParseError(ValueError):
 
 
 class BudgetError(ValueError):
-    """An input past a documented ceiling (an oracle's, a grid's, a scan's, factorize's) was refused."""
+    """An input past a documented ceiling (a counting route's, a grid's, a scan's, factorize's) was refused."""

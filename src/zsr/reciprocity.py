@@ -13,10 +13,12 @@ each n and every order m >= n it builds one block table, groups the groups of
 both orders by their spectrum restricted to the shared divisors, and gives each
 class one count.  A pair is a violation exactly when its two classes differ but
 their counts are equal; the walk finds such colliding classes once per order
-pair, with a dict keyed by count.  Each spectrum is computed once, while the
-candidates are deduplicated.  A summary scan expands only colliding classes
-into pairs; a record scan renders, from the walk's row, each group's records
-with itself and every later group as one text, in canonical order.
+pair, with a dict keyed by count where two counts tie.  Each candidate is
+built once and its spectrum computed once, while the candidates are
+deduplicated.  A summary scan skips the coprime order pairs, which cannot
+collide, and expands only colliding classes into pairs; a record scan
+renders, from the walk's row, each group's records with itself and every
+later group as one text, in canonical order.
 """
 
 from __future__ import annotations
@@ -28,21 +30,21 @@ from operator import add, mul
 
 from .counting import count_formula
 from .errors import BudgetError
-from .exactmath import block_table, divisors
+from .exactmath import block_table, divisors, prime_power_root
 from .groups import (
     FAMILIES,
     Dicyclic,
     Dihedral,
     GroupDescriptor,
     OrderSpectrum,
+    Product,
     enumerate_abelian,
-    make_product,
     order_spectrum,
 )
 from .value import Value, set_field
 
 # Scans refuse max_order past this ceiling (BudgetError) before they enumerate
-# a group; a summary scan of all families at the ceiling took 11-15 s on 2 cores.
+# a group; a summary scan of all families at the ceiling took 8-9 s on 2 cores.
 SCAN_MAX_ORDER = 1024
 # Record scans (with on_row) refuse more pairs than this (BudgetError) after
 # enumerating the groups and before the first row: one record per pair, and
@@ -188,17 +190,27 @@ def _scan_groups(families, max_order: int) -> tuple[list[GroupDescriptor], list[
     pool: list[GroupDescriptor] = []
     if "abelian" in chosen:
         pool.extend(abelian)
+    elif "products" in chosen:
+        # An abelian group of order > 1 is a product of two nontrivial ones
+        # exactly when it is not cyclic of prime-power order.
+        pool.extend(g for g in abelian if len(g.invariant_factors) > 1
+                    or g.order > 1 and prime_power_root(g.order) is None)
     if "dihedral" in chosen:
         pool.extend(dihedral)
     if "dicyclic" in chosen:
         pool.extend(dicyclic)
     if "products" in chosen:
+        # The all-abelian products are in the pool already, so only the pairs
+        # of bases with a non-abelian (and so a later) factor are built.
         bases = [d for d in abelian if d.order >= 2] + dihedral + dicyclic
         orders = [d.order for d in bases]
-        for i, left in enumerate(bases):
-            for right, order in zip(bases[i:], orders[i:]):
-                if orders[i] * order <= max_order:
-                    pool.append(make_product((left, right)))
+        first = len(bases) - len(dihedral) - len(dicyclic)
+        for j in range(first, len(bases)):
+            top = max_order // orders[j]
+            # The abelian bases come first, in increasing order.
+            lefts = chain(range(bisect_right(orders, top, 0, first)),
+                          (i for i in range(first, j + 1) if orders[i] <= top))
+            pool.extend(Product((bases[i], bases[j])) for i in lefts)
     pool.sort(key=lambda d: (d.order, d.notation()))
     # A product's factors have smaller orders, so their spectra are known first.
     known: dict[GroupDescriptor, OrderSpectrum] = {}
@@ -216,13 +228,17 @@ def pair_sequence(descriptors) -> list[tuple[GroupDescriptor, GroupDescriptor]]:
             for j in range(i, len(descriptors))]
 
 
-def _class_walk(spectra: list[OrderSpectrum]):
+def _class_walk(spectra: list[OrderSpectrum], coprime: bool = True):
     """Walk the orders of spectra upwards and give each spectrum class one count.
 
     Spectra are addressed by position and sorted by group order.  For each
     order n, in increasing order, this yields the range of positions of order
     n and a row with one (m, shared, left, right, counts, collisions) for
-    every order m >= n.  shared lists the divisors of gcd(n, m) in increasing
+    every order m >= n; with coprime false, only for those m with gcd(n, m) >
+    1.  A coprime order pair has one class, key (1,), on each side, so it has
+    no collision, and its count C(n+m, n)/(n+m) is an integer for every
+    spectrum, a rational Catalan number: a summary scan, which needs only the
+    collisions, skips it.  shared lists the divisors of gcd(n, m) in increasing
     order.  left and right are the classes of order n and of order m, each a
     triple (keys, of, positions): keys lists the restricted keys (a
     spectrum's entries at shared) in order of first appearance, and of gives
@@ -231,7 +247,8 @@ def _class_walk(spectra: list[OrderSpectrum]):
     n + m, which is |M(G, m)| for a group G of order n in that class (and the
     same with n and m swapped).  An inexact division means an inconsistent
     spectrum and raises ValueError.  collisions is a tuple of each (left
-    class, right class) with different keys and equal counts.
+    class, right class) with different keys and equal counts; the classes are
+    matched by count only when two keys share one.
     """
     orders = [spectrum.group_order for spectrum in spectra]
     members = {n: range(bisect_left(orders, n), bisect_right(orders, n))
@@ -255,6 +272,8 @@ def _class_walk(spectra: list[OrderSpectrum]):
         row = []
         for m in orders[a:]:
             g = gcd(n, m)
+            if g == 1 and not coprime:
+                continue
             shared, left = classes_at(n, g)
             right = classes_at(m, g)[1]
             table = block_table(n, m, shared, last_blocks)
@@ -268,7 +287,7 @@ def _class_walk(spectra: list[OrderSpectrum]):
                                          "inconsistent spectrum")
                     counts[key] = divisor_sum // total
             collisions = ()
-            if len(counts) > 1:
+            if len(set(counts.values())) < len(counts):
                 by_count: dict[int, list[int]] = {}
                 for c, key in enumerate(left[0]):
                     by_count.setdefault(counts[key], []).append(c)
@@ -387,7 +406,7 @@ def conjecture_scan(families, max_order: int, *, on_row=None,
     pairs = k * (k + 1) // 2
     if on_row is None:
         found = {}
-        for _, row in _class_walk(spectra):
+        for _, row in _class_walk(spectra, coprime=False):
             _violating_pairs(row, found)
     elif pairs > RECORD_SCAN_MAX_PAIRS:
         raise BudgetError(f"record scans are limited to {RECORD_SCAN_MAX_PAIRS} pairs, "

@@ -763,6 +763,30 @@ def test_record_scans_past_their_pair_budget_exit_2(tmp_path, monkeypatch, capsy
     assert code == 0 and json.loads(out)["pairs_checked"] == 2399145
 
 
+def test_formula_routes_past_their_budget_exit_2_quickly(capsys):
+    from zsr.counting import FORMULA_MAX_TOTAL
+
+    count_refusal = (f"error: count_formula is limited to order + length <= {FORMULA_MAX_TOTAL}, "
+                     "got order 1000000 + length 1000000\n")
+    for argv, message in (
+            (["count", "--group", "C1000000", "--length", "1000000"], count_refusal),
+            (["check", "--g", "C1000000", "--h", "C1000000"], count_refusal),
+            (["catalan", "--n", "499999", "--m", "500000"],
+             f"error: rational_catalan is limited to n + m <= {FORMULA_MAX_TOTAL}, "
+             "got n = 499999, m = 500000\n")):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == message
+    # Sizes up to the largest order a point query takes, 2000, still run.
+    for argv in (["count", "--group", "C2000", "--length", "2000"],
+                 ["check", "--g", "C2000", "--h", "D2000"],
+                 ["catalan", "--n", "1999", "--m", "2000"]):
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0 and out
+
+
 def test_grids_past_their_ceilings_exit_2_quickly(capsys):
     ceilings = {"2.1i": lemmas.LEMMA21_GRID_MAX, "2.1ii": lemmas.LEMMA21_GRID_MAX,
                 "2.2i": lemmas.LEMMA22_GRID_MAX, "2.2ii": lemmas.LEMMA22_GRID_MAX,

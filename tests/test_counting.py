@@ -10,11 +10,13 @@ from pathlib import Path
 import pytest
 
 import zsr
+from zsr import counting
 from zsr.counting import (
     DEFAULT_DP_MAX_LENGTH,
     DEFAULT_DP_MAX_ORDER,
     DEFAULT_MOLIEN_MAX_LENGTH,
     DEFAULT_MOLIEN_MAX_ORDER,
+    FORMULA_MAX_TOTAL,
     count_dp,
     count_formula,
     count_molien,
@@ -289,3 +291,23 @@ def test_coprime_lengths_collapse_to_rational_catalan():
         for m in range(1, 21):
             if gcd(n, m) == 1:
                 assert count_formula(spectrum, m) == rational_catalan(n, m)
+
+
+def test_formula_routes_refuse_totals_past_their_budget(monkeypatch):
+    assert FORMULA_MAX_TOTAL == 200_000
+    spectrum = order_spectrum(parse_group("C2xC4"))
+    expected = count_formula(spectrum, 4), rational_catalan(5, 7)
+    # A total n + m at the budget runs; one more is refused before any binomial.
+    monkeypatch.setattr(counting, "FORMULA_MAX_TOTAL", 12)
+    assert (count_formula(spectrum, 4), rational_catalan(5, 7)) == expected
+
+    def no_binomial(top, bottom):
+        raise AssertionError("a binomial was computed for a refused input")
+
+    monkeypatch.setattr(counting, "binomial", no_binomial)
+    with pytest.raises(BudgetError, match=r"^count_formula is limited to order \+ length <= 12, "
+                                          r"got order 8 \+ length 5$"):
+        count_formula(spectrum, 5)
+    with pytest.raises(BudgetError, match=r"^rational_catalan is limited to n \+ m <= 12, "
+                                          r"got n = 6, m = 7$"):
+        rational_catalan(6, 7)

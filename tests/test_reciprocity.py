@@ -7,7 +7,7 @@ import os
 import subprocess
 import sys
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
 from pathlib import Path
 
 import pytest
@@ -280,18 +280,113 @@ def test_scan_computes_each_candidate_spectrum_once(monkeypatch):
     monkeypatch.setattr(reciprocity, "order_spectrum", counted)
     family_descriptors(FAMILIES, 48)
     alone = len(calls)
-    # The pool holds every group of the four families to order 48, duplicates
-    # included, and each spectrum is computed once: a product's factors are in it.
+    # The pool holds each distinct descriptor of the four families to order 48
+    # once (an all-abelian product is not built again beside the abelian group
+    # it equals), and each spectrum is computed once: a product's factors are in it.
     abelian = [g for n in range(1, 49) for g in enumerate_abelian(n)]
     bases = [g for g in abelian if g.order > 1] + [Dihedral(k) for k in range(3, 25)] + \
         [Dicyclic(k) for k in range(2, 13)]
     products = [make_product((g, h)) for i, g in enumerate(bases) for h in bases[i:]
                 if g.order * h.order <= 48]
-    assert alone == len(abelian) + 22 + 11 + len(products) == 263
+    assert alone == len({*abelian, *bases, *products}) == 164
     for consumer in (None, lambda text: None):
         calls.clear()
         conjecture_scan(FAMILIES, 48, on_row=consumer)
         assert len(calls) == alone
+
+
+def old_family_descriptors(families, max_order):
+    """The descriptors and spectra of the families, by building every candidate.
+
+    Every pair of bases is built with make_product, all-abelian products
+    included, and the pool is deduplicated by (order, spectrum) in (order,
+    notation) order: the reference that _scan_groups must match.
+    """
+    abelian = [g for n in range(1, max_order + 1) for g in enumerate_abelian(n)]
+    dihedral = [Dihedral(k) for k in range(3, max_order // 2 + 1)]
+    dicyclic = [Dicyclic(k) for k in range(2, max_order // 4 + 1)]
+    pool = []
+    for name, members in (("abelian", abelian), ("dihedral", dihedral), ("dicyclic", dicyclic)):
+        if name in families:
+            pool.extend(members)
+    if "products" in families:
+        bases = [g for g in abelian if g.order > 1] + dihedral + dicyclic
+        pool.extend(make_product((g, h)) for i, g in enumerate(bases) for h in bases[i:]
+                    if g.order * h.order <= max_order)
+    pool.sort(key=lambda d: (d.order, d.notation()))
+    first = {}
+    for desc in pool:
+        spectrum = order_spectrum(desc)
+        first.setdefault((desc.order, spectrum.key()), (desc, spectrum))
+    return [desc for desc, _ in first.values()], [spectrum for _, spectrum in first.values()]
+
+
+def test_scan_groups_match_the_all_pairs_enumeration():
+    for size in range(1, len(FAMILIES) + 1):
+        for families in combinations(FAMILIES, size):
+            descriptors, spectra = old_family_descriptors(families, 64)
+            assert reciprocity._scan_groups(families, 64) == (descriptors, spectra), families
+            assert family_descriptors(families, 64) == descriptors
+
+
+def test_coprime_binomials_are_divisible_property():
+    # (n + m) divides C(n + m, n) when gcd(n, m) = 1: every class count at a
+    # coprime order pair is an integer, whatever the spectrum, so a summary
+    # scan loses no divisibility guard by skipping those pairs.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.integers(1, 1024), st.integers(1, 1024))
+    def divisible(n, m):
+        g = gcd(n, m)
+        n, m = n // g, m // g
+        assert comb(n + m, n) % (n + m) == 0
+
+    divisible()
+
+
+def test_summary_scans_skip_coprime_order_pairs(monkeypatch):
+    # With every block n + m a class's count is the sum of its restricted
+    # entries, which plants collisions, so both paths have violations to agree on.
+    calls = []
+
+    def planted(n, m, shared, last):
+        calls.append((n, m))
+        return [n + m] * len(shared)
+
+    monkeypatch.setattr(reciprocity, "block_table", planted)
+    summary = conjecture_scan(FAMILIES, 32)
+    summary_calls = list(calls)
+    calls.clear()
+    records = conjecture_scan(FAMILIES, 32, on_row=lambda text: None)
+    orders = sorted({d.order for d in family_descriptors(FAMILIES, 32)})
+    every = [(n, m) for i, n in enumerate(orders) for m in orders[i:]]
+    assert calls == every
+    assert summary_calls == [(n, m) for n, m in every if gcd(n, m) > 1]
+    assert len(summary_calls) < len(every)
+    assert summary.violations == records.violations and len(summary.violations) > 100
+
+
+def test_counts_tied_on_one_side_are_no_collision(monkeypatch):
+    # At the order pair (4, 8) blocks of 12 give C4 (key 1, 1, 2) and C2xC2
+    # (key 1, 3, 0) the same count 4, and D8 (key 1, 5, 2) the count 8.  The
+    # tie sends the pair to the search by count, which finds no class of order
+    # 8 with a tied count, so there is no violation.
+    descriptors = [AbelianGroup((4,)), AbelianGroup((2, 2)), Dihedral(4)]
+    spectra = [order_spectrum(d) for d in descriptors]
+    table = reciprocity.block_table
+    monkeypatch.setattr(reciprocity, "block_table", lambda n, m, shared, last:
+                        [12] * len(shared) if (n, m) == (4, 8) else table(n, m, shared, last))
+    rows = [row for _, row in reciprocity._class_walk(spectra)]
+    m, _, left, right, counts, collisions = rows[0][1]
+    assert m == 8 and left[0] == [(1, 1, 2), (1, 3, 0)] and right[0] == [(1, 5, 2)]
+    assert counts == {(1, 1, 2): 4, (1, 3, 0): 4, (1, 5, 2): 8} and collisions == ()
+    monkeypatch.setattr(reciprocity, "_scan_groups", lambda families, max_order: (descriptors, spectra))
+    lines = []
+    for summary in (conjecture_scan(FAMILIES, 8), conjecture_scan(FAMILIES, 8, on_row=lines.append)):
+        assert summary.pairs_checked == 6 and summary.violations == []
+    assert "".join(lines).count('"iff_consistent":true}') == 6
 
 
 def test_coprime_order_pairs_are_consistent():
