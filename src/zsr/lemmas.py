@@ -10,16 +10,21 @@ The grids decide instances without Fractions, and list the divisors of each
 gcd(m, n) from one divisor sieve.  For each m they visit only the n that
 carry an instance: those sharing with m a product of two primes (two
 distinct ones for Lemma 2.2), taken from the sieve.  The Lemma 2.1 grids
-take the blocks of each (m, n) from one block table and decide the row in
-one call.  Variant ii cross-multiplies its bound in integers.  Variant i
-first compares the logarithms of both sides in floats, with a proven error
-bound: an instance that clears the bound holds, and every other one (ties,
-near-ties and apparent failures) is settled by the same integer comparison.
-The Lemma 2.2 grid keeps the prime powers of the sieve and cross-multiplies
-its ratio bound in integers, the comparison check_lemma22 also takes its
-verdict from.  The structure grid decides each pair of spectra into compact
-check tuples.  A LemmaInstance, with its exact Fraction values, is built
-only for an instance that fails, and fractions is imported only then.
+walk only n <= m: a block C((m+n)/d, m/d) is also the block of (n, m), so
+one block table serves both mirror rows.  Variant i decides each of the two
+rows from it in one call; variant ii cross-multiplies its bound, which is
+the same for (m, n) and (n, m), in integers, and decides the pair of rows in
+one call.  Variant i first compares the logarithms of both sides in floats,
+with a proven error bound: an instance that clears the bound holds, and
+every other one (ties, near-ties and apparent failures) is settled by the
+same integer comparison.  The Lemma 2.2 grid keeps the prime powers of the
+sieve and cross-multiplies its ratio bound in integers, the comparison
+check_lemma22 also takes its verdict from.  The structure grid finds the
+facts of each pair of orders (the shared divisors, the prime powers of their
+gcd and the valuations of both orders) once, from sieves, and decides each
+pair of spectra into compact check tuples.  A LemmaInstance, with its exact
+Fraction values, is built only for an instance that fails, and fractions is
+imported only then.
 
 Each grid refuses a bound above its ceiling (LEMMA21_GRID_MAX,
 LEMMA22_GRID_MAX, STRUCTURE_GRID_MAX; GRID_CEILINGS by grid id) with
@@ -32,13 +37,13 @@ from bisect import bisect_left
 from math import gcd, log2
 
 from .errors import BudgetError
-from .exactmath import binomial, block_table, factorize, prime_power_root, valuation
+from .exactmath import binomial, block_table, divisors, factorize, prime_power_root, valuation
 from .groups import AbelianGroup, enumerate_abelian, order_spectrum
 from .value import Value, set_field
 
 # Grid ceilings: the largest m, n bound of lemma21_grid and lemma22_grid, and
 # the largest order bound of structure_grid.  At its ceiling each grid took
-# 10-15 s on a 2-core Xeon host (Python 3.11), so twice that on a slow day.
+# 6-15 s on a 2-core Xeon host (Python 3.11), so twice that on a slow day.
 LEMMA21_GRID_MAX = 3000
 LEMMA22_GRID_MAX = 2000
 STRUCTURE_GRID_MAX = 1024
@@ -266,59 +271,83 @@ def _structure_instance(n: int, m: int, check: tuple) -> LemmaInstance:
     return LemmaInstance(lemma_id, dict(zip(("n", "m", *names), (n, m, *values))), holds, lhs, rhs)
 
 
-def _structure_checks(sg, sh) -> list[tuple]:
+def _order_pair(n: int, m: int, shared: list[int], prime_of, top_power) -> tuple:
+    """The facts of the orders n and m that _structure_checks reads.
+
+    shared lists the divisors >= 2 of gcd(n, m) in increasing order;
+    prime_of maps each prime power among them to its prime, and top_power
+    maps each of them to its largest prime-power factor (both may hold more
+    numbers).  The facts are shared, top_power, and for each prime p of
+    gcd(n, m), in increasing order, (p, [p, p^2, ..., p^e], alpha, gamma),
+    where p^e exactly divides gcd(n, m) and alpha and gamma are the
+    p-valuations of n and m.
+    """
+    powers: dict[int, list[int]] = {}
+    for d in shared:
+        if d in prime_of:
+            powers.setdefault(prime_of[d], []).append(d)
+    return shared, top_power, [(p, ds, valuation(n, p), valuation(m, p)) for p, ds in powers.items()]
+
+
+def _structure_checks(sg, sh, pair: tuple | None = None) -> list[tuple]:
     """The structure checks of two spectra, as (kind, holds, lhs, rhs, values) tuples.
 
     values are the check's parameters after n and m, in the order its kind
     names them.  A check is what check_structure_lemmas reports as one
-    instance, in the same order.
+    instance, in the same order.  pair is _order_pair of the two orders;
+    structure_grid passes it from its sieves, and without it the facts come
+    from the factorization of gcd(n, m).
     """
     n = sg.group_order
     m = sh.group_order
+    if pair is None:
+        common = gcd(n, m)
+        prime_of = {p ** k: p for p, e in factorize(common) for k in range(1, e + 1)}
+        divs = divisors(common)[1:]
+        # The largest prime power dividing d is its largest prime-power factor.
+        pair = _order_pair(n, m, divs, prime_of,
+                           {d: max(q for q in prime_of if d % q == 0) for d in divs})
+    shared, top_power, primes = pair
     g_entries = sg.entries
     h_entries = sh.entries
-    # The divisors of gcd(n, m) are the keys of sg's spectrum that divide m,
-    # in increasing order, so the first excess of each side is its smallest.
+    # The shared divisors are increasing, so the first excess of each side is
+    # its smallest.  At d = 1 both spectra count the identity alone.
     min_g = min_h = None
-    for d, count in g_entries.items():
-        if m % d == 0:
-            other = h_entries[d]
-            if count > other and min_g is None:
-                min_g = d
-            elif count < other and min_h is None:
-                min_h = d
+    for d in shared:
+        count = g_entries[d]
+        other = h_entries[d]
+        if count > other and min_g is None:
+            min_g = d
+        elif count < other and min_h is None:
+            min_h = d
     if min_g is None and min_h is None:
         # Spectra agreeing on every shared divisor give no check.
         return []
     checks = []
     for kind, smallest in ((_L23_G, min_g), (_L23_H, min_h)):
         if smallest is not None:
-            top_power = max(p ** e for p, e in factorize(smallest))
-            checks.append((kind, smallest == top_power, smallest, top_power, (smallest,)))
-    for prime, top in factorize(gcd(n, m)):
+            top = top_power[smallest]
+            checks.append((kind, smallest == top, smallest, top, (smallest,)))
+    for prime, powers, alpha, gamma in primes:
         # t is the first power of prime at which the spectra differ.
-        power = 1
-        for t in range(1, top + 1):
-            power *= prime
+        for t, power in enumerate(powers, 1):
             phi_g = g_entries[power]
             phi_h = h_entries[power]
             if phi_g != phi_h:
                 break
         else:
             continue
-        # L24, applied with the roles arranged so the richer side is second.
-        rich_order = m if phi_g < phi_h else n
+        # L24, applied with the roles arranged so the richer side is second:
+        # its order must be divisible by prime^(t+1).
+        d_exp = gamma if phi_g < phi_h else alpha
         diff = abs(phi_h - phi_g)
-        d_exp = valuation(rich_order, prime)
         upper = prime ** d_exp - power
-        l24_holds = rich_order % (power * prime) == 0 and power <= diff <= upper
+        l24_holds = d_exp > t and power <= diff <= upper
         checks.append((_L24, l24_holds, diff, upper, (prime, t, d_exp, phi_g, phi_h)))
-        if 2 <= t < top:
+        if 2 <= t < len(powers):
             first = phi_g - phi_h
             second = g_entries[power * prime] - h_entries[power * prime]
             if (first > 0 > second) or (first < 0 < second):
-                alpha = valuation(n, prime)
-                gamma = valuation(m, prime)
                 checks.append((_L25, min(alpha, gamma) >= t + 2, min(alpha, gamma), t + 2,
                                (prime, t, alpha, gamma)))
     return checks
@@ -339,22 +368,30 @@ def _divisor_sieve(bound: int) -> list[list[int]]:
     return divisors_of
 
 
-def _shared_rows(divisors_of: list[list[int]], m: int, distinct: bool) -> list[int]:
-    """The n in the sieve's range that share with m a product of two primes, in increasing order.
+def _prime_powers(divisors_of: list[list[int]]) -> dict[int, int]:
+    """The prime powers d in the sieve's range, each mapped to its prime.
+
+    d >= 2 is a power of its least divisor p >= 2 when d = p^k, with k its
+    number of divisors >= 2.
+    """
+    return {d: divs[0] for d, divs in enumerate(divisors_of) if divs and divs[0] ** len(divs) == d}
+
+
+def _shared_rows(divisors_of: list[list[int]], m: int, distinct: bool, top: int) -> list[int]:
+    """The n <= top that share with m a product of two primes, in increasing order.
 
     These are the n with gcd(m, n) composite, or, when distinct, with two
     distinct primes dividing gcd(m, n).  A divisor d of m is a product of
     two primes when d / p is prime, p being its least divisor >= 2, and they
     are distinct when d / p is not p.
     """
-    bound = len(divisors_of) - 1
     steps = []
     for d in divisors_of[m]:
         p = divisors_of[d][0]
         rest = divisors_of[d // p]
         if len(rest) == 1 and not (distinct and rest[0] == p):
             steps.append(d)
-    return sorted({n for d in steps for n in range(d, bound + 1, d)})
+    return sorted({n for d in steps for n in range(d, top + 1, d)})
 
 
 def _lemma21i_failures(m: int, n: int, divs: list[int], blocks: list[int]) -> list[tuple[int, int]]:
@@ -419,10 +456,14 @@ def _lemma21ii_failures(m: int, n: int, divs: list[int], blocks: list[int]) -> l
 def lemma21_grid(max_mn: int, variant: str) -> GridResult:
     """Exhaustive sweep of check_lemma21 over 2 <= m, n <= max_mn <= LEMMA21_GRID_MAX.
 
-    For each m it visits the n with gcd(m, n) composite, the others having
-    no pair a < b, and takes their blocks from one block table as n grows.
-    _lemma21i_failures or _lemma21ii_failures decides each row;
-    check_lemma21 builds the reported instance of a failing tuple only.
+    For each m it visits the n <= m with gcd(m, n) composite, the others
+    having no pair a < b, and takes their blocks from one block table as n
+    grows.  A block C((m+n)/d, m/d) is also the block of (n, m), so one
+    table serves both mirror rows: _lemma21i_failures decides (m, n) and
+    (n, m) from it, and _lemma21ii_failures decides (m, n) once, its bound
+    a * block_a > max(m, n) * block_b being the same for (n, m).
+    check_lemma21 builds the reported instance of a failing tuple only, in
+    grid order (m, then n, a, b).
     """
     if variant not in ("i", "ii"):
         raise ValueError(f"variant must be 'i' or 'ii', got {variant!r}")
@@ -431,22 +472,27 @@ def lemma21_grid(max_mn: int, variant: str) -> GridResult:
     # The number of pairs a < b (with b >= 2a for variant ii) that a row with
     # gcd g checks, indexed by g.
     if variant == "i":
-        decide_row = _lemma21i_failures
         pairs_of = [len(divs) * (len(divs) - 1) // 2 for divs in divisors_of]
     else:
-        decide_row = _lemma21ii_failures
         pairs_of = [sum(len(divs) - bisect_left(divs, 2 * a) for a in divs) for divs in divisors_of]
     checked = 0
-    failures = []
+    failing = []
     for m in range(2, max_mn + 1):
         last_blocks: dict[tuple[int, int], tuple[int, int]] = {}
-        for n in _shared_rows(divisors_of, m, False):
+        for n in _shared_rows(divisors_of, m, False, m):
             shared = gcd(m, n)
             divs = divisors_of[shared]
-            checked += pairs_of[shared]
-            for a, b in decide_row(m, n, divs, block_table(m, n, divs, last_blocks)):
-                failures.append(check_lemma21(m, n, a, b, variant))
-    return GridResult(f"2.1{variant}", checked, failures)
+            blocks = block_table(m, n, divs, last_blocks)
+            rows = ((m, n), (n, m)) if n < m else ((m, n),)
+            checked += pairs_of[shared] * len(rows)
+            if variant == "i":
+                failing += [(*row, a, b) for row in rows
+                            for a, b in _lemma21i_failures(*row, divs, blocks)]
+            else:
+                failing += [(*row, a, b) for a, b in _lemma21ii_failures(m, n, divs, blocks)
+                            for row in rows]
+    return GridResult(f"2.1{variant}", checked,
+                      [check_lemma21(*parameters, variant) for parameters in sorted(failing)])
 
 
 def lemma22_grid(max_mn: int, variant: str) -> GridResult:
@@ -462,17 +508,14 @@ def lemma22_grid(max_mn: int, variant: str) -> GridResult:
     if variant not in ("i", "ii"):
         raise ValueError(f"variant must be 'i' or 'ii', got {variant!r}")
     _check_grid_bound(f"2.2{variant}", max_mn)
-    # The prime powers (d, p) dividing every g <= max_mn, in increasing order:
-    # d >= 2 is a power of its least divisor p >= 2 when d = p^k, with k its
-    # number of divisors >= 2.
+    # The prime powers (d, p) dividing every g <= max_mn, in increasing order.
     divisors_of = _divisor_sieve(max_mn)
-    prime_of = {d: divs[0] for d, divs in enumerate(divisors_of)
-                if divs and divs[0] ** len(divs) == d}
+    prime_of = _prime_powers(divisors_of)
     powers_of = [[(d, prime_of[d]) for d in divs if d in prime_of] for divs in divisors_of]
     checked = 0
     failures = []
     for m in range(2, max_mn + 1):
-        for n in _shared_rows(divisors_of, m, True):
+        for n in _shared_rows(divisors_of, m, True, max_mn):
             powers = powers_of[gcd(m, n)]
             for a, p in powers:
                 for b, q in powers:
@@ -495,20 +538,34 @@ def lemma22_grid(max_mn: int, variant: str) -> GridResult:
 def structure_grid(max_order: int) -> GridResult:
     """Structure checks over every unordered pair of abelian groups up to max_order.
 
-    max_order is at most STRUCTURE_GRID_MAX.
+    max_order is at most STRUCTURE_GRID_MAX.  The facts of each pair of
+    orders (n, m), n <= m, are found once (_order_pair), from one divisor
+    sieve, and kept while the groups of order n are walked.  The largest
+    prime-power factor of each d, the largest prime power dividing it,
+    comes from the same sieve.
     """
     if max_order < 1:
         raise ValueError(f"max_order must be positive, got {max_order}")
     _check_grid_bound("struct", max_order)
     groups = [g for n in range(1, max_order + 1) for g in enumerate_abelian(n)]
     spectra = [order_spectrum(g) for g in groups]
+    divisors_of = _divisor_sieve(max_order)
+    prime_of = _prime_powers(divisors_of)
+    top_power = [max((d for d in divs if d in prime_of), default=1) for divs in divisors_of]
     checked = 0
     failures = []
+    pairs: dict[int, tuple] = {}
     for i, sg in enumerate(spectra):
+        n = sg.group_order
+        if i and n != spectra[i - 1].group_order:
+            pairs.clear()
         for sh in spectra[i:]:
-            checks = _structure_checks(sg, sh)
+            m = sh.group_order
+            pair = pairs.get(m)
+            if pair is None:
+                pair = pairs[m] = _order_pair(n, m, divisors_of[gcd(n, m)], prime_of, top_power)
+            checks = _structure_checks(sg, sh, pair)
             if checks:
                 checked += len(checks)
-                failures += [_structure_instance(sg.group_order, sh.group_order, check)
-                             for check in checks if not check[1]]
+                failures += [_structure_instance(n, m, check) for check in checks if not check[1]]
     return GridResult("struct", checked, failures)

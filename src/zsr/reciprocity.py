@@ -212,10 +212,15 @@ def _scan_groups(families, max_order: int) -> tuple[list[GroupDescriptor], list[
                           (i for i in range(first, j + 1) if orders[i] <= top))
             pool.extend(Product((bases[i], bases[j])) for i in lefts)
     pool.sort(key=lambda d: (d.order, d.notation()))
-    # A product's factors have smaller orders, so their spectra are known first.
+    # A product's factors have smaller orders, so the spectra of those in the
+    # pool are known first; a factor outside the pool gets its spectrum once,
+    # however many products it is in.
     known: dict[GroupDescriptor, OrderSpectrum] = {}
     first: dict[tuple, tuple[GroupDescriptor, OrderSpectrum]] = {}
     for desc in pool:
+        for factor in desc.factors if isinstance(desc, Product) else ():
+            if factor not in known:
+                known[factor] = order_spectrum(factor)
         spectrum = known[desc] = order_spectrum(desc, known)
         first.setdefault((desc.order, spectrum.key()), (desc, spectrum))
     return [desc for desc, _ in first.values()], [spectrum for _, spectrum in first.values()]

@@ -857,14 +857,14 @@ def test_clean_grids_do_not_import_fractions():
         "zsr.cli.main(['lemma', '--id', '2.1i', '--max', '20'])",
         "zsr.cli.main(['lemma', '--id', 'struct', '--max', '20'])",
         "loaded()",
-        # The row (12, 18) gets block_3 = block_2, so (2, 3) fails.
-        "table = lemmas.block_table",
-        "def doctored(m, n, divs, last):",
-        "    blocks = table(m, n, divs, last)",
+        # The row decider gets block_3 = block_2 for the row (12, 18), so
+        # (2, 3) fails there; the mirror row (18, 12) keeps its true blocks.
+        "decide = lemmas._lemma21i_failures",
+        "def doctored(m, n, divs, blocks):",
         "    if (m, n) == (12, 18):",
-        "        blocks[1] = blocks[0]",
-        "    return blocks",
-        "lemmas.block_table = doctored",
+        "        blocks = [blocks[0], blocks[0], *blocks[2:]]",
+        "    return decide(m, n, divs, blocks)",
+        "lemmas._lemma21i_failures = doctored",
         "zsr.cli.main(['lemma', '--id', '2.1i', '--max', '18', '--format', 'csv'])",
         "loaded()",
     ])

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from zsr import lemmas
+from zsr import exactmath, groups, lemmas
 from zsr.cli import main
 from zsr.exactmath import binomial, divisors, prime_power_root, valuation
 from zsr.groups import AbelianGroup, enumerate_abelian, order_spectrum, parse_group
@@ -274,6 +274,24 @@ def test_structure_checks_match_the_instances():
     assert len(spectra) == 117 and total == 12148
 
 
+def test_structure_grid_order_pairs_give_the_checks_of_lone_pairs(monkeypatch):
+    # structure_grid hands _structure_checks the facts of each pair of orders
+    # from its sieves; they give the checks that the facts found from
+    # gcd(n, m) alone give.
+    checks = lemmas._structure_checks
+    calls = []
+
+    def spy(sg, sh, pair):
+        found = checks(sg, sh, pair)
+        calls.append(found == checks(sg, sh))
+        return found
+
+    monkeypatch.setattr(lemmas, "_structure_checks", spy)
+    grid = structure_grid(64)
+    assert len(calls) == 117 * 118 // 2 and all(calls)
+    assert grid.checked == 6074 and grid.failures == []
+
+
 def test_lemma_grids_are_clean_at_small_bounds():
     grid = lemma21_grid(60, "i")
     assert isinstance(grid, GridResult)
@@ -307,19 +325,23 @@ def fraction_verdict(m, n, a, b, variant):
 
 
 def test_lemma21_grid_integer_verdicts_match_fraction_reference(monkeypatch):
-    # Each variant decides a row of (m, n) at a time, variant i with
-    # _lemma21i_failures and variant ii with _lemma21ii_failures.  Spying on
-    # both shows every tuple the grids visit, with its blocks and its verdict.
+    # Each variant decides a row of (m, n) at a time.  Variant i calls
+    # _lemma21i_failures for each row; variant ii calls _lemma21ii_failures
+    # for the rows with n <= m only, and its verdict covers the mirror row
+    # (n, m) too.  Spying on both shows every tuple the grids visit, with its
+    # blocks and its verdict.
     deciders = {"i": lemmas._lemma21i_failures, "ii": lemmas._lemma21ii_failures}
     seen = {"i": [], "ii": []}
 
     def spy_on(variant):
         def spy_row(m, n, divs, blocks):
             failing = deciders[variant](m, n, divs, blocks)
+            rows = [(m, n)] if variant == "i" or m == n else [(m, n), (n, m)]
             for i, a in enumerate(divs):
                 for b, block_b in zip(divs[i + 1:], blocks[i + 1:]):
                     if variant == "i" or b >= 2 * a:
-                        seen[variant].append((m, n, a, b, blocks[i], block_b, (a, b) not in failing))
+                        seen[variant] += [(*row, a, b, blocks[i], block_b, (a, b) not in failing)
+                                          for row in rows]
             return failing
         return spy_row
 
@@ -333,7 +355,8 @@ def test_lemma21_grid_integer_verdicts_match_fraction_reference(monkeypatch):
             for a in range(2, g + 1) for b in range(a + 1, g + 1)
             if g % a == g % b == 0 and (variant == "i" or b >= 2 * a)
         ]
-        assert [entry[:4] for entry in seen[variant]] == expected
+        # Each instance is visited once.
+        assert sorted(entry[:4] for entry in seen[variant]) == expected
         assert grid.checked == len(expected) and grid.failures == []
         for m, n, a, b, block_a, block_b, holds in seen[variant]:
             assert (block_a, block_b) == (block(m, n, a), block(m, n, b)), (m, n, a, b)
@@ -436,6 +459,84 @@ def test_lemma21_grid_reports_failures_unchanged(plant_lemma21_failures, capsys)
                    "L21i,20,30,2,5,,,326876/21,32768000/19683\n")
 
 
+def test_mirror_rows_share_blocks_and_variant_ii_verdicts():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def instances(draw):
+        a = draw(st.integers(2, 30))
+        b = draw(st.integers(2 * a, 90))
+        step = a * b // gcd(a, b)  # at most 30 * 90 < 3000
+        m = step * draw(st.integers(1, 3000 // step))
+        n = step * draw(st.integers(1, 3000 // step))
+        return m, n, a, b
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(instances())
+    def check(instance):
+        m, n, a, b = instance
+        for d in (a, b):
+            assert lemmas._block(m, n, d) == lemmas._block(n, m, d) == block(n, m, d), (m, n, d)
+        holds = check_lemma21(m, n, a, b, "ii").holds
+        assert holds == check_lemma21(n, m, a, b, "ii").holds, (m, n, a, b)
+
+    check()
+
+
+@pytest.mark.parametrize("planted", [
+    [(12, 18, 2, 3), (16, 12, 2, 4)],
+    [(16, 12, 2, 4), (18, 12, 2, 3)],
+])
+def test_lemma21i_plant_in_one_mirror_row_is_reported_alone(planted, plant_lemma21_failures):
+    # Variant i decides (m, n) and (n, m) apart from one block table, so a
+    # plant in one row leaves its mirror clean.  The walk finds (12, 18) at
+    # m = 18, after (16, 12), and still reports it first.
+    plant_lemma21_failures(planted)
+    grid = lemma21_grid(18, "i")
+    assert grid.checked == 79
+    assert grid.failures == [check_lemma21(*parameters, "i") for parameters in planted]
+
+
+def test_lemma21ii_plant_is_reported_at_both_mirror_rows(plant_lemma21_failures):
+    # Variant ii decides the row (m, n) with n <= m once, and its verdict is
+    # that of (n, m) too; the four failures come out sorted by (m, n, a, b).
+    plant_lemma21_failures([(16, 12, 2, 4), (18, 12, 3, 6)])
+    grid = lemma21_grid(18, "ii")
+    expected = [(12, 16, 2, 4), (12, 18, 3, 6), (16, 12, 2, 4), (18, 12, 3, 6)]
+    assert grid.checked == 66
+    assert grid.failures == [check_lemma21(*parameters, "ii") for parameters in expected]
+
+
+def test_benchmark_size_grids_are_pinned(monkeypatch):
+    # The bounds of the lemma-grids benchmark.  Lemma 2.1 builds one block
+    # table per unordered pair {m, n}, and the structure grid finds the facts
+    # of each pair of orders from sieves: the factorize calls left are those
+    # of the group spectra, fewer than one per pair of orders.
+    calls = {"block_table": 0, "factorize": 0}
+
+    def counted(name, function):
+        def call(*args):
+            calls[name] += 1
+            return function(*args)
+        return call
+
+    monkeypatch.setattr(lemmas, "block_table", counted("block_table", lemmas.block_table))
+    factorize = counted("factorize", exactmath.factorize)
+    for module in (exactmath, groups, lemmas):
+        monkeypatch.setattr(module, "factorize", factorize)
+    for variant, checked in (("i", 82896), ("ii", 70973)):
+        calls["block_table"] = 0
+        grid = lemma21_grid(400, variant)
+        assert (grid.checked, grid.failures, calls["block_table"]) == (checked, [], 9408)
+    grid = lemma22_grid(360, "i")
+    assert (grid.checked, grid.failures) == (5685, [])
+    calls["factorize"] = 0
+    grid = structure_grid(128)
+    assert (grid.checked, grid.failures) == (28759, [])
+    assert 0 < calls["factorize"] <= 128 * 129 // 2
+
+
 def failed(instance):
     """The same instance with its verdict turned to a failure."""
     return LemmaInstance(instance.lemma_id, instance.parameters, False, instance.lhs, instance.rhs)
@@ -533,7 +634,7 @@ def test_lemma22_grid_reports_failures_in_grid_order(monkeypatch, capsys):
 def test_grids_report_doctored_failures_under_optimize():
     # python -O strips asserts; the grid verdicts must not rest on one.
     script = """
-from zsr import lemmas
+from zsr import exactmath, groups, lemmas
 table, block = lemmas.block_table, lemmas._block
 def doctored_table(m, n, divs, last):
     blocks = table(m, n, divs, last)
@@ -560,7 +661,7 @@ def test_row_deciders_report_doctored_failures_under_optimize():
     # 6 * 6 > 12 * 3 being false, and no other pair; the L23 check of the
     # pair of orders (6, 9) is planted as a failure.
     script = """
-from zsr import lemmas
+from zsr import exactmath, groups, lemmas
 table, checks = lemmas.block_table, lemmas._structure_checks
 def doctored_table(m, n, divs, last):
     blocks = table(m, n, divs, last)
@@ -568,9 +669,9 @@ def doctored_table(m, n, divs, last):
         blocks[-1] = 3
     return blocks
 lemmas.block_table = doctored_table
-lemmas._structure_checks = lambda sg, sh: [
+lemmas._structure_checks = lambda sg, sh, pair: [
     (check[0], False, *check[2:]) if (sg.group_order, sh.group_order, check[0]) == (6, 9, lemmas._L23_H)
-    else check for check in checks(sg, sh)]
+    else check for check in checks(sg, sh, pair)]
 for grid in (lemmas.lemma21_grid(12, "ii"), lemmas.structure_grid(12)):
     print(grid.checked, [(f.lemma_id, *f.parameters.values()) for f in grid.failures])
 """
@@ -590,10 +691,11 @@ def test_structure_grid_reports_failures_in_grid_order(monkeypatch, capsys):
                       False, 4, 4),
         LemmaInstance("L23", {"n": 6, "m": 9, "min_EH": 3}, False, 3, 3),
     ]
-    monkeypatch.setattr(lemmas, "_structure_checks", lambda sg, sh: [
+    # structure_grid passes each call the facts of its pair of orders.
+    monkeypatch.setattr(lemmas, "_structure_checks", lambda sg, sh, pair: [
         (check[0], False, *check[2:])
         if failed(lemmas._structure_instance(sg.group_order, sh.group_order, check)) in planted
-        else check for check in checks(sg, sh)])
+        else check for check in checks(sg, sh, pair)])
     grid = structure_grid(12)
     assert grid.checked == 80 and grid.failures == planted
     assert main(["lemma", "--id", "struct", "--max", "12", "--format", "csv"]) == 1

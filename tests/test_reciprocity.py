@@ -295,6 +295,24 @@ def test_scan_computes_each_candidate_spectrum_once(monkeypatch):
         assert len(calls) == alone
 
 
+def test_products_alone_compute_each_factor_spectrum_once(monkeypatch):
+    # With products but not their base families, a factor such as C7 or D5
+    # is built outside the pool; its spectrum is still computed once, not
+    # once for every product it is in.
+    calls = []
+
+    def counted(desc, known=None):
+        calls.append(desc)
+        return spectrum_of(desc, known)
+
+    spectrum_of = groups.order_spectrum
+    monkeypatch.setattr(groups, "order_spectrum", counted)
+    monkeypatch.setattr(reciprocity, "order_spectrum", counted)
+    descriptors = family_descriptors(("products",), 192)
+    assert len(descriptors) == 741
+    assert len(calls) == len(set(calls)) == 920
+
+
 def old_family_descriptors(families, max_order):
     """The descriptors and spectra of the families, by building every candidate.
 
