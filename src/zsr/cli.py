@@ -18,7 +18,6 @@ import os
 import sys
 
 from .counting import count_dp, count_formula, count_molien, rational_catalan
-from .errors import BudgetError, GroupParseError
 from .groups import (
     FAMILIES,
     enumerate_abelian,
@@ -425,7 +424,7 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except (GroupParseError, BudgetError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

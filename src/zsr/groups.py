@@ -13,7 +13,7 @@ from itertools import product as cartesian
 from math import gcd, lcm, prod
 
 from .errors import BudgetError, GroupParseError
-from .exactmath import divisors, factorize
+from .exactmath import FACTORIZE_CEILING, divisors, factorize
 from .value import Value, set_field
 
 DEFAULT_SPECTRUM_BOUND = 5000
@@ -294,7 +294,11 @@ def order_spectrum(g: GroupDescriptor, known: dict | None = None) -> OrderSpectr
     prime-power order, and C_(p^e) has phi(p^k) = p^k - p^(k-1) elements of
     order p^k for 1 <= k <= e.  known, if given, maps descriptors to their
     spectra; a product's factors found there are merged without recomputing them.
+    A group of order past FACTORIZE_CEILING is refused with BudgetError.
     """
+    if isinstance(g, GroupDescriptor) and g.order > FACTORIZE_CEILING:
+        raise BudgetError(f"order spectra are limited to order <= {FACTORIZE_CEILING}, "
+                          f"got {g.notation()} of order {g.order}")
     if isinstance(g, Product):
         known = known or {}
         parts = [(known.get(factor) or order_spectrum(factor)).entries for factor in g.factors]

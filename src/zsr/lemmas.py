@@ -19,12 +19,12 @@ with a proven error bound: an instance that clears the bound holds, and
 every other one (ties, near-ties and apparent failures) is settled by the
 same integer comparison.  The Lemma 2.2 grid keeps the prime powers of the
 sieve and cross-multiplies its ratio bound in integers, the comparison
-check_lemma22 also takes its verdict from.  The structure grid finds the
-facts of each pair of orders (the shared divisors, the prime powers of their
-gcd and the valuations of both orders) once, from sieves, and decides each
-pair of spectra into compact check tuples.  A LemmaInstance, with its exact
-Fraction values, is built only for an instance that fails, and fractions is
-imported only then.
+check_lemma22 also takes its verdict from.  The structure checks of any two
+spectra read the facts of their pair of orders (the shared divisors, the
+prime powers of their gcd and the valuations of both orders) from
+_order_pair, which works out the facts of each gcd once, and decide into
+compact check tuples.  A LemmaInstance, with its exact Fraction values, is
+built only for an instance that fails, and fractions is imported only then.
 
 Each grid refuses a bound above its ceiling (LEMMA21_GRID_MAX,
 LEMMA22_GRID_MAX, STRUCTURE_GRID_MAX; GRID_CEILINGS by grid id) with
@@ -38,7 +38,7 @@ from math import gcd, log2
 
 from .errors import BudgetError
 from .exactmath import binomial, block_table, divisors, factorize, prime_power_root, valuation
-from .groups import AbelianGroup, enumerate_abelian, order_spectrum
+from .groups import GroupDescriptor, enumerate_abelian, order_spectrum
 from .value import Value, set_field
 
 # Grid ceilings: the largest m, n bound of lemma21_grid and lemma22_grid, and
@@ -116,24 +116,22 @@ def check_lemma21(m: int, n: int, a: int, b: int, variant: str) -> LemmaInstance
     block_a = _block(m, n, a)
     block_b = _block(m, n, b)
     params = {"m": m, "n": n, "a": a, "b": b}
-    holds = _lemma21_holds(m, n, a, b, block_a, block_b, variant)
-    if variant == "i":
-        exp_n = n // a - n // b
-        exp_m = m // a - m // b
-        rhs = Fraction(n + m, n) ** exp_n * Fraction(b * m + a * n, b * m) ** exp_m
-        return LemmaInstance("L21i", params, holds, Fraction(block_a, block_b), rhs)
-    return LemmaInstance("L21ii", params, holds, a * block_a, max(m, n) * block_b)
-
-
-def _lemma21_holds(m: int, n: int, a: int, b: int, block_a: int, block_b: int, variant: str) -> bool:
-    """The verdict of check_lemma21 from the blocks of a and b, in integers only.
-
-    Variant i multiplies block_a / block_b >= rhs by the positive
-    block_b * n^en * (b*m)^em, where en = n/a - n/b and em = m/a - m/b.
-    Variant ii is the row {a, b} of _lemma21ii_failures.
-    """
     if variant == "ii":
-        return not _lemma21ii_failures(m, n, [a, b], [block_a, block_b])
+        holds = not _lemma21ii_failures(m, n, [a, b], [block_a, block_b])
+        return LemmaInstance("L21ii", params, holds, a * block_a, max(m, n) * block_b)
+    exp_n = n // a - n // b
+    exp_m = m // a - m // b
+    rhs = Fraction(n + m, n) ** exp_n * Fraction(b * m + a * n, b * m) ** exp_m
+    return LemmaInstance("L21i", params, _lemma21_holds(m, n, a, b, block_a, block_b),
+                         Fraction(block_a, block_b), rhs)
+
+
+def _lemma21_holds(m: int, n: int, a: int, b: int, block_a: int, block_b: int) -> bool:
+    """The verdict of variant i of check_lemma21 from the blocks of a and b, in integers only.
+
+    It multiplies block_a / block_b >= rhs by the positive
+    block_b * n^en * (b*m)^em, where en = n/a - n/b and em = m/a - m/b.
+    """
     exp_n = n // a - n // b
     exp_m = m // a - m // b
     return block_a > block_b and (block_a * n ** exp_n * (b * m) ** exp_m
@@ -237,7 +235,7 @@ def _lemma22_holds(m: int, n: int, a: int, b: int, p: int, q: int, block_a: int,
     return p * a ** 3 * b * block_a > factor * m * n * block_b
 
 
-def check_structure_lemmas(g: AbelianGroup, h: AbelianGroup) -> list[LemmaInstance]:
+def check_structure_lemmas(g: GroupDescriptor, h: GroupDescriptor) -> list[LemmaInstance]:
     """Constraints on the first disagreements between two order spectra.
 
     Emits, where applicable: L23 (the smallest shared divisor where either
@@ -246,7 +244,8 @@ def check_structure_lemmas(g: AbelianGroup, h: AbelianGroup) -> list[LemmaInstan
     elements has order divisible by q^(t+1) and the count difference lies
     between q^t and q^delta - q^t), and L25 (when the disagreement sign
     flips between q^s and q^(s+1) with s >= 2 and q^(s+1) dividing both
-    orders, both orders carry q-valuation at least s + 2).
+    orders, both orders carry q-valuation at least s + 2).  g and h may be
+    any group descriptors: the checks read only their spectra.
     """
     return _structure_instances(order_spectrum(g), order_spectrum(h))
 
@@ -254,7 +253,8 @@ def check_structure_lemmas(g: AbelianGroup, h: AbelianGroup) -> list[LemmaInstan
 def _structure_instances(sg, sh) -> list[LemmaInstance]:
     n = sg.group_order
     m = sh.group_order
-    return [_structure_instance(n, m, check) for check in _structure_checks(sg, sh)]
+    pair = _order_pair(n, m, {})
+    return [_structure_instance(n, m, check) for check in _structure_checks(sg, sh, pair)]
 
 
 # The kind of a structure check: its lemma id and the names of its
@@ -271,42 +271,35 @@ def _structure_instance(n: int, m: int, check: tuple) -> LemmaInstance:
     return LemmaInstance(lemma_id, dict(zip(("n", "m", *names), (n, m, *values))), holds, lhs, rhs)
 
 
-def _order_pair(n: int, m: int, shared: list[int], prime_of, top_power) -> tuple:
+def _order_pair(n: int, m: int, by_gcd: dict) -> tuple:
     """The facts of the orders n and m that _structure_checks reads.
 
-    shared lists the divisors >= 2 of gcd(n, m) in increasing order;
-    prime_of maps each prime power among them to its prime, and top_power
-    maps each of them to its largest prime-power factor (both may hold more
-    numbers).  The facts are shared, top_power, and for each prime p of
-    gcd(n, m), in increasing order, (p, [p, p^2, ..., p^e], alpha, gamma),
-    where p^e exactly divides gcd(n, m) and alpha and gamma are the
-    p-valuations of n and m.
+    They are the divisors >= 2 of gcd(n, m) in increasing order, a dict from
+    each of them to the largest prime power dividing it, and for each prime
+    p of gcd(n, m), in increasing order, (p, [p, p^2, ..., p^e], alpha,
+    gamma), where p^e exactly divides gcd(n, m) and alpha and gamma are the
+    p-valuations of n and m.  The facts of gcd(n, m) come from its
+    factorization and divisors once per gcd; by_gcd, which the caller owns,
+    keeps them by gcd.
     """
-    powers: dict[int, list[int]] = {}
-    for d in shared:
-        if d in prime_of:
-            powers.setdefault(prime_of[d], []).append(d)
-    return shared, top_power, [(p, ds, valuation(n, p), valuation(m, p)) for p, ds in powers.items()]
+    common = gcd(n, m)
+    facts = by_gcd.get(common)
+    if facts is None:
+        powers = [(p, [p ** k for k in range(1, e + 1)]) for p, e in factorize(common)]
+        shared = divisors(common)[1:]
+        top_power = {d: max(q for _, qs in powers for q in qs if d % q == 0) for d in shared}
+        facts = by_gcd[common] = shared, top_power, powers
+    shared, top_power, powers = facts
+    return shared, top_power, [(p, qs, valuation(n, p), valuation(m, p)) for p, qs in powers]
 
 
-def _structure_checks(sg, sh, pair: tuple | None = None) -> list[tuple]:
+def _structure_checks(sg, sh, pair: tuple) -> list[tuple]:
     """The structure checks of two spectra, as (kind, holds, lhs, rhs, values) tuples.
 
     values are the check's parameters after n and m, in the order its kind
     names them.  A check is what check_structure_lemmas reports as one
-    instance, in the same order.  pair is _order_pair of the two orders;
-    structure_grid passes it from its sieves, and without it the facts come
-    from the factorization of gcd(n, m).
+    instance, in the same order.  pair is _order_pair of the two orders.
     """
-    n = sg.group_order
-    m = sh.group_order
-    if pair is None:
-        common = gcd(n, m)
-        prime_of = {p ** k: p for p, e in factorize(common) for k in range(1, e + 1)}
-        divs = divisors(common)[1:]
-        # The largest prime power dividing d is its largest prime-power factor.
-        pair = _order_pair(n, m, divs, prime_of,
-                           {d: max(q for q in prime_of if d % q == 0) for d in divs})
     shared, top_power, primes = pair
     g_entries = sg.entries
     h_entries = sh.entries
@@ -368,15 +361,6 @@ def _divisor_sieve(bound: int) -> list[list[int]]:
     return divisors_of
 
 
-def _prime_powers(divisors_of: list[list[int]]) -> dict[int, int]:
-    """The prime powers d in the sieve's range, each mapped to its prime.
-
-    d >= 2 is a power of its least divisor p >= 2 when d = p^k, with k its
-    number of divisors >= 2.
-    """
-    return {d: divs[0] for d, divs in enumerate(divisors_of) if divs and divs[0] ** len(divs) == d}
-
-
 def _shared_rows(divisors_of: list[list[int]], m: int, distinct: bool, top: int) -> list[int]:
     """The n <= top that share with m a product of two primes, in increasing order.
 
@@ -436,7 +420,7 @@ def _lemma21i_failures(m: int, n: int, divs: list[int], blocks: list[int]) -> li
             if gap > tau and (gap + (na - n // b) * shrink_n
                               + (ma - m // b) * (log2(bm) - log2(bm + an))) > tau:
                 continue
-            if not _lemma21_holds(m, n, a, b, blocks[i], blocks[j], "i"):
+            if not _lemma21_holds(m, n, a, b, blocks[i], blocks[j]):
                 failing.append((a, b))
     return failing
 
@@ -508,9 +492,12 @@ def lemma22_grid(max_mn: int, variant: str) -> GridResult:
     if variant not in ("i", "ii"):
         raise ValueError(f"variant must be 'i' or 'ii', got {variant!r}")
     _check_grid_bound(f"2.2{variant}", max_mn)
-    # The prime powers (d, p) dividing every g <= max_mn, in increasing order.
+    # The prime powers (d, p) dividing every g <= max_mn, in increasing order:
+    # d >= 2 is a power of its least divisor p >= 2 when d = p^k, with k its
+    # number of divisors >= 2.
     divisors_of = _divisor_sieve(max_mn)
-    prime_of = _prime_powers(divisors_of)
+    prime_of = {d: divs[0] for d, divs in enumerate(divisors_of)
+                if divs and divs[0] ** len(divs) == d}
     powers_of = [[(d, prime_of[d]) for d in divs if d in prime_of] for divs in divisors_of]
     checked = 0
     failures = []
@@ -539,21 +526,18 @@ def structure_grid(max_order: int) -> GridResult:
     """Structure checks over every unordered pair of abelian groups up to max_order.
 
     max_order is at most STRUCTURE_GRID_MAX.  The facts of each pair of
-    orders (n, m), n <= m, are found once (_order_pair), from one divisor
-    sieve, and kept while the groups of order n are walked.  The largest
-    prime-power factor of each d, the largest prime power dividing it,
-    comes from the same sieve.
+    orders (n, m), n <= m, are found once (_order_pair, with one dict of the
+    facts of each gcd for the whole grid) and kept while the groups of order
+    n are walked.
     """
     if max_order < 1:
         raise ValueError(f"max_order must be positive, got {max_order}")
     _check_grid_bound("struct", max_order)
     groups = [g for n in range(1, max_order + 1) for g in enumerate_abelian(n)]
     spectra = [order_spectrum(g) for g in groups]
-    divisors_of = _divisor_sieve(max_order)
-    prime_of = _prime_powers(divisors_of)
-    top_power = [max((d for d in divs if d in prime_of), default=1) for divs in divisors_of]
     checked = 0
     failures = []
+    by_gcd: dict[int, tuple] = {}
     pairs: dict[int, tuple] = {}
     for i, sg in enumerate(spectra):
         n = sg.group_order
@@ -563,7 +547,7 @@ def structure_grid(max_order: int) -> GridResult:
             m = sh.group_order
             pair = pairs.get(m)
             if pair is None:
-                pair = pairs[m] = _order_pair(n, m, divisors_of[gcd(n, m)], prime_of, top_power)
+                pair = pairs[m] = _order_pair(n, m, by_gcd)
             checks = _structure_checks(sg, sh, pair)
             if checks:
                 checked += len(checks)

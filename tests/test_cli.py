@@ -617,6 +617,17 @@ def test_orders_past_the_factorize_ceiling_exit_2():
     assert result.stdout == "999999999989 has no consecutive divisors above 1\n"
 
 
+def test_spectra_past_the_factorize_ceiling_name_the_group(capsys):
+    # D2000000000000000 parses without factorizing; its spectrum is refused
+    # up front, by the group's notation and order, not by half its order.
+    for argv in (["spectrum", "--group", "D2000000000000000"],
+                 ["count", "--group", "D2000000000000000", "--length", "3"],
+                 ["check", "--g", "D2000000000000000", "--h", "C2"]):
+        assert run(capsys, *argv) == (2, "", "error: order spectra are limited to order <= "
+                                      "1000000000000, got D2000000000000000 of order "
+                                      "2000000000000000\n"), argv
+
+
 @pytest.mark.parametrize("argv", [["scan-conjecture", "--max-order", "4"],
                                   ["lemma", "--id", "2.1i", "--max", "10"]])
 def test_unusable_out_path_exits_2(argv, tmp_path, monkeypatch, capsys):

@@ -232,12 +232,48 @@ def test_structure_instances_are_pinned():
     assert digest.hexdigest() == "33c1dcec9aadfa6ea1dc6057db7e9f51a5dc7ec0353f1c0e5003416edae7f5c2"
 
 
+def test_structure_instances_of_non_abelian_and_large_groups_are_pinned():
+    # Any two spectra go through the same checks: dihedral and dicyclic
+    # groups (the first failing pairs of those families), and two groups of
+    # order 720720 = 2^4 * 3^2 * 5 * 7 * 11 * 13, past every grid ceiling.
+    def instances(g, h):
+        return lemmas._structure_instances(order_spectrum(parse_group(g)),
+                                           order_spectrum(parse_group(h)))
+
+    l24 = ("q", "t", "delta", "phi_g", "phi_h")
+    assert instances("C6", "D6") == [
+        LemmaInstance("L23", {"n": 6, "m": 6, "min_EG": 6}, False, 6, 3),
+        LemmaInstance("L23", {"n": 6, "m": 6, "min_EH": 2}, True, 2, 2),
+        LemmaInstance("L24", {"n": 6, "m": 6, **dict(zip(l24, (2, 1, 1, 1, 3)))}, False, 2, 0),
+    ]
+    assert instances("C2", "D6") == [
+        LemmaInstance("L23", {"n": 2, "m": 6, "min_EH": 2}, True, 2, 2),
+        LemmaInstance("L24", {"n": 2, "m": 6, **dict(zip(l24, (2, 1, 1, 1, 3)))}, False, 2, 0),
+    ]
+    assert instances("C8", "Dic2") == [
+        LemmaInstance("L23", {"n": 8, "m": 8, "min_EG": 8}, True, 8, 8),
+        LemmaInstance("L23", {"n": 8, "m": 8, "min_EH": 4}, True, 4, 4),
+        LemmaInstance("L24", {"n": 8, "m": 8, **dict(zip(l24, (2, 2, 3, 2, 6)))}, True, 4, 4),
+        LemmaInstance("L25", {"n": 8, "m": 8, "p": 2, "s": 2, "alpha": 3, "gamma": 3},
+                      False, 3, 4),
+    ]
+    big = {"n": 720720, "m": 720720}
+    assert instances("C720720", "C2xC360360") == [
+        LemmaInstance("L23", {**big, "min_EG": 16}, True, 16, 16),
+        LemmaInstance("L23", {**big, "min_EH": 2}, True, 2, 2),
+        LemmaInstance("L24", {**big, **dict(zip(l24, (2, 1, 4, 1, 3)))}, True, 2, 14),
+    ]
+    pair = parse_group("C720720"), parse_group("C2xC360360")
+    assert check_structure_lemmas(*pair) == instances("C720720", "C2xC360360")
+
+
 def test_lemma21ii_row_decider_matches_each_instance():
     # Every row to 60, with its true blocks, with them reversed (which fails
     # most pairs) and with blocks that tie each pair of neighbours (block_i =
     # max(m, n)^(k-1-i) * divs[0] * ... * divs[i-1] for k divisors): the row
-    # decider fails exactly the pairs b >= 2a that _lemma21_holds fails, and
-    # those where a * block_a > max(m, n) * block_b is false.
+    # decider fails exactly the pairs b >= 2a that it fails as the row {a, b}
+    # (check_lemma21's verdict), and those where a * block_a > max(m, n) *
+    # block_b is false.
     divisors_of = lemmas._divisor_sieve(60)
     rows = failing = 0
     for m in range(2, 61):
@@ -252,7 +288,7 @@ def test_lemma21ii_row_decider_matches_each_instance():
                 pairs = [(a, b, blocks[i], blocks[j]) for i, a in enumerate(divs)
                          for j, b in enumerate(divs) if b >= 2 * a]
                 expected = [(a, b) for a, b, block_a, block_b in pairs
-                            if not lemmas._lemma21_holds(m, n, a, b, block_a, block_b, "ii")]
+                            if lemmas._lemma21ii_failures(m, n, [a, b], [block_a, block_b])]
                 assert expected == [(a, b) for a, b, block_a, block_b in pairs
                                     if not a * block_a > max(m, n) * block_b], (m, n)
                 assert lemmas._lemma21ii_failures(m, n, divs, blocks) == expected, (m, n)
@@ -266,7 +302,8 @@ def test_structure_checks_match_the_instances():
     total = 0
     for sg in spectra:
         for sh in spectra:
-            checks = lemmas._structure_checks(sg, sh)
+            pair = lemmas._order_pair(sg.group_order, sh.group_order, {})
+            checks = lemmas._structure_checks(sg, sh, pair)
             instances = lemmas._structure_instances(sg, sh)
             assert len(checks) == len(instances)
             assert [check[1] for check in checks] == [instance.holds for instance in instances]
@@ -275,15 +312,16 @@ def test_structure_checks_match_the_instances():
 
 
 def test_structure_grid_order_pairs_give_the_checks_of_lone_pairs(monkeypatch):
-    # structure_grid hands _structure_checks the facts of each pair of orders
-    # from its sieves; they give the checks that the facts found from
-    # gcd(n, m) alone give.
+    # structure_grid keeps the facts of each pair of orders while it walks
+    # the groups of one order, and shares the facts of each gcd across the
+    # grid; they equal the fresh facts of the pair, and give its checks.
     checks = lemmas._structure_checks
     calls = []
 
     def spy(sg, sh, pair):
         found = checks(sg, sh, pair)
-        calls.append(found == checks(sg, sh))
+        fresh = lemmas._order_pair(sg.group_order, sh.group_order, {})
+        calls.append(pair == fresh and found == checks(sg, sh, fresh))
         return found
 
     monkeypatch.setattr(lemmas, "_structure_checks", spy)
@@ -372,9 +410,9 @@ def test_lemma21_filter_passes_exactly_the_ties_on(monkeypatch):
     decide = lemmas._lemma21_holds
     reached = []
 
-    def spy(m, n, a, b, *rest):
+    def spy(m, n, a, b, block_a, block_b):
         reached.append((m, n, a, b))
-        return decide(m, n, a, b, *rest)
+        return decide(m, n, a, b, block_a, block_b)
 
     monkeypatch.setattr(lemmas, "_lemma21_holds", spy)
     assert lemma21_grid(60, "i").failures == []
@@ -394,9 +432,9 @@ def test_lemma21_doctored_block_fails_through_the_filter(monkeypatch):
     table, decide = lemmas.block_table, lemmas._lemma21_holds
     reached = []
 
-    def spy(m, n, a, b, block_a, block_b, variant):
+    def spy(m, n, a, b, block_a, block_b):
         reached.append((m, n, a, b, block_a, block_b))
-        return decide(m, n, a, b, block_a, block_b, variant)
+        return decide(m, n, a, b, block_a, block_b)
 
     monkeypatch.setattr(lemmas, "_lemma21_holds", spy)
     for doctored, failing in ((778, []), (777, [(12, 12, 2, 3)])):
@@ -511,8 +549,8 @@ def test_lemma21ii_plant_is_reported_at_both_mirror_rows(plant_lemma21_failures)
 def test_benchmark_size_grids_are_pinned(monkeypatch):
     # The bounds of the lemma-grids benchmark.  Lemma 2.1 builds one block
     # table per unordered pair {m, n}, and the structure grid finds the facts
-    # of each pair of orders from sieves: the factorize calls left are those
-    # of the group spectra, fewer than one per pair of orders.
+    # of each gcd once: the factorize calls left are those of the group
+    # spectra (1,448) and two per gcd (factorize and divisors).
     calls = {"block_table": 0, "factorize": 0}
 
     def counted(name, function):
@@ -534,7 +572,7 @@ def test_benchmark_size_grids_are_pinned(monkeypatch):
     calls["factorize"] = 0
     grid = structure_grid(128)
     assert (grid.checked, grid.failures) == (28759, [])
-    assert 0 < calls["factorize"] <= 128 * 129 // 2
+    assert 0 < calls["factorize"] <= 1448 + 2 * 128
 
 
 def failed(instance):
