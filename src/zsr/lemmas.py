@@ -6,24 +6,17 @@ gcd(m, n), against explicit lower bounds.  The structure checks (L23, L24,
 L25) constrain where two order spectra can first disagree.  Every check is
 a decidable statement about concrete integers, and every verdict is exact.
 
-The grids decide instances without Fractions, and list the divisors of each
-gcd(m, n) from one divisor sieve.  For each m they visit only the n that
-carry an instance: those sharing with m a product of two primes (two
-distinct ones for Lemma 2.2), taken from the sieve.  The Lemma 2.1 grids
-walk only n <= m: a block C((m+n)/d, m/d) is also the block of (n, m), so
-one block table serves both mirror rows.  Variant i decides each of the two
-rows from it in one call; variant ii cross-multiplies its bound, which is
-the same for (m, n) and (n, m), in integers, and decides the pair of rows in
-one call.  Variant i first compares the logarithms of both sides in floats,
-with a proven error bound: an instance that clears the bound holds, and
-every other one (ties, near-ties and apparent failures) is settled by the
-same integer comparison.  The Lemma 2.2 grid keeps the prime powers of the
-sieve and cross-multiplies its ratio bound in integers, the comparison
-check_lemma22 also takes its verdict from.  The structure checks of any two
-spectra read the facts of their pair of orders (the shared divisors, the
-prime powers of their gcd and the valuations of both orders) from
-_order_pair, which works out the facts of each gcd once, and decide into
-compact check tuples.  A LemmaInstance, with its exact Fraction values, is
+The grids list the divisors of each gcd(m, n) from one divisor sieve and,
+for each m, visit only the n that carry an instance.  The binomial grids
+need only the sign of each comparison: they read each block as its
+logarithm from one table of log2(k!) (_block_logs) and certify in floats
+every instance whose margin clears a proven tolerance (_tolerance).  Every
+other instance (ties, near-ties and apparent failures) is decided in
+integers, on exact blocks (_block), by the comparison check_lemma21 and
+check_lemma22 take their verdicts from, so a failure is always found and
+decided exactly.  The structure checks of any two spectra read the facts of
+their pair of orders from _order_pair and decide into compact check tuples.
+A LemmaInstance, with its exact Fraction values from fresh binomials, is
 built only for an instance that fails, and fractions is imported only then.
 
 Each grid refuses a bound above its ceiling (LEMMA21_GRID_MAX,
@@ -34,26 +27,28 @@ BudgetError before any work.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import accumulate
 from math import gcd, log2
 
 from .errors import BudgetError
-from .exactmath import binomial, block_table, divisors, factorize, prime_power_root, valuation
+from .exactmath import binomial, divisors, factorize, prime_power_root, valuation
 from .groups import GroupDescriptor, enumerate_abelian, order_spectrum
 from .value import Value, set_field
 
 # Grid ceilings: the largest m, n bound of lemma21_grid and lemma22_grid, and
 # the largest order bound of structure_grid.  At its ceiling each grid took
-# 6-15 s on a 2-core Xeon host (Python 3.11), so twice that on a slow day.
+# at most about 6 s on a 2-core Xeon host (Python 3.11), so twice that on a
+# slow day.
 LEMMA21_GRID_MAX = 3000
-LEMMA22_GRID_MAX = 2000
+LEMMA22_GRID_MAX = 3000
 STRUCTURE_GRID_MAX = 1024
 # Each grid's ceiling by the id its GridResult carries.
 GRID_CEILINGS = {"2.1i": LEMMA21_GRID_MAX, "2.1ii": LEMMA21_GRID_MAX, "2.2i": LEMMA22_GRID_MAX,
                  "2.2ii": LEMMA22_GRID_MAX, "struct": STRUCTURE_GRID_MAX}
 
-# Tolerance of the Lemma 2.1 float filter per bit of the magnitudes it sums
-# (see _lemma21i_failures).
-_FILTER_TOLERANCE = 2.0 ** -40
+# Tolerance of the float filters per unit of (m + n) * log2(m + n) (see
+# _tolerance).
+_FILTER_TOLERANCE = 2.0 ** -30
 
 
 class LemmaInstance(Value):
@@ -87,7 +82,11 @@ class GridResult(Value):
 
 
 def _block(m: int, n: int, d: int) -> int:
-    """The binomial block C((m+n)/d, m/d)."""
+    """The binomial block C((m+n)/d, m/d), as the grids' exact comparisons read it.
+
+    check_lemma21 and check_lemma22 build their reports from fresh binomials
+    instead, so a report does not depend on the blocks a grid was given.
+    """
     return binomial((m + n) // d, m // d)
 
 
@@ -113,12 +112,12 @@ def check_lemma21(m: int, n: int, a: int, b: int, variant: str) -> LemmaInstance
         raise ValueError(f"variant i requires b > a, got a = {a}, b = {b}")
     if variant == "ii" and b < 2 * a:
         raise ValueError(f"variant ii requires b >= 2a, got a = {a}, b = {b}")
-    block_a = _block(m, n, a)
-    block_b = _block(m, n, b)
+    block_a = binomial((m + n) // a, m // a)
+    block_b = binomial((m + n) // b, m // b)
     params = {"m": m, "n": n, "a": a, "b": b}
     if variant == "ii":
-        holds = not _lemma21ii_failures(m, n, [a, b], [block_a, block_b])
-        return LemmaInstance("L21ii", params, holds, a * block_a, max(m, n) * block_b)
+        return LemmaInstance("L21ii", params, _lemma21ii_holds(m, n, a, b, block_a, block_b),
+                             a * block_a, max(m, n) * block_b)
     exp_n = n // a - n // b
     exp_m = m // a - m // b
     rhs = Fraction(n + m, n) ** exp_n * Fraction(b * m + a * n, b * m) ** exp_m
@@ -136,6 +135,11 @@ def _lemma21_holds(m: int, n: int, a: int, b: int, block_a: int, block_b: int) -
     exp_m = m // a - m // b
     return block_a > block_b and (block_a * n ** exp_n * (b * m) ** exp_m
                                   >= block_b * (n + m) ** exp_n * (b * m + a * n) ** exp_m)
+
+
+def _lemma21ii_holds(m: int, n: int, a: int, b: int, block_a: int, block_b: int) -> bool:
+    """The verdict of variant ii of check_lemma21 from the blocks of a and b, in integers only."""
+    return a * block_a > max(m, n) * block_b
 
 
 def delta(m: int, n: int, a: int, b: int, p: int, q: int) -> Fraction:
@@ -207,8 +211,8 @@ def check_lemma22(m: int, n: int, a: int, b: int, p: int, q: int, variant: str) 
     }
     lemma_id = "L22i" if variant == "i" else "L22ii"
     factor = 2 if variant == "i" else 1
-    block_a = _block(m, n, a)
-    block_b = _block(m, n, b)
+    block_a = binomial((m + n) // a, m // a)
+    block_b = binomial((m + n) // b, m // b)
     holds = _lemma22_holds(m, n, a, b, p, q, block_a, block_b, variant)
     if special:
         # The {2, 3} case asserts only the consequence inequality, with no
@@ -378,74 +382,132 @@ def _shared_rows(divisors_of: list[list[int]], m: int, distinct: bool, top: int)
     return sorted({n for d in steps for n in range(d, top + 1, d)})
 
 
-def _lemma21i_failures(m: int, n: int, divs: list[int], blocks: list[int]) -> list[tuple[int, int]]:
+def _log_factorials(top: int) -> list[float]:
+    """The table lf of log2(k!) for k <= top: lf[k] is the float sum of log2(i) for i <= k."""
+    return list(accumulate(map(log2, range(1, top + 1)), initial=0.0))
+
+
+def _block_logs(lf: list[float], m: int, n: int, divs: list[int]) -> list[float]:
+    """log2 of the blocks C((m+n)/d, m/d) of the row (m, n) for d in divs, from the table lf.
+
+    Each is lf[(m+n)/d] - lf[m/d] - lf[n/d], within the bound of _tolerance.
+    """
+    top = m + n
+    return [lf[top // d] - lf[m // d] - lf[n // d] for d in divs]
+
+
+def _tolerance(m: int, n: int) -> float:
+    """The tolerance tau = 2^-30 * (m + n) * log2(m + n) of the float margins of the row (m, n).
+
+    A margin is a comparison of positive integers, lhs > rhs (or lhs >= rhs),
+    in bits: log2 lhs - log2 rhs, formed in floats from at most two block
+    logarithms of _block_logs and from integer multiples of log2 of
+    integers.  For m, n up to the grid ceilings (below 4096), a float
+    margin above tau proves the true margin positive, so the comparison
+    holds.  All three binomial deciders use this one rule.
+
+    Error bound.  Let u = 2^-53 and W = (m + n) * log2(m + n).
+
+    - The table.  lf[k] is formed as lf[k-1] + log2(k).  math.log2 of an int
+      is within one ulp, at most 2u * log2(k), and each sum rounds by at most
+      u * lf[k], so by induction lf[k] is within (k + 3) * u * lf[k] <=
+      k * 2^-52 * lf[k] of log2(k!) for k >= 3 (lf[k] is exact for k <= 2).
+    - A block logarithm, of d >= 2, is lf[t] - lf[x] - lf[y] with t = x + y
+      = (m + n)/d <= (m + n)/2 and lf[x] + lf[y] <= lf[t] <= t * log2(t).
+      Its three entries are within 2^-52 * t * 2 lf[t] and its two
+      subtractions round by at most u * lf[t] each, so it is within
+      2^-51 * (t + 1) * lf[t] <= 2^-39 * t * log2(t) < 2^-40 * W of the
+      truth, as t + 1 <= max(m, n) + 1 < 2^12.  This step needs the ceilings
+      LEMMA21_GRID_MAX and LEMMA22_GRID_MAX below 4096 (pinned by a test);
+      a higher ceiling needs this bound, and tau, worked out again.
+    - Any other term.  math.log2 of an int x rounds x to 53 bits and takes
+      the platform log2, within one ulp, so it is within
+      2^-50 * (log2 x + 1).  Each margin has at most four such logarithms,
+      of integers below (m + n)^5, with coefficients at most (m + n)/2 (en
+      and em of Lemma 2.1i), so together they are within 2^-46 * W.  Each
+      of its at most ten float products, differences and sums rounds by at
+      most u times a value below 3W (for a difference of logarithms, once
+      multiplied by its coefficient), so together by less than
+      30u * W < 2^-48 * W.
+
+    The float margin is therefore within 2^-39 * W + 2^-46 * W + 2^-48 * W <
+    2^-38 * W of the true one.  tau exceeds that 256-fold, which also covers
+    the rounding of tau itself, so a float margin above tau leaves a true
+    margin above 0.
+    """
+    return _FILTER_TOLERANCE * (m + n) * log2(m + n)
+
+
+def _lemma21i_failures(m: int, n: int, divs: list[int], logs: list[float]) -> list[tuple[int, int]]:
     """The pairs a < b of divs failing variant i of Lemma 2.1, in grid order.
 
-    divs is increasing, each divides gcd(m, n) and is at least 2, and blocks
-    holds their blocks.  Each pair is first tested in floats with the margin
-    in bits of its cross-multiplied inequality,
+    divs is increasing, each divides gcd(m, n) and is at least 2, and logs
+    holds the logarithms of their blocks (_block_logs).  Each pair is first
+    tested in floats with the margin in bits of its cross-multiplied
+    inequality (see _lemma21_holds),
 
         lb_a - lb_b + en*(log2 n - log2(n+m)) + em*(log2 bm - log2(bm+an)),
 
-    where lb_d = log2(block_d), en = n/a - n/b and em = m/a - m/b.
-
-    Error bound.  math.log2 of an int x rounds x to 53 bits (to a float, or
-    to a mantissa and an exponent when x is too large for one) and takes the
-    platform log2, which is within one ulp; so it is within
-    2^-50 * (|log2 x| + 1) of log2 x.  Let S be the sum of the magnitudes
-    the margin combines: |lb_a| + |lb_b|, en and em times the magnitudes of
-    the two logarithms each multiplies, and 2 + 2en + 2em.  The logarithms
-    then contribute at most 2^-50 * S, and each of the seven float
-    subtractions, products and sums at most 2^-53 of a value below S, so
-    the float margin is within 2^-48 * S of the true one, and so is the
-    float lb_a - lb_b.  The tolerance tau = 2^-40 * scale takes an upper
-    bound on S over the whole row (the largest block logarithm twice,
-    n*log2(n+m), m*log2(max(divs)*(n+m)) and n + m + 2, as en <= n/2,
-    em <= m/2 and bm + an <= max(divs)*(n+m)); it exceeds the error
-    256-fold, which also covers the rounding of scale itself.  A pair whose
-    float margin and float lb_a - lb_b both exceed tau therefore holds.
-    Every other pair, including each tie, is decided by _lemma21_holds.
+    where lb_d = log2(block_d), en = n/a - n/b and em = m/a - m/b.  A pair
+    whose margin exceeds _tolerance(m, n) holds (its strict consequence
+    block_a > block_b too, the last two terms being negative); every other
+    one, each tie included, is decided by _lemma21_holds on blocks from
+    _block.
     """
-    logs = [log2(block) for block in blocks]
+    tau = _tolerance(m, n)
     shrink_n = log2(n) - log2(n + m)
-    scale = 2 * max(logs) + n * log2(n + m) + m * log2(divs[-1] * (n + m)) + n + m + 2
-    tau = _FILTER_TOLERANCE * scale
     failing = []
     for i, a in enumerate(divs):
         lb_a, na, ma, an = logs[i], n // a, m // a, a * n
         for j in range(i + 1, len(divs)):
             b = divs[j]
-            gap = lb_a - logs[j]
             bm = b * m
-            if gap > tau and (gap + (na - n // b) * shrink_n
-                              + (ma - m // b) * (log2(bm) - log2(bm + an))) > tau:
+            if (lb_a - logs[j] + (na - n // b) * shrink_n
+                    + (ma - m // b) * (log2(bm) - log2(bm + an))) > tau:
                 continue
-            if not _lemma21_holds(m, n, a, b, blocks[i], blocks[j]):
+            if not _lemma21_holds(m, n, a, b, _block(m, n, a), _block(m, n, b)):
                 failing.append((a, b))
     return failing
 
 
-def _lemma21ii_failures(m: int, n: int, divs: list[int], blocks: list[int]) -> list[tuple[int, int]]:
+def _lemma21ii_failures(m: int, n: int, divs: list[int], logs: list[float]) -> list[tuple[int, int]]:
     """The pairs a, b of divs with b >= 2a failing variant ii of Lemma 2.1, in grid order.
 
-    divs and blocks are as for _lemma21i_failures.  Variant ii asserts
-    a * block_a > max(m, n) * block_b; each side is formed once per divisor.
+    divs and logs are as for _lemma21i_failures.  Variant ii asserts
+    a * block_a > max(m, n) * block_b, whose margin in bits is
+    log2 a + lb_a - log2 max(m, n) - lb_b.  Each a is tested once, against
+    the largest lb_b of the b >= 2a (a suffix maximum of logs): float
+    subtraction is monotone, so when that margin exceeds _tolerance(m, n),
+    so does the float margin of every pair of a, and they all hold.  The
+    pairs of any other a are decided by _lemma21ii_holds on blocks from
+    _block.
     """
-    upper = [a * block for a, block in zip(divs, blocks)]
-    lower = [max(m, n) * block for block in blocks]
-    return [(a, divs[j]) for i, a in enumerate(divs)
-            for j in range(bisect_left(divs, 2 * a), len(divs)) if upper[i] <= lower[j]]
+    tau = _tolerance(m, n)
+    top = log2(max(m, n))
+    largest = list(accumulate(reversed(logs), max))[::-1]
+    failing = []
+    for i, a in enumerate(divs):
+        start = bisect_left(divs, 2 * a)
+        if start == len(divs):
+            break
+        if log2(a) + logs[i] - top - largest[start] > tau:
+            continue
+        block_a = _block(m, n, a)
+        failing += [(a, b) for b in divs[start:]
+                    if not _lemma21ii_holds(m, n, a, b, block_a, _block(m, n, b))]
+    return failing
 
 
 def lemma21_grid(max_mn: int, variant: str) -> GridResult:
     """Exhaustive sweep of check_lemma21 over 2 <= m, n <= max_mn <= LEMMA21_GRID_MAX.
 
     For each m it visits the n <= m with gcd(m, n) composite, the others
-    having no pair a < b, and takes their blocks from one block table as n
-    grows.  A block C((m+n)/d, m/d) is also the block of (n, m), so one
-    table serves both mirror rows: _lemma21i_failures decides (m, n) and
-    (n, m) from it, and _lemma21ii_failures decides (m, n) once, its bound
-    a * block_a > max(m, n) * block_b being the same for (n, m).
+    having no pair a < b, and reads the logarithms of their blocks from one
+    table of log2(k!) (k <= max_mn covers every (m+n)/d, as d >= 2).  A
+    block C((m+n)/d, m/d) is also the block of (n, m), so one row of
+    logarithms serves both mirror rows: _lemma21i_failures decides (m, n)
+    and (n, m) from it, and _lemma21ii_failures decides (m, n) once, its
+    bound a * block_a > max(m, n) * block_b being the same for (n, m).
     check_lemma21 builds the reported instance of a failing tuple only, in
     grid order (m, then n, a, b).
     """
@@ -453,6 +515,7 @@ def lemma21_grid(max_mn: int, variant: str) -> GridResult:
         raise ValueError(f"variant must be 'i' or 'ii', got {variant!r}")
     _check_grid_bound(f"2.1{variant}", max_mn)
     divisors_of = _divisor_sieve(max_mn)
+    lf = _log_factorials(max_mn)
     # The number of pairs a < b (with b >= 2a for variant ii) that a row with
     # gcd g checks, indexed by g.
     if variant == "i":
@@ -462,18 +525,17 @@ def lemma21_grid(max_mn: int, variant: str) -> GridResult:
     checked = 0
     failing = []
     for m in range(2, max_mn + 1):
-        last_blocks: dict[tuple[int, int], tuple[int, int]] = {}
         for n in _shared_rows(divisors_of, m, False, m):
             shared = gcd(m, n)
             divs = divisors_of[shared]
-            blocks = block_table(m, n, divs, last_blocks)
+            logs = _block_logs(lf, m, n, divs)
             rows = ((m, n), (n, m)) if n < m else ((m, n),)
             checked += pairs_of[shared] * len(rows)
             if variant == "i":
                 failing += [(*row, a, b) for row in rows
-                            for a, b in _lemma21i_failures(*row, divs, blocks)]
+                            for a, b in _lemma21i_failures(*row, divs, logs)]
             else:
-                failing += [(*row, a, b) for a, b in _lemma21ii_failures(m, n, divs, blocks)
+                failing += [(*row, a, b) for a, b in _lemma21ii_failures(m, n, divs, logs)
                             for row in rows]
     return GridResult(f"2.1{variant}", checked,
                       [check_lemma21(*parameters, variant) for parameters in sorted(failing)])
@@ -486,8 +548,12 @@ def lemma22_grid(max_mn: int, variant: str) -> GridResult:
     with b < 2a, both dividing gcd(m, n), restricted to the variant's spread
     condition (for variant i this includes the {a, b} = {2, 3} clause), so
     for each m it visits the n with two distinct primes in gcd(m, n).  Each
-    tuple is decided by _lemma22_holds; check_lemma22 builds the reported
-    instance of a failing tuple only.
+    tuple is first tested in floats by the margin in bits of the comparison
+    _lemma22_holds makes, p*a^3*b * block_a > f*m*n * block_b, or for
+    {2, 3} a * block_a > (q^d - b + f*b) * block_b; a tuple whose margin
+    does not exceed _tolerance(m, n) is decided by _lemma22_holds on blocks
+    from _block.  check_lemma22 builds the reported instance of a failing
+    tuple only.
     """
     if variant not in ("i", "ii"):
         raise ValueError(f"variant must be 'i' or 'ii', got {variant!r}")
@@ -499,14 +565,24 @@ def lemma22_grid(max_mn: int, variant: str) -> GridResult:
     prime_of = {d: divs[0] for d, divs in enumerate(divisors_of)
                 if divs and divs[0] ** len(divs) == d}
     powers_of = [[(d, prime_of[d]) for d in divs if d in prime_of] for divs in divisors_of]
+    lf = _log_factorials(max_mn)
+    factor = 2 if variant == "i" else 1
     checked = 0
     failures = []
     for m in range(2, max_mn + 1):
         for n in _shared_rows(divisors_of, m, True, max_mn):
             powers = powers_of[gcd(m, n)]
-            for a, p in powers:
-                for b, q in powers:
-                    if p == q or b >= 2 * a:
+            # The row's admissible tuples first: the logarithms are read only
+            # for a row that has one (at 3000, over a third of the rows of
+            # variant i and nearly all of variant ii have none).  A tuple's
+            # spread is positive, so b > a: the b of each a follow it in
+            # powers, up to 2a.
+            tuples = []
+            for i, (a, p) in enumerate(powers):
+                for b, q in powers[i + 1:]:
+                    if b >= 2 * a:
+                        break
+                    if p == q:
                         continue
                     spread = n // a - n // b
                     if variant == "i":
@@ -515,10 +591,24 @@ def lemma22_grid(max_mn: int, variant: str) -> GridResult:
                     else:
                         if spread != 2 or {a, b} == {2, 3}:
                             continue
-                    checked += 1
-                    if not _lemma22_holds(m, n, a, b, p, q, _block(m, n, a), _block(m, n, b),
-                                          variant):
-                        failures.append(check_lemma22(m, n, a, b, p, q, variant))
+                    tuples.append((a, b, p, q))
+            if not tuples:
+                continue
+            checked += len(tuples)
+            divs = [d for d, _ in powers]
+            logs = dict(zip(divs, _block_logs(lf, m, n, divs)))
+            tau = _tolerance(m, n)
+            bound = log2(factor * m * n)
+            for a, b, p, q in tuples:
+                if {a, b} == {2, 3}:
+                    rhs = log2(q ** valuation(m, q) - b + factor * b)
+                    margin = log2(a) + logs[a] - rhs - logs[b]
+                else:
+                    margin = log2(p * a ** 3 * b) + logs[a] - bound - logs[b]
+                if margin > tau:
+                    continue
+                if not _lemma22_holds(m, n, a, b, p, q, _block(m, n, a), _block(m, n, b), variant):
+                    failures.append(check_lemma22(m, n, a, b, p, q, variant))
     return GridResult(f"2.2{variant}", checked, failures)
 
 

@@ -868,14 +868,17 @@ def test_clean_grids_do_not_import_fractions():
         "zsr.cli.main(['lemma', '--id', '2.1i', '--max', '20'])",
         "zsr.cli.main(['lemma', '--id', 'struct', '--max', '20'])",
         "loaded()",
-        # The row decider gets block_3 = block_2 for the row (12, 18), so
-        # (2, 3) fails there; the mirror row (18, 12) keeps its true blocks.
-        "decide = lemmas._lemma21i_failures",
-        "def doctored(m, n, divs, blocks):",
-        "    if (m, n) == (12, 18):",
-        "        blocks = [blocks[0], blocks[0], *blocks[2:]]",
-        "    return decide(m, n, divs, blocks)",
-        "lemmas._lemma21i_failures = doctored",
+        # The grid reads block_3 = block_2 for the row (12, 18), as a
+        # logarithm and as an integer, so (2, 3) fails there; the mirror row
+        # (18, 12) reads the same logarithms but keeps its true blocks.
+        "block_logs, block = lemmas._block_logs, lemmas._block",
+        "def doctored_logs(lf, m, n, divs):",
+        "    logs = block_logs(lf, m, n, divs)",
+        "    if {m, n} == {12, 18}:",
+        "        logs[1] = logs[0]",
+        "    return logs",
+        "lemmas._block_logs = doctored_logs",
+        "lemmas._block = lambda m, n, d: block(m, n, 2 if (m, n, d) == (12, 18, 3) else d)",
         "zsr.cli.main(['lemma', '--id', '2.1i', '--max', '18', '--format', 'csv'])",
         "loaded()",
     ])

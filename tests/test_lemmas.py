@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, log2, prod
 from pathlib import Path
 
 import pytest
@@ -133,6 +133,9 @@ def test_check_lemma22_small_scale_skips_consequence():
 def test_check_lemma22_ratio_bound_implies_consequence(monkeypatch):
     # With D >= 1 check_lemma22 tests the ratio bound alone.  On every such grid
     # instance the consequence holds too, with blocks from fresh binomials.
+    # With an infinite tolerance the float filter certifies no tuple, so each
+    # one the grid visits reaches _lemma22_holds.
+    monkeypatch.setattr(lemmas, "_FILTER_TOLERANCE", float("inf"))
     decide = lemmas._lemma22_holds
     for variant, factor, expected in (("i", 2, 2096), ("ii", 1, 75)):
         seen = []
@@ -267,13 +270,15 @@ def test_structure_instances_of_non_abelian_and_large_groups_are_pinned():
     assert check_structure_lemmas(*pair) == instances("C720720", "C2xC360360")
 
 
-def test_lemma21ii_row_decider_matches_each_instance():
+def test_lemma21ii_row_decider_matches_each_instance(doctor_blocks):
     # Every row to 60, with its true blocks, with them reversed (which fails
-    # most pairs) and with blocks that tie each pair of neighbours (block_i =
-    # max(m, n)^(k-1-i) * divs[0] * ... * divs[i-1] for k divisors): the row
-    # decider fails exactly the pairs b >= 2a that it fails as the row {a, b}
-    # (check_lemma21's verdict), and those where a * block_a > max(m, n) *
-    # block_b is false.
+    # most pairs), with blocks that tie each pair of neighbours (block_i =
+    # max(m, n)^(k-1-i) * divs[0] * ... * divs[i-1] for k divisors) and with
+    # the true blocks but the last one raised past max(m, n) * block_0 (so a
+    # pair with the last b fails while the first b >= 2a holds): the row
+    # decider fails exactly the pairs b >= 2a that it fails as the row {a, b},
+    # and those where a * block_a > max(m, n) * block_b is false.  It gets
+    # the logarithms of the blocks, and the blocks themselves through _block.
     divisors_of = lemmas._divisor_sieve(60)
     rows = failing = 0
     for m in range(2, 61):
@@ -282,16 +287,18 @@ def test_lemma21ii_row_decider_matches_each_instance():
             if len(divs) < 2:
                 continue
             rows += 1
+            true = [block(m, n, d) for d in divs]
             ties = [max(m, n) ** (len(divs) - 1 - i) * prod(divs[:i]) for i in range(len(divs))]
-            for blocks in ([block(m, n, d) for d in divs], [block(m, n, d) for d in reversed(divs)],
-                           ties):
-                pairs = [(a, b, blocks[i], blocks[j]) for i, a in enumerate(divs)
+            for blocks in (true, true[::-1], ties, [*true[:-1], max(m, n) * true[0]]):
+                doctor_blocks({(m, n, d): block_d for d, block_d in zip(divs, blocks)})
+                logs = [log2(block_d) for block_d in blocks]
+                pairs = [(a, b, blocks[i], blocks[j], logs[i], logs[j]) for i, a in enumerate(divs)
                          for j, b in enumerate(divs) if b >= 2 * a]
-                expected = [(a, b) for a, b, block_a, block_b in pairs
-                            if lemmas._lemma21ii_failures(m, n, [a, b], [block_a, block_b])]
-                assert expected == [(a, b) for a, b, block_a, block_b in pairs
+                expected = [(a, b) for a, b, _, _, log_a, log_b in pairs
+                            if lemmas._lemma21ii_failures(m, n, [a, b], [log_a, log_b])]
+                assert expected == [(a, b) for a, b, block_a, block_b, _, _ in pairs
                                     if not a * block_a > max(m, n) * block_b], (m, n)
-                assert lemmas._lemma21ii_failures(m, n, divs, blocks) == expected, (m, n)
+                assert lemmas._lemma21ii_failures(m, n, divs, logs) == expected, (m, n)
                 failing += len(expected)
     assert rows == 396 and failing > 0
 
@@ -366,19 +373,19 @@ def test_lemma21_grid_integer_verdicts_match_fraction_reference(monkeypatch):
     # Each variant decides a row of (m, n) at a time.  Variant i calls
     # _lemma21i_failures for each row; variant ii calls _lemma21ii_failures
     # for the rows with n <= m only, and its verdict covers the mirror row
-    # (n, m) too.  Spying on both shows every tuple the grids visit, with its
-    # blocks and its verdict.
+    # (n, m) too.  Spying on both shows every tuple the grids visit, with the
+    # logarithms of its blocks and its verdict.
     deciders = {"i": lemmas._lemma21i_failures, "ii": lemmas._lemma21ii_failures}
     seen = {"i": [], "ii": []}
 
     def spy_on(variant):
-        def spy_row(m, n, divs, blocks):
-            failing = deciders[variant](m, n, divs, blocks)
+        def spy_row(m, n, divs, logs):
+            failing = deciders[variant](m, n, divs, logs)
             rows = [(m, n)] if variant == "i" or m == n else [(m, n), (n, m)]
             for i, a in enumerate(divs):
-                for b, block_b in zip(divs[i + 1:], blocks[i + 1:]):
+                for b, log_b in zip(divs[i + 1:], logs[i + 1:]):
                     if variant == "i" or b >= 2 * a:
-                        seen[variant] += [(*row, a, b, blocks[i], block_b, (a, b) not in failing)
+                        seen[variant] += [(*row, a, b, logs[i], log_b, (a, b) not in failing)
                                           for row in rows]
             return failing
         return spy_row
@@ -396,12 +403,16 @@ def test_lemma21_grid_integer_verdicts_match_fraction_reference(monkeypatch):
         # Each instance is visited once.
         assert sorted(entry[:4] for entry in seen[variant]) == expected
         assert grid.checked == len(expected) and grid.failures == []
-        for m, n, a, b, block_a, block_b, holds in seen[variant]:
-            assert (block_a, block_b) == (block(m, n, a), block(m, n, b)), (m, n, a, b)
+        for m, n, a, b, log_a, log_b, holds in seen[variant]:
+            # Each logarithm is within the bound _tolerance proves for a block
+            # logarithm, 2^-40 * (m + n) * log2(m + n), of the true one.
+            error = 2 ** -40 * (m + n) * log2(m + n)
+            assert abs(log_a - log2(block(m, n, a))) < error, (m, n, a)
+            assert abs(log_b - log2(block(m, n, b))) < error, (m, n, b)
             assert holds == fraction_verdict(m, n, a, b, variant), (m, n, a, b, variant)
     # The equality case: lhs == rhs == 10/3, and the instance holds.
     assert Fraction(20, 6) == Fraction(12, 6) * Fraction(18 + 12, 18)
-    assert (6, 6, 2, 3, 20, 6, True) in seen["i"]
+    assert [entry[-1] for entry in seen["i"] if entry[:4] == (6, 6, 2, 3)] == [True]
 
 
 def test_lemma21_filter_passes_exactly_the_ties_on(monkeypatch):
@@ -422,14 +433,16 @@ def test_lemma21_filter_passes_exactly_the_ties_on(monkeypatch):
     assert ties == reached and len(reached) == 51
 
 
-def test_lemma21_doctored_block_fails_through_the_filter(monkeypatch):
+def test_lemma21_doctored_block_fails_through_the_filter(monkeypatch, doctor_blocks):
     # In the row (12, 12) the true block_2 is 924, and (2, 3) needs
     # block_2 >= 70 * 100/9, so 778 still holds and 777 fails, by about a
     # thousandth of a bit; no other pair of the row changes its verdict.  The
-    # report is check_lemma21's, from fresh binomials.
+    # doctored block reaches the float filter as its logarithm and the integer
+    # comparison as itself.  The report is check_lemma21's, from fresh
+    # binomials.
     assert (block(12, 12, 2), block(12, 12, 3)) == (924, 70)
     assert lemma21_bound(12, 12, 2, 3) == Fraction(100, 9)
-    table, decide = lemmas.block_table, lemmas._lemma21_holds
+    decide = lemmas._lemma21_holds
     reached = []
 
     def spy(m, n, a, b, block_a, block_b):
@@ -438,13 +451,7 @@ def test_lemma21_doctored_block_fails_through_the_filter(monkeypatch):
 
     monkeypatch.setattr(lemmas, "_lemma21_holds", spy)
     for doctored, failing in ((778, []), (777, [(12, 12, 2, 3)])):
-        def doctored_table(m, n, divs, last):
-            blocks = table(m, n, divs, last)
-            if (m, n) == (12, 12):
-                blocks[0] = doctored
-            return blocks
-
-        monkeypatch.setattr(lemmas, "block_table", doctored_table)
+        doctor_blocks({(12, 12, 2): doctored})
         reached.clear()
         grid = lemma21_grid(12, "i")
         assert [tuple(f.parameters.values()) for f in grid.failures] == failing
@@ -452,7 +459,44 @@ def test_lemma21_doctored_block_fails_through_the_filter(monkeypatch):
         assert ((12, 12, 2, 3, 777, 70) in reached) == bool(failing)
 
 
-def test_lemma21_filter_or_exact_matches_fractions():
+@pytest.mark.parametrize("shift", [1, 0, -1])
+def test_near_ties_within_the_tolerance_reach_the_integer_path(shift, monkeypatch, doctor_blocks):
+    # Blocks near k = 2^60 put each planted comparison within 2^-60 bits of
+    # a tie, far inside the tolerance of its row (above 2^-24 bits), so the
+    # float filter must pass it on to the integer comparison, which decides
+    # it.  shift 1 makes it hold, and -1 fail.  shift 0 is an exact tie: it
+    # holds for the >= of 2.1i, and fails the strict bounds of 2.1ii and of
+    # 2.2, whose ratio bound p*a^3*b*block_a > f*m*n*block_b then reads
+    # 2*64*7 * 7k > 2*28*28 * 4k, both sides being 6272k, and whose {2, 3}
+    # clause a*block_a > (q^d - b + f*b) * block_b reads 2 * 3k > 6 * k at
+    # (24, 24).  No other pair of the planted rows changes its verdict.
+    k = 2 ** 60
+    cases = [
+        # grid, bound, variant, planted (m, n, a, b), block_a, block_b, decider, holds
+        (lemma21_grid, 12, "i", (12, 12, 2, 3), 100 * k + shift, 9 * k, "_lemma21_holds",
+         shift >= 0),
+        (lemma21_grid, 12, "ii", (12, 12, 2, 4), 6 * k + shift, k, "_lemma21ii_holds", shift > 0),
+        (lemma22_grid, 28, "i", (28, 28, 4, 7), 7 * k + shift, 4 * k, "_lemma22_holds", shift > 0),
+        (lemma22_grid, 24, "i", (24, 24, 2, 3), 3 * k + shift, k, "_lemma22_holds", shift > 0),
+    ]
+    for grid, bound, variant, planted, block_a, block_b, decider, holds in cases:
+        m, n, a, b = planted
+        reached = []
+
+        def spy(*args, decide=getattr(lemmas, decider), reached=reached):
+            reached.append(args[:4])
+            return decide(*args)
+
+        monkeypatch.setattr(lemmas, decider, spy)
+        doctor_blocks({(m, n, a): block_a, (m, n, b): block_b})
+        result = grid(bound, variant)
+        assert planted in reached, (variant, planted)
+        failing = [tuple(f.parameters.values())[:4] for f in result.failures]
+        assert failing == ([] if holds else [planted]), (variant, planted)
+    assert not lemmas._lemma22_holds(28, 28, 4, 7, 2, 7, 7, 4, "i")
+
+
+def test_lemma21_filter_or_exact_matches_fractions(doctor_blocks):
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
@@ -479,8 +523,90 @@ def test_lemma21_filter_or_exact_matches_fractions():
             threshold = lemma21_bound(m, n, a, b) * block_b
             block_a = -(-threshold.numerator // threshold.denominator) + shift
             holds = block_a > block_b and Fraction(block_a, block_b) >= lemma21_bound(m, n, a, b)
-        failing = lemmas._lemma21i_failures(m, n, [a, b], [block_a, block_b])
+        # The row decider gets the logarithms of the blocks, and the blocks
+        # themselves through _block.
+        doctor_blocks({(m, n, a): block_a, (m, n, b): block_b})
+        failing = lemmas._lemma21i_failures(m, n, [a, b], [log2(block_a), log2(block_b)])
         assert failing == ([] if holds else [(a, b)]), (m, n, a, b, shift)
+
+    check()
+
+
+def test_the_tolerance_proof_covers_the_grid_ceilings():
+    # The error bound of lemmas._tolerance takes t + 1 < 2^12 for every
+    # (m + n)/d with d >= 2, and keeps tau 256 times above the error it
+    # proves, so it holds only while both binomial ceilings stay below 4096
+    # and the tolerance is at least 2^-30 per unit.
+    assert max(lemmas.LEMMA21_GRID_MAX, lemmas.LEMMA22_GRID_MAX) < 2 ** 12
+    assert lemmas._FILTER_TOLERANCE >= 2.0 ** -30
+
+
+def lemma22_fraction_verdict(m, n, a, b, p, q, variant, block_a, block_b):
+    """The verdict of check_lemma22 on the given blocks, in Fractions from the valuations."""
+    factor = 2 if variant == "i" else 1
+    if {a, b} == {2, 3}:
+        return a * block_a - (q ** valuation(m, q) - b) * block_b > factor * b * block_b
+    rhs = factor * delta_by_valuations(m, n, a, b, p, q) * q ** valuation(m, q)
+    return Fraction(a * block_a, block_b) > rhs
+
+
+def test_lemma22_filter_or_exact_matches_fractions(doctor_blocks):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    limit = 300  # keeps each grid run below about 15 ms
+    # The prime powers a = p^s < b = q^t < 2a of distinct primes whose
+    # multiples of a * b up to the limit give the variant's spread
+    # n/a - n/b = k * (b - a) for n = k * a * b.
+    powers = [(d, prime_power_root(d)[0]) for d in range(2, limit) if prime_power_root(d)]
+    pairs = [(a, p, b, q) for a, p in powers for b, q in powers if p != q and a < b < 2 * a]
+    least_k = {"i": lambda a, b: -(-3 // (b - a)),
+               "ii": lambda a, b: 2 // (b - a) if 2 % (b - a) == 0 and {a, b} != {2, 3} else limit}
+    fits = {variant: [(a, p, b, q) for a, p, b, q in pairs if least(a, b) * a * b <= limit]
+            for variant, least in least_k.items()}
+
+    @st.composite
+    def instances(draw):
+        variant = draw(st.sampled_from(["i", "ii"]))
+        # Half the draws of variant i take {2, 3}, which has a clause of its own.
+        pair = st.sampled_from(fits[variant])
+        a, p, b, q = draw(st.one_of(st.just((2, 2, 3, 3)), pair) if variant == "i" else pair)
+        step = a * b
+        low = least_k[variant](a, b)
+        k = low if variant == "ii" else draw(st.integers(low, limit // step))
+        m = step * draw(st.integers(1, limit // step))
+        return m, step * k, a, b, p, q, variant
+
+    # shift None keeps the true blocks.  Otherwise block_a is moved from the
+    # least value for which the tuple holds by small and by least * j / 2^scale:
+    # a near-tie in floats for a large scale, a margin well clear of the
+    # tolerance, either way, for a small one.
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(instances(), st.one_of(st.none(), st.tuples(
+        st.integers(-2, 2), st.integers(-4, 4), st.integers(2, 80))))
+    def check(instance, shift):
+        m, n, a, b, p, q, variant = instance
+        block_a, block_b = block(m, n, a), block(m, n, b)
+        if shift is None:
+            assert check_lemma22(m, n, a, b, p, q, variant).holds
+        else:
+            factor = 2 if variant == "i" else 1
+            if {a, b} == {2, 3}:
+                threshold = Fraction((q ** valuation(m, q) - b + factor * b) * block_b, a)
+            else:
+                threshold = factor * delta_by_valuations(m, n, a, b, p, q) * q ** valuation(m, q)
+                threshold *= Fraction(block_b, a)
+            least = threshold.numerator // threshold.denominator + 1
+            small, j, scale = shift
+            block_a = max(1, least + small + (least * j >> scale))
+        blocks = {a: block_a}
+        doctor_blocks({(m, n, a): block_a})
+        expected = [t for t in admissible_lemma22_row(m, n, variant)
+                    if not lemma22_fraction_verdict(*t, variant, blocks.get(t[2], block(m, n, t[2])),
+                                                    blocks.get(t[3], block(m, n, t[3])))]
+        grid = lemma22_grid(max(m, n), variant)
+        failing = [tuple(f.parameters.values())[:6] for f in grid.failures]
+        assert failing == expected, (instance, shift)
+        assert grid.failures == [check_lemma22(*t, variant) for t in expected]
 
     check()
 
@@ -547,11 +673,14 @@ def test_lemma21ii_plant_is_reported_at_both_mirror_rows(plant_lemma21_failures)
 
 
 def test_benchmark_size_grids_are_pinned(monkeypatch):
-    # The bounds of the lemma-grids benchmark.  Lemma 2.1 builds one block
-    # table per unordered pair {m, n}, and the structure grid finds the facts
-    # of each gcd once: the factorize calls left are those of the group
-    # spectra (1,448) and two per gcd (factorize and divisors).
-    calls = {"block_table": 0, "factorize": 0}
+    # The bounds of the lemma-grids benchmark.  The binomial grids build no
+    # block table: they read block logarithms from one table of log2(k!), and
+    # decide in integers only the instances their float filter passes on (the
+    # ties of variant 2.1i).  The structure grid finds the facts of each gcd
+    # once: the factorize calls left are those of the group spectra (1,448)
+    # and two per gcd (factorize and divisors).
+    calls = dict.fromkeys(["block_table", "factorize", "_lemma21_holds", "_lemma21ii_holds",
+                           "_lemma22_holds"], 0)
 
     def counted(name, function):
         def call(*args):
@@ -559,16 +688,21 @@ def test_benchmark_size_grids_are_pinned(monkeypatch):
             return function(*args)
         return call
 
-    monkeypatch.setattr(lemmas, "block_table", counted("block_table", lemmas.block_table))
+    assert not hasattr(lemmas, "block_table")
+    monkeypatch.setattr(exactmath, "block_table", counted("block_table", exactmath.block_table))
+    for name in ("_lemma21_holds", "_lemma21ii_holds", "_lemma22_holds"):
+        monkeypatch.setattr(lemmas, name, counted(name, getattr(lemmas, name)))
     factorize = counted("factorize", exactmath.factorize)
     for module in (exactmath, groups, lemmas):
         monkeypatch.setattr(module, "factorize", factorize)
-    for variant, checked in (("i", 82896), ("ii", 70973)):
-        calls["block_table"] = 0
-        grid = lemma21_grid(400, variant)
-        assert (grid.checked, grid.failures, calls["block_table"]) == (checked, [], 9408)
-    grid = lemma22_grid(360, "i")
-    assert (grid.checked, grid.failures) == (5685, [])
+    for grid, bound, variant, checked, exact, fallbacks in (
+            (lemma21_grid, 400, "i", 82896, "_lemma21_holds", 372),
+            (lemma21_grid, 400, "ii", 70973, "_lemma21ii_holds", 0),
+            (lemma22_grid, 360, "i", 5685, "_lemma22_holds", 0)):
+        calls.update(dict.fromkeys(calls, 0))
+        result = grid(bound, variant)
+        assert (result.checked, result.failures) == (checked, [])
+        assert (calls["block_table"], calls[exact]) == (0, fallbacks), variant
     calls["factorize"] = 0
     grid = structure_grid(128)
     assert (grid.checked, grid.failures) == (28759, [])
@@ -582,19 +716,23 @@ def failed(instance):
 
 def admissible_lemma22(max_mn, variant):
     """Every admissible (m, n, a, b, p, q) of lemma22_grid in grid order, spelled out locally."""
+    return [instance for m in range(2, max_mn + 1) for n in range(2, max_mn + 1)
+            for instance in admissible_lemma22_row(m, n, variant)]
+
+
+def admissible_lemma22_row(m, n, variant):
+    """The admissible (m, n, a, b, p, q) of the row (m, n), in grid order."""
+    g = gcd(m, n)
+    powers = [(d, prime_power_root(d)[0]) for d in range(2, g + 1)
+              if g % d == 0 and prime_power_root(d) is not None]
     out = []
-    for m in range(2, max_mn + 1):
-        for n in range(2, max_mn + 1):
-            g = gcd(m, n)
-            powers = [(d, prime_power_root(d)[0]) for d in range(2, g + 1)
-                      if g % d == 0 and prime_power_root(d) is not None]
-            for a, p in powers:
-                for b, q in powers:
-                    spread = n // a - n // b
-                    if p == q or b >= 2 * a:
-                        continue
-                    if spread >= 3 if variant == "i" else spread == 2 and {a, b} != {2, 3}:
-                        out.append((m, n, a, b, p, q))
+    for a, p in powers:
+        for b, q in powers:
+            spread = n // a - n // b
+            if p == q or b >= 2 * a:
+                continue
+            if spread >= 3 if variant == "i" else spread == 2 and {a, b} != {2, 3}:
+                out.append((m, n, a, b, p, q))
     return out
 
 
@@ -615,6 +753,9 @@ def test_delta_matches_the_valuation_formula():
 
 
 def test_lemma22_integer_verdicts_match_fractions(monkeypatch):
+    # With an infinite tolerance the float filter certifies no tuple, so each
+    # one the grid visits reaches _lemma22_holds, in grid order.
+    monkeypatch.setattr(lemmas, "_FILTER_TOLERANCE", float("inf"))
     decide = lemmas._lemma22_holds
     for variant, factor, count in (("i", 2, 560), ("ii", 1, 31)):
         visited = []
@@ -651,14 +792,14 @@ def test_divisor_sieve_finds_the_prime_powers():
         if root is not None:
             powers += 1
             assert root == (divs[0], len(divs)), d
-    assert powers == 303 + 30  # the primes up to 2000 and their higher powers
+    assert powers == 430 + 36  # the primes up to 3000 and their higher powers
 
 
-def test_lemma22_grid_reports_failures_in_grid_order(monkeypatch, capsys):
-    decide = lemmas._lemma22_holds
+def test_lemma22_grid_reports_failures_in_grid_order(doctor_blocks, capsys):
+    # A block of 1 for a in the rows (12, 36) and (28, 28) fails the ratio
+    # bound of each planted tuple, and no other tuple of those rows.
     planted = [(12, 36, 3, 4, 3, 2), (28, 28, 4, 7, 2, 7)]  # in grid order: m, then n, a, b
-    monkeypatch.setattr(lemmas, "_lemma22_holds", lambda *args: (
-        args[:6] not in planted and decide(*args)))
+    doctor_blocks({(m, n, a): 1 for m, n, a, *_ in planted})
     expected = [check_lemma22(*parameters, "i") for parameters in planted]
     grid = lemma22_grid(40, "i")
     assert grid.checked == 31 and grid.failures == expected
@@ -669,18 +810,22 @@ def test_lemma22_grid_reports_failures_in_grid_order(monkeypatch, capsys):
                    "L22i,28,28,4,7,2,7,6864/35,7\n")
 
 
+# Gives the binomial grids the blocks of DOCTORED, a dict from (m, n, d) to a
+# block, as its logarithm and as itself, as the doctor_blocks fixture does.
+DOCTOR_BLOCKS = """
+from math import log2
+from zsr import lemmas
+block_logs, block = lemmas._block_logs, lemmas._block
+lemmas._block_logs = lambda lf, m, n, divs: [
+    log2(DOCTORED[m, n, d]) if (m, n, d) in DOCTORED else x
+    for d, x in zip(divs, block_logs(lf, m, n, divs))]
+lemmas._block = lambda m, n, d: DOCTORED[m, n, d] if (m, n, d) in DOCTORED else block(m, n, d)
+"""
+
+
 def test_grids_report_doctored_failures_under_optimize():
     # python -O strips asserts; the grid verdicts must not rest on one.
-    script = """
-from zsr import exactmath, groups, lemmas
-table, block = lemmas.block_table, lemmas._block
-def doctored_table(m, n, divs, last):
-    blocks = table(m, n, divs, last)
-    if (m, n) == (12, 12):
-        blocks[0] = 777
-    return blocks
-lemmas.block_table = doctored_table
-lemmas._block = lambda m, n, d: 1 if (m, n, d) == (28, 28, 4) else block(m, n, d)
+    script = "DOCTORED = {(12, 12, 2): 777, (28, 28, 4): 1}" + DOCTOR_BLOCKS + """
 for grid in (lemmas.lemma21_grid(12, "i"), lemmas.lemma22_grid(28, "i")):
     print(grid.checked, [tuple(f.parameters.values())[:6] for f in grid.failures])
 """
@@ -698,15 +843,8 @@ def test_row_deciders_report_doctored_failures_under_optimize():
     # structure checks: in the row (12, 12), block_12 = 3 makes (6, 12) fail,
     # 6 * 6 > 12 * 3 being false, and no other pair; the L23 check of the
     # pair of orders (6, 9) is planted as a failure.
-    script = """
-from zsr import exactmath, groups, lemmas
-table, checks = lemmas.block_table, lemmas._structure_checks
-def doctored_table(m, n, divs, last):
-    blocks = table(m, n, divs, last)
-    if (m, n) == (12, 12):
-        blocks[-1] = 3
-    return blocks
-lemmas.block_table = doctored_table
+    script = "DOCTORED = {(12, 12, 12): 3}" + DOCTOR_BLOCKS + """
+checks = lemmas._structure_checks
 lemmas._structure_checks = lambda sg, sh, pair: [
     (check[0], False, *check[2:]) if (sg.group_order, sh.group_order, check[0]) == (6, 9, lemmas._L23_H)
     else check for check in checks(sg, sh, pair)]
