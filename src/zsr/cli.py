@@ -248,7 +248,7 @@ def _cmd_scan_conjecture(args) -> int:
         raise ValueError("at least one family is required")
     stream_stdout = args.out is None and args.format in ("csv", "jsonl")
     with _writes_to(args.out), contextlib.ExitStack() as stack:
-        log = on_row = _ScanLog(args.out, stack) if args.out else None
+        log = on_row = _ScanLog(args.out, stack) if args.out is not None else None
         # The CSV header waits for the first row, or for the end of a scan
         # with no pairs, so that a scan refused by conjecture_scan prints nothing.
         header = [",".join(RECORD_FIELDS) + "\n"] if stream_stdout and args.format == "csv" else []
@@ -295,11 +295,13 @@ def _cmd_lemma(args) -> int:
 
     with _writes_to(args.out), contextlib.ExitStack() as stack:
         # The report is opened before the grid runs, so that an unusable path
-        # costs no grid time; a bound the grid refuses creates no file.  It is
-        # opened without blocking, so a FIFO with no reader fails at once
-        # (ENXIO) instead of waiting for one; writes then block as usual.
+        # costs no grid time, and after the grid's own bound check, so that a
+        # bound the grid refuses creates no file.  It is opened without
+        # blocking, so a FIFO with no reader fails at once (ENXIO) instead of
+        # waiting for one; writes then block as usual.
         report = None
-        if args.out and args.max <= lemmas.GRID_CEILINGS[args.id]:
+        if args.out is not None:
+            lemmas.check_grid_bound(args.id, args.max)
             fd = os.open(args.out, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NONBLOCK, 0o666)
             report = stack.enter_context(open(fd, "w", encoding="utf-8", newline=""))
             os.set_blocking(fd, True)

@@ -6,29 +6,29 @@ gcd(m, n), against explicit lower bounds.  The structure checks (L23, L24,
 L25) constrain where two order spectra can first disagree.  Every check is
 a decidable statement about concrete integers, and every verdict is exact.
 
-The grids list the divisors of each gcd(m, n) from one divisor sieve and,
-for each m, visit only the n that carry an instance.  The binomial grids
-need only the sign of each comparison: they read each block as its
-logarithm from one table of log2(k!) (_block_logs) and certify in floats
-every instance whose margin clears a proven tolerance (_tolerance).  Every
-other instance (ties, near-ties and apparent failures) is decided in
-integers, on exact blocks (_block), by the comparison check_lemma21 and
-check_lemma22 take their verdicts from, so a failure is always found and
-decided exactly.  The structure checks of any two spectra read the facts of
-their pair of orders from _order_pair and decide into compact check tuples.
+A binomial check is about two divisors a < b of gcd(m, n), so its grid
+walks the pairs (a, b) and, for each, the strip of m and n that are
+multiples of lcm(a, b).  The grids need only the sign of each comparison:
+they read each block's logarithm from one table of log2(k!) (_log_tables)
+and certify in floats every instance whose margin clears a proven
+tolerance (_tolerance).  Every other instance (ties, near-ties and apparent
+failures) is decided in integers, on exact blocks (_block), by the
+comparison check_lemma21 and check_lemma22 take their verdicts from, so a
+failure is always found and decided exactly.  The structure checks of any
+two spectra read the facts of their pair of orders from _order_pair and
+decide into compact check tuples.
 A LemmaInstance, with its exact Fraction values from fresh binomials, is
 built only for an instance that fails, and fractions is imported only then.
 
 Each grid refuses a bound above its ceiling (LEMMA21_GRID_MAX,
 LEMMA22_GRID_MAX, STRUCTURE_GRID_MAX; GRID_CEILINGS by grid id) with
-BudgetError before any work.
+BudgetError before any work (check_grid_bound).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import accumulate
-from math import gcd, log2
+from math import gcd, isqrt, log2
 
 from .errors import BudgetError
 from .exactmath import binomial, divisors, factorize, prime_power_root, valuation
@@ -37,7 +37,7 @@ from .value import Value, set_field
 
 # Grid ceilings: the largest m, n bound of lemma21_grid and lemma22_grid, and
 # the largest order bound of structure_grid.  At its ceiling each grid took
-# at most about 6 s on a 2-core Xeon host (Python 3.11), so twice that on a
+# at most about 5 s on a 2-core Xeon host (Python 3.11), so twice that on a
 # slow day.
 LEMMA21_GRID_MAX = 3000
 LEMMA22_GRID_MAX = 3000
@@ -130,11 +130,15 @@ def _lemma21_holds(m: int, n: int, a: int, b: int, block_a: int, block_b: int) -
 
     It multiplies block_a / block_b >= rhs by the positive
     block_b * n^en * (b*m)^em, where en = n/a - n/b and em = m/a - m/b.
+    That also decides the strict consequence block_a > block_b: as b > a
+    divide m and n, en and em are at least 1, so n^en * (b*m)^em <
+    (n+m)^en * (b*m+a*n)^em, and with positive blocks the product inequality
+    then forces block_a > block_b.
     """
     exp_n = n // a - n // b
     exp_m = m // a - m // b
-    return block_a > block_b and (block_a * n ** exp_n * (b * m) ** exp_m
-                                  >= block_b * (n + m) ** exp_n * (b * m + a * n) ** exp_m)
+    return (block_a * n ** exp_n * (b * m) ** exp_m
+            >= block_b * (n + m) ** exp_n * (b * m + a * n) ** exp_m)
 
 
 def _lemma21ii_holds(m: int, n: int, a: int, b: int, block_a: int, block_b: int) -> bool:
@@ -350,61 +354,34 @@ def _structure_checks(sg, sh, pair: tuple) -> list[tuple]:
     return checks
 
 
-def _check_grid_bound(lemma: str, bound: int) -> None:
+def check_grid_bound(lemma: str, bound: int) -> None:
+    """Refuse with BudgetError a bound above the ceiling of the grid with the id lemma."""
     ceiling = GRID_CEILINGS[lemma]
     if bound > ceiling:
         raise BudgetError(f"grid {lemma} is limited to max <= {ceiling}, got max = {bound}")
 
 
-def _divisor_sieve(bound: int) -> list[list[int]]:
-    """The divisors >= 2 of every g <= bound, in increasing order, indexed by g."""
-    divisors_of: list[list[int]] = [[] for _ in range(bound + 1)]
-    for d in range(2, bound + 1):
-        for multiple in range(d, bound + 1, d):
-            divisors_of[multiple].append(d)
-    return divisors_of
+def _log_tables(top: int) -> tuple[list[float], list[float], list[float]]:
+    """The tables (lf, lg, tau) the binomial grids read for m, n <= top.
 
-
-def _shared_rows(divisors_of: list[list[int]], m: int, distinct: bool, top: int) -> list[int]:
-    """The n <= top that share with m a product of two primes, in increasing order.
-
-    These are the n with gcd(m, n) composite, or, when distinct, with two
-    distinct primes dividing gcd(m, n).  A divisor d of m is a product of
-    two primes when d / p is prime, p being its least divisor >= 2, and they
-    are distinct when d / p is not p.
+    lf[k] is log2(k!) for k <= top, the float sum of log2(i) for i <= k; it
+    covers every (m+n)/d, as d >= 2.  lg[k] = log2(k) and tau[k] =
+    _tolerance(k) for 2 <= k <= 2 * top cover every m + n.
     """
-    steps = []
-    for d in divisors_of[m]:
-        p = divisors_of[d][0]
-        rest = divisors_of[d // p]
-        if len(rest) == 1 and not (distinct and rest[0] == p):
-            steps.append(d)
-    return sorted({n for d in steps for n in range(d, top + 1, d)})
+    lg = [0.0, *map(log2, range(1, 2 * top + 1))]
+    tau = [0.0, 0.0, *map(_tolerance, range(2, 2 * top + 1))]
+    return list(accumulate(lg[1:top + 1], initial=0.0)), lg, tau
 
 
-def _log_factorials(top: int) -> list[float]:
-    """The table lf of log2(k!) for k <= top: lf[k] is the float sum of log2(i) for i <= k."""
-    return list(accumulate(map(log2, range(1, top + 1)), initial=0.0))
-
-
-def _block_logs(lf: list[float], m: int, n: int, divs: list[int]) -> list[float]:
-    """log2 of the blocks C((m+n)/d, m/d) of the row (m, n) for d in divs, from the table lf.
-
-    Each is lf[(m+n)/d] - lf[m/d] - lf[n/d], within the bound of _tolerance.
-    """
-    top = m + n
-    return [lf[top // d] - lf[m // d] - lf[n // d] for d in divs]
-
-
-def _tolerance(m: int, n: int) -> float:
-    """The tolerance tau = 2^-30 * (m + n) * log2(m + n) of the float margins of the row (m, n).
+def _tolerance(total: int) -> float:
+    """The tolerance tau = 2^-30 * (m + n) * log2(m + n) of a float margin, from total = m + n.
 
     A margin is a comparison of positive integers, lhs > rhs (or lhs >= rhs),
-    in bits: log2 lhs - log2 rhs, formed in floats from at most two block
-    logarithms of _block_logs and from integer multiples of log2 of
-    integers.  For m, n up to the grid ceilings (below 4096), a float
-    margin above tau proves the true margin positive, so the comparison
-    holds.  All three binomial deciders use this one rule.
+    in bits: log2 lhs - log2 rhs, formed in floats from two block
+    logarithms, each lf[(m+n)/d] - lf[m/d] - lf[n/d] (_log_tables), and from
+    integer multiples of log2 of integers.  For m, n up to the grid ceilings
+    (below 4096), a float margin above tau proves the true margin positive,
+    so the comparison holds.  Both binomial strips use this one rule.
 
     Error bound.  Let u = 2^-53 and W = (m + n) * log2(m + n).
 
@@ -435,181 +412,157 @@ def _tolerance(m: int, n: int) -> float:
     the rounding of tau itself, so a float margin above tau leaves a true
     margin above 0.
     """
-    return _FILTER_TOLERANCE * (m + n) * log2(m + n)
+    return _FILTER_TOLERANCE * total * log2(total)
 
 
-def _lemma21i_failures(m: int, n: int, divs: list[int], logs: list[float]) -> list[tuple[int, int]]:
-    """The pairs a < b of divs failing variant i of Lemma 2.1, in grid order.
+def _lemma21_strip(tables: tuple, a: int, b: int, ms: range, ns: range,
+                   variant: str) -> list[tuple[int, int, int, int]]:
+    """The instances (m, n, a, b), m in ms and n in ns, failing the variant of Lemma 2.1.
 
-    divs is increasing, each divides gcd(m, n) and is at least 2, and logs
-    holds the logarithms of their blocks (_block_logs).  Each pair is first
-    tested in floats with the margin in bits of its cross-multiplied
-    inequality (see _lemma21_holds),
+    a < b (b >= 2a for variant ii) divide each m and n, and tables is
+    _log_tables of a bound on them.  With lb_d = lf[(m+n)/d] - lf[m/d] -
+    lf[n/d], the logarithm of block_d, each instance is first tested in
+    floats by the margin in bits of its comparison: for variant i, the
+    cross-multiplied inequality of _lemma21_holds,
 
         lb_a - lb_b + en*(log2 n - log2(n+m)) + em*(log2 bm - log2(bm+an)),
 
-    where lb_d = log2(block_d), en = n/a - n/b and em = m/a - m/b.  A pair
-    whose margin exceeds _tolerance(m, n) holds (its strict consequence
-    block_a > block_b too, the last two terms being negative); every other
-    one, each tie included, is decided by _lemma21_holds on blocks from
-    _block.
+    with en = n/a - n/b and em = m/a - m/b, and for variant ii,
+    a * block_a > max(m, n) * block_b, log2 a + lb_a - log2 max(m, n) - lb_b.
+    An instance whose margin exceeds tau[m + n] holds; every other one, each
+    tie included, is decided by _lemma21_holds or _lemma21ii_holds on blocks
+    from _block.
     """
-    tau = _tolerance(m, n)
-    shrink_n = log2(n) - log2(n + m)
+    lf, lg, tau = tables
     failing = []
-    for i, a in enumerate(divs):
-        lb_a, na, ma, an = logs[i], n // a, m // a, a * n
-        for j in range(i + 1, len(divs)):
-            b = divs[j]
-            bm = b * m
-            if (lb_a - logs[j] + (na - n // b) * shrink_n
-                    + (ma - m // b) * (log2(bm) - log2(bm + an))) > tau:
-                continue
-            if not _lemma21_holds(m, n, a, b, _block(m, n, a), _block(m, n, b)):
-                failing.append((a, b))
-    return failing
-
-
-def _lemma21ii_failures(m: int, n: int, divs: list[int], logs: list[float]) -> list[tuple[int, int]]:
-    """The pairs a, b of divs with b >= 2a failing variant ii of Lemma 2.1, in grid order.
-
-    divs and logs are as for _lemma21i_failures.  Variant ii asserts
-    a * block_a > max(m, n) * block_b, whose margin in bits is
-    log2 a + lb_a - log2 max(m, n) - lb_b.  Each a is tested once, against
-    the largest lb_b of the b >= 2a (a suffix maximum of logs): float
-    subtraction is monotone, so when that margin exceeds _tolerance(m, n),
-    so does the float margin of every pair of a, and they all hold.  The
-    pairs of any other a are decided by _lemma21ii_holds on blocks from
-    _block.
-    """
-    tau = _tolerance(m, n)
-    top = log2(max(m, n))
-    largest = list(accumulate(reversed(logs), max))[::-1]
-    failing = []
-    for i, a in enumerate(divs):
-        start = bisect_left(divs, 2 * a)
-        if start == len(divs):
-            break
-        if log2(a) + logs[i] - top - largest[start] > tau:
-            continue
-        block_a = _block(m, n, a)
-        failing += [(a, b) for b in divs[start:]
-                    if not _lemma21ii_holds(m, n, a, b, block_a, _block(m, n, b))]
+    if variant == "i":
+        for m in ms:
+            ma, mb, bm = m // a, m // b, b * m
+            lf_ma, lf_mb, em, log_bm = lf[ma], lf[mb], ma - mb, log2(bm)
+            for n in ns:
+                s, na, nb = m + n, n // a, n // b
+                if (lf[s // a] - lf_ma - lf[na] - (lf[s // b] - lf_mb - lf[nb])
+                        + (na - nb) * (lg[n] - lg[s]) + em * (log_bm - log2(bm + a * n))) > tau[s]:
+                    continue
+                if not _lemma21_holds(m, n, a, b, _block(m, n, a), _block(m, n, b)):
+                    failing.append((m, n, a, b))
+    else:
+        log_a = lg[a]
+        for m in ms:
+            lf_ma, lf_mb = lf[m // a], lf[m // b]
+            for n in ns:
+                s = m + n
+                if (log_a + (lf[s // a] - lf_ma - lf[n // a]) - lg[m if m > n else n]
+                        - (lf[s // b] - lf_mb - lf[n // b])) > tau[s]:
+                    continue
+                if not _lemma21ii_holds(m, n, a, b, _block(m, n, a), _block(m, n, b)):
+                    failing.append((m, n, a, b))
     return failing
 
 
 def lemma21_grid(max_mn: int, variant: str) -> GridResult:
     """Exhaustive sweep of check_lemma21 over 2 <= m, n <= max_mn <= LEMMA21_GRID_MAX.
 
-    For each m it visits the n <= m with gcd(m, n) composite, the others
-    having no pair a < b, and reads the logarithms of their blocks from one
-    table of log2(k!) (k <= max_mn covers every (m+n)/d, as d >= 2).  A
-    block C((m+n)/d, m/d) is also the block of (n, m), so one row of
-    logarithms serves both mirror rows: _lemma21i_failures decides (m, n)
-    and (n, m) from it, and _lemma21ii_failures decides (m, n) once, its
-    bound a * block_a > max(m, n) * block_b being the same for (n, m).
-    check_lemma21 builds the reported instance of a failing tuple only, in
-    grid order (m, then n, a, b).
+    Its instances are the pairs a < b (b >= 2a for variant ii), each with
+    every m and n that are multiples of lcm(a, b).  A pair is a = g*x and
+    b = g*y with x < y coprime, so lcm(a, b) = g*x*y; _lemma21_strip decides
+    each pair's strip from one set of _log_tables.  check_lemma21 builds the
+    reported instance of a failing tuple only, in grid order (m, then n, a,
+    b).
     """
     if variant not in ("i", "ii"):
         raise ValueError(f"variant must be 'i' or 'ii', got {variant!r}")
-    _check_grid_bound(f"2.1{variant}", max_mn)
-    divisors_of = _divisor_sieve(max_mn)
-    lf = _log_factorials(max_mn)
-    # The number of pairs a < b (with b >= 2a for variant ii) that a row with
-    # gcd g checks, indexed by g.
-    if variant == "i":
-        pairs_of = [len(divs) * (len(divs) - 1) // 2 for divs in divisors_of]
-    else:
-        pairs_of = [sum(len(divs) - bisect_left(divs, 2 * a) for a in divs) for divs in divisors_of]
+    check_grid_bound(f"2.1{variant}", max_mn)
+    tables = _log_tables(max_mn)
     checked = 0
     failing = []
-    for m in range(2, max_mn + 1):
-        for n in _shared_rows(divisors_of, m, False, m):
-            shared = gcd(m, n)
-            divs = divisors_of[shared]
-            logs = _block_logs(lf, m, n, divs)
-            rows = ((m, n), (n, m)) if n < m else ((m, n),)
-            checked += pairs_of[shared] * len(rows)
-            if variant == "i":
-                failing += [(*row, a, b) for row in rows
-                            for a, b in _lemma21i_failures(*row, divs, logs)]
-            else:
-                failing += [(*row, a, b) for a, b in _lemma21ii_failures(m, n, divs, logs)
-                            for row in rows]
+    for y in range(2, max_mn + 1):
+        for x in range(1, min(y, max_mn // y + 1)):
+            if gcd(x, y) > 1 or (variant == "ii" and y < 2 * x):
+                continue
+            for g in range(1 if x > 1 else 2, max_mn // (x * y) + 1):
+                multiples = range(g * x * y, max_mn + 1, g * x * y)
+                checked += len(multiples) ** 2
+                failing += _lemma21_strip(tables, g * x, g * y, multiples, multiples, variant)
     return GridResult(f"2.1{variant}", checked,
                       [check_lemma21(*parameters, variant) for parameters in sorted(failing)])
+
+
+def _prime_powers(top: int) -> list[tuple[int, int]]:
+    """The prime powers d <= top with their primes, as (d, p), in increasing order of d."""
+    return [(d, root[0]) for d in range(2, top + 1) if (root := prime_power_root(d)) is not None]
+
+
+def _lemma22_strip(tables: tuple, a: int, b: int, p: int, q: int, ms: range, ns: range,
+                   variant: str) -> list[tuple[int, int, int, int, int, int]]:
+    """The tuples (m, n, a, b, p, q), m in ms and n in ns, failing the variant of Lemma 2.2.
+
+    Each tuple is admissible and tables is _log_tables of a bound on m and
+    n.  With lb_d the block logarithms of _lemma21_strip, each tuple is first
+    tested in floats by the margin in bits of the comparison _lemma22_holds
+    makes, p*a^3*b * block_a > f*m*n * block_b, or for {2, 3}
+    a * block_a > (q^d - b + f*b) * block_b with q^d the q-part of m.  A
+    tuple whose margin does not exceed tau[m + n] is decided by
+    _lemma22_holds on blocks from _block.
+    """
+    lf, _, tau = tables
+    factor = 2 if variant == "i" else 1
+    special = (a, b) == (2, 3)
+    lift = log2(a) if special else log2(p * a ** 3 * b)
+    failing = []
+    for m in ms:
+        lf_ma, lf_mb = lf[m // a], lf[m // b]
+        if special:
+            bound = log2(q ** valuation(m, q) - b + factor * b)
+        for n in ns:
+            s = m + n
+            if not special:
+                bound = log2(factor * m * n)
+            if (lift + (lf[s // a] - lf_ma - lf[n // a]) - bound
+                    - (lf[s // b] - lf_mb - lf[n // b])) > tau[s]:
+                continue
+            if not _lemma22_holds(m, n, a, b, p, q, _block(m, n, a), _block(m, n, b), variant):
+                failing.append((m, n, a, b, p, q))
+    return failing
 
 
 def lemma22_grid(max_mn: int, variant: str) -> GridResult:
     """Exhaustive sweep of check_lemma22 over 2 <= m, n <= max_mn <= LEMMA22_GRID_MAX.
 
-    Admissible tuples are prime powers a = p^s, b = q^t of distinct primes
-    with b < 2a, both dividing gcd(m, n), restricted to the variant's spread
-    condition (for variant i this includes the {a, b} = {2, 3} clause), so
-    for each m it visits the n with two distinct primes in gcd(m, n).  Each
-    tuple is first tested in floats by the margin in bits of the comparison
-    _lemma22_holds makes, p*a^3*b * block_a > f*m*n * block_b, or for
-    {2, 3} a * block_a > (q^d - b + f*b) * block_b; a tuple whose margin
-    does not exceed _tolerance(m, n) is decided by _lemma22_holds on blocks
-    from _block.  check_lemma22 builds the reported instance of a failing
-    tuple only.
+    Admissible tuples are prime powers a = p^s < b = q^t < 2a of distinct
+    primes, both dividing gcd(m, n), so m and n are multiples of a*b, with
+    the variant's spread: n = k*a*b has n/a - n/b = k*(b - a), at least 3
+    for variant i and exactly 2 for variant ii, which also excludes
+    {a, b} = {2, 3}.  _lemma22_strip decides each pair's strip from one set
+    of _log_tables.  check_lemma22 builds the reported instance of a failing
+    tuple only, in grid order (m, then n, a, b).
     """
     if variant not in ("i", "ii"):
         raise ValueError(f"variant must be 'i' or 'ii', got {variant!r}")
-    _check_grid_bound(f"2.2{variant}", max_mn)
-    # The prime powers (d, p) dividing every g <= max_mn, in increasing order:
-    # d >= 2 is a power of its least divisor p >= 2 when d = p^k, with k its
-    # number of divisors >= 2.
-    divisors_of = _divisor_sieve(max_mn)
-    prime_of = {d: divs[0] for d, divs in enumerate(divisors_of)
-                if divs and divs[0] ** len(divs) == d}
-    powers_of = [[(d, prime_of[d]) for d in divs if d in prime_of] for divs in divisors_of]
-    lf = _log_factorials(max_mn)
-    factor = 2 if variant == "i" else 1
+    check_grid_bound(f"2.2{variant}", max_mn)
+    tables = _log_tables(max_mn)
+    # A pair has b^2 < 2ab <= 2 * max_mn.
+    powers = _prime_powers(isqrt(2 * max_mn))
     checked = 0
-    failures = []
-    for m in range(2, max_mn + 1):
-        for n in _shared_rows(divisors_of, m, True, max_mn):
-            powers = powers_of[gcd(m, n)]
-            # The row's admissible tuples first: the logarithms are read only
-            # for a row that has one (at 3000, over a third of the rows of
-            # variant i and nearly all of variant ii have none).  A tuple's
-            # spread is positive, so b > a: the b of each a follow it in
-            # powers, up to 2a.
-            tuples = []
-            for i, (a, p) in enumerate(powers):
-                for b, q in powers[i + 1:]:
-                    if b >= 2 * a:
-                        break
-                    if p == q:
-                        continue
-                    spread = n // a - n // b
-                    if variant == "i":
-                        if spread < 3:
-                            continue
-                    else:
-                        if spread != 2 or {a, b} == {2, 3}:
-                            continue
-                    tuples.append((a, b, p, q))
-            if not tuples:
+    failing = []
+    for i, (a, p) in enumerate(powers):
+        for b, q in powers[i + 1:]:
+            step = a * b
+            if b >= 2 * a or step > max_mn:
+                break
+            if p == q:
                 continue
-            checked += len(tuples)
-            divs = [d for d, _ in powers]
-            logs = dict(zip(divs, _block_logs(lf, m, n, divs)))
-            tau = _tolerance(m, n)
-            bound = log2(factor * m * n)
-            for a, b, p, q in tuples:
-                if {a, b} == {2, 3}:
-                    rhs = log2(q ** valuation(m, q) - b + factor * b)
-                    margin = log2(a) + logs[a] - rhs - logs[b]
-                else:
-                    margin = log2(p * a ** 3 * b) + logs[a] - bound - logs[b]
-                if margin > tau:
-                    continue
-                if not _lemma22_holds(m, n, a, b, p, q, _block(m, n, a), _block(m, n, b), variant):
-                    failures.append(check_lemma22(m, n, a, b, p, q, variant))
-    return GridResult(f"2.2{variant}", checked, failures)
+            if variant == "i":
+                ns = range(-(-3 // (b - a)) * step, max_mn + 1, step)
+            elif 2 % (b - a) == 0 and (a, b) != (2, 3):
+                ns = range(2 // (b - a) * step, max_mn + 1, step)[:1]
+            else:
+                continue
+            ms = range(step, max_mn + 1, step)
+            checked += len(ms) * len(ns)
+            failing += _lemma22_strip(tables, a, b, p, q, ms, ns, variant)
+    return GridResult(f"2.2{variant}", checked,
+                      [check_lemma22(*parameters, variant) for parameters in sorted(failing)])
 
 
 def structure_grid(max_order: int) -> GridResult:
@@ -622,7 +575,7 @@ def structure_grid(max_order: int) -> GridResult:
     """
     if max_order < 1:
         raise ValueError(f"max_order must be positive, got {max_order}")
-    _check_grid_bound("struct", max_order)
+    check_grid_bound("struct", max_order)
     groups = [g for n in range(1, max_order + 1) for g in enumerate_abelian(n)]
     spectra = [order_spectrum(g) for g in groups]
     checked = 0

@@ -629,12 +629,14 @@ def test_spectra_past_the_factorize_ceiling_name_the_group(capsys):
 
 
 @pytest.mark.parametrize("argv", [["scan-conjecture", "--max-order", "4"],
+                                  ["scan-conjecture", "--max-order", "4", "--format", "jsonl"],
                                   ["lemma", "--id", "2.1i", "--max", "10"]])
 def test_unusable_out_path_exits_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "DIR").mkdir()
     (tmp_path / "DIR" / "kept.txt").write_text("kept\n")
-    for out, reason in (("DIR", "Is a directory"), ("missing/dir/x", "No such file or directory")):
+    for out, reason in (("DIR", "Is a directory"), ("missing/dir/x", "No such file or directory"),
+                        ("", "No such file or directory")):
         assert main([*argv, "--out", out]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -870,15 +872,11 @@ def test_clean_grids_do_not_import_fractions():
         "loaded()",
         # The grid reads block_3 = block_2 for the row (12, 18), as a
         # logarithm and as an integer, so (2, 3) fails there; the mirror row
-        # (18, 12) reads the same logarithms but keeps its true blocks.
-        "block_logs, block = lemmas._block_logs, lemmas._block",
-        "def doctored_logs(lf, m, n, divs):",
-        "    logs = block_logs(lf, m, n, divs)",
-        "    if {m, n} == {12, 18}:",
-        "        logs[1] = logs[0]",
-        "    return logs",
-        "lemmas._block_logs = doctored_logs",
-        "lemmas._block = lambda m, n, d: block(m, n, 2 if (m, n, d) == (12, 18, 3) else d)",
+        # (18, 12) keeps its true blocks.
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})",
+        "from doctoring import doctored_grid_parts",
+        "for name, part in doctored_grid_parts({(12, 18, 3): lemmas._block(12, 18, 2)}):",
+        "    setattr(lemmas, name, part)",
         "zsr.cli.main(['lemma', '--id', '2.1i', '--max', '18', '--format', 'csv'])",
         "loaded()",
     ])

@@ -9,6 +9,7 @@ from math import gcd, log2, prod
 from pathlib import Path
 
 import pytest
+from doctoring import doctored_grid_parts
 
 from zsr import exactmath, groups, lemmas
 from zsr.cli import main
@@ -270,20 +271,19 @@ def test_structure_instances_of_non_abelian_and_large_groups_are_pinned():
     assert check_structure_lemmas(*pair) == instances("C720720", "C2xC360360")
 
 
-def test_lemma21ii_row_decider_matches_each_instance(doctor_blocks):
+def test_lemma21ii_strip_matches_each_instance(doctor_blocks):
     # Every row to 60, with its true blocks, with them reversed (which fails
     # most pairs), with blocks that tie each pair of neighbours (block_i =
     # max(m, n)^(k-1-i) * divs[0] * ... * divs[i-1] for k divisors) and with
-    # the true blocks but the last one raised past max(m, n) * block_0 (so a
-    # pair with the last b fails while the first b >= 2a holds): the row
-    # decider fails exactly the pairs b >= 2a that it fails as the row {a, b},
-    # and those where a * block_a > max(m, n) * block_b is false.  It gets
-    # the logarithms of the blocks, and the blocks themselves through _block.
-    divisors_of = lemmas._divisor_sieve(60)
+    # the true blocks but the last one raised past max(m, n) * block_0: the
+    # strip of each pair b >= 2a fails the instance exactly where
+    # a * block_a > max(m, n) * block_b is false.  It reads the logarithms of
+    # the blocks from its table, and the blocks themselves through _block.
+    tables = lemmas._log_tables(60)
     rows = failing = 0
     for m in range(2, 61):
         for n in range(2, 61):
-            divs = divisors_of[gcd(m, n)]
+            divs = divisors(gcd(m, n))[1:]
             if len(divs) < 2:
                 continue
             rows += 1
@@ -291,15 +291,13 @@ def test_lemma21ii_row_decider_matches_each_instance(doctor_blocks):
             ties = [max(m, n) ** (len(divs) - 1 - i) * prod(divs[:i]) for i in range(len(divs))]
             for blocks in (true, true[::-1], ties, [*true[:-1], max(m, n) * true[0]]):
                 doctor_blocks({(m, n, d): block_d for d, block_d in zip(divs, blocks)})
-                logs = [log2(block_d) for block_d in blocks]
-                pairs = [(a, b, blocks[i], blocks[j], logs[i], logs[j]) for i, a in enumerate(divs)
-                         for j, b in enumerate(divs) if b >= 2 * a]
-                expected = [(a, b) for a, b, _, _, log_a, log_b in pairs
-                            if lemmas._lemma21ii_failures(m, n, [a, b], [log_a, log_b])]
-                assert expected == [(a, b) for a, b, block_a, block_b, _, _ in pairs
-                                    if not a * block_a > max(m, n) * block_b], (m, n)
-                assert lemmas._lemma21ii_failures(m, n, divs, logs) == expected, (m, n)
-                failing += len(expected)
+                block_of = dict(zip(divs, blocks))
+                pairs = [(a, b) for a in divs for b in divs if b >= 2 * a]
+                found = [instance for a, b in pairs for instance in lemmas._lemma21_strip(
+                    tables, a, b, range(m, m + 1), range(n, n + 1), "ii")]
+                assert found == [(m, n, a, b) for a, b in pairs
+                                 if not a * block_of[a] > max(m, n) * block_of[b]], (m, n)
+                failing += len(found)
     assert rows == 396 and failing > 0
 
 
@@ -370,28 +368,21 @@ def fraction_verdict(m, n, a, b, variant):
 
 
 def test_lemma21_grid_integer_verdicts_match_fraction_reference(monkeypatch):
-    # Each variant decides a row of (m, n) at a time.  Variant i calls
-    # _lemma21i_failures for each row; variant ii calls _lemma21ii_failures
-    # for the rows with n <= m only, and its verdict covers the mirror row
-    # (n, m) too.  Spying on both shows every tuple the grids visit, with the
-    # logarithms of its blocks and its verdict.
-    deciders = {"i": lemmas._lemma21i_failures, "ii": lemmas._lemma21ii_failures}
+    # Each variant decides one (a, b) strip at a time.  Spying on
+    # _lemma21_strip shows every instance the grids visit, with the
+    # logarithms of its blocks, as the strip reads them from its table, and
+    # its verdict.
+    strip = lemmas._lemma21_strip
     seen = {"i": [], "ii": []}
 
-    def spy_on(variant):
-        def spy_row(m, n, divs, logs):
-            failing = deciders[variant](m, n, divs, logs)
-            rows = [(m, n)] if variant == "i" or m == n else [(m, n), (n, m)]
-            for i, a in enumerate(divs):
-                for b, log_b in zip(divs[i + 1:], logs[i + 1:]):
-                    if variant == "i" or b >= 2 * a:
-                        seen[variant] += [(*row, a, b, logs[i], log_b, (a, b) not in failing)
-                                          for row in rows]
-            return failing
-        return spy_row
+    def spy(tables, a, b, ms, ns, variant):
+        failing = strip(tables, a, b, ms, ns, variant)
+        lf = tables[0]
+        seen[variant] += [(m, n, a, b, *(lf[(m + n) // d] - lf[m // d] - lf[n // d] for d in (a, b)),
+                           (m, n, a, b) not in failing) for m in ms for n in ns]
+        return failing
 
-    monkeypatch.setattr(lemmas, "_lemma21i_failures", spy_on("i"))
-    monkeypatch.setattr(lemmas, "_lemma21ii_failures", spy_on("ii"))
+    monkeypatch.setattr(lemmas, "_lemma21_strip", spy)
     for variant in ("i", "ii"):
         grid = lemma21_grid(60, variant)
         expected = [
@@ -427,7 +418,7 @@ def test_lemma21_filter_passes_exactly_the_ties_on(monkeypatch):
 
     monkeypatch.setattr(lemmas, "_lemma21_holds", spy)
     assert lemma21_grid(60, "i").failures == []
-    assert reached[:3] == [(4, 4, 2, 4), (6, 6, 2, 3), (6, 6, 3, 6)]
+    assert sorted(reached)[:3] == [(4, 4, 2, 4), (6, 6, 2, 3), (6, 6, 3, 6)]
     ties = [(m, n, a, b) for m, n, a, b in reached
             if Fraction(block(m, n, a), block(m, n, b)) == lemma21_bound(m, n, a, b)]
     assert ties == reached and len(reached) == 51
@@ -457,6 +448,31 @@ def test_lemma21_doctored_block_fails_through_the_filter(monkeypatch, doctor_blo
         assert [tuple(f.parameters.values()) for f in grid.failures] == failing
         assert grid.failures == [check_lemma21(*parameters, "i") for parameters in failing]
         assert ((12, 12, 2, 3, 777, 70) in reached) == bool(failing)
+
+
+def test_doctored_blocks_reach_the_strip_as_logarithms(monkeypatch):
+    # At (24, 12) the table entry lf[36/3] of block_3 is the entry lf[24/2]
+    # of block_2, so doctoring block_3 alone must leave the logarithm of
+    # block_2 true.  The strip reads the logarithms of the doctored blocks.
+    strip = lemmas._lemma21_strip
+    read = []
+
+    def spy(tables, a, b, ms, ns, variant):
+        lf = tables[0]
+        read.extend((m, n, a, b, *(lf[(m + n) // d] - lf[m // d] - lf[n // d] for d in (a, b)))
+                    for m in ms for n in ns)
+        return strip(tables, a, b, ms, ns, variant)
+
+    monkeypatch.setattr(lemmas, "_lemma21_strip", spy)
+    for doctored in ({(24, 12, 3): 5}, {(24, 12, 2): 7}, {(24, 12, 2): 7, (24, 12, 3): 5}):
+        for name, part in doctored_grid_parts(doctored):
+            monkeypatch.setattr(lemmas, name, part)
+        read.clear()
+        lemma21_grid(24, "i")
+        [(*_, log_a, log_b)] = [entry for entry in read if entry[:4] == (24, 12, 2, 3)]
+        for d, logarithm in ((2, log_a), (3, log_b)):
+            assert abs(logarithm - log2(doctored.get((24, 12, d), block(24, 12, d)))) < 2 ** -40
+        monkeypatch.setattr(lemmas, "_lemma21_strip", spy)
 
 
 @pytest.mark.parametrize("shift", [1, 0, -1])
@@ -511,6 +527,8 @@ def test_lemma21_filter_or_exact_matches_fractions(doctor_blocks):
 
     # shift None keeps the true blocks; an integer puts block_a that far from
     # the least value for which the ratio bound holds, a near-tie in floats.
+    tables = lemmas._log_tables(3000)
+
     @hypothesis.settings(max_examples=80, deadline=None)
     @hypothesis.given(instances(), st.one_of(st.none(), st.integers(-2, 2)))
     def check(instance, shift):
@@ -523,11 +541,11 @@ def test_lemma21_filter_or_exact_matches_fractions(doctor_blocks):
             threshold = lemma21_bound(m, n, a, b) * block_b
             block_a = -(-threshold.numerator // threshold.denominator) + shift
             holds = block_a > block_b and Fraction(block_a, block_b) >= lemma21_bound(m, n, a, b)
-        # The row decider gets the logarithms of the blocks, and the blocks
-        # themselves through _block.
+        # The strip reads the logarithms of the blocks from its table, and
+        # the blocks themselves through _block.
         doctor_blocks({(m, n, a): block_a, (m, n, b): block_b})
-        failing = lemmas._lemma21i_failures(m, n, [a, b], [log2(block_a), log2(block_b)])
-        assert failing == ([] if holds else [(a, b)]), (m, n, a, b, shift)
+        failing = lemmas._lemma21_strip(tables, a, b, range(m, m + 1), range(n, n + 1), "i")
+        assert failing == ([] if holds else [(m, n, a, b)]), (m, n, a, b, shift)
 
     check()
 
@@ -653,23 +671,24 @@ def test_mirror_rows_share_blocks_and_variant_ii_verdicts():
     [(16, 12, 2, 4), (18, 12, 2, 3)],
 ])
 def test_lemma21i_plant_in_one_mirror_row_is_reported_alone(planted, plant_lemma21_failures):
-    # Variant i decides (m, n) and (n, m) apart from one block table, so a
-    # plant in one row leaves its mirror clean.  The walk finds (12, 18) at
-    # m = 18, after (16, 12), and still reports it first.
+    # Each instance is decided on its own blocks, so a plant in one row
+    # leaves its mirror clean.  The failures come out in grid order, (12, 18)
+    # before (16, 12), whatever order the strips visit them in.
     plant_lemma21_failures(planted)
     grid = lemma21_grid(18, "i")
     assert grid.checked == 79
     assert grid.failures == [check_lemma21(*parameters, "i") for parameters in planted]
 
 
-def test_lemma21ii_plant_is_reported_at_both_mirror_rows(plant_lemma21_failures):
-    # Variant ii decides the row (m, n) with n <= m once, and its verdict is
-    # that of (n, m) too; the four failures come out sorted by (m, n, a, b).
-    plant_lemma21_failures([(16, 12, 2, 4), (18, 12, 3, 6)])
+def test_lemma21ii_plant_is_reported_at_its_own_row_only(plant_lemma21_failures):
+    # Variant ii decides each instance on its own blocks, so a plant in the
+    # row (m, n) leaves the mirror row (n, m) clean, although the verdicts
+    # of the true blocks of mirror rows agree.
+    planted = [(16, 12, 2, 4), (18, 12, 3, 6)]
+    plant_lemma21_failures(planted)
     grid = lemma21_grid(18, "ii")
-    expected = [(12, 16, 2, 4), (12, 18, 3, 6), (16, 12, 2, 4), (18, 12, 3, 6)]
     assert grid.checked == 66
-    assert grid.failures == [check_lemma21(*parameters, "ii") for parameters in expected]
+    assert grid.failures == [check_lemma21(*parameters, "ii") for parameters in planted]
 
 
 def test_benchmark_size_grids_are_pinned(monkeypatch):
@@ -707,6 +726,14 @@ def test_benchmark_size_grids_are_pinned(monkeypatch):
     grid = structure_grid(128)
     assert (grid.checked, grid.failures) == (28759, [])
     assert 0 < calls["factorize"] <= 1448 + 2 * 128
+
+
+def test_lemma22_grids_at_the_ceiling_are_pinned():
+    # A strip of Lemma 2.2 needs a * b <= max_mn, so even at the ceiling the
+    # grids list few pairs (a < 55) and take a fraction of a second.
+    for variant, checked in (("i", 417725), ("ii", 916)):
+        grid = lemma22_grid(lemmas.LEMMA22_GRID_MAX, variant)
+        assert (grid.checked, grid.failures) == (checked, []), variant
 
 
 def failed(instance):
@@ -754,7 +781,7 @@ def test_delta_matches_the_valuation_formula():
 
 def test_lemma22_integer_verdicts_match_fractions(monkeypatch):
     # With an infinite tolerance the float filter certifies no tuple, so each
-    # one the grid visits reaches _lemma22_holds, in grid order.
+    # one the grid visits reaches _lemma22_holds, once.
     monkeypatch.setattr(lemmas, "_FILTER_TOLERANCE", float("inf"))
     decide = lemmas._lemma22_holds
     for variant, factor, count in (("i", 2, 560), ("ii", 1, 31)):
@@ -763,7 +790,7 @@ def test_lemma22_integer_verdicts_match_fractions(monkeypatch):
             visited.append(args[:6]) or decide(*args)))
         assert lemma22_grid(120, variant).failures == []
         tuples = admissible_lemma22(120, variant)
-        assert visited == tuples and len(tuples) == count
+        assert sorted(visited) == tuples and len(tuples) == count
         special = 0
         for m, n, a, b, p, q in tuples:
             instance = check_lemma22(m, n, a, b, p, q, variant)
@@ -778,21 +805,18 @@ def test_lemma22_integer_verdicts_match_fractions(monkeypatch):
         assert (special > 0) == (variant == "i")
 
 
-def test_divisor_sieve_finds_the_prime_powers():
-    # lemma22_grid keeps a divisor d when its least divisor p >= 2 satisfies
-    # p^k = d, with k its number of divisors >= 2.
-    divisors_of = lemmas._divisor_sieve(lemmas.LEMMA22_GRID_MAX)
-    assert divisors_of[:2] == [[], []]
-    powers = 0
-    for d in range(2, lemmas.LEMMA22_GRID_MAX + 1):
-        divs = divisors_of[d]
-        assert divs == divisors(d)[1:], d
-        root = prime_power_root(d)
-        assert (divs[0] ** len(divs) == d) == (root is not None), d
-        if root is not None:
-            powers += 1
-            assert root == (divs[0], len(divs)), d
-    assert powers == 430 + 36  # the primes up to 3000 and their higher powers
+def test_lemma22_grid_pairs_the_prime_powers():
+    # lemma22_grid pairs the prime powers of _prime_powers, which a sieve of
+    # Eratosthenes, spelled out here, finds too.
+    top = lemmas.LEMMA22_GRID_MAX
+    composite = set()
+    powers = []
+    for p in range(2, top + 1):
+        if p not in composite:
+            composite.update(range(p * p, top + 1, p))
+            powers += [(p ** k, p) for k in range(1, top.bit_length()) if p ** k <= top]
+    assert lemmas._prime_powers(top) == sorted(powers)
+    assert len(powers) == 430 + 36  # the primes up to 3000 and their higher powers
 
 
 def test_lemma22_grid_reports_failures_in_grid_order(doctor_blocks, capsys):
@@ -813,14 +837,18 @@ def test_lemma22_grid_reports_failures_in_grid_order(doctor_blocks, capsys):
 # Gives the binomial grids the blocks of DOCTORED, a dict from (m, n, d) to a
 # block, as its logarithm and as itself, as the doctor_blocks fixture does.
 DOCTOR_BLOCKS = """
-from math import log2
 from zsr import lemmas
-block_logs, block = lemmas._block_logs, lemmas._block
-lemmas._block_logs = lambda lf, m, n, divs: [
-    log2(DOCTORED[m, n, d]) if (m, n, d) in DOCTORED else x
-    for d, x in zip(divs, block_logs(lf, m, n, divs))]
-lemmas._block = lambda m, n, d: DOCTORED[m, n, d] if (m, n, d) in DOCTORED else block(m, n, d)
+from doctoring import doctored_grid_parts
+for name, part in doctored_grid_parts(DOCTORED):
+    setattr(lemmas, name, part)
 """
+
+
+def doctoring_env():
+    """The environment of a child Python that imports this zsr and the doctoring module."""
+    src = str(Path(lemmas.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, str(Path(__file__).parent), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 def test_grids_report_doctored_failures_under_optimize():
@@ -829,20 +857,17 @@ def test_grids_report_doctored_failures_under_optimize():
 for grid in (lemmas.lemma21_grid(12, "i"), lemmas.lemma22_grid(28, "i")):
     print(grid.checked, [tuple(f.parameters.values())[:6] for f in grid.failures])
 """
-    src = str(Path(lemmas.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     result = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
-                            env=env, timeout=60)
+                            env=doctoring_env(), timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "33 [(12, 12, 2, 3)]\n9 [(28, 28, 4, 7, 2, 7)]\n"
 
 
 def test_row_deciders_report_doctored_failures_under_optimize():
-    # The same under python -O for the row decider of variant ii and for the
-    # structure checks: in the row (12, 12), block_12 = 3 makes (6, 12) fail,
-    # 6 * 6 > 12 * 3 being false, and no other pair; the L23 check of the
-    # pair of orders (6, 9) is planted as a failure.
+    # The same under python -O for variant ii and for the structure checks:
+    # in the row (12, 12), block_12 = 3 makes (6, 12) fail, 6 * 6 > 12 * 3
+    # being false, and no other pair; the L23 check of the pair of orders
+    # (6, 9) is planted as a failure.
     script = "DOCTORED = {(12, 12, 12): 3}" + DOCTOR_BLOCKS + """
 checks = lemmas._structure_checks
 lemmas._structure_checks = lambda sg, sh, pair: [
@@ -851,11 +876,8 @@ lemmas._structure_checks = lambda sg, sh, pair: [
 for grid in (lemmas.lemma21_grid(12, "ii"), lemmas.structure_grid(12)):
     print(grid.checked, [(f.lemma_id, *f.parameters.values()) for f in grid.failures])
 """
-    src = str(Path(lemmas.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     result = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
-                            env=env, timeout=60)
+                            env=doctoring_env(), timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "27 [('L21ii', 12, 12, 6, 12)]\n80 [('L23', 6, 9, 3)]\n"
 
