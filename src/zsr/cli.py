@@ -342,8 +342,24 @@ def _cmd_gapfree(args) -> int:
     return 0
 
 
+def _integer(text: str) -> int:
+    """text as an int if it is ASCII decimal digits after at most one leading -.
+
+    int() alone also takes other scripts' digits, _, a leading + and spaces.
+    """
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected an integer in ASCII digits, got {text!r}")
+    try:
+        return int(text)
+    except ValueError:
+        # Past the interpreter's limit on the digits of int(str), which
+        # arguments keep.
+        raise argparse.ArgumentTypeError(f"expected fewer digits, got {len(digits)}") from None
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
     return value
@@ -363,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", parents=[common], help="count zero-sum multisets of a given length")
     p.add_argument("--group", dest="notation", metavar="GROUP", required=True,
                    help="group notation, e.g. C2xC6, D10, Dic3, Q8")
-    p.add_argument("--length", type=int, required=True, help="multiset length m")
+    p.add_argument("--length", type=_integer, required=True, help="multiset length m")
     p.add_argument("--method", choices=("formula", "dp", "molien"), default="formula")
     p.set_defaults(func=_cmd_count)
 

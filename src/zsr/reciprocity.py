@@ -329,7 +329,11 @@ def _record_rows(descriptors, spectra, on_row, record_format: str) -> dict:
     rendered once per order pair, its left part once per order pair, class of
     i and witness, and its right part once per order pair and class of j (and
     once more per colliding class of i); a group's row only selects the parts
-    of its class.  on_row is called with each row's text and may return the
+    of its class.  The witness of a class pair is found by bucket: the classes
+    of j are grouped by their count at shared[1], the first shared divisor
+    above 1, and a class of i is compared further only with the classes in
+    its own bucket; every other class of j first differs from it at
+    shared[1].  on_row is called with each row's text and may return the
     offsets, within the row, of lines to count as violations.  Returns the
     pair (i, j) of those lines and of every inconsistent record mapped to
     (count_g_at_h, count_h_at_g).
@@ -354,22 +358,29 @@ def _record_rows(descriptors, spectra, on_row, record_format: str) -> dict:
                 if class_rights[c] is block_rights:
                     class_rights[c] = [*block_rights]
                 class_rights[c][other] = right_format.format(texts[right[0][other]], "false")
-            class_lefts = []
-            for key in left_keys:
-                # The left part of class key with each class of j, by witness (None: agree).
-                by_witness = {None: left_format.format("true", null, texts[key])}
-                lefts = []
-                for other in right[0]:
-                    for d, x, y in zip(shared, key, other):
-                        if x != y:
-                            break
-                    else:
-                        d = None
-                    part = by_witness.get(d)
-                    if part is None:
-                        part = by_witness[d] = left_format.format("false", d, texts[key])
-                    lefts.append(part)
-                class_lefts.append(lefts)
+            if len(shared) == 1:
+                # A coprime order pair: one class on each side, key (1,), and they agree.
+                class_lefts = [[left_format.format("true", null, texts[key])] for key in left_keys]
+            else:
+                # The classes of j by their count at shared[1].  Every class
+                # counts 1 at d = 1, so outside its own bucket a class of i
+                # first differs from each at shared[1].
+                right_keys = right[0]
+                bucket: dict[int, list[int]] = {}
+                for c, other in enumerate(right_keys):
+                    bucket.setdefault(other[1], []).append(c)
+                class_lefts = []
+                for key in left_keys:
+                    # The left part of class key with each class of j.
+                    text = texts[key]
+                    lefts = [left_format.format("false", shared[1], text)] * len(right_keys)
+                    by_witness = {None: left_format.format("true", null, text)}
+                    for c in bucket.get(key[1], ()):
+                        d = next((d for d, x, y in zip(shared, key, right_keys[c]) if x != y), None)
+                        if d not in by_witness:
+                            by_witness[d] = left_format.format("false", d, text)
+                        lefts[c] = by_witness[d]
+                    class_lefts.append(lefts)
             blocks[m] = (left_keys, left_of, right, counts, class_lefts, class_rights)
         for i in positions:
             lefts, rights = [], []

@@ -900,7 +900,7 @@ def test_refused_csv_scan_prints_nothing(capsys):
     assert code == 0 and out == ",".join(RECORD_FIELDS) + "\n"
 
 
-def test_usage_errors_raise_system_exit():
+def test_usage_errors_raise_system_exit(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
@@ -913,6 +913,28 @@ def test_usage_errors_raise_system_exit():
     with pytest.raises(SystemExit) as exc:
         main(["verify-theorem", "--max-order", "0"])
     assert exc.value.code == 2
+    # Numbers are ASCII decimal digits, with a leading - for --length only;
+    # int() alone would read all but the last two of these as numbers.
+    for argv in (["scan-conjecture", "--max-order", "١٢"], ["scan-conjecture", "--max-order", "1_2"],
+                 ["scan-conjecture", "--max-order", "+12"], ["scan-conjecture", "--max-order", " 12 "],
+                 ["scan-conjecture", "--max-order=-12"], ["catalan", "--n", "５", "--m", "3"],
+                 ["lemma", "--id", "2.1i", "--max", "+20"], ["count", "--group", "C4", "--length", "٣"],
+                 ["count", "--group", "C4", "--length", "+3"], ["count", "--group", "C4", "--length=3 "],
+                 ["count", "--group", "C4", "--length=-+3"], ["count", "--group", "C4", "--length="]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "expected" in capsys.readouterr().err, argv
+    # A negative length still reaches the counting routes and their message.
+    code, out, err = run(capsys, "count", "--group", "C4", "--length", "-1")
+    assert code == 2 and out == "" and err == "error: multiset length must be nonnegative, got -1\n"
+    # Past the interpreter's limit on the digits of int(str), which main lifts
+    # only after parsing, so this runs in a fresh process.
+    result = subprocess.run([sys.executable, "-m", "zsr.cli", "count", "--group", "C4",
+                             "--length", "1" * 5000], capture_output=True, text=True,
+                            env=child_env(), timeout=60)
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr.endswith("argument --length: expected fewer digits, got 5000\n")
 
 
 def load_pyproject():

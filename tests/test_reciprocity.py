@@ -1,6 +1,7 @@
 """Tests for reciprocity checks, the scan engine, and the gap-free predicate."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -168,6 +169,53 @@ def test_record_rows_match_json_dumps(monkeypatch):
         record = json.loads(line)
         assert json.dumps(record, separators=(",", ":")) == line
         assert len(record["count_g_at_h"]) > 300 and len(record["count_h_at_g"]) > 300
+
+
+def test_record_rows_take_every_witness_path():
+    # How many (left class, right class) pairs of the order pairs of the
+    # order-48 record scan, which test_record_rows_match_json_dumps compares
+    # line by line, take each path: a witness at shared[1] (outside the left
+    # class's bucket), at shared[2], shared[3] or later (inside it), agreeing
+    # classes, and the one class pair of a coprime order pair.
+    _, spectra = reciprocity._scan_groups(FAMILIES, 48)
+    paths = dict.fromkeys((1, 2, 3, 4, "agree", "coprime"), 0)
+    for _, row in reciprocity._class_walk(spectra):
+        for _, shared, (left_keys, *_), (right_keys, *_), _, _ in row:
+            for key in left_keys:
+                for other in right_keys:
+                    if len(shared) == 1:
+                        path = "coprime"
+                    elif key == other:
+                        path = "agree"
+                    else:
+                        path = min(4, next(i for i, (x, y) in enumerate(zip(key, other)) if x != y))
+                    paths[path] += 1
+    assert paths == {1: 5721, 2: 497, 3: 132, 4: 13, "agree": 707, "coprime": 712}
+
+
+def test_record_rows_compare_within_a_bucket():
+    # At orders 12 and 36, shared = [1, 2, 3, 4, 6, 12].  C12 has one element
+    # of order 2, as C36 (equal to it at shared), C3xC12 (first differs at 3)
+    # and Dic9 (first differs at 4) do; C2xC18 has three, as C2xC6 does.
+    descriptors = [parse_group(t) for t in ("C12", "C2xC6", "C2xC18", "C36", "C3xC12", "Dic9")]
+    spectra = [order_spectrum(d) for d in descriptors]
+    rows = []
+    reciprocity._record_rows(descriptors, spectra, rows.append, "jsonl")
+    lines = "".join(rows).splitlines()
+    pairs = pair_sequence(descriptors)
+    assert lines == [dumped(reciprocity_check(g, h).values()) for g, h in pairs]
+    witnesses = [json.loads(line)["witness_divisor"] for line in rows[0].splitlines()]
+    assert witnesses == [None, 2, 2, None, 3, 4]
+    witnesses = [json.loads(line)["witness_divisor"] for line in rows[1].splitlines()]
+    assert witnesses == [None, None, 2, 2, 2]
+
+
+def test_order_96_records_are_pinned():
+    # The fresh log of perfbench's scan-log workload (FULL.log_sha256): all
+    # families to order 96, hashed in memory.
+    digest = hashlib.sha256()
+    conjecture_scan(FAMILIES, 96, on_row=lambda text: digest.update(text.encode()))
+    assert digest.hexdigest() == "33821e91f464ce09460d16e8f5f2569999685342a830bb5641c50dbcb1804eba"
 
 
 def test_verify_theorem_small_orders():
