@@ -205,6 +205,7 @@ class _ScanLog:
         return self._check_lines(row.splitlines(keepends=True))
 
     def _check_lines(self, lines: list[bytes]) -> list[int]:
+        from .reciprocity import jsonl_record_pair
         differing = []
         for offset, line in enumerate(lines):
             logged = self.log.readline()
@@ -217,8 +218,7 @@ class _ScanLog:
             if logged == line:
                 continue
             where = f"log {self.path} line {self.matched_lines}"
-            start = line[:line.index(b',"order_g"') + 1]
-            pair = start[6:-2].decode().replace('","h":"', " vs ")
+            start, pair = jsonl_record_pair(line)
             if not logged.startswith(start):
                 raise ValueError(f"{where} is not the record for {pair}; it is the log of another scan")
             print(f"{where}: the record for {pair} differs from its recomputation", file=sys.stderr)

@@ -14,7 +14,7 @@ from math import gcd, lcm, prod
 
 from .errors import BudgetError, GroupParseError
 from .exactmath import FACTORIZE_CEILING, divisors, factorize
-from .value import Value, set_field
+from .value import Value
 
 DEFAULT_SPECTRUM_BOUND = 5000
 # The group families a pair scan can draw from, in the order records list them.
@@ -38,7 +38,7 @@ class AbelianGroup(Value):
         for a, b in zip(facs, facs[1:]):
             if b % a != 0:
                 raise ValueError(f"invariant factors must form a divisibility chain, got {facs}")
-        set_field(self, "invariant_factors", facs)
+        super().__init__(facs)
 
     @property
     def order(self) -> int:
@@ -58,7 +58,7 @@ class Dihedral(Value):
     def __init__(self, half_order: int):
         if half_order < 3:
             raise ValueError(f"dihedral descriptor requires k >= 3, got k = {half_order}")
-        set_field(self, "half_order", half_order)
+        super().__init__(half_order)
 
     @property
     def order(self) -> int:
@@ -76,7 +76,7 @@ class Dicyclic(Value):
     def __init__(self, index: int):
         if index < 2:
             raise ValueError(f"dicyclic descriptor requires k >= 2, got k = {index}")
-        set_field(self, "index", index)
+        super().__init__(index)
 
     @property
     def order(self) -> int:
@@ -102,7 +102,7 @@ class Product(Value):
             raise ValueError("a product needs at least two factors")
         if all(isinstance(f, AbelianGroup) for f in facs):
             raise ValueError("all-abelian products must be normalized via make_product")
-        set_field(self, "factors", facs)
+        super().__init__(facs)
 
     @property
     def order(self) -> int:
@@ -265,8 +265,7 @@ class OrderSpectrum(Value):
             raise ValueError("element counts cannot be negative")
         if sum(entries.values()) != group_order:
             raise ValueError("element counts must sum to the group order")
-        set_field(self, "entries", entries)
-        set_field(self, "group_order", group_order)
+        super().__init__(entries, group_order)
 
     def count_of(self, d: int) -> int:
         """Number of elements of order exactly d (0 for non-divisors)."""

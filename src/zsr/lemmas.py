@@ -33,7 +33,7 @@ from math import gcd, isqrt, log2
 from .errors import BudgetError
 from .exactmath import binomial, divisors, factorize, prime_power_root, valuation
 from .groups import GroupDescriptor, enumerate_abelian, order_spectrum
-from .value import Value, set_field
+from .value import Value
 
 # Grid ceilings: the largest m, n bound of lemma21_grid and lemma22_grid, and
 # the largest order bound of structure_grid.  At its ceiling each grid took
@@ -61,24 +61,11 @@ class LemmaInstance(Value):
 
     __slots__ = ("lemma_id", "parameters", "holds", "lhs", "rhs")
 
-    def __init__(self, lemma_id: str, parameters: dict[str, int], holds: bool,
-                 lhs: int | Fraction, rhs: int | Fraction):
-        set_field(self, "lemma_id", lemma_id)
-        set_field(self, "parameters", parameters)
-        set_field(self, "holds", holds)
-        set_field(self, "lhs", lhs)
-        set_field(self, "rhs", rhs)
-
 
 class GridResult(Value):
     """Outcome of an exhaustive parameter sweep of one check."""
 
     __slots__ = ("lemma", "checked", "failures")
-
-    def __init__(self, lemma: str, checked: int, failures: list[LemmaInstance]):
-        set_field(self, "lemma", lemma)
-        set_field(self, "checked", checked)
-        set_field(self, "failures", failures)
 
 
 def _block(m: int, n: int, d: int) -> int:

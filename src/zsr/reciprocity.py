@@ -41,7 +41,7 @@ from .groups import (
     enumerate_abelian,
     order_spectrum,
 )
-from .value import Value, set_field
+from .value import Value
 
 # Scans refuse max_order past this ceiling (BudgetError) before they enumerate
 # a group; a summary scan of all families at the ceiling took 8-9 s on 2 cores.
@@ -70,23 +70,17 @@ RECORD_FORMATS = {
 }
 
 
+def jsonl_record_pair(line: bytes) -> tuple[bytes, str]:
+    """A jsonl record line's start, through the comma after h, and its pair as "G vs H"."""
+    start = line[:line.index(b',"order_g"') + 1]
+    return start, start[6:-2].decode().replace('","h":"', " vs ")
+
+
 class ReciprocityReport(Value):
     """Outcome of one pair check."""
 
     __slots__ = ("g", "h", "spectra_agree", "witness_divisor", "count_g_at_h", "count_h_at_g",
                  "counts_agree", "iff_consistent")
-
-    def __init__(self, g: GroupDescriptor, h: GroupDescriptor, spectra_agree: bool,
-                 witness_divisor: int | None, count_g_at_h: int, count_h_at_g: int,
-                 counts_agree: bool, iff_consistent: bool):
-        set_field(self, "g", g)
-        set_field(self, "h", h)
-        set_field(self, "spectra_agree", spectra_agree)
-        set_field(self, "witness_divisor", witness_divisor)
-        set_field(self, "count_g_at_h", count_g_at_h)
-        set_field(self, "count_h_at_g", count_h_at_g)
-        set_field(self, "counts_agree", counts_agree)
-        set_field(self, "iff_consistent", iff_consistent)
 
     def values(self) -> tuple:
         """The record's values in RECORD_FIELDS order; counts as decimal strings."""
@@ -103,13 +97,6 @@ class ScanSummary(Value):
     """Aggregate result of a pair scan."""
 
     __slots__ = ("pairs_checked", "violations", "max_order", "families")
-
-    def __init__(self, pairs_checked: int, violations: list[ReciprocityReport], max_order: int,
-                 families: tuple[str, ...]):
-        set_field(self, "pairs_checked", pairs_checked)
-        set_field(self, "violations", violations)
-        set_field(self, "max_order", max_order)
-        set_field(self, "families", families)
 
     def to_record(self) -> dict:
         return {
@@ -134,11 +121,8 @@ def _pair_report(g, h, sg, sh, count_gh: int, count_hg: int) -> ReciprocityRepor
     witness = _witness(sg, sh)
     agree = witness is None
     counts_agree = count_gh == count_hg
-    return ReciprocityReport(
-        g=g, h=h, spectra_agree=agree, witness_divisor=witness,
-        count_g_at_h=count_gh, count_h_at_g=count_hg,
-        counts_agree=counts_agree, iff_consistent=agree == counts_agree,
-    )
+    return ReciprocityReport(g, h, agree, witness, count_gh, count_hg, counts_agree,
+                             agree == counts_agree)
 
 
 def spectrum_condition(g, h) -> tuple[bool, int | None]:
@@ -429,12 +413,9 @@ def conjecture_scan(families, max_order: int, *, on_row=None,
                           f"got {pairs} pairs at max_order = {max_order}")
     else:
         found = _record_rows(descriptors, spectra, on_row, record_format)
-    return ScanSummary(
-        pairs_checked=pairs,
-        violations=[_pair_report(descriptors[i], descriptors[j], spectra[i], spectra[j],
-                                 *found[i, j]) for i, j in sorted(found)],
-        max_order=max_order, families=family_tuple,
-    )
+    violations = [_pair_report(descriptors[i], descriptors[j], spectra[i], spectra[j],
+                               *found[i, j]) for i, j in sorted(found)]
+    return ScanSummary(pairs, violations, max_order, family_tuple)
 
 
 def verify_theorem(max_order: int) -> ScanSummary:

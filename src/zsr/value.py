@@ -2,21 +2,29 @@
 
 from __future__ import annotations
 
-# What a value's __init__ sets each field with, past Value.__setattr__.
+# What Value.__init__ sets each field with, past Value.__setattr__.
 set_field = object.__setattr__
 
 
 class Value:
     """A read-only record whose fields are its class's ``__slots__``, in constructor order.
 
-    A subclass lists its fields in ``__slots__`` and sets each one in
-    ``__init__`` with ``set_field``, after its validation.  Two values
-    are equal when they have exactly the same type and equal fields, the hash
-    is that of the field tuple, assignment and deletion raise AttributeError,
-    and the repr reads ``Name(field=value, ...)``.
+    A value is built positionally, one value per field; a wrong count raises
+    TypeError.  A subclass lists its fields in ``__slots__``, and writes an
+    ``__init__`` only to validate, ending it with ``super().__init__(...)``.
+    Two values are equal when they have exactly the same type and equal
+    fields, the hash is that of the field tuple, assignment and deletion raise
+    AttributeError, and the repr reads ``Name(field=value, ...)``.
     """
 
     __slots__ = ()
+
+    def __init__(self, *fields):
+        if len(fields) != len(self.__slots__):
+            raise TypeError(f"{type(self).__qualname__} takes {len(self.__slots__)} fields "
+                            f"({', '.join(self.__slots__)}), got {len(fields)}")
+        for name, value in zip(self.__slots__, fields):
+            set_field(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

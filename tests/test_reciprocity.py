@@ -31,6 +31,7 @@ from zsr.reciprocity import (
     conjecture_scan,
     divisor_gap_free,
     family_descriptors,
+    jsonl_record_pair,
     pair_sequence,
     reciprocity_check,
     spectrum_condition,
@@ -141,6 +142,8 @@ def test_record_round_trip():
         '"witness_divisor":2,"count_g_at_h":"11","count_h_at_g":"10","iff_consistent":true}'
     assert dumped(report.values()) == line
     assert line + "\n" in "".join(record_rows(("abelian",), 4)).splitlines(keepends=True)
+    # The log check reads a line's pair back from the same layout.
+    assert jsonl_record_pair(line.encode()) == (b'{"g":"C2xC2","h":"C4",', "C2xC2 vs C4")
 
 
 def dumped(values):

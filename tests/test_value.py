@@ -80,8 +80,13 @@ def test_equality_is_by_exact_type_and_fields():
     (lambda: OrderSpectrum({1: 0, 2: 2}, 2), "a group has exactly one identity element, got 0"),
     (lambda: OrderSpectrum({1: 1, 2: -1, 4: 4}, 4), "element counts cannot be negative"),
     (lambda: OrderSpectrum({1: 1, 2: 2}, 2), "element counts must sum to the group order"),
+    (lambda: GridResult("struct", 3), "GridResult takes 3 fields (lemma, checked, failures), got 2"),
+    (lambda: ScanSummary(1, [], 1, ("abelian",), 5),
+     "ScanSummary takes 4 fields (pairs_checked, violations, max_order, families), got 5"),
 ])
 def test_constructor_validation_messages(build, message):
-    with pytest.raises(ValueError) as exc:
+    with pytest.raises((TypeError, ValueError)) as exc:
         build()
     assert str(exc.value) == message
+    # A wrong number of fields is a TypeError, as for a call; a bad field value a ValueError.
+    assert exc.type is (TypeError if " takes " in message else ValueError)
