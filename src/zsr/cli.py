@@ -279,15 +279,9 @@ def _cmd_scan_conjecture(args) -> int:
 
 
 def _lemma_record(instance) -> dict:
-    params = instance.parameters
-    return {
-        "lemma_id": instance.lemma_id,
-        "m": params.get("m"), "n": params.get("n"),
-        "a": params.get("a"), "b": params.get("b"),
-        "p": params.get("p"), "q": params.get("q"),
-        # str gives an int's digits and a Fraction's num/den (its numerator when integral).
-        "lhs": str(instance.lhs), "rhs": str(instance.rhs),
-    }
+    # str gives an int's digits and a Fraction's num/den (its numerator when integral).
+    own = {"lemma_id": instance.lemma_id, "lhs": str(instance.lhs), "rhs": str(instance.rhs)}
+    return {column: own.get(column, instance.parameters.get(column)) for column in LEMMA_CSV_COLUMNS}
 
 
 def _cmd_lemma(args) -> int:

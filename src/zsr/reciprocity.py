@@ -19,6 +19,20 @@ deduplicated.  A summary scan skips the coprime order pairs, which cannot
 collide, and expands only colliding classes into pairs; a record scan
 renders, from the walk's row, each group's records with itself and every
 later group as one text, in canonical order.
+
+A summary scan gives most order pairs no counts at all, by proof.  Every key
+has 1 at d = 1 and every other entry in [0, max(n, m) - 1], so two different
+keys first differ at some later divisor.  If every block after the first
+exceeds max(n, m) - 1 times the sum of the blocks after it (dominance, the
+fact behind the paper's proof and Lemma 2.1ii), the block where two keys
+first differ outweighs all their later differences, so no two keys share a
+count and the pair has no collision.  The divisibility guard survives
+without the sums: with g = gcd(n, m) each block is a multiple of (n+m)/g, so
+n + m divides a key's divisor sum exactly when its dot product with the
+block quotients, mod g, is 0 mod g.  An order pair with any doubt (no
+dominance, a failing residue, or a block that is not a multiple of (n+m)/g)
+is counted exactly as a record scan counts it, and an inconsistent spectrum
+raises the same error at the same pair and key.
 """
 
 from __future__ import annotations
@@ -44,7 +58,8 @@ from .groups import (
 from .value import Value
 
 # Scans refuse max_order past this ceiling (BudgetError) before they enumerate
-# a group; a summary scan of all families at the ceiling took 8-9 s on 2 cores.
+# a group; a summary scan of all families at the ceiling took 3.0-4.6 s on 2
+# cores.
 SCAN_MAX_ORDER = 1024
 # Record scans (with on_row) refuse more pairs than this (BudgetError) after
 # enumerating the groups and before the first row: one record per pair, and
@@ -217,33 +232,76 @@ def pair_sequence(descriptors) -> list[tuple[GroupDescriptor, GroupDescriptor]]:
             for j in range(i, len(descriptors))]
 
 
-def _class_walk(spectra: list[OrderSpectrum], coprime: bool = True):
+def _certified(n: int, m: int, g: int, table: list[int], left_keys, right_keys,
+               verdicts: dict) -> bool:
+    """True when the keys of the order pair (n, m), n <= m, have exact and pairwise distinct counts.
+
+    g is gcd(n, m) and table the blocks at its divisors.  Dominance: every
+    block after the first exceeds m - 1 times the sum of the blocks after it,
+    so two keys, which agree at d = 1, differ in divisor sum by at least that
+    excess where they first differ (an entry at d > 1 lies in [0, m - 1]).
+    Guard: a block C((n+m)/d, n/d) is a multiple of (n+m)/g, since its lower
+    index and upper index have gcd g/d, so n + m divides a key's divisor sum
+    exactly when its dot product with the block quotients mod g is 0 mod g.
+    verdicts caches that test per (order, g, quotients), since each order and
+    g have one set of keys.  Any doubt, a block not a multiple of (n+m)/g
+    included, gives False.
+    """
+    tail = 0
+    for block in reversed(table[1:]):
+        if block <= (m - 1) * tail:
+            return False
+        tail += block
+    total = n + m
+    step = total // g
+    residues = []
+    for block in table:
+        rest = block % total
+        if rest % step:
+            return False
+        residues.append(rest // step)
+    residues = tuple(residues)
+    for order, keys in ((n, left_keys), (m, right_keys)):
+        exact = verdicts.get((order, g, residues))
+        if exact is None:
+            exact = verdicts[order, g, residues] = all(
+                sum(map(mul, key, residues)) % g == 0 for key in keys)
+        if not exact:
+            return False
+    return True
+
+
+def _class_walk(spectra: list[OrderSpectrum], summary: bool = False):
     """Walk the orders of spectra upwards and give each spectrum class one count.
 
     Spectra are addressed by position and sorted by group order.  For each
     order n, in increasing order, this yields the range of positions of order
     n and a row with one (m, shared, left, right, counts, collisions) for
-    every order m >= n; with coprime false, only for those m with gcd(n, m) >
+    every order m >= n; with summary true, only for those m with gcd(n, m) >
     1.  A coprime order pair has one class, key (1,), on each side, so it has
     no collision, and its count C(n+m, n)/(n+m) is an integer for every
     spectrum, a rational Catalan number: a summary scan, which needs only the
-    collisions, skips it.  shared lists the divisors of gcd(n, m) in increasing
-    order.  left and right are the classes of order n and of order m, each a
-    triple (keys, of, positions): keys lists the restricted keys (a
-    spectrum's entries at shared) in order of first appearance, and of gives
-    each of the positions of that order, in turn, the index of its key.
-    counts gives each key its dot product with the block table divided by
-    n + m, which is |M(G, m)| for a group G of order n in that class (and the
-    same with n and m swapped).  An inexact division means an inconsistent
-    spectrum and raises ValueError.  collisions is a tuple of each (left
-    class, right class) with different keys and equal counts; the classes are
-    matched by count only when two keys share one.
+    collisions, skips it.  A summary scan also gives no counts and no
+    collisions to an order pair that _certified proves collision-free, by
+    block dominance, and exact, by the divisibility guard taken mod gcd(n,
+    m); every other pair is counted as below.  shared lists the divisors of
+    gcd(n, m) in increasing order.  left and right are the classes of order n
+    and of order m, each a triple (keys, of, positions): keys lists the
+    restricted keys (a spectrum's entries at shared) in order of first
+    appearance, and of gives each of the positions of that order, in turn,
+    the index of its key.  counts gives each key its dot product with the
+    block table divided by n + m, which is |M(G, m)| for a group G of order n
+    in that class (and the same with n and m swapped).  An inexact division
+    means an inconsistent spectrum and raises ValueError.  collisions is a
+    tuple of each (left class, right class) with different keys and equal
+    counts; the classes are matched by count only when two keys share one.
     """
     orders = [spectrum.group_order for spectrum in spectra]
     members = {n: range(bisect_left(orders, n), bisect_right(orders, n))
                for n in dict.fromkeys(orders)}
     classes: dict[tuple[int, int], tuple] = {}
     last_blocks: dict[tuple[int, int], tuple[int, int]] = {}
+    verdicts: dict[tuple, bool] = {}
 
     def classes_at(n: int, g: int):
         """(divisors of g, (keys, of, positions)) for order n, computed once."""
@@ -261,11 +319,14 @@ def _class_walk(spectra: list[OrderSpectrum], coprime: bool = True):
         row = []
         for m in orders[a:]:
             g = gcd(n, m)
-            if g == 1 and not coprime:
+            if g == 1 and summary:
                 continue
             shared, left = classes_at(n, g)
             right = classes_at(m, g)[1]
             table = block_table(n, m, shared, last_blocks)
+            if summary and _certified(n, m, g, table, left[0], right[0], verdicts):
+                row.append((m, shared, left, right, {}, ()))
+                continue
             total = n + m
             counts: dict[tuple[int, ...], int] = {}
             for key in (*left[0], *right[0]):
@@ -406,7 +467,7 @@ def conjecture_scan(families, max_order: int, *, on_row=None,
     pairs = k * (k + 1) // 2
     if on_row is None:
         found = {}
-        for _, row in _class_walk(spectra, coprime=False):
+        for _, row in _class_walk(spectra, summary=True):
             _violating_pairs(row, found)
     elif pairs > RECORD_SCAN_MAX_PAIRS:
         raise BudgetError(f"record scans are limited to {RECORD_SCAN_MAX_PAIRS} pairs, "

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from itertools import combinations
 from math import comb, gcd
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ import pytest
 import zsr
 from zsr import groups, reciprocity
 from zsr.counting import count_formula
+from zsr.exactmath import block_table, divisors
 from zsr.groups import (
     AbelianGroup,
     Dicyclic,
@@ -415,6 +417,76 @@ def test_coprime_binomials_are_divisible_property():
     divisible()
 
 
+def test_certificate_property():
+    # At random order pairs up to 1024 with gcd > 1, each block is a multiple
+    # of (n+m)/g; the certificate's residue guard agrees with the exact
+    # divisibility of a random key's divisor sum by n + m wherever the pair
+    # dominates; and where it dominates, two different keys have different
+    # divisor sums, also when they first differ late.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def order_pair_keys(draw):
+        # Half the gcds small, where about half of the random keys are exact.
+        g = draw(st.one_of(st.integers(2, 6), st.integers(2, 512)))
+        n, m = sorted(g * draw(st.integers(1, 1024 // g)) for _ in range(2))
+        shared = divisors(gcd(n, m))
+        entries = st.integers(0, m - 1)
+        key = (1, *draw(st.lists(entries, min_size=len(shared) - 1, max_size=len(shared) - 1)))
+        i = draw(st.integers(1, len(shared) - 1))
+        rest = len(shared) - 1 - i
+        other = (*key[:i], draw(entries.filter(lambda x: x != key[i])),
+                 *draw(st.lists(entries, min_size=rest, max_size=rest)))
+        return n, m, shared, key, other
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(order_pair_keys())
+    def certificate(case):
+        n, m, shared, key, other = case
+        g, total = shared[-1], n + m
+        table = block_table(n, m, shared, {})
+        assert all(block % (total // g) == 0 for block in table)
+        dominant = reciprocity._certified(n, m, g, table, [], [], {})
+        sums = [sum(map(mul, k, table)) for k in (key, other)]
+        exact = [s % total == 0 for s in sums]
+        assert reciprocity._certified(n, m, g, table, [key], [], {}) == (dominant and exact[0])
+        # Both orders get both keys: the walk gives one order one set of keys.
+        both = [key, other]
+        assert reciprocity._certified(n, m, g, table, both, both, {}) == (dominant and all(exact))
+        if dominant:
+            assert sums[0] != sums[1]
+
+    certificate()
+
+
+def test_certified_order_pairs_have_distinct_exact_counts():
+    # Brute force on the family spectra to 96: at every order pair that the
+    # summary walk certifies, counts from fresh binomials are exact and
+    # pairwise distinct over the keys of both orders; every other pair keeps
+    # the record walk's counts and collisions.  The numbers of certified order
+    # pairs are pinned, so that the certificate becomes neither vacuous nor
+    # broader unnoticed.
+    for max_order, certified, pairs in ((192, 6796, 7298), (96, 1656, 1850)):
+        _, spectra = reciprocity._scan_groups(FAMILIES, max_order)
+        rows = {(spectra[positions.start].group_order, entry[0]): entry
+                for positions, row in reciprocity._class_walk(spectra, summary=True)
+                for entry in row}
+        assert (sum(not entry[4] for entry in rows.values()), len(rows)) == (certified, pairs)
+    # spectra and rows are now those of 96.
+    for positions, row in reciprocity._class_walk(spectra):
+        n = spectra[positions.start].group_order
+        for m, shared, left, right, counts, collisions in row:
+            if gcd(n, m) == 1:
+                continue
+            if rows[n, m][4]:
+                assert rows[n, m][4:] == (counts, collisions), (n, m)
+                continue
+            keys = set(left[0]) | set(right[0])
+            sums = {sum(k * comb((n + m) // d, n // d) for k, d in zip(key, shared)) for key in keys}
+            assert len(sums) == len(keys) and all(s % (n + m) == 0 for s in sums), (n, m)
+
+
 def test_summary_scans_skip_coprime_order_pairs(monkeypatch):
     # With every block n + m a class's count is the sum of its restricted
     # entries, which plants collisions, so both paths have violations to agree on.
@@ -516,6 +588,11 @@ def test_class_scan_raises_on_inconsistent_spectrum_under_optimize():
     # C4 given three elements of order 4 is no group: at the order pair (2, 4)
     # its class has divisor sum C(6, 2) = 15, which 6 does not divide.  Both
     # scan paths must refuse it, also under python -O, which strips asserts.
+    # The order pair (2, 4) dominates and its blocks 15 and 3 are multiples of
+    # 6 / 2, so a summary scan reaches the exact path through the residue
+    # guard: with the quotients 5 and 1, 1·5 + 0·1 is odd.
+    assert reciprocity._certified(2, 4, 2, [15, 3], [], [], {})
+    assert not reciprocity._certified(2, 4, 2, [15, 3], [(1, 1)], [(1, 3), (1, 0)], {})
     code = ("import zsr.reciprocity as r\n"
             "from zsr.groups import OrderSpectrum, order_spectrum\n"
             "bad = OrderSpectrum({1: 1, 2: 0, 4: 3}, 4)\n"
@@ -531,3 +608,17 @@ def test_class_scan_raises_on_inconsistent_spectrum_under_optimize():
     result = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "ValueError: divisor sum 15 not divisible by 6: inconsistent spectrum\n" * 2
+
+
+def test_blocks_off_the_guard_modulus_take_the_exact_path(monkeypatch):
+    # A planted block 4 at d = 2 of the order pair (2, 4) is no multiple of
+    # 6 / 2, so the pair is not certified though it dominates, and both scan
+    # paths refuse C2's divisor sum 15 + 4 with one message.
+    assert not reciprocity._certified(2, 4, 2, [15, 4], [], [], {})
+    table = reciprocity.block_table
+    monkeypatch.setattr(reciprocity, "block_table", lambda n, m, shared, last:
+                        [15, 4] if (n, m) == (2, 4) else table(n, m, shared, last))
+    for consumer in (None, lambda text: None):
+        with pytest.raises(ValueError) as refused:
+            conjecture_scan(("abelian",), 4, on_row=consumer)
+        assert str(refused.value) == "divisor sum 19 not divisible by 6: inconsistent spectrum"
