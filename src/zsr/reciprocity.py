@@ -20,19 +20,19 @@ collide, and expands only colliding classes into pairs; a record scan
 renders, from the walk's row, each group's records with itself and every
 later group as one text, in canonical order.
 
-A summary scan gives most order pairs no counts at all, by proof.  Every key
-has 1 at d = 1 and every other entry in [0, max(n, m) - 1], so two different
-keys first differ at some later divisor.  If every block after the first
-exceeds max(n, m) - 1 times the sum of the blocks after it (dominance, the
-fact behind the paper's proof and Lemma 2.1ii), the block where two keys
+A summary scan gives most order pairs no classes and no counts, by proof.
+Every key has 1 at d = 1 and every other entry in [0, max(n, m) - 1], so two
+different keys first differ at some later divisor.  If every block after the
+first exceeds max(n, m) - 1 times the sum of the blocks after it (dominance,
+the fact behind the paper's proof and Lemma 2.1ii), the block where two keys
 first differ outweighs all their later differences, so no two keys share a
-count and the pair has no collision.  The divisibility guard survives
-without the sums: with g = gcd(n, m) each block is a multiple of (n+m)/g, so
-n + m divides a key's divisor sum exactly when its dot product with the
-block quotients, mod g, is 0 mod g.  An order pair with any doubt (no
-dominance, a failing residue, or a block that is not a multiple of (n+m)/g)
-is counted exactly as a record scan counts it, and an inconsistent spectrum
-raises the same error at the same pair and key.
+count and the pair has no collision.  Dominance reads only the blocks past
+d = 1, so it is decided before any class is built.  Exactness needs no sums
+either: every spectrum of a scan is checked once to be admissible
+(Frobenius' theorem, see _admissible), and an admissible spectrum has an
+exact count at every order m.  An order pair without dominance, or with a
+block that is not a multiple of (n+m)/gcd(n, m), as every true block is, is
+counted exactly as a record scan counts it.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from operator import add, mul
 
 from .counting import count_formula
 from .errors import BudgetError
-from .exactmath import block_table, divisors, prime_power_root
+from .exactmath import block_table, divisors, factorize, prime_power_root
 from .groups import (
     FAMILIES,
     Dicyclic,
@@ -58,8 +58,8 @@ from .groups import (
 from .value import Value
 
 # Scans refuse max_order past this ceiling (BudgetError) before they enumerate
-# a group; a summary scan of all families at the ceiling took 3.0-4.6 s on 2
-# cores.
+# a group; a summary scan of all families at the ceiling took 1.7-2.1 s on 2
+# cores, with 38 MB peak RSS.
 SCAN_MAX_ORDER = 1024
 # Record scans (with on_row) refuse more pairs than this (BudgetError) after
 # enumerating the groups and before the first row: one record per pair, and
@@ -172,8 +172,42 @@ def family_descriptors(families, max_order: int) -> list[GroupDescriptor]:
     return _scan_groups(families, max_order)[0]
 
 
+def _admissible(entries: dict[int, int], n: int) -> int | None:
+    """None when the spectrum entries of order n pass Frobenius' test, else the first failing divisor.
+
+    entries maps each divisor of n, in increasing order, to k_d, the number
+    of elements of order d.  F(d) = sum of k_e over e | d is the number of
+    solutions of x^d = 1, and Frobenius' theorem (1895) says that d divides
+    F(d) for every d | n in every finite group.  F is built from the k_d by
+    one zeta-transform pass per prime of n.
+
+    An admissible spectrum has an exact count at every order m.  By Möbius
+    inversion k_d = sum of mu(d/e) F(e) over e | d, so with g = gcd(n, m) and
+    T = n + m the divisor sum over d | g of k_d C(T/d, n/d) is the sum over
+    e | g of F(e) S_e, where S_e = sum over j | g/e of mu(j) C(T/(ej),
+    n/(ej)).  A binary word with a zeros and b ones is the (a+b)/|w|-th power
+    of exactly one aperiodic word w, and an aperiodic word has |w| distinct
+    rotations, so C(a+b, a) = sum over j | gcd(a, b) of ((a+b)/j) L(a/j,
+    b/j), with L(a, b) the number of Lyndon words (aperiodic binary
+    necklaces) with a zeros and b ones.  Möbius inversion gives S_e = (T/e)
+    L(n/e, m/e), so F(e) S_e = (F(e)/e) T L(n/e, m/e) is a multiple of T for
+    each e, and so is the divisor sum.
+    """
+    totals = dict(entries)
+    for p, _ in factorize(n):
+        # In increasing order totals[d // p] already sums its own p-chain.
+        for d in totals:
+            if d % p == 0:
+                totals[d] += totals[d // p]
+    return next((d for d, total in totals.items() if total % d), None)
+
+
 def _scan_groups(families, max_order: int) -> tuple[list[GroupDescriptor], list[OrderSpectrum]]:
-    """family_descriptors(families, max_order) and their spectra, each computed once."""
+    """family_descriptors(families, max_order) and their spectra, each computed once.
+
+    Each distinct spectrum is checked once by _admissible, and a spectrum
+    that no group has raises ValueError naming its group and divisor.
+    """
     chosen = set(families)
     unknown = chosen - set(FAMILIES)
     if unknown:
@@ -221,7 +255,13 @@ def _scan_groups(families, max_order: int) -> tuple[list[GroupDescriptor], list[
             if factor not in known:
                 known[factor] = order_spectrum(factor)
         spectrum = known[desc] = order_spectrum(desc, known)
-        first.setdefault((desc.order, spectrum.key()), (desc, spectrum))
+        key = desc.order, spectrum.key()
+        if key not in first:
+            d = _admissible(spectrum.entries, desc.order)
+            if d is not None:
+                raise ValueError(f"the spectrum of {desc.notation()} is no group's: the number "
+                                 f"of solutions of x^{d} = 1 is not a multiple of {d}")
+            first[key] = desc, spectrum
     return [desc for desc, _ in first.values()], [spectrum for _, spectrum in first.values()]
 
 
@@ -232,43 +272,37 @@ def pair_sequence(descriptors) -> list[tuple[GroupDescriptor, GroupDescriptor]]:
             for j in range(i, len(descriptors))]
 
 
-def _certified(n: int, m: int, g: int, table: list[int], left_keys, right_keys,
-               verdicts: dict) -> bool:
-    """True when the keys of the order pair (n, m), n <= m, have exact and pairwise distinct counts.
+def _certified(n: int, m: int, g: int, tail: list[int]) -> bool:
+    """True when the keys of the order pair (n, m), n <= m, have pairwise distinct counts.
 
-    g is gcd(n, m) and table the blocks at its divisors.  Dominance: every
-    block after the first exceeds m - 1 times the sum of the blocks after it,
-    so two keys, which agree at d = 1, differ in divisor sum by at least that
-    excess where they first differ (an entry at d > 1 lies in [0, m - 1]).
-    Guard: a block C((n+m)/d, n/d) is a multiple of (n+m)/g, since its lower
-    index and upper index have gcd g/d, so n + m divides a key's divisor sum
-    exactly when its dot product with the block quotients mod g is 0 mod g.
-    verdicts caches that test per (order, g, quotients), since each order and
-    g have one set of keys.  Any doubt, a block not a multiple of (n+m)/g
-    included, gives False.
+    g is gcd(n, m) > 1 and tail the blocks at the divisors of g past 1, in
+    increasing order.  Dominance: every block of tail exceeds m - 1 times the
+    sum of the blocks after it, so two keys, which agree at d = 1, differ in
+    divisor sum by at least that excess where they first differ (an entry at
+    d > 1 lies in [0, m - 1]).  A block C((n+m)/d, n/d) is a multiple of
+    (n+m)/g, since its lower and upper index have gcd g/d; a block that is
+    not gives False, as does a failing dominance.
     """
-    tail = 0
-    for block in reversed(table[1:]):
-        if block <= (m - 1) * tail:
+    step = (n + m) // g
+    rest = 0
+    for block in reversed(tail):
+        if block <= (m - 1) * rest or block % step:
             return False
-        tail += block
-    total = n + m
-    step = total // g
-    residues = []
-    for block in table:
-        rest = block % total
-        if rest % step:
-            return False
-        residues.append(rest // step)
-    residues = tuple(residues)
-    for order, keys in ((n, left_keys), (m, right_keys)):
-        exact = verdicts.get((order, g, residues))
-        if exact is None:
-            exact = verdicts[order, g, residues] = all(
-                sum(map(mul, key, residues)) % g == 0 for key in keys)
-        if not exact:
-            return False
+        rest += block
     return True
+
+
+def _classes(spectra: list[OrderSpectrum], positions: range, shared: list[int]):
+    """The classes (keys, of, positions) of the spectra at positions, restricted to shared.
+
+    keys lists the restricted keys (a spectrum's entries at shared) in order
+    of first appearance, and of gives each position, in turn, the index of
+    its key.
+    """
+    index: dict[tuple[int, ...], int] = {}
+    of = [index.setdefault(tuple(spectra[i].entries[d] for d in shared), len(index))
+          for i in positions]
+    return list(index), of, positions
 
 
 def _class_walk(spectra: list[OrderSpectrum], summary: bool = False):
@@ -281,37 +315,32 @@ def _class_walk(spectra: list[OrderSpectrum], summary: bool = False):
     1.  A coprime order pair has one class, key (1,), on each side, so it has
     no collision, and its count C(n+m, n)/(n+m) is an integer for every
     spectrum, a rational Catalan number: a summary scan, which needs only the
-    collisions, skips it.  A summary scan also gives no counts and no
-    collisions to an order pair that _certified proves collision-free, by
-    block dominance, and exact, by the divisibility guard taken mod gcd(n,
-    m); every other pair is counted as below.  shared lists the divisors of
+    collisions, skips it.  A summary scan decides every other order pair by
+    _certified first, from the blocks past d = 1 alone, and a certified pair
+    gets no classes (left and right are None), no counts and no collisions;
+    its counts are exact because every spectrum of a scan is admissible.
+    Every other pair is counted as below.  shared lists the divisors of
     gcd(n, m) in increasing order.  left and right are the classes of order n
-    and of order m, each a triple (keys, of, positions): keys lists the
-    restricted keys (a spectrum's entries at shared) in order of first
-    appearance, and of gives each of the positions of that order, in turn,
-    the index of its key.  counts gives each key its dot product with the
-    block table divided by n + m, which is |M(G, m)| for a group G of order n
-    in that class (and the same with n and m swapped).  An inexact division
-    means an inconsistent spectrum and raises ValueError.  collisions is a
-    tuple of each (left class, right class) with different keys and equal
-    counts; the classes are matched by count only when two keys share one.
+    and of order m from _classes, each built once per order and gcd.  counts
+    gives each key its dot product with the block table divided by n + m,
+    which is |M(G, m)| for a group G of order n in that class (and the same
+    with n and m swapped).  An inexact division means an inconsistent
+    spectrum or table and raises ValueError.  collisions is a tuple of each
+    (left class, right class) with different keys and equal counts; the
+    classes are matched by count only when two keys share one.
     """
     orders = [spectrum.group_order for spectrum in spectra]
     members = {n: range(bisect_left(orders, n), bisect_right(orders, n))
                for n in dict.fromkeys(orders)}
+    divisors_of: dict[int, list[int]] = {}
     classes: dict[tuple[int, int], tuple] = {}
     last_blocks: dict[tuple[int, int], tuple[int, int]] = {}
-    verdicts: dict[tuple, bool] = {}
 
     def classes_at(n: int, g: int):
-        """(divisors of g, (keys, of, positions)) for order n, computed once."""
+        """The classes of order n restricted to the divisors of g, computed once."""
         entry = classes.get((n, g))
         if entry is None:
-            shared = [d for d in spectra[members[n][0]].entries if g % d == 0]
-            index: dict[tuple[int, ...], int] = {}
-            of = [index.setdefault(tuple(spectra[i].entries[d] for d in shared), len(index))
-                  for i in members[n]]
-            entry = classes[n, g] = (shared, (list(index), of, members[n]))
+            entry = classes[n, g] = _classes(spectra, members[n], divisors_of[g])
         return entry
 
     orders = list(members)
@@ -321,12 +350,18 @@ def _class_walk(spectra: list[OrderSpectrum], summary: bool = False):
             g = gcd(n, m)
             if g == 1 and summary:
                 continue
-            shared, left = classes_at(n, g)
-            right = classes_at(m, g)[1]
-            table = block_table(n, m, shared, last_blocks)
-            if summary and _certified(n, m, g, table, left[0], right[0], verdicts):
-                row.append((m, shared, left, right, {}, ()))
-                continue
+            shared = divisors_of.get(g)
+            if shared is None:
+                shared = divisors_of[g] = divisors(g)
+            if summary:
+                tail = block_table(n, m, shared[1:], last_blocks)
+                if _certified(n, m, g, tail):
+                    row.append((m, shared, None, None, {}, ()))
+                    continue
+                table = block_table(n, m, shared[:1], last_blocks) + tail
+            else:
+                table = block_table(n, m, shared, last_blocks)
+            left, right = classes_at(n, g), classes_at(m, g)
             total = n + m
             counts: dict[tuple[int, ...], int] = {}
             for key in (*left[0], *right[0]):

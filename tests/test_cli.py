@@ -16,10 +16,10 @@ from pathlib import Path
 import pytest
 
 import zsr
-from zsr import lemmas
+from zsr import lemmas, reciprocity
 from zsr.cli import main
 from zsr.counting import count_formula
-from zsr.groups import AbelianGroup, order_spectrum
+from zsr.groups import AbelianGroup, OrderSpectrum, order_spectrum
 from zsr.reciprocity import RECORD_FIELDS
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -201,6 +201,21 @@ def test_streamed_scan_bytes_are_pinned(capsys):
         code, out, err = run(capsys, "scan-conjecture", "--max-order", "40", "--format", fmt)
         assert code == 0 and err == summary
         assert sha256(out.encode()).hexdigest() == digest, fmt
+
+
+def test_planted_non_frobenius_spectrum_exits_2(monkeypatch, capsys):
+    # C6 given (1, 1, 4, 0) at d = 1, 2, 3, 6 has four elements of order 3
+    # (a multiple of phi(3)) but x^3 = 1 then has 5 solutions, which 3 does
+    # not divide: no group has this spectrum, and every scan refuses it
+    # before its first record.
+    bad = OrderSpectrum({1: 1, 2: 1, 3: 4, 6: 0}, 6)
+    monkeypatch.setattr(reciprocity, "order_spectrum", lambda d, known=None:
+                        bad if d.notation() == "C6" else order_spectrum(d, known))
+    for fmt in ("json", "jsonl", "csv"):
+        code, out, err = run(capsys, "scan-conjecture", "--max-order", "24", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == ("error: the spectrum of C6 is no group's: the number of solutions of "
+                       "x^3 = 1 is not a multiple of 3\n")
 
 
 def test_scan_log_rerun_appends_nothing(tmp_path, capsys):

@@ -17,7 +17,7 @@ import pytest
 import zsr
 from zsr import groups, reciprocity
 from zsr.counting import count_formula
-from zsr.exactmath import block_table, divisors
+from zsr.exactmath import block_table, divisors, factorize
 from zsr.groups import (
     AbelianGroup,
     Dicyclic,
@@ -417,18 +417,29 @@ def test_coprime_binomials_are_divisible_property():
     divisible()
 
 
+def from_totals(totals, g):
+    """The entries k_d at the divisors of g whose sums F(d) over e | d are totals[d]."""
+    entries = dict(totals)
+    for p, _ in factorize(g):
+        for d in reversed(entries):
+            if d % p == 0:
+                entries[d] -= entries[d // p]
+    return entries
+
+
 def test_certificate_property():
-    # At random order pairs up to 1024 with gcd > 1, each block is a multiple
-    # of (n+m)/g; the certificate's residue guard agrees with the exact
-    # divisibility of a random key's divisor sum by n + m wherever the pair
-    # dominates; and where it dominates, two different keys have different
-    # divisor sums, also when they first differ late.
+    # At random order pairs up to 1024 with gcd g > 1, each block is a
+    # multiple of (n+m)/g; where the pair dominates, two different keys have
+    # different divisor sums, also when they first differ late; and a key
+    # whose sums F(d) are multiples of d at every d | g (Frobenius'
+    # condition, built here by Möbius inversion from random multiples) has a
+    # divisor sum that n + m divides.
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
     @st.composite
     def order_pair_keys(draw):
-        # Half the gcds small, where about half of the random keys are exact.
+        # Half the gcds small, where dominance fails more often.
         g = draw(st.one_of(st.integers(2, 6), st.integers(2, 512)))
         n, m = sorted(g * draw(st.integers(1, 1024 // g)) for _ in range(2))
         shared = divisors(gcd(n, m))
@@ -438,24 +449,20 @@ def test_certificate_property():
         rest = len(shared) - 1 - i
         other = (*key[:i], draw(entries.filter(lambda x: x != key[i])),
                  *draw(st.lists(entries, min_size=rest, max_size=rest)))
-        return n, m, shared, key, other
+        totals = {d: d * draw(st.integers(0, m)) if d > 1 else 1 for d in shared}
+        return n, m, shared, key, other, tuple(from_totals(totals, shared[-1]).values())
 
     @hypothesis.settings(max_examples=300, deadline=None)
     @hypothesis.given(order_pair_keys())
     def certificate(case):
-        n, m, shared, key, other = case
+        n, m, shared, key, other, admissible = case
         g, total = shared[-1], n + m
         table = block_table(n, m, shared, {})
         assert all(block % (total // g) == 0 for block in table)
-        dominant = reciprocity._certified(n, m, g, table, [], [], {})
-        sums = [sum(map(mul, k, table)) for k in (key, other)]
-        exact = [s % total == 0 for s in sums]
-        assert reciprocity._certified(n, m, g, table, [key], [], {}) == (dominant and exact[0])
-        # Both orders get both keys: the walk gives one order one set of keys.
-        both = [key, other]
-        assert reciprocity._certified(n, m, g, table, both, both, {}) == (dominant and all(exact))
-        if dominant:
-            assert sums[0] != sums[1]
+        assert reciprocity._admissible(dict(zip(shared, admissible)), g) is None
+        assert sum(map(mul, admissible, table)) % total == 0
+        if reciprocity._certified(n, m, g, table[1:]):
+            assert sum(map(mul, key, table)) != sum(map(mul, other, table))
 
     certificate()
 
@@ -487,6 +494,89 @@ def test_certified_order_pairs_have_distinct_exact_counts():
             assert len(sums) == len(keys) and all(s % (n + m) == 0 for s in sums), (n, m)
 
 
+def test_summary_walk_builds_classes_only_for_uncertified_order_pairs(monkeypatch):
+    # A certified order pair is decided from its blocks alone: at 192 the
+    # summary walk builds the classes of each order and gcd that an
+    # uncertified pair reads, once each, 429 in all, against 1,047 in a
+    # record walk, which builds them for every order pair.
+    built = []
+    classes = reciprocity._classes
+
+    def counted(spectra, positions, shared):
+        built.append((spectra[positions.start].group_order, shared[-1]))
+        return classes(spectra, positions, shared)
+
+    monkeypatch.setattr(reciprocity, "_classes", counted)
+    _, spectra = reciprocity._scan_groups(FAMILIES, 192)
+    rows = [(spectra[positions.start].group_order, entry)
+            for positions, row in reciprocity._class_walk(spectra, summary=True) for entry in row]
+    assert all((entry[2] is None) == (not entry[4]) for _, entry in rows)
+    needed = {(order, gcd(n, entry[0])) for n, entry in rows if entry[4] for order in (n, entry[0])}
+    assert len(built) == len(set(built)) == len(needed) == 429 and set(built) == needed
+    built.clear()
+    for _ in reciprocity._class_walk(spectra):
+        pass
+    assert len(built) == len(set(built)) == 1047
+
+
+def mobius(j):
+    """The Möbius function of j >= 1."""
+    exponents = [e for _, e in factorize(j)]
+    return 0 if any(e > 1 for e in exponents) else (-1) ** len(exponents)
+
+
+def test_lyndon_identity_grid():
+    # The sum over j | gcd(a, b) of mu(j) C((a+b)/j, a/j) is (a+b) times the
+    # number of Lyndon words with a zeros and b ones: the identity behind
+    # _admissible's proof that a Frobenius spectrum has exact counts.  Its
+    # divisibility is checked on a grid, and its quotient against Lyndon
+    # words counted by brute force where a + b <= 14.
+    for a in range(1, 61):
+        for b in range(1, 61):
+            s = sum(mobius(j) * comb((a + b) // j, a // j) for j in divisors(gcd(a, b)))
+            assert s % (a + b) == 0, (a, b)
+            if a + b <= 14:
+                words = {tuple(1 if i in ones else 0 for i in range(a + b))
+                         for ones in combinations(range(a + b), b)}
+                # A Lyndon word is strictly smaller than each of its other rotations.
+                lyndon = [w for w in words if all(w < w[i:] + w[:i] for i in range(1, a + b))]
+                assert s // (a + b) == len(lyndon), (a, b)
+
+
+def compositions(total, parts):
+    """Every tuple of parts non-negative integers that sum to total."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first, *rest)
+
+
+def test_admissible_matches_its_definition():
+    # Over every composition of n with k_1 = 1 at the divisors of n, n <= 12,
+    # _admissible names the first d whose F(d) = sum of k_e over e | d is
+    # not a multiple of d, or None.
+    seen = admissible = 0
+    for n in range(1, 13):
+        divs = divisors(n)
+        for rest in compositions(n - 1, len(divs) - 1):
+            entries = dict(zip(divs, (1, *rest)))
+            first = next((d for d in divs
+                          if sum(entries[e] for e in divs if d % e == 0) % d), None)
+            assert reciprocity._admissible(entries, n) == first, entries
+            seen += 1
+            admissible += first is None
+    assert (seen, admissible) == (1496, 30)
+
+
+def test_every_family_spectrum_to_the_ceiling_is_admissible():
+    # _scan_groups refuses the first spectrum that _admissible rejects.
+    _, spectra = reciprocity._scan_groups(FAMILIES, reciprocity.SCAN_MAX_ORDER)
+    assert len(spectra) == 7255
+
+
 def test_summary_scans_skip_coprime_order_pairs(monkeypatch):
     # With every block n + m a class's count is the sum of its restricted
     # entries, which plants collisions, so both paths have violations to agree on.
@@ -504,7 +594,9 @@ def test_summary_scans_skip_coprime_order_pairs(monkeypatch):
     orders = sorted({d.order for d in family_descriptors(FAMILIES, 32)})
     every = [(n, m) for i, n in enumerate(orders) for m in orders[i:]]
     assert calls == every
-    assert summary_calls == [(n, m) for n, m in every if gcd(n, m) > 1]
+    # A summary scan asks for the blocks past d = 1 first, and for the block
+    # at d = 1 only where it counts exactly, so it may ask twice per pair.
+    assert list(dict.fromkeys(summary_calls)) == [(n, m) for n, m in every if gcd(n, m) > 1]
     assert len(summary_calls) < len(every)
     assert summary.violations == records.violations and len(summary.violations) > 100
 
@@ -585,14 +677,12 @@ def test_class_scan_matches_pairs_for_every_family_subset():
 
 
 def test_class_scan_raises_on_inconsistent_spectrum_under_optimize():
-    # C4 given three elements of order 4 is no group: at the order pair (2, 4)
-    # its class has divisor sum C(6, 2) = 15, which 6 does not divide.  Both
-    # scan paths must refuse it, also under python -O, which strips asserts.
-    # The order pair (2, 4) dominates and its blocks 15 and 3 are multiples of
-    # 6 / 2, so a summary scan reaches the exact path through the residue
-    # guard: with the quotients 5 and 1, 1·5 + 0·1 is odd.
-    assert reciprocity._certified(2, 4, 2, [15, 3], [], [], {})
-    assert not reciprocity._certified(2, 4, 2, [15, 3], [(1, 1)], [(1, 3), (1, 0)], {})
+    # C4 given three elements of order 4 is no group: x^2 = 1 has 1 solution,
+    # which 2 does not divide.  Both scan paths must refuse it where its
+    # spectrum enters the scan, also under python -O, which strips asserts.
+    # At the order pair (2, 4) it would pass dominance and get no counts.
+    assert reciprocity._admissible({1: 1, 2: 0, 4: 3}, 4) == 2
+    assert reciprocity._certified(2, 4, 2, [3])
     code = ("import zsr.reciprocity as r\n"
             "from zsr.groups import OrderSpectrum, order_spectrum\n"
             "bad = OrderSpectrum({1: 1, 2: 0, 4: 3}, 4)\n"
@@ -607,17 +697,20 @@ def test_class_scan_raises_on_inconsistent_spectrum_under_optimize():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "ValueError: divisor sum 15 not divisible by 6: inconsistent spectrum\n" * 2
+    assert result.stdout == ("ValueError: the spectrum of C4 is no group's: the number of "
+                             "solutions of x^2 = 1 is not a multiple of 2\n") * 2
 
 
 def test_blocks_off_the_guard_modulus_take_the_exact_path(monkeypatch):
     # A planted block 4 at d = 2 of the order pair (2, 4) is no multiple of
     # 6 / 2, so the pair is not certified though it dominates, and both scan
     # paths refuse C2's divisor sum 15 + 4 with one message.
-    assert not reciprocity._certified(2, 4, 2, [15, 4], [], [], {})
+    assert not reciprocity._certified(2, 4, 2, [4])
+    planted = {1: 15, 2: 4}
     table = reciprocity.block_table
     monkeypatch.setattr(reciprocity, "block_table", lambda n, m, shared, last:
-                        [15, 4] if (n, m) == (2, 4) else table(n, m, shared, last))
+                        [planted[d] for d in shared] if (n, m) == (2, 4)
+                        else table(n, m, shared, last))
     for consumer in (None, lambda text: None):
         with pytest.raises(ValueError) as refused:
             conjecture_scan(("abelian",), 4, on_row=consumer)
