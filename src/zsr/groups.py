@@ -13,7 +13,7 @@ from itertools import product as cartesian
 from math import gcd, lcm, prod
 
 from .errors import BudgetError, GroupParseError
-from .exactmath import FACTORIZE_CEILING, divisors, factorize
+from .exactmath import FACTORIZE_CEILING, Factorization, divisors, factorize, generated_divisors, valuation
 from .value import Value
 
 DEFAULT_SPECTRUM_BOUND = 5000
@@ -166,12 +166,22 @@ def enumerate_abelian(n: int) -> list[AbelianGroup]:
     """Every abelian group of order n, sorted by invariant-factor tuple."""
     if n < 1:
         raise ValueError(f"group order must be positive, got {n}")
-    choices = []
-    for p, e in factorize(n):
-        choices.append([[p ** part for part in partition] for partition in _partitions(e)])
+    return abelian_groups(factorize(n))
+
+
+def abelian_groups(fac: Factorization) -> list[AbelianGroup]:
+    """Every abelian group of the order that fac factorizes, sorted by invariant-factor tuple.
+
+    A group is one partition of each prime's exponent; its i-th largest
+    invariant factor is the product over the primes of p to the i-th part.
+    """
     groups = []
-    for combo in cartesian(*choices):
-        groups.append(canonicalize([f for prime_powers in combo for f in prime_powers]))
+    for parts in cartesian(*(_partitions(e) for _, e in fac)):
+        slots = [1] * max(map(len, parts), default=0)
+        for (p, _), part in zip(fac, parts):
+            for i, k in enumerate(part):
+                slots[i] *= p ** k
+        groups.append(AbelianGroup(tuple(reversed(slots))))
     return sorted(groups, key=lambda g: g.invariant_factors)
 
 
@@ -256,16 +266,19 @@ class OrderSpectrum(Value):
 
     def _fill(self, entries: dict[int, int], group_order: int, divs: list[int]) -> None:
         """Validate entries against divs, the divisors of group_order, and set the fields."""
-        if set(entries) != set(divs):
+        try:
+            counts = list(map(entries.__getitem__, divs))
+        except KeyError:
+            counts = None
+        if counts is None or len(entries) != len(divs):
             raise ValueError("spectrum must have an entry for every divisor of the group order")
-        entries = {d: entries[d] for d in divs}
         if entries[1] != 1:
             raise ValueError(f"a group has exactly one identity element, got {entries[1]}")
-        if any(v < 0 for v in entries.values()):
+        if min(counts) < 0:
             raise ValueError("element counts cannot be negative")
-        if sum(entries.values()) != group_order:
+        if sum(counts) != group_order:
             raise ValueError("element counts must sum to the group order")
-        super().__init__(entries, group_order)
+        super().__init__(dict(zip(divs, counts)), group_order)
 
     def count_of(self, d: int) -> int:
         """Number of elements of order exactly d (0 for non-divisors)."""
@@ -284,46 +297,86 @@ def _spectrum_from_counts(counts: dict[int, int], order: int) -> OrderSpectrum:
     return spectrum
 
 
-def order_spectrum(g: GroupDescriptor, known: dict | None = None) -> OrderSpectrum:
-    """Order spectrum of a descriptor.
+def _p_part(p: int, partition: tuple[int, ...], e: int) -> list[int]:
+    """The numbers of elements of order p^j, for j = 0, ..., e, in the abelian p-group of type partition.
+
+    The elements of order dividing p^j form the subgroup of order p^s, s the
+    sum over the parts of min(part, j), so the counts are the differences of
+    those orders (zero past the largest part).
+    """
+    below = [p ** sum(min(part, j) for part in partition) for j in range(e + 1)]
+    return below[:1] + [b - a for a, b in zip(below, below[1:])]
+
+
+def family_spectrum(g: AbelianGroup | Dihedral | Dicyclic, fac: Factorization, divs: list[int],
+                    p_parts: dict) -> OrderSpectrum:
+    """Spectrum of an abelian, dihedral or dicyclic group, from closed-form p-parts.
+
+    fac factorizes g's order and divs lists its divisors in increasing order.
+    An abelian group is the direct product of its p-parts, one per prime, so
+    its count at d is the product over the primes of the p-part's count at
+    p^(v_p(d)).  A dihedral or dicyclic group of order n is a cyclic subgroup
+    of order n / 2, plus the other half: all of order 2 (the reflections) in
+    a dihedral group, all of order 4 in a dicyclic one.  p_parts caches the
+    p-part counts by (p, e, partition) across calls.
+    """
+    if isinstance(g, AbelianGroup):
+        facs = g.invariant_factors
+        partitions = [tuple(e for f in reversed(facs) if (e := valuation(f, p))) for p, _ in fac]
+    else:
+        partitions = [(e - (p == 2),) for p, e in fac]
+    counts = [1]
+    for (p, e), partition in zip(fac, partitions):
+        key = p, e, partition
+        part = p_parts.get(key)
+        if part is None:
+            part = p_parts[key] = _p_part(p, partition, e)
+        counts = [c * k for c in counts for k in part]
+    entries = dict(zip(generated_divisors(fac), counts))
+    if not isinstance(g, AbelianGroup):
+        entries[2 if isinstance(g, Dihedral) else 4] += g.order // 2
+    spectrum = OrderSpectrum.__new__(OrderSpectrum)
+    spectrum._fill(entries, g.order, divs)
+    return spectrum
+
+
+def product_spectrum(g: Product, factor_spectra, divs: list[int]) -> OrderSpectrum:
+    """Spectrum of the product g from the spectra of its factors, in order; divs lists g's divisors.
 
     In a direct product, elements of orders d1 and d2 make one of order
-    lcm(d1, d2), so a product's counts are merged factor by factor.  A cyclic
-    group, and so an abelian one, is a product of cyclic groups C_(p^e) of
-    prime-power order, and C_(p^e) has phi(p^k) = p^k - p^(k-1) elements of
-    order p^k for 1 <= k <= e.  known, if given, maps descriptors to their
-    spectra; a product's factors found there are merged without recomputing them.
+    lcm(d1, d2), so the factors' counts are merged one factor at a time.
+    """
+    first, *rest = factor_spectra
+    counts = first.entries
+    for spectrum in rest:
+        merged = dict.fromkeys(divs, 0)
+        present = [(d, c) for d, c in spectrum.entries.items() if c]
+        for d1, c1 in counts.items():
+            if c1:
+                for d2, c2 in present:
+                    merged[lcm(d1, d2)] += c1 * c2
+        counts = merged
+    spectrum = OrderSpectrum.__new__(OrderSpectrum)
+    spectrum._fill(counts, g.order, divs)
+    return spectrum
+
+
+def order_spectrum(g: GroupDescriptor) -> OrderSpectrum:
+    """Order spectrum of a descriptor.
+
+    A product's spectrum is merged from its factors' (product_spectrum), and
+    every other group's is built from closed-form p-parts (family_spectrum).
     A group of order past FACTORIZE_CEILING is refused with BudgetError.
     """
     if isinstance(g, GroupDescriptor) and g.order > FACTORIZE_CEILING:
         raise BudgetError(f"order spectra are limited to order <= {FACTORIZE_CEILING}, "
                           f"got {g.notation()} of order {g.order}")
     if isinstance(g, Product):
-        known = known or {}
-        parts = [(known.get(factor) or order_spectrum(factor)).entries for factor in g.factors]
-    elif isinstance(g, (AbelianGroup, Dihedral, Dicyclic)):
-        # A dihedral or dicyclic group is a cyclic subgroup of half the order,
-        # plus the other half: all of order 2 (the reflections) in a dihedral
-        # group, all of order 4 in a dicyclic one.
-        cyclic = g.invariant_factors if isinstance(g, AbelianGroup) else (g.order // 2,)
-        parts = [{p ** k: p ** k - p ** (k - 1) if k else 1 for k in range(e + 1)}
-                 for f in cyclic for p, e in factorize(f)]
-    else:
-        raise TypeError(f"not a group descriptor: {g!r}")
-    counts = {1: 1}
-    for part in parts:
-        merged: dict[int, int] = {}
-        for d1, c1 in counts.items():
-            for d2, c2 in part.items():
-                if c2 == 0:
-                    continue
-                d = lcm(d1, d2)
-                merged[d] = merged.get(d, 0) + c1 * c2
-        counts = merged
-    if isinstance(g, (Dihedral, Dicyclic)):
-        outside = 2 if isinstance(g, Dihedral) else 4
-        counts[outside] = counts.get(outside, 0) + g.order // 2
-    return _spectrum_from_counts(counts, g.order)
+        return product_spectrum(g, [order_spectrum(f) for f in g.factors], divisors(g.order))
+    if isinstance(g, (AbelianGroup, Dihedral, Dicyclic)):
+        fac = factorize(g.order)
+        return family_spectrum(g, fac, sorted(generated_divisors(fac)), {})
+    raise TypeError(f"not a group descriptor: {g!r}")
 
 
 def order_spectrum_bruteforce(group: AbelianGroup) -> OrderSpectrum:

@@ -44,7 +44,7 @@ from operator import add, mul
 
 from .counting import count_formula
 from .errors import BudgetError
-from .exactmath import block_table, divisors, factorize, prime_power_root
+from .exactmath import Factorization, block_table, divisors, factor_sieve, generated_divisors
 from .groups import (
     FAMILIES,
     Dicyclic,
@@ -52,14 +52,16 @@ from .groups import (
     GroupDescriptor,
     OrderSpectrum,
     Product,
-    enumerate_abelian,
+    abelian_groups,
+    family_spectrum,
     order_spectrum,
+    product_spectrum,
 )
 from .value import Value
 
 # Scans refuse max_order past this ceiling (BudgetError) before they enumerate
-# a group; a summary scan of all families at the ceiling took 1.7-2.1 s on 2
-# cores, with 38 MB peak RSS.
+# a group; a summary scan of all families at the ceiling took 1.6-2.3 s on 2
+# cores, with 37 MB peak RSS.
 SCAN_MAX_ORDER = 1024
 # Record scans (with on_row) refuse more pairs than this (BudgetError) after
 # enumerating the groups and before the first row: one record per pair, and
@@ -172,14 +174,14 @@ def family_descriptors(families, max_order: int) -> list[GroupDescriptor]:
     return _scan_groups(families, max_order)[0]
 
 
-def _admissible(entries: dict[int, int], n: int) -> int | None:
+def _admissible(entries: dict[int, int], fac: Factorization) -> int | None:
     """None when the spectrum entries of order n pass Frobenius' test, else the first failing divisor.
 
     entries maps each divisor of n, in increasing order, to k_d, the number
-    of elements of order d.  F(d) = sum of k_e over e | d is the number of
-    solutions of x^d = 1, and Frobenius' theorem (1895) says that d divides
-    F(d) for every d | n in every finite group.  F is built from the k_d by
-    one zeta-transform pass per prime of n.
+    of elements of order d, and fac is the factorization of n.  F(d) = sum
+    of k_e over e | d is the number of solutions of x^d = 1, and Frobenius'
+    theorem (1895) says that d divides F(d) for every d | n in every finite
+    group.  F is built from the k_d by one zeta-transform pass per prime of n.
 
     An admissible spectrum has an exact count at every order m.  By Möbius
     inversion k_d = sum of mu(d/e) F(e) over e | d, so with g = gcd(n, m) and
@@ -194,7 +196,7 @@ def _admissible(entries: dict[int, int], n: int) -> int | None:
     each e, and so is the divisor sum.
     """
     totals = dict(entries)
-    for p, _ in factorize(n):
+    for p, _ in fac:
         # In increasing order totals[d // p] already sums its own p-chain.
         for d in totals:
             if d % p == 0:
@@ -205,8 +207,14 @@ def _admissible(entries: dict[int, int], n: int) -> int | None:
 def _scan_groups(families, max_order: int) -> tuple[list[GroupDescriptor], list[OrderSpectrum]]:
     """family_descriptors(families, max_order) and their spectra, each computed once.
 
-    Each distinct spectrum is checked once by _admissible, and a spectrum
-    that no group has raises ValueError naming its group and divisor.
+    One sweep: a smallest-prime-factor sieve to max_order gives every
+    order's factorization and divisors, abelian groups are built from the
+    partitions of each prime's exponent, and the spectra of these and of the
+    dihedral and dicyclic groups come from p-parts cached per (p, e,
+    partition) for the whole scan (family_spectrum).  A product's spectrum is
+    merged from those of its two factors (product_spectrum).  Each distinct
+    spectrum is checked once by _admissible, and a spectrum that no group has
+    raises ValueError naming its group and divisor.
     """
     chosen = set(families)
     unknown = chosen - set(FAMILIES)
@@ -217,7 +225,9 @@ def _scan_groups(families, max_order: int) -> tuple[list[GroupDescriptor], list[
     if max_order > SCAN_MAX_ORDER:
         raise BudgetError(f"scans are limited to max_order <= {SCAN_MAX_ORDER}, "
                           f"got max_order = {max_order}")
-    abelian = [g for n in range(1, max_order + 1) for g in enumerate_abelian(n)]
+    factorizations = factor_sieve(max_order)
+    divisors_of = [sorted(generated_divisors(fac)) for fac in factorizations]
+    abelian = [g for fac in factorizations[1:] for g in abelian_groups(fac)]
     dihedral = [Dihedral(k) for k in range(3, max_order // 2 + 1)]
     dicyclic = [Dicyclic(k) for k in range(2, max_order // 4 + 1)]
     pool: list[GroupDescriptor] = []
@@ -227,7 +237,7 @@ def _scan_groups(families, max_order: int) -> tuple[list[GroupDescriptor], list[
         # An abelian group of order > 1 is a product of two nontrivial ones
         # exactly when it is not cyclic of prime-power order.
         pool.extend(g for g in abelian if len(g.invariant_factors) > 1
-                    or g.order > 1 and prime_power_root(g.order) is None)
+                    or len(factorizations[g.order]) > 1)
     if "dihedral" in chosen:
         pool.extend(dihedral)
     if "dicyclic" in chosen:
@@ -247,17 +257,24 @@ def _scan_groups(families, max_order: int) -> tuple[list[GroupDescriptor], list[
     pool.sort(key=lambda d: (d.order, d.notation()))
     # A product's factors have smaller orders, so the spectra of those in the
     # pool are known first; a factor outside the pool gets its spectrum once,
-    # however many products it is in.
-    known: dict[GroupDescriptor, OrderSpectrum] = {}
+    # however many products it is in.  Every factor is one of the bases, so
+    # known keys the spectra by the identity of their group, with no hashing.
+    p_parts: dict = {}
+    known: dict[int, OrderSpectrum] = {}
     first: dict[tuple, tuple[GroupDescriptor, OrderSpectrum]] = {}
     for desc in pool:
-        for factor in desc.factors if isinstance(desc, Product) else ():
-            if factor not in known:
-                known[factor] = order_spectrum(factor)
-        spectrum = known[desc] = order_spectrum(desc, known)
-        key = desc.order, spectrum.key()
+        n = desc.order
+        if isinstance(desc, Product):
+            for factor in desc.factors:
+                if id(factor) not in known:
+                    known[id(factor)] = family_spectrum(factor, factorizations[factor.order],
+                                                        divisors_of[factor.order], p_parts)
+            spectrum = product_spectrum(desc, [known[id(f)] for f in desc.factors], divisors_of[n])
+        else:
+            spectrum = known[id(desc)] = family_spectrum(desc, factorizations[n], divisors_of[n], p_parts)
+        key = n, spectrum.key()
         if key not in first:
-            d = _admissible(spectrum.entries, desc.order)
+            d = _admissible(spectrum.entries, factorizations[n])
             if d is not None:
                 raise ValueError(f"the spectrum of {desc.notation()} is no group's: the number "
                                  f"of solutions of x^{d} = 1 is not a multiple of {d}")
@@ -352,7 +369,8 @@ def _class_walk(spectra: list[OrderSpectrum], summary: bool = False):
                 continue
             shared = divisors_of.get(g)
             if shared is None:
-                shared = divisors_of[g] = divisors(g)
+                # g divides n, and a spectrum's keys are its order's divisors.
+                shared = divisors_of[g] = [d for d in spectra[members[n].start].entries if g % d == 0]
             if summary:
                 tail = block_table(n, m, shared[1:], last_blocks)
                 if _certified(n, m, g, tail):

@@ -19,7 +19,7 @@ import zsr
 from zsr import lemmas, reciprocity
 from zsr.cli import main
 from zsr.counting import count_formula
-from zsr.groups import AbelianGroup, OrderSpectrum, order_spectrum
+from zsr.groups import AbelianGroup, OrderSpectrum, family_spectrum, order_spectrum
 from zsr.reciprocity import RECORD_FIELDS
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -209,8 +209,8 @@ def test_planted_non_frobenius_spectrum_exits_2(monkeypatch, capsys):
     # not divide: no group has this spectrum, and every scan refuses it
     # before its first record.
     bad = OrderSpectrum({1: 1, 2: 1, 3: 4, 6: 0}, 6)
-    monkeypatch.setattr(reciprocity, "order_spectrum", lambda d, known=None:
-                        bad if d.notation() == "C6" else order_spectrum(d, known))
+    monkeypatch.setattr(reciprocity, "family_spectrum", lambda g, *args:
+                        bad if g.notation() == "C6" else family_spectrum(g, *args))
     for fmt in ("json", "jsonl", "csv"):
         code, out, err = run(capsys, "scan-conjecture", "--max-order", "24", "--format", fmt)
         assert (code, out) == (2, "")

@@ -2,11 +2,12 @@
 
 from functools import lru_cache
 from itertools import product as cartesian
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 
 from zsr.errors import BudgetError, GroupParseError
+from zsr.exactmath import divisors, factor_sieve, valuation
 from zsr.groups import (
     AbelianGroup,
     DEFAULT_SPECTRUM_BOUND,
@@ -14,8 +15,10 @@ from zsr.groups import (
     Dihedral,
     OrderSpectrum,
     Product,
+    abelian_groups,
     canonicalize,
     enumerate_abelian,
+    family_spectrum,
     make_product,
     order_spectrum,
     order_spectrum_bruteforce,
@@ -313,9 +316,55 @@ def test_cyclic_spectrum_counts_totients():
 
 
 def test_order_spectrum_matches_bruteforce_on_abelian_groups():
-    for n in range(1, 201):
-        for group in enumerate_abelian(n):
-            assert order_spectrum(group).entries == order_spectrum_bruteforce(group).entries
+    # The closed-form p-parts, through order_spectrum and as a scan's sweep
+    # calls them (sieve factorizations, one p-part cache for every group),
+    # against element enumeration.
+    factorizations = factor_sieve(512)
+    p_parts = {}
+    checked = 0
+    for n in range(1, 513):
+        groups = abelian_groups(factorizations[n])
+        assert groups == enumerate_abelian(n)
+        for group in groups:
+            brute = order_spectrum_bruteforce(group)
+            assert family_spectrum(group, factorizations[n], divisors(n), p_parts) == brute, group
+            assert order_spectrum(group) == brute, group
+            checked += 1
+    assert checked == 1060
+
+
+def test_p_part_spectra_property():
+    # A random abelian group, given by a partition of each prime's exponent
+    # and built by canonicalize: its closed-form spectrum passes _fill's
+    # invariants (an entry at every divisor in increasing order, one identity,
+    # no negative count, counts summing to the order), and x^d = 1 has the
+    # product over p of p^(sum of min(part, v_p(d))) solutions for every
+    # divisor d; against element enumeration where the order allows.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    partitions = st.lists(st.integers(1, 4), min_size=1, max_size=3).map(
+        lambda parts: tuple(sorted(parts, reverse=True)))
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.dictionaries(st.sampled_from((2, 3, 5, 7, 97)), partitions, max_size=2))
+    def spectra(types):
+        group = canonicalize([p ** part for p, parts in types.items() for part in parts])
+        fac = sorted((p, sum(parts)) for p, parts in types.items())
+        n = group.order
+        divs = sorted(prod(p ** k for (p, _), k in zip(fac, ks))
+                      for ks in cartesian(*(range(e + 1) for _, e in fac)))
+        assert group in abelian_groups(fac)
+        entries = family_spectrum(group, fac, divs, {}).entries
+        assert list(entries) == divs and entries[1] == 1
+        assert min(entries.values()) >= 0 and sum(entries.values()) == n
+        for d in divs:
+            solutions = sum(entries[e] for e in divs if d % e == 0)
+            assert solutions == prod(p ** sum(min(part, valuation(d, p)) for part in parts)
+                                     for p, parts in types.items()), d
+        if n <= DEFAULT_SPECTRUM_BOUND:
+            assert entries == order_spectrum_bruteforce(group).entries
+
+    spectra()
 
 
 def test_dihedral_spectrum_structure():

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import zsr
-from zsr import groups, reciprocity
+from zsr import reciprocity
 from zsr.counting import count_formula
 from zsr.exactmath import block_table, divisors, factorize
 from zsr.groups import (
@@ -289,7 +289,8 @@ def test_scans_refuse_orders_past_the_ceiling_before_enumerating(monkeypatch):
     def no_groups(*args):
         raise AssertionError("groups were enumerated for a refused scan")
 
-    monkeypatch.setattr(reciprocity, "enumerate_abelian", no_groups)
+    monkeypatch.setattr(reciprocity, "factor_sieve", no_groups)
+    monkeypatch.setattr(reciprocity, "abelian_groups", no_groups)
     for scan in (lambda: conjecture_scan(FAMILIES, ceiling + 1),
                  lambda: verify_theorem(ceiling + 1),
                  lambda: family_descriptors(("dihedral",), 100000)):
@@ -320,17 +321,25 @@ def test_record_rows_match_reciprocity_check():
     assert [row.count("\n") for row in rows] == list(range(len(descriptors), 0, -1))
 
 
-def test_scan_computes_each_candidate_spectrum_once(monkeypatch):
+def count_spectra(monkeypatch):
+    """The list of descriptors whose spectra reciprocity builds from now on, one entry per build."""
     calls = []
 
-    def counted(desc, known=None):
-        calls.append(desc)
-        return spectrum_of(desc, known)
+    def counted(build):
+        def wrapper(desc, *args):
+            calls.append(desc)
+            return build(desc, *args)
+        return wrapper
 
-    # Both names, so that a product's spectrum counts the calls it makes for its factors.
-    spectrum_of = groups.order_spectrum
-    monkeypatch.setattr(groups, "order_spectrum", counted)
-    monkeypatch.setattr(reciprocity, "order_spectrum", counted)
+    # order_spectrum too, so that a scan that built a spectrum outside the
+    # sweep's two routes would be counted.
+    for name in ("family_spectrum", "product_spectrum", "order_spectrum"):
+        monkeypatch.setattr(reciprocity, name, counted(getattr(reciprocity, name)))
+    return calls
+
+
+def test_scan_computes_each_candidate_spectrum_once(monkeypatch):
+    calls = count_spectra(monkeypatch)
     family_descriptors(FAMILIES, 48)
     alone = len(calls)
     # The pool holds each distinct descriptor of the four families to order 48
@@ -352,26 +361,19 @@ def test_products_alone_compute_each_factor_spectrum_once(monkeypatch):
     # With products but not their base families, a factor such as C7 or D5
     # is built outside the pool; its spectrum is still computed once, not
     # once for every product it is in.
-    calls = []
-
-    def counted(desc, known=None):
-        calls.append(desc)
-        return spectrum_of(desc, known)
-
-    spectrum_of = groups.order_spectrum
-    monkeypatch.setattr(groups, "order_spectrum", counted)
-    monkeypatch.setattr(reciprocity, "order_spectrum", counted)
+    calls = count_spectra(monkeypatch)
     descriptors = family_descriptors(("products",), 192)
     assert len(descriptors) == 741
     assert len(calls) == len(set(calls)) == 920
 
 
-def old_family_descriptors(families, max_order):
+def old_family_descriptors(families, max_order, known):
     """The descriptors and spectra of the families, by building every candidate.
 
     Every pair of bases is built with make_product, all-abelian products
     included, and the pool is deduplicated by (order, spectrum) in (order,
-    notation) order: the reference that _scan_groups must match.
+    notation) order: the reference that _scan_groups must match.  known
+    maps each candidate to its order_spectrum, filled here as needed.
     """
     abelian = [g for n in range(1, max_order + 1) for g in enumerate_abelian(n)]
     dihedral = [Dihedral(k) for k in range(3, max_order // 2 + 1)]
@@ -382,22 +384,27 @@ def old_family_descriptors(families, max_order):
             pool.extend(members)
     if "products" in families:
         bases = [g for g in abelian if g.order > 1] + dihedral + dicyclic
-        pool.extend(make_product((g, h)) for i, g in enumerate(bases) for h in bases[i:]
-                    if g.order * h.order <= max_order)
+        orders = [g.order for g in bases]
+        pool.extend(make_product((bases[i], bases[j])) for i in range(len(bases))
+                    for j in range(i, len(bases)) if orders[i] * orders[j] <= max_order)
     pool.sort(key=lambda d: (d.order, d.notation()))
     first = {}
     for desc in pool:
-        spectrum = order_spectrum(desc)
-        first.setdefault((desc.order, spectrum.key()), (desc, spectrum))
+        if desc not in known:
+            known[desc] = order_spectrum(desc)
+        first.setdefault((desc.order, known[desc].key()), (desc, known[desc]))
     return [desc for desc, _ in first.values()], [spectrum for _, spectrum in first.values()]
 
 
 def test_scan_groups_match_the_all_pairs_enumeration():
+    # The sweep's sieve, cached p-parts and product merges against
+    # order_spectrum on every candidate, for every family subset.
+    known = {}
     for size in range(1, len(FAMILIES) + 1):
         for families in combinations(FAMILIES, size):
-            descriptors, spectra = old_family_descriptors(families, 64)
-            assert reciprocity._scan_groups(families, 64) == (descriptors, spectra), families
-            assert family_descriptors(families, 64) == descriptors
+            descriptors, spectra = old_family_descriptors(families, 256, known)
+            assert reciprocity._scan_groups(families, 256) == (descriptors, spectra), families
+            assert family_descriptors(families, 256) == descriptors
 
 
 def test_coprime_binomials_are_divisible_property():
@@ -459,7 +466,7 @@ def test_certificate_property():
         g, total = shared[-1], n + m
         table = block_table(n, m, shared, {})
         assert all(block % (total // g) == 0 for block in table)
-        assert reciprocity._admissible(dict(zip(shared, admissible)), g) is None
+        assert reciprocity._admissible(dict(zip(shared, admissible)), factorize(g)) is None
         assert sum(map(mul, admissible, table)) % total == 0
         if reciprocity._certified(n, m, g, table[1:]):
             assert sum(map(mul, key, table)) != sum(map(mul, other, table))
@@ -565,7 +572,7 @@ def test_admissible_matches_its_definition():
             entries = dict(zip(divs, (1, *rest)))
             first = next((d for d in divs
                           if sum(entries[e] for e in divs if d % e == 0) % d), None)
-            assert reciprocity._admissible(entries, n) == first, entries
+            assert reciprocity._admissible(entries, factorize(n)) == first, entries
             seen += 1
             admissible += first is None
     assert (seen, admissible) == (1496, 30)
@@ -575,6 +582,27 @@ def test_every_family_spectrum_to_the_ceiling_is_admissible():
     # _scan_groups refuses the first spectrum that _admissible rejects.
     _, spectra = reciprocity._scan_groups(FAMILIES, reciprocity.SCAN_MAX_ORDER)
     assert len(spectra) == 7255
+
+
+def test_summary_scan_to_the_ceiling_factorizes_at_most_once_per_order(monkeypatch):
+    # One sieve gives the sweep every order's factorization and divisors, and
+    # the walk reads the divisors of each gcd off a spectrum's keys, so a
+    # summary scan of all families at the ceiling makes at most one factorize
+    # call per order; it made 29,557 when spectra, _admissible and the walk
+    # each factorized.
+    calls = []
+    factorize_once = factorize
+
+    def counted(n):
+        calls.append(n)
+        return factorize_once(n)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("zsr.") and hasattr(module, "factorize"):
+            monkeypatch.setattr(module, "factorize", counted)
+    summary = conjecture_scan(FAMILIES, reciprocity.SCAN_MAX_ORDER)
+    assert (summary.pairs_checked, summary.violations) == (26321140, [])
+    assert len(calls) <= reciprocity.SCAN_MAX_ORDER
 
 
 def test_summary_scans_skip_coprime_order_pairs(monkeypatch):
@@ -681,12 +709,12 @@ def test_class_scan_raises_on_inconsistent_spectrum_under_optimize():
     # which 2 does not divide.  Both scan paths must refuse it where its
     # spectrum enters the scan, also under python -O, which strips asserts.
     # At the order pair (2, 4) it would pass dominance and get no counts.
-    assert reciprocity._admissible({1: 1, 2: 0, 4: 3}, 4) == 2
+    assert reciprocity._admissible({1: 1, 2: 0, 4: 3}, factorize(4)) == 2
     assert reciprocity._certified(2, 4, 2, [3])
     code = ("import zsr.reciprocity as r\n"
-            "from zsr.groups import OrderSpectrum, order_spectrum\n"
+            "from zsr.groups import OrderSpectrum, family_spectrum\n"
             "bad = OrderSpectrum({1: 1, 2: 0, 4: 3}, 4)\n"
-            "r.order_spectrum = lambda d, known: bad if d.notation() == 'C4' else order_spectrum(d)\n"
+            "r.family_spectrum = lambda g, *args: bad if g.notation() == 'C4' else family_spectrum(g, *args)\n"
             "for consumer in (None, lambda text: None):\n"
             "    try:\n"
             "        print(r.conjecture_scan(('abelian',), 4, on_row=consumer))\n"
