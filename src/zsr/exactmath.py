@@ -6,7 +6,7 @@ any inexact division is a bug, not a rounding concern.
 
 from __future__ import annotations
 
-from math import comb, isqrt
+from math import comb
 
 from .errors import BudgetError
 
@@ -38,29 +38,6 @@ def factorize(n: int) -> Factorization:
     if n > 1:
         out.append((n, 1))
     return out
-
-
-def factor_sieve(limit: int) -> list[Factorization]:
-    """factorize(n) for every 1 <= n <= limit, at index n, from one smallest-prime-factor sieve.
-
-    Index 0 holds [] as well.  n's factorization is that of n // p with the
-    exponent of p, its smallest prime, raised by one.
-    """
-    smallest = list(range(limit + 1))
-    for p in range(2, isqrt(limit) + 1):
-        if smallest[p] == p:
-            for multiple in range(p * p, limit + 1, p):
-                if smallest[multiple] == multiple:
-                    smallest[multiple] = p
-    table: list[Factorization] = [[], []][:limit + 1]
-    for n in range(2, limit + 1):
-        p = smallest[n]
-        rest = table[n // p]
-        if rest and rest[0][0] == p:
-            table.append([(p, rest[0][1] + 1), *rest[1:]])
-        else:
-            table.append([(p, 1), *rest])
-    return table
 
 
 def generated_divisors(fac: Factorization) -> list[int]:

@@ -289,14 +289,6 @@ class OrderSpectrum(Value):
         return tuple(self.entries.items())
 
 
-def _spectrum_from_counts(counts: dict[int, int], order: int) -> OrderSpectrum:
-    """The spectrum with counts at the divisors of order that counts lists and 0 elsewhere."""
-    divs = divisors(order)
-    spectrum = OrderSpectrum.__new__(OrderSpectrum)
-    spectrum._fill({d: counts.get(d, 0) for d in divs}, order, divs)
-    return spectrum
-
-
 def _p_part(p: int, partition: tuple[int, ...], e: int) -> list[int]:
     """The numbers of elements of order p^j, for j = 0, ..., e, in the abelian p-group of type partition.
 
@@ -341,9 +333,10 @@ def family_spectrum(g: AbelianGroup | Dihedral | Dicyclic, fac: Factorization, d
 
 
 def product_spectrum(g: Product, factor_spectra, divs: list[int]) -> OrderSpectrum:
-    """Spectrum of the product g from the spectra of its factors, in order; divs lists g's divisors.
+    """Spectrum of the product g from the spectra of its factors, in order.
 
-    In a direct product, elements of orders d1 and d2 make one of order
+    divs lists g's divisors in increasing order, so divs[-1] is g's order.  In
+    a direct product, elements of orders d1 and d2 make one of order
     lcm(d1, d2), so the factors' counts are merged one factor at a time.
     """
     first, *rest = factor_spectra
@@ -357,7 +350,7 @@ def product_spectrum(g: Product, factor_spectra, divs: list[int]) -> OrderSpectr
                     merged[lcm(d1, d2)] += c1 * c2
         counts = merged
     spectrum = OrderSpectrum.__new__(OrderSpectrum)
-    spectrum._fill(counts, g.order, divs)
+    spectrum._fill(counts, divs[-1], divs)
     return spectrum
 
 
@@ -395,4 +388,4 @@ def order_spectrum_bruteforce(group: AbelianGroup) -> OrderSpectrum:
     for point in cartesian(*(range(f) for f in facs)):
         d = lcm(*(f // gcd(f, x) for f, x in zip(facs, point))) if facs else 1
         counts[d] = counts.get(d, 0) + 1
-    return _spectrum_from_counts(counts, n)
+    return OrderSpectrum({d: counts.get(d, 0) for d in divisors(n)}, n)

@@ -44,7 +44,7 @@ from operator import add, mul
 
 from .counting import count_formula
 from .errors import BudgetError
-from .exactmath import Factorization, block_table, divisors, factor_sieve, generated_divisors
+from .exactmath import Factorization, block_table, divisors, factorize, generated_divisors
 from .groups import (
     FAMILIES,
     Dicyclic,
@@ -207,7 +207,7 @@ def _admissible(entries: dict[int, int], fac: Factorization) -> int | None:
 def _scan_groups(families, max_order: int) -> tuple[list[GroupDescriptor], list[OrderSpectrum]]:
     """family_descriptors(families, max_order) and their spectra, each computed once.
 
-    One sweep: a smallest-prime-factor sieve to max_order gives every
+    One sweep: one factorize call per order to max_order gives every
     order's factorization and divisors, abelian groups are built from the
     partitions of each prime's exponent, and the spectra of these and of the
     dihedral and dicyclic groups come from p-parts cached per (p, e,
@@ -225,7 +225,7 @@ def _scan_groups(families, max_order: int) -> tuple[list[GroupDescriptor], list[
     if max_order > SCAN_MAX_ORDER:
         raise BudgetError(f"scans are limited to max_order <= {SCAN_MAX_ORDER}, "
                           f"got max_order = {max_order}")
-    factorizations = factor_sieve(max_order)
+    factorizations = [[], *map(factorize, range(1, max_order + 1))]
     divisors_of = [sorted(generated_divisors(fac)) for fac in factorizations]
     abelian = [g for fac in factorizations[1:] for g in abelian_groups(fac)]
     dihedral = [Dihedral(k) for k in range(3, max_order // 2 + 1)]

@@ -1,7 +1,8 @@
 """Tests for the exact integer helpers."""
 
 import random
-from math import comb, isqrt
+from itertools import product
+from math import comb, isqrt, prod
 
 import pytest
 
@@ -12,6 +13,7 @@ from zsr.exactmath import (
     block_table,
     divisors,
     factorize,
+    generated_divisors,
     prime_power_root,
     valuation,
 )
@@ -127,6 +129,18 @@ def test_divisors_count_and_order():
         assert len(divs) == expected_count
         assert divs[0] == 1 and divs[-1] == n
         assert all(a < b for a, b in zip(divs, divs[1:]))
+
+
+def test_generated_divisors_follow_mixed_radix_order():
+    # family_spectrum pairs its p-part counts with this order: a divisor's
+    # position reads its exponents as mixed-radix digits, the last prime's
+    # fastest, which is the order itertools.product walks p^0, ..., p^e in.
+    for n in range(1, 2001):
+        fac = factorize(n)
+        generated = generated_divisors(fac)
+        assert sorted(generated) == divisors(n), n
+        powers = [[p**k for k in range(e + 1)] for p, e in fac]
+        assert generated == [prod(choice) for choice in product(*powers)], n
 
 
 def test_valuation():

@@ -7,7 +7,7 @@ from math import gcd, lcm, prod
 import pytest
 
 from zsr.errors import BudgetError, GroupParseError
-from zsr.exactmath import divisors, factor_sieve, valuation
+from zsr.exactmath import divisors, factorize, valuation
 from zsr.groups import (
     AbelianGroup,
     DEFAULT_SPECTRUM_BOUND,
@@ -317,17 +317,17 @@ def test_cyclic_spectrum_counts_totients():
 
 def test_order_spectrum_matches_bruteforce_on_abelian_groups():
     # The closed-form p-parts, through order_spectrum and as a scan's sweep
-    # calls them (sieve factorizations, one p-part cache for every group),
-    # against element enumeration.
-    factorizations = factor_sieve(512)
+    # calls them (one factorization per order, one p-part cache for every
+    # group), against element enumeration.
     p_parts = {}
     checked = 0
     for n in range(1, 513):
-        groups = abelian_groups(factorizations[n])
+        fac = factorize(n)
+        groups = abelian_groups(fac)
         assert groups == enumerate_abelian(n)
         for group in groups:
             brute = order_spectrum_bruteforce(group)
-            assert family_spectrum(group, factorizations[n], divisors(n), p_parts) == brute, group
+            assert family_spectrum(group, fac, divisors(n), p_parts) == brute, group
             assert order_spectrum(group) == brute, group
             checked += 1
     assert checked == 1060

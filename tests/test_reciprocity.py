@@ -289,7 +289,7 @@ def test_scans_refuse_orders_past_the_ceiling_before_enumerating(monkeypatch):
     def no_groups(*args):
         raise AssertionError("groups were enumerated for a refused scan")
 
-    monkeypatch.setattr(reciprocity, "factor_sieve", no_groups)
+    monkeypatch.setattr(reciprocity, "factorize", no_groups)
     monkeypatch.setattr(reciprocity, "abelian_groups", no_groups)
     for scan in (lambda: conjecture_scan(FAMILIES, ceiling + 1),
                  lambda: verify_theorem(ceiling + 1),
@@ -397,7 +397,7 @@ def old_family_descriptors(families, max_order, known):
 
 
 def test_scan_groups_match_the_all_pairs_enumeration():
-    # The sweep's sieve, cached p-parts and product merges against
+    # The sweep's factorizations, cached p-parts and product merges against
     # order_spectrum on every candidate, for every family subset.
     known = {}
     for size in range(1, len(FAMILIES) + 1):
@@ -584,12 +584,11 @@ def test_every_family_spectrum_to_the_ceiling_is_admissible():
     assert len(spectra) == 7255
 
 
-def test_summary_scan_to_the_ceiling_factorizes_at_most_once_per_order(monkeypatch):
-    # One sieve gives the sweep every order's factorization and divisors, and
-    # the walk reads the divisors of each gcd off a spectrum's keys, so a
-    # summary scan of all families at the ceiling makes at most one factorize
-    # call per order; it made 29,557 when spectra, _admissible and the walk
-    # each factorized.
+def test_summary_scan_to_the_ceiling_factorizes_each_order_once(monkeypatch):
+    # The sweep factorizes each order once, for its factorization and its
+    # divisors, and the spectra, _admissible and the walk reuse those (the
+    # walk reads the divisors of each gcd off a spectrum's keys), so a summary
+    # scan of all families at the ceiling makes one factorize call per order.
     calls = []
     factorize_once = factorize
 
@@ -602,7 +601,7 @@ def test_summary_scan_to_the_ceiling_factorizes_at_most_once_per_order(monkeypat
             monkeypatch.setattr(module, "factorize", counted)
     summary = conjecture_scan(FAMILIES, reciprocity.SCAN_MAX_ORDER)
     assert (summary.pairs_checked, summary.violations) == (26321140, [])
-    assert len(calls) <= reciprocity.SCAN_MAX_ORDER
+    assert sorted(calls) == list(range(1, reciprocity.SCAN_MAX_ORDER + 1))
 
 
 def test_summary_scans_skip_coprime_order_pairs(monkeypatch):
