@@ -5,6 +5,9 @@ groups D_2k (order 2k), dicyclic groups Dic_k (order 4k, Dic_2 being the
 quaternion group), and direct products of these.  The only structural data
 any downstream computation needs is the order spectrum: how many elements
 of each order d the group has, for every divisor d of the group order.
+Every spectrum is inverted from F(d), the number of solutions of x^d = 1,
+which has a closed form for each family and multiplies over direct products
+(solutions, spectrum_from_solutions).
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from itertools import product as cartesian
 from math import gcd, lcm, prod
 
 from .errors import BudgetError, GroupParseError
-from .exactmath import FACTORIZE_CEILING, Factorization, divisors, factorize, generated_divisors, valuation
+from .exactmath import FACTORIZE_CEILING, Factorization, divisors, factorize, generated_divisors
 from .value import Value
 
 DEFAULT_SPECTRUM_BOUND = 5000
@@ -289,87 +292,59 @@ class OrderSpectrum(Value):
         return tuple(self.entries.items())
 
 
-def _p_part(p: int, partition: tuple[int, ...], e: int) -> list[int]:
-    """The numbers of elements of order p^j, for j = 0, ..., e, in the abelian p-group of type partition.
+def solutions(g: GroupDescriptor, divs: list[int]) -> list[int]:
+    """F(d), the number of solutions of x^d = 1 in g, for each d of divs.
 
-    The elements of order dividing p^j form the subgroup of order p^s, s the
-    sum over the parts of min(part, j), so the counts are the differences of
-    those orders (zero past the largest part).
+    C_f has gcd(d, f); D_2k has gcd(d, k) rotations and, for even d, its k
+    reflections; Dic_k has gcd(d, 2k) elements in its cyclic half and, when 4
+    divides d, the other 2k, all of order 4.  In a direct product (an abelian
+    group is one of the cyclic groups of its invariant factors) x^d = 1 holds
+    factor by factor, so F is the product of the factors' F.
     """
-    below = [p ** sum(min(part, j) for part in partition) for j in range(e + 1)]
-    return below[:1] + [b - a for a, b in zip(below, below[1:])]
-
-
-def family_spectrum(g: AbelianGroup | Dihedral | Dicyclic, fac: Factorization, divs: list[int],
-                    p_parts: dict) -> OrderSpectrum:
-    """Spectrum of an abelian, dihedral or dicyclic group, from closed-form p-parts.
-
-    fac factorizes g's order and divs lists its divisors in increasing order.
-    An abelian group is the direct product of its p-parts, one per prime, so
-    its count at d is the product over the primes of the p-part's count at
-    p^(v_p(d)).  A dihedral or dicyclic group of order n is a cyclic subgroup
-    of order n / 2, plus the other half: all of order 2 (the reflections) in
-    a dihedral group, all of order 4 in a dicyclic one.  p_parts caches the
-    p-part counts by (p, e, partition) across calls.
-    """
-    if isinstance(g, AbelianGroup):
-        facs = g.invariant_factors
-        partitions = [tuple(e for f in reversed(facs) if (e := valuation(f, p))) for p, _ in fac]
+    if isinstance(g, Dihedral):
+        k = g.half_order
+        return [gcd(d, k) + (0 if d % 2 else k) for d in divs]
+    if isinstance(g, Dicyclic):
+        k = 2 * g.index
+        return [gcd(d, k) + (0 if d % 4 else k) for d in divs]
+    if isinstance(g, Product):
+        parts = [solutions(factor, divs) for factor in g.factors]
     else:
-        partitions = [(e - (p == 2),) for p, e in fac]
-    counts = [1]
-    for (p, e), partition in zip(fac, partitions):
-        key = p, e, partition
-        part = p_parts.get(key)
-        if part is None:
-            part = p_parts[key] = _p_part(p, partition, e)
-        counts = [c * k for c in counts for k in part]
-    entries = dict(zip(generated_divisors(fac), counts))
-    if not isinstance(g, AbelianGroup):
-        entries[2 if isinstance(g, Dihedral) else 4] += g.order // 2
-    spectrum = OrderSpectrum.__new__(OrderSpectrum)
-    spectrum._fill(entries, g.order, divs)
-    return spectrum
+        parts = [[gcd(d, f) for d in divs] for f in g.invariant_factors]
+    return [prod(column) for column in zip(*parts)] if parts else [1] * len(divs)
 
 
-def product_spectrum(g: Product, factor_spectra, divs: list[int]) -> OrderSpectrum:
-    """Spectrum of the product g from the spectra of its factors, in order.
+def spectrum_from_solutions(counts: list[int], fac: Factorization, divs: list[int]) -> OrderSpectrum:
+    """The spectrum with counts solutions of x^d = 1 at the d of divs, through OrderSpectrum's checks.
 
-    divs lists g's divisors in increasing order, so divs[-1] is g's order.  In
-    a direct product, elements of orders d1 and d2 make one of order
-    lcm(d1, d2), so the factors' counts are merged one factor at a time.
+    fac factorizes the group order and divs lists its divisors in increasing
+    order.  F(d) is the sum of k_e over the e dividing d, so k is F's Moebius
+    inverse: one pass per prime p, over decreasing d, takes F(d / p) from F(d).
     """
-    first, *rest = factor_spectra
-    counts = first.entries
-    for spectrum in rest:
-        merged = dict.fromkeys(divs, 0)
-        present = [(d, c) for d, c in spectrum.entries.items() if c]
-        for d1, c1 in counts.items():
-            if c1:
-                for d2, c2 in present:
-                    merged[lcm(d1, d2)] += c1 * c2
-        counts = merged
+    entries = dict(zip(divs, counts))
+    for p, _ in fac:
+        # In decreasing order entries[d // p] still holds this pass's input.
+        for d in reversed(divs):
+            if d % p == 0:
+                entries[d] -= entries[d // p]
     spectrum = OrderSpectrum.__new__(OrderSpectrum)
-    spectrum._fill(counts, divs[-1], divs)
+    spectrum._fill(entries, divs[-1], divs)
     return spectrum
 
 
 def order_spectrum(g: GroupDescriptor) -> OrderSpectrum:
-    """Order spectrum of a descriptor.
+    """Order spectrum of a descriptor, inverted from its numbers of solutions of x^d = 1.
 
-    A product's spectrum is merged from its factors' (product_spectrum), and
-    every other group's is built from closed-form p-parts (family_spectrum).
     A group of order past FACTORIZE_CEILING is refused with BudgetError.
     """
-    if isinstance(g, GroupDescriptor) and g.order > FACTORIZE_CEILING:
+    if not isinstance(g, GroupDescriptor):
+        raise TypeError(f"not a group descriptor: {g!r}")
+    if g.order > FACTORIZE_CEILING:
         raise BudgetError(f"order spectra are limited to order <= {FACTORIZE_CEILING}, "
                           f"got {g.notation()} of order {g.order}")
-    if isinstance(g, Product):
-        return product_spectrum(g, [order_spectrum(f) for f in g.factors], divisors(g.order))
-    if isinstance(g, (AbelianGroup, Dihedral, Dicyclic)):
-        fac = factorize(g.order)
-        return family_spectrum(g, fac, sorted(generated_divisors(fac)), {})
-    raise TypeError(f"not a group descriptor: {g!r}")
+    fac = factorize(g.order)
+    divs = sorted(generated_divisors(fac))
+    return spectrum_from_solutions(solutions(g, divs), fac, divs)
 
 
 def order_spectrum_bruteforce(group: AbelianGroup) -> OrderSpectrum:

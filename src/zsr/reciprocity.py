@@ -14,11 +14,12 @@ both orders by their spectrum restricted to the shared divisors, and gives each
 class one count.  A pair is a violation exactly when its two classes differ but
 their counts are equal; the walk finds such colliding classes once per order
 pair, with a dict keyed by count where two counts tie.  Each candidate is
-built once and its spectrum computed once, while the candidates are
-deduplicated.  A summary scan skips the coprime order pairs, which cannot
-collide, and expands only colliding classes into pairs; a record scan
-renders, from the walk's row, each group's records with itself and every
-later group as one text, in canonical order.
+built once and its numbers of solutions of x^d = 1 computed once; these fix
+the spectrum, so the candidates are deduplicated by them and each distinct
+spectrum is inverted from them once.  A summary scan skips the coprime order
+pairs, which cannot collide, and expands only colliding classes into pairs;
+a record scan renders, from the walk's row, each group's records with itself
+and every later group as one text, in canonical order.
 
 A summary scan gives most order pairs no classes and no counts, by proof.
 Every key has 1 at d = 1 and every other entry in [0, max(n, m) - 1], so two
@@ -53,9 +54,9 @@ from .groups import (
     OrderSpectrum,
     Product,
     abelian_groups,
-    family_spectrum,
     order_spectrum,
-    product_spectrum,
+    solutions,
+    spectrum_from_solutions,
 )
 from .value import Value
 
@@ -182,6 +183,8 @@ def _admissible(entries: dict[int, int], fac: Factorization) -> int | None:
     of k_e over e | d is the number of solutions of x^d = 1, and Frobenius'
     theorem (1895) says that d divides F(d) for every d | n in every finite
     group.  F is built from the k_d by one zeta-transform pass per prime of n.
+    A scan inverted these entries from F in the first place; F is rebuilt
+    from them on purpose, so that the test also checks the inversion.
 
     An admissible spectrum has an exact count at every order m.  By Möbius
     inversion k_d = sum of mu(d/e) F(e) over e | d, so with g = gcd(n, m) and
@@ -208,13 +211,14 @@ def _scan_groups(families, max_order: int) -> tuple[list[GroupDescriptor], list[
     """family_descriptors(families, max_order) and their spectra, each computed once.
 
     One sweep: one factorize call per order to max_order gives every
-    order's factorization and divisors, abelian groups are built from the
-    partitions of each prime's exponent, and the spectra of these and of the
-    dihedral and dicyclic groups come from p-parts cached per (p, e,
-    partition) for the whole scan (family_spectrum).  A product's spectrum is
-    merged from those of its two factors (product_spectrum).  Each distinct
-    spectrum is checked once by _admissible, and a spectrum that no group has
-    raises ValueError naming its group and divisor.
+    order's factorization and divisors, and abelian groups are built from
+    the partitions of each prime's exponent.  Each candidate gets F(d), the
+    number of solutions of x^d = 1 at every divisor d of its order, in closed
+    form (groups.solutions; a product's F is its factors' multiplied).  The
+    first candidate of each distinct F is kept and only its F is inverted to
+    a spectrum (groups.spectrum_from_solutions).  Each kept spectrum is
+    checked once by _admissible, and a spectrum that no group has raises
+    ValueError naming its group and divisor.
     """
     chosen = set(families)
     unknown = chosen - set(FAMILIES)
@@ -255,31 +259,22 @@ def _scan_groups(families, max_order: int) -> tuple[list[GroupDescriptor], list[
                           (i for i in range(first, j + 1) if orders[i] <= top))
             pool.extend(Product((bases[i], bases[j])) for i in lefts)
     pool.sort(key=lambda d: (d.order, d.notation()))
-    # A product's factors have smaller orders, so the spectra of those in the
-    # pool are known first; a factor outside the pool gets its spectrum once,
-    # however many products it is in.  Every factor is one of the bases, so
-    # known keys the spectra by the identity of their group, with no hashing.
-    p_parts: dict = {}
-    known: dict[int, OrderSpectrum] = {}
-    first: dict[tuple, tuple[GroupDescriptor, OrderSpectrum]] = {}
+    # F determines the spectrum (F(n) = n gives the order, and the spectrum
+    # is F's Moebius inverse), so the first group of each F is kept.
+    kept: dict[tuple[int, ...], GroupDescriptor] = {}
+    spectra = []
     for desc in pool:
         n = desc.order
-        if isinstance(desc, Product):
-            for factor in desc.factors:
-                if id(factor) not in known:
-                    known[id(factor)] = family_spectrum(factor, factorizations[factor.order],
-                                                        divisors_of[factor.order], p_parts)
-            spectrum = product_spectrum(desc, [known[id(f)] for f in desc.factors], divisors_of[n])
-        else:
-            spectrum = known[id(desc)] = family_spectrum(desc, factorizations[n], divisors_of[n], p_parts)
-        key = n, spectrum.key()
-        if key not in first:
+        counts = tuple(solutions(desc, divisors_of[n]))
+        if counts not in kept:
+            kept[counts] = desc
+            spectrum = spectrum_from_solutions(counts, factorizations[n], divisors_of[n])
             d = _admissible(spectrum.entries, factorizations[n])
             if d is not None:
                 raise ValueError(f"the spectrum of {desc.notation()} is no group's: the number "
                                  f"of solutions of x^{d} = 1 is not a multiple of {d}")
-            first[key] = desc, spectrum
-    return [desc for desc, _ in first.values()], [spectrum for _, spectrum in first.values()]
+            spectra.append(spectrum)
+    return list(kept.values()), spectra
 
 
 def pair_sequence(descriptors) -> list[tuple[GroupDescriptor, GroupDescriptor]]:

@@ -19,7 +19,7 @@ import zsr
 from zsr import lemmas, reciprocity
 from zsr.cli import main
 from zsr.counting import count_formula
-from zsr.groups import AbelianGroup, OrderSpectrum, family_spectrum, order_spectrum
+from zsr.groups import AbelianGroup, order_spectrum, solutions
 from zsr.reciprocity import RECORD_FIELDS
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -204,13 +204,12 @@ def test_streamed_scan_bytes_are_pinned(capsys):
 
 
 def test_planted_non_frobenius_spectrum_exits_2(monkeypatch, capsys):
-    # C6 given (1, 1, 4, 0) at d = 1, 2, 3, 6 has four elements of order 3
-    # (a multiple of phi(3)) but x^3 = 1 then has 5 solutions, which 3 does
-    # not divide: no group has this spectrum, and every scan refuses it
-    # before its first record.
-    bad = OrderSpectrum({1: 1, 2: 1, 3: 4, 6: 0}, 6)
-    monkeypatch.setattr(reciprocity, "family_spectrum", lambda g, *args:
-                        bad if g.notation() == "C6" else family_spectrum(g, *args))
+    # C6 given 1, 2, 5, 6 solutions of x^d = 1 at d = 1, 2, 3, 6 inverts to
+    # the spectrum (1, 1, 4, 0): four elements of order 3 (a multiple of
+    # phi(3)), but 5 solutions of x^3 = 1, which 3 does not divide.  No group
+    # has this spectrum, and every scan refuses it before its first record.
+    monkeypatch.setattr(reciprocity, "solutions", lambda g, divs:
+                        [1, 2, 5, 6] if g.notation() == "C6" else solutions(g, divs))
     for fmt in ("json", "jsonl", "csv"):
         code, out, err = run(capsys, "scan-conjecture", "--max-order", "24", "--format", fmt)
         assert (code, out) == (2, "")

@@ -132,9 +132,9 @@ def test_divisors_count_and_order():
 
 
 def test_generated_divisors_follow_mixed_radix_order():
-    # family_spectrum pairs its p-part counts with this order: a divisor's
-    # position reads its exponents as mixed-radix digits, the last prime's
-    # fastest, which is the order itertools.product walks p^0, ..., p^e in.
+    # A divisor's position reads its exponents as mixed-radix digits, the
+    # last prime's fastest, which is the order itertools.product walks
+    # p^0, ..., p^e in; sorted, they are the divisors that spectra are keyed by.
     for n in range(1, 2001):
         fac = factorize(n)
         generated = generated_divisors(fac)

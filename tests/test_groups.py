@@ -18,11 +18,12 @@ from zsr.groups import (
     abelian_groups,
     canonicalize,
     enumerate_abelian,
-    family_spectrum,
     make_product,
     order_spectrum,
     order_spectrum_bruteforce,
     parse_group,
+    solutions,
+    spectrum_from_solutions,
 )
 
 
@@ -316,18 +317,18 @@ def test_cyclic_spectrum_counts_totients():
 
 
 def test_order_spectrum_matches_bruteforce_on_abelian_groups():
-    # The closed-form p-parts, through order_spectrum and as a scan's sweep
-    # calls them (one factorization per order, one p-part cache for every
-    # group), against element enumeration.
-    p_parts = {}
+    # The closed form of F inverted, through order_spectrum and as a scan's
+    # sweep calls it (one factorization per order, and its divisors), against
+    # element enumeration.
     checked = 0
     for n in range(1, 513):
         fac = factorize(n)
+        divs = divisors(n)
         groups = abelian_groups(fac)
         assert groups == enumerate_abelian(n)
         for group in groups:
             brute = order_spectrum_bruteforce(group)
-            assert family_spectrum(group, fac, divisors(n), p_parts) == brute, group
+            assert spectrum_from_solutions(solutions(group, divs), fac, divs) == brute, group
             assert order_spectrum(group) == brute, group
             checked += 1
     assert checked == 1060
@@ -335,11 +336,12 @@ def test_order_spectrum_matches_bruteforce_on_abelian_groups():
 
 def test_p_part_spectra_property():
     # A random abelian group, given by a partition of each prime's exponent
-    # and built by canonicalize: its closed-form spectrum passes _fill's
-    # invariants (an entry at every divisor in increasing order, one identity,
-    # no negative count, counts summing to the order), and x^d = 1 has the
-    # product over p of p^(sum of min(part, v_p(d))) solutions for every
-    # divisor d; against element enumeration where the order allows.
+    # and built by canonicalize: x^d = 1 has the product over p of
+    # p^(sum of min(part, v_p(d))) solutions for every divisor d, and their
+    # inverse passes _fill's invariants (an entry at every divisor in
+    # increasing order, one identity, no negative count, counts summing to
+    # the order) and sums back to them; against element enumeration where
+    # the order allows.
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     partitions = st.lists(st.integers(1, 4), min_size=1, max_size=3).map(
@@ -354,13 +356,14 @@ def test_p_part_spectra_property():
         divs = sorted(prod(p ** k for (p, _), k in zip(fac, ks))
                       for ks in cartesian(*(range(e + 1) for _, e in fac)))
         assert group in abelian_groups(fac)
-        entries = family_spectrum(group, fac, divs, {}).entries
+        counts = solutions(group, divs)
+        assert counts == [prod(p ** sum(min(part, valuation(d, p)) for part in parts)
+                               for p, parts in types.items()) for d in divs]
+        entries = spectrum_from_solutions(counts, fac, divs).entries
         assert list(entries) == divs and entries[1] == 1
         assert min(entries.values()) >= 0 and sum(entries.values()) == n
-        for d in divs:
-            solutions = sum(entries[e] for e in divs if d % e == 0)
-            assert solutions == prod(p ** sum(min(part, valuation(d, p)) for part in parts)
-                                     for p, parts in types.items()), d
+        for d, count in zip(divs, counts):
+            assert sum(entries[e] for e in divs if d % e == 0) == count, d
         if n <= DEFAULT_SPECTRUM_BOUND:
             assert entries == order_spectrum_bruteforce(group).entries
 
@@ -402,6 +405,42 @@ def test_product_spectrum_is_symmetric_and_complete():
         backward = order_spectrum(Product((right, left)))
         assert forward.entries == backward.entries
         assert sum(forward.entries.values()) == left.order * right.order
+
+
+def lcm_merged(spectra, divs):
+    """A direct product's spectrum from its factors': orders d1 and d2 make lcm(d1, d2)."""
+    counts = {1: 1}
+    for spectrum in spectra:
+        merged = dict.fromkeys(divs, 0)
+        for d1, c1 in counts.items():
+            for d2, c2 in spectrum.entries.items():
+                merged[lcm(d1, d2)] += c1 * c2
+        counts = merged
+    return counts
+
+
+def test_product_spectra_match_the_lcm_merge():
+    # order_spectrum multiplies the factors' numbers of solutions of x^d = 1;
+    # the reference merges the factors' spectra by lcm instead, for every
+    # two-factor product of bases to order 96 and for a few longer and
+    # nested products.
+    bases = [g for n in range(2, 49) for g in enumerate_abelian(n)] + \
+        [Dihedral(k) for k in range(3, 25)] + [Dicyclic(k) for k in range(2, 13)]
+    checked = 0
+    for i, g in enumerate(bases):
+        for h in bases[i:]:
+            if g.order * h.order <= 96:
+                product = make_product((g, h))
+                expected = lcm_merged([order_spectrum(g), order_spectrum(h)], divisors(product.order))
+                assert order_spectrum(product).entries == expected, product
+                checked += 1
+    assert checked == 457
+    nested = Product((parse_group("C2xD6"), Dicyclic(3)))
+    for group in (parse_group("C2xD6xDic3"), parse_group("Q8xQ8xC3"), parse_group("D10xC2xC2xDic2"),
+                  parse_group("Dic3xD6xC5"), nested):
+        expected = lcm_merged([order_spectrum(f) for f in group.factors], divisors(group.order))
+        assert order_spectrum(group).entries == expected, group.notation()
+    assert order_spectrum(nested) == order_spectrum(parse_group("C2xD6xDic3"))
 
 
 def test_product_of_dihedral_and_c2_matches_double_dihedral():

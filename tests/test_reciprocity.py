@@ -322,49 +322,55 @@ def test_record_rows_match_reciprocity_check():
 
 
 def count_spectra(monkeypatch):
-    """The list of descriptors whose spectra reciprocity builds from now on, one entry per build."""
-    calls = []
+    """The first argument of every call reciprocity makes from now on, by function name.
 
-    def counted(build):
-        def wrapper(desc, *args):
-            calls.append(desc)
-            return build(desc, *args)
-        return wrapper
-
-    # order_spectrum too, so that a scan that built a spectrum outside the
-    # sweep's two routes would be counted.
-    for name in ("family_spectrum", "product_spectrum", "order_spectrum"):
-        monkeypatch.setattr(reciprocity, name, counted(getattr(reciprocity, name)))
+    solutions gives a candidate's numbers of solutions of x^d = 1, and
+    spectrum_from_solutions inverts them to a spectrum.  order_spectrum is
+    counted too, so that a scan that built a spectrum outside the sweep
+    would show.
+    """
+    calls = {}
+    for name in ("solutions", "spectrum_from_solutions", "order_spectrum"):
+        def counted(first, *args, build=getattr(reciprocity, name), log=calls.setdefault(name, [])):
+            log.append(first)
+            return build(first, *args)
+        monkeypatch.setattr(reciprocity, name, counted)
     return calls
 
 
 def test_scan_computes_each_candidate_spectrum_once(monkeypatch):
     calls = count_spectra(monkeypatch)
-    family_descriptors(FAMILIES, 48)
-    alone = len(calls)
+    descriptors = family_descriptors(FAMILIES, 48)
+    alone = len(calls["solutions"])
     # The pool holds each distinct descriptor of the four families to order 48
     # once (an all-abelian product is not built again beside the abelian group
-    # it equals), and each spectrum is computed once: a product's factors are in it.
+    # it equals), F is computed once for each, and only the distinct F are
+    # inverted.
     abelian = [g for n in range(1, 49) for g in enumerate_abelian(n)]
     bases = [g for g in abelian if g.order > 1] + [Dihedral(k) for k in range(3, 25)] + \
         [Dicyclic(k) for k in range(2, 13)]
     products = [make_product((g, h)) for i, g in enumerate(bases) for h in bases[i:]
                 if g.order * h.order <= 48]
     assert alone == len({*abelian, *bases, *products}) == 164
+    assert len(calls["spectrum_from_solutions"]) == len(descriptors)
+    assert not calls["order_spectrum"]
     for consumer in (None, lambda text: None):
-        calls.clear()
+        for log in calls.values():
+            log.clear()
         conjecture_scan(FAMILIES, 48, on_row=consumer)
-        assert len(calls) == alone
+        assert len(calls["solutions"]) == alone and not calls["order_spectrum"]
 
 
-def test_products_alone_compute_each_factor_spectrum_once(monkeypatch):
+def test_products_alone_compute_each_candidate_once(monkeypatch):
     # With products but not their base families, a factor such as C7 or D5
-    # is built outside the pool; its spectrum is still computed once, not
-    # once for every product it is in.
+    # is outside the pool: its F is taken inside each product's, with no
+    # spectrum of its own.  Each candidate gets one F and each distinct F
+    # one inversion.
     calls = count_spectra(monkeypatch)
     descriptors = family_descriptors(("products",), 192)
-    assert len(descriptors) == 741
-    assert len(calls) == len(set(calls)) == 920
+    assert len(descriptors) == len(calls["spectrum_from_solutions"]) == 741
+    assert len(calls["solutions"]) == len(set(calls["solutions"])) == 833
+    assert not calls["order_spectrum"]
 
 
 def old_family_descriptors(families, max_order, known):
@@ -397,8 +403,10 @@ def old_family_descriptors(families, max_order, known):
 
 
 def test_scan_groups_match_the_all_pairs_enumeration():
-    # The sweep's factorizations, cached p-parts and product merges against
-    # order_spectrum on every candidate, for every family subset.
+    # The sweep's factorizations, its dedup by F and its inversion of each
+    # distinct F against order_spectrum on every candidate, for every family
+    # subset.  Both reach groups.solutions; test_groups checks products
+    # against an lcm merge of their factors' spectra.
     known = {}
     for size in range(1, len(FAMILIES) + 1):
         for families in combinations(FAMILIES, size):
@@ -704,16 +712,16 @@ def test_class_scan_matches_pairs_for_every_family_subset():
 
 
 def test_class_scan_raises_on_inconsistent_spectrum_under_optimize():
-    # C4 given three elements of order 4 is no group: x^2 = 1 has 1 solution,
-    # which 2 does not divide.  Both scan paths must refuse it where its
-    # spectrum enters the scan, also under python -O, which strips asserts.
+    # C4 given 1, 1, 4 solutions of x^d = 1 at d = 1, 2, 4 inverts to three
+    # elements of order 4, which is no group: x^2 = 1 has 1 solution, which
+    # 2 does not divide.  Both scan paths must refuse it where its spectrum
+    # enters the scan, also under python -O, which strips asserts.
     # At the order pair (2, 4) it would pass dominance and get no counts.
     assert reciprocity._admissible({1: 1, 2: 0, 4: 3}, factorize(4)) == 2
     assert reciprocity._certified(2, 4, 2, [3])
     code = ("import zsr.reciprocity as r\n"
-            "from zsr.groups import OrderSpectrum, family_spectrum\n"
-            "bad = OrderSpectrum({1: 1, 2: 0, 4: 3}, 4)\n"
-            "r.family_spectrum = lambda g, *args: bad if g.notation() == 'C4' else family_spectrum(g, *args)\n"
+            "from zsr.groups import solutions\n"
+            "r.solutions = lambda g, divs: [1, 1, 4] if g.notation() == 'C4' else solutions(g, divs)\n"
             "for consumer in (None, lambda text: None):\n"
             "    try:\n"
             "        print(r.conjecture_scan(('abelian',), 4, on_row=consumer))\n"
