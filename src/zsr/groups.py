@@ -287,10 +287,6 @@ class OrderSpectrum(Value):
         """Number of elements of order exactly d (0 for non-divisors)."""
         return self.entries.get(d, 0)
 
-    def key(self) -> tuple[tuple[int, int], ...]:
-        """Hashable canonical form, sorted by order."""
-        return tuple(self.entries.items())
-
 
 def solutions(g: GroupDescriptor, divs: list[int]) -> list[int]:
     """F(d), the number of solutions of x^d = 1 in g, for each d of divs.

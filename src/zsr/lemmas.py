@@ -9,9 +9,10 @@ a decidable statement about concrete integers, and every verdict is exact.
 A binomial check is about two divisors a < b of gcd(m, n), so its grid
 walks the pairs (a, b) and, for each, the strip of m and n that are
 multiples of lcm(a, b).  The grids need only the sign of each comparison:
-they read each block's logarithm from one table of log2(k!) (_log_tables)
-and certify in floats every instance whose margin clears a proven
-tolerance (_tolerance).  Every other instance (ties, near-ties and apparent
+they read each block's logarithm from one table of log2(k!)
+(logblocks._log_tables, shared with the summary scans) and certify in
+floats every instance whose margin clears a proven tolerance
+(logblocks._tolerance).  Every other instance (ties, near-ties and apparent
 failures) is decided in integers, on exact blocks (_block), by the
 comparison check_lemma21 and check_lemma22 take their verdicts from, so a
 failure is always found and decided exactly.  The structure checks of any
@@ -27,12 +28,12 @@ BudgetError before any work (check_grid_bound).
 
 from __future__ import annotations
 
-from itertools import accumulate
 from math import gcd, isqrt, log2
 
 from .errors import BudgetError
 from .exactmath import binomial, divisors, factorize, prime_power_root, valuation
 from .groups import GroupDescriptor, enumerate_abelian, order_spectrum
+from .logblocks import _log_tables
 from .value import Value
 
 # Grid ceilings: the largest m, n bound of lemma21_grid and lemma22_grid, and
@@ -45,10 +46,6 @@ STRUCTURE_GRID_MAX = 1024
 # Each grid's ceiling by the id its GridResult carries.
 GRID_CEILINGS = {"2.1i": LEMMA21_GRID_MAX, "2.1ii": LEMMA21_GRID_MAX, "2.2i": LEMMA22_GRID_MAX,
                  "2.2ii": LEMMA22_GRID_MAX, "struct": STRUCTURE_GRID_MAX}
-
-# Tolerance of the float filters per unit of (m + n) * log2(m + n) (see
-# _tolerance).
-_FILTER_TOLERANCE = 2.0 ** -30
 
 
 class LemmaInstance(Value):
@@ -346,60 +343,6 @@ def check_grid_bound(lemma: str, bound: int) -> None:
     ceiling = GRID_CEILINGS[lemma]
     if bound > ceiling:
         raise BudgetError(f"grid {lemma} is limited to max <= {ceiling}, got max = {bound}")
-
-
-def _log_tables(top: int) -> tuple[list[float], list[float], list[float]]:
-    """The tables (lf, lg, tau) the binomial grids read for m, n <= top.
-
-    lf[k] is log2(k!) for k <= top, the float sum of log2(i) for i <= k; it
-    covers every (m+n)/d, as d >= 2.  lg[k] = log2(k) and tau[k] =
-    _tolerance(k) for 2 <= k <= 2 * top cover every m + n.
-    """
-    lg = [0.0, *map(log2, range(1, 2 * top + 1))]
-    tau = [0.0, 0.0, *map(_tolerance, range(2, 2 * top + 1))]
-    return list(accumulate(lg[1:top + 1], initial=0.0)), lg, tau
-
-
-def _tolerance(total: int) -> float:
-    """The tolerance tau = 2^-30 * (m + n) * log2(m + n) of a float margin, from total = m + n.
-
-    A margin is a comparison of positive integers, lhs > rhs (or lhs >= rhs),
-    in bits: log2 lhs - log2 rhs, formed in floats from two block
-    logarithms, each lf[(m+n)/d] - lf[m/d] - lf[n/d] (_log_tables), and from
-    integer multiples of log2 of integers.  For m, n up to the grid ceilings
-    (below 4096), a float margin above tau proves the true margin positive,
-    so the comparison holds.  Both binomial strips use this one rule.
-
-    Error bound.  Let u = 2^-53 and W = (m + n) * log2(m + n).
-
-    - The table.  lf[k] is formed as lf[k-1] + log2(k).  math.log2 of an int
-      is within one ulp, at most 2u * log2(k), and each sum rounds by at most
-      u * lf[k], so by induction lf[k] is within (k + 3) * u * lf[k] <=
-      k * 2^-52 * lf[k] of log2(k!) for k >= 3 (lf[k] is exact for k <= 2).
-    - A block logarithm, of d >= 2, is lf[t] - lf[x] - lf[y] with t = x + y
-      = (m + n)/d <= (m + n)/2 and lf[x] + lf[y] <= lf[t] <= t * log2(t).
-      Its three entries are within 2^-52 * t * 2 lf[t] and its two
-      subtractions round by at most u * lf[t] each, so it is within
-      2^-51 * (t + 1) * lf[t] <= 2^-39 * t * log2(t) < 2^-40 * W of the
-      truth, as t + 1 <= max(m, n) + 1 < 2^12.  This step needs the ceilings
-      LEMMA21_GRID_MAX and LEMMA22_GRID_MAX below 4096 (pinned by a test);
-      a higher ceiling needs this bound, and tau, worked out again.
-    - Any other term.  math.log2 of an int x rounds x to 53 bits and takes
-      the platform log2, within one ulp, so it is within
-      2^-50 * (log2 x + 1).  Each margin has at most four such logarithms,
-      of integers below (m + n)^5, with coefficients at most (m + n)/2 (en
-      and em of Lemma 2.1i), so together they are within 2^-46 * W.  Each
-      of its at most ten float products, differences and sums rounds by at
-      most u times a value below 3W (for a difference of logarithms, once
-      multiplied by its coefficient), so together by less than
-      30u * W < 2^-48 * W.
-
-    The float margin is therefore within 2^-39 * W + 2^-46 * W + 2^-48 * W <
-    2^-38 * W of the true one.  tau exceeds that 256-fold, which also covers
-    the rounding of tau itself, so a float margin above tau leaves a true
-    margin above 0.
-    """
-    return _FILTER_TOLERANCE * total * log2(total)
 
 
 def _lemma21_strip(tables: tuple, a: int, b: int, ms: range, ns: range,

@@ -21,19 +21,21 @@ pairs, which cannot collide, and expands only colliding classes into pairs;
 a record scan renders, from the walk's row, each group's records with itself
 and every later group as one text, in canonical order.
 
-A summary scan gives most order pairs no classes and no counts, by proof.
-Every key has 1 at d = 1 and every other entry in [0, max(n, m) - 1], so two
-different keys first differ at some later divisor.  If every block after the
-first exceeds max(n, m) - 1 times the sum of the blocks after it (dominance,
-the fact behind the paper's proof and Lemma 2.1ii), the block where two keys
-first differ outweighs all their later differences, so no two keys share a
-count and the pair has no collision.  Dominance reads only the blocks past
-d = 1, so it is decided before any class is built.  Exactness needs no sums
-either: every spectrum of a scan is checked once to be admissible
-(Frobenius' theorem, see _admissible), and an admissible spectrum has an
-exact count at every order m.  An order pair without dominance, or with a
-block that is not a multiple of (n+m)/gcd(n, m), as every true block is, is
-counted exactly as a record scan counts it.
+A summary scan gives most order pairs no classes, no blocks and no counts,
+by proof.  Every key has 1 at d = 1 and every other entry in
+[0, max(n, m) - 1], so two different keys first differ at some later
+divisor.  If every block after the first exceeds max(n, m) - 1 times the sum
+of the blocks after it (dominance, the fact behind the paper's proof and
+Lemma 2.1ii), the block where two keys first differ outweighs all their
+later differences, so no two keys share a count and the pair has no
+collision.  Dominance follows when each block past d = 1 is more than
+max(n, m) times the next one, and _certified decides that chain from the
+blocks' logarithms, read from one table of log2(k!) with the tolerance that
+the lemma grids use (logblocks), so it builds no block and no class.
+Exactness needs no sums either: every spectrum of a scan is checked once to
+be admissible (Frobenius' theorem, see _admissible), and an admissible
+spectrum has an exact count at every order m.  An order pair whose chain
+does not clear the tolerance is counted exactly, as a record scan counts it.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from itertools import chain, repeat
 from math import gcd
-from operator import add, mul
+from operator import add, itemgetter, mul
 
 from .counting import count_formula
 from .errors import BudgetError
@@ -58,11 +60,13 @@ from .groups import (
     solutions,
     spectrum_from_solutions,
 )
+from .logblocks import _log_tables
 from .value import Value
 
 # Scans refuse max_order past this ceiling (BudgetError) before they enumerate
-# a group; a summary scan of all families at the ceiling took 1.6-2.3 s on 2
-# cores, with 37 MB peak RSS.
+# a group; a summary scan of all families at the ceiling took 0.9-1.2 s on 2
+# cores, with 32 MB peak RSS.  The tolerance proof of logblocks._tolerance
+# needs it below 4096.
 SCAN_MAX_ORDER = 1024
 # Record scans (with on_row) refuse more pairs than this (BudgetError) after
 # enumerating the groups and before the first row: one record per pair, and
@@ -284,36 +288,48 @@ def pair_sequence(descriptors) -> list[tuple[GroupDescriptor, GroupDescriptor]]:
             for j in range(i, len(descriptors))]
 
 
-def _certified(n: int, m: int, g: int, tail: list[int]) -> bool:
+def _certified(n: int, m: int, shared: list[int], tables: tuple) -> bool:
     """True when the keys of the order pair (n, m), n <= m, have pairwise distinct counts.
 
-    g is gcd(n, m) > 1 and tail the blocks at the divisors of g past 1, in
-    increasing order.  Dominance: every block of tail exceeds m - 1 times the
-    sum of the blocks after it, so two keys, which agree at d = 1, differ in
-    divisor sum by at least that excess where they first differ (an entry at
-    d > 1 lies in [0, m - 1]).  A block C((n+m)/d, n/d) is a multiple of
-    (n+m)/g, since its lower and upper index have gcd g/d; a block that is
-    not gives False, as does a failing dominance.
+    shared lists the divisors of gcd(n, m) > 1 in increasing order, and
+    tables is logblocks._log_tables of a bound on m.  The chain certificate:
+    each block B_d = C((n+m)/d, n/d) past d = 1 is more than m times the
+    next one, B_d'.  Then, from the last block down, each block exceeds
+    m - 1 times the sum R of the blocks after it (dominance): B_d' >
+    (m - 1) R_d' gives R_d = B_d' + R_d' < B_d' m / (m - 1) < B_d / (m - 1).
+    Two keys agree at d = 1, and an entry at d > 1 lies in [0, m - 1], so
+    where they first differ their divisor sums differ by more than 0.  Each
+    link is decided in floats by its margin in bits, lb_d - lb_d' - log2 m,
+    with lb_d = lf[(n+m)/d] - lf[n/d] - lf[m/d] the logarithm of B_d, and
+    holds when the margin exceeds tau[n + m] (logblocks._tolerance proves
+    this); no block is built.
     """
-    step = (n + m) // g
-    rest = 0
-    for block in reversed(tail):
-        if block <= (m - 1) * rest or block % step:
+    lf, lg, tau = tables
+    total = n + m
+    log_m, tol = lg[m], tau[total]
+    d = shared[1]
+    before = lf[total // d] - lf[n // d] - lf[m // d]
+    for d in shared[2:]:
+        after = lf[total // d] - lf[n // d] - lf[m // d]
+        if before - after - log_m <= tol:
             return False
-        rest += block
+        before = after
     return True
 
 
 def _classes(spectra: list[OrderSpectrum], positions: range, shared: list[int]):
     """The classes (keys, of, positions) of the spectra at positions, restricted to shared.
 
-    keys lists the restricted keys (a spectrum's entries at shared) in order
-    of first appearance, and of gives each position, in turn, the index of
-    its key.
+    keys lists the restricted keys (tuples of a spectrum's entries at
+    shared) in order of first appearance, and of gives each position, in
+    turn, the index of its key.
     """
+    keys = map(itemgetter(*shared), [spectra[i].entries for i in positions])
+    if len(shared) == 1:
+        # itemgetter of one divisor returns the entry itself, not a 1-tuple.
+        keys = zip(keys)
     index: dict[tuple[int, ...], int] = {}
-    of = [index.setdefault(tuple(spectra[i].entries[d] for d in shared), len(index))
-          for i in positions]
+    of = [index.setdefault(key, len(index)) for key in keys]
     return list(index), of, positions
 
 
@@ -328,18 +344,19 @@ def _class_walk(spectra: list[OrderSpectrum], summary: bool = False):
     no collision, and its count C(n+m, n)/(n+m) is an integer for every
     spectrum, a rational Catalan number: a summary scan, which needs only the
     collisions, skips it.  A summary scan decides every other order pair by
-    _certified first, from the blocks past d = 1 alone, and a certified pair
-    gets no classes (left and right are None), no counts and no collisions;
-    its counts are exact because every spectrum of a scan is admissible.
-    Every other pair is counted as below.  shared lists the divisors of
-    gcd(n, m) in increasing order.  left and right are the classes of order n
-    and of order m from _classes, each built once per order and gcd.  counts
-    gives each key its dot product with the block table divided by n + m,
-    which is |M(G, m)| for a group G of order n in that class (and the same
-    with n and m swapped).  An inexact division means an inconsistent
-    spectrum or table and raises ValueError.  collisions is a tuple of each
-    (left class, right class) with different keys and equal counts; the
-    classes are matched by count only when two keys share one.
+    _certified first, from one table of block logarithms, and a certified
+    pair gets no block table, no classes (left and right are None), no counts
+    and no collisions; its counts are exact because every spectrum of a scan
+    is admissible.  Every other pair is counted as below, from one block
+    table.  shared lists the divisors of gcd(n, m) in increasing order.  left
+    and right are the classes of order n and of order m from _classes, each
+    built once per order and gcd.  counts gives each key its dot product
+    with the block table divided by n + m, which is |M(G, m)| for a group G
+    of order n in that class (and the same with n and m swapped).  An
+    inexact division means an inconsistent spectrum or table and raises
+    ValueError.  collisions is a tuple of each (left class, right class)
+    with different keys and equal counts; the classes are matched by count
+    only when two keys share one.
     """
     orders = [spectrum.group_order for spectrum in spectra]
     members = {n: range(bisect_left(orders, n), bisect_right(orders, n))
@@ -356,6 +373,7 @@ def _class_walk(spectra: list[OrderSpectrum], summary: bool = False):
         return entry
 
     orders = list(members)
+    tables = _log_tables(max(orders, default=0)) if summary else None
     for a, n in enumerate(orders):
         row = []
         for m in orders[a:]:
@@ -366,14 +384,10 @@ def _class_walk(spectra: list[OrderSpectrum], summary: bool = False):
             if shared is None:
                 # g divides n, and a spectrum's keys are its order's divisors.
                 shared = divisors_of[g] = [d for d in spectra[members[n].start].entries if g % d == 0]
-            if summary:
-                tail = block_table(n, m, shared[1:], last_blocks)
-                if _certified(n, m, g, tail):
-                    row.append((m, shared, None, None, {}, ()))
-                    continue
-                table = block_table(n, m, shared[:1], last_blocks) + tail
-            else:
-                table = block_table(n, m, shared, last_blocks)
+            if summary and _certified(n, m, shared, tables):
+                row.append((m, shared, None, None, {}, ()))
+                continue
+            table = block_table(n, m, shared, last_blocks)
             left, right = classes_at(n, g), classes_at(m, g)
             total = n + m
             counts: dict[tuple[int, ...], int] = {}

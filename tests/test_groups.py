@@ -481,4 +481,4 @@ def test_order_spectrum_validation_rejects_malformed_tables():
         OrderSpectrum(entries={1: 1, 2: 1, 4: 1}, group_order=4)  # sums to 3
     spectrum = OrderSpectrum(entries={1: 1, 2: 3, 4: 0}, group_order=4)
     assert spectrum.count_of(2) == 3
-    assert spectrum.key() == ((1, 1), (2, 3), (4, 0))
+    assert tuple(spectrum.entries.items()) == ((1, 1), (2, 3), (4, 0))

@@ -1,4 +1,4 @@
-"""Every name a zsr module imports is used in that module."""
+"""Every name a zsr module or a test module imports is used in that module."""
 
 import ast
 from pathlib import Path
@@ -8,6 +8,7 @@ import pytest
 import zsr
 
 MODULES = sorted(Path(zsr.__file__).resolve().parent.glob("*.py"))
+TEST_MODULES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,6 +35,7 @@ def test_unused_imports_are_found():
     assert unused_imports(source) == ["os", "l", "chain"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES,
+                         ids=[p.name for p in MODULES] + [f"tests/{p.name}" for p in TEST_MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from doctoring import doctored_grid_parts
 
-from zsr import exactmath, groups, lemmas
+from zsr import exactmath, groups, lemmas, logblocks, reciprocity
 from zsr.cli import main
 from zsr.exactmath import binomial, divisors, prime_power_root, valuation
 from zsr.groups import AbelianGroup, enumerate_abelian, order_spectrum, parse_group
@@ -136,7 +136,7 @@ def test_check_lemma22_ratio_bound_implies_consequence(monkeypatch):
     # instance the consequence holds too, with blocks from fresh binomials.
     # With an infinite tolerance the float filter certifies no tuple, so each
     # one the grid visits reaches _lemma22_holds.
-    monkeypatch.setattr(lemmas, "_FILTER_TOLERANCE", float("inf"))
+    monkeypatch.setattr(logblocks, "_FILTER_TOLERANCE", float("inf"))
     decide = lemmas._lemma22_holds
     for variant, factor, expected in (("i", 2, 2096), ("ii", 1, 75)):
         seen = []
@@ -279,7 +279,7 @@ def test_lemma21ii_strip_matches_each_instance(doctor_blocks):
     # strip of each pair b >= 2a fails the instance exactly where
     # a * block_a > max(m, n) * block_b is false.  It reads the logarithms of
     # the blocks from its table, and the blocks themselves through _block.
-    tables = lemmas._log_tables(60)
+    tables = logblocks._log_tables(60)
     rows = failing = 0
     for m in range(2, 61):
         for n in range(2, 61):
@@ -527,7 +527,7 @@ def test_lemma21_filter_or_exact_matches_fractions(doctor_blocks):
 
     # shift None keeps the true blocks; an integer puts block_a that far from
     # the least value for which the ratio bound holds, a near-tie in floats.
-    tables = lemmas._log_tables(3000)
+    tables = logblocks._log_tables(3000)
 
     @hypothesis.settings(max_examples=80, deadline=None)
     @hypothesis.given(instances(), st.one_of(st.none(), st.integers(-2, 2)))
@@ -551,12 +551,14 @@ def test_lemma21_filter_or_exact_matches_fractions(doctor_blocks):
 
 
 def test_the_tolerance_proof_covers_the_grid_ceilings():
-    # The error bound of lemmas._tolerance takes t + 1 < 2^12 for every
+    # The error bound of logblocks._tolerance takes t + 1 < 2^12 for every
     # (m + n)/d with d >= 2, and keeps tau 256 times above the error it
-    # proves, so it holds only while both binomial ceilings stay below 4096
-    # and the tolerance is at least 2^-30 per unit.
+    # proves, so it holds only while both binomial ceilings and the scan
+    # ceiling, whose summary certificate reads the same tables, stay below
+    # 4096 and the tolerance is at least 2^-30 per unit.
     assert max(lemmas.LEMMA21_GRID_MAX, lemmas.LEMMA22_GRID_MAX) < 2 ** 12
-    assert lemmas._FILTER_TOLERANCE >= 2.0 ** -30
+    assert reciprocity.SCAN_MAX_ORDER < 2 ** 12
+    assert logblocks._FILTER_TOLERANCE >= 2.0 ** -30
 
 
 def lemma22_fraction_verdict(m, n, a, b, p, q, variant, block_a, block_b):
@@ -782,7 +784,7 @@ def test_delta_matches_the_valuation_formula():
 def test_lemma22_integer_verdicts_match_fractions(monkeypatch):
     # With an infinite tolerance the float filter certifies no tuple, so each
     # one the grid visits reaches _lemma22_holds, once.
-    monkeypatch.setattr(lemmas, "_FILTER_TOLERANCE", float("inf"))
+    monkeypatch.setattr(logblocks, "_FILTER_TOLERANCE", float("inf"))
     decide = lemmas._lemma22_holds
     for variant, factor, count in (("i", 2, 560), ("ii", 1, 31)):
         visited = []

@@ -8,7 +8,7 @@ import os
 import subprocess
 import sys
 from itertools import combinations
-from math import comb, gcd
+from math import comb, gcd, log2
 from operator import mul
 from pathlib import Path
 
@@ -16,7 +16,6 @@ import pytest
 
 import zsr
 from zsr import reciprocity
-from zsr.counting import count_formula
 from zsr.exactmath import block_table, divisors, factorize
 from zsr.groups import (
     AbelianGroup,
@@ -27,6 +26,7 @@ from zsr.groups import (
     order_spectrum,
     parse_group,
 )
+from zsr.logblocks import _log_tables
 from zsr.reciprocity import (
     FAMILIES,
     RECORD_FIELDS,
@@ -255,7 +255,7 @@ def test_family_descriptors_dedup_by_spectrum():
     descriptors = family_descriptors(FAMILIES, 48)
     seen = set()
     for d in descriptors:
-        key = (d.order, order_spectrum(d).key())
+        key = (d.order, tuple(order_spectrum(d).entries.items()))
         assert key not in seen, d.notation()
         seen.add(key)
     names = [d.notation() for d in descriptors]
@@ -398,7 +398,7 @@ def old_family_descriptors(families, max_order, known):
     for desc in pool:
         if desc not in known:
             known[desc] = order_spectrum(desc)
-        first.setdefault((desc.order, known[desc].key()), (desc, known[desc]))
+        first.setdefault((desc.order, tuple(known[desc].entries.items())), (desc, known[desc]))
     return [desc for desc, _ in first.values()], [spectrum for _, spectrum in first.values()]
 
 
@@ -442,13 +442,38 @@ def from_totals(totals, g):
     return entries
 
 
+def dominates(m, tail):
+    """Exact dominance of the blocks tail, those past d = 1 in increasing order of d.
+
+    The reference rule for _certified: every block exceeds m - 1 times the
+    sum of the blocks after it, in exact integers.
+    """
+    rest = 0
+    for block in reversed(tail):
+        if block <= (m - 1) * rest:
+            return False
+        rest += block
+    return True
+
+
+def equal_blocks(n, m, shared, last=None):
+    """A planted block table: n + m at every shared divisor, so a count is its key's sum."""
+    return [n + m] * len(shared)
+
+
+def certify_equal_blocks(n, m, shared, tables):
+    """A stand-in for reciprocity._certified that decides dominates on equal_blocks."""
+    return dominates(m, equal_blocks(n, m, shared)[1:])
+
+
 def test_certificate_property():
     # At random order pairs up to 1024 with gcd g > 1, each block is a
-    # multiple of (n+m)/g; where the pair dominates, two different keys have
-    # different divisor sums, also when they first differ late; and a key
-    # whose sums F(d) are multiples of d at every d | g (Frobenius'
-    # condition, built here by Möbius inversion from random multiples) has a
-    # divisor sum that n + m divides.
+    # multiple of (n+m)/g; where the chain certificate passes, the pair
+    # dominates exactly and two different keys have different divisor sums,
+    # also when they first differ late; and a key whose sums F(d) are
+    # multiples of d at every d | g (Frobenius' condition, built here by
+    # Möbius inversion from random multiples) has a divisor sum that n + m
+    # divides.
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
@@ -467,6 +492,8 @@ def test_certificate_property():
         totals = {d: d * draw(st.integers(0, m)) if d > 1 else 1 for d in shared}
         return n, m, shared, key, other, tuple(from_totals(totals, shared[-1]).values())
 
+    tables = _log_tables(1024)
+
     @hypothesis.settings(max_examples=300, deadline=None)
     @hypothesis.given(order_pair_keys())
     def certificate(case):
@@ -476,7 +503,8 @@ def test_certificate_property():
         assert all(block % (total // g) == 0 for block in table)
         assert reciprocity._admissible(dict(zip(shared, admissible)), factorize(g)) is None
         assert sum(map(mul, admissible, table)) % total == 0
-        if reciprocity._certified(n, m, g, table[1:]):
+        if reciprocity._certified(n, m, shared, tables):
+            assert dominates(m, table[1:])
             assert sum(map(mul, key, table)) != sum(map(mul, other, table))
 
     certificate()
@@ -507,6 +535,91 @@ def test_certified_order_pairs_have_distinct_exact_counts():
             keys = set(left[0]) | set(right[0])
             sums = {sum(k * comb((n + m) // d, n // d) for k, d in zip(key, shared)) for key in keys}
             assert len(sums) == len(keys) and all(s % (n + m) == 0 for s in sums), (n, m)
+
+
+def test_log_certificate_passes_exactly_the_dominant_order_pairs(monkeypatch):
+    # Every order pair n <= m <= 192 with gcd > 1 that the chain certificate
+    # passes, from one table of log2(k!), dominates exactly by the reference
+    # rule on fresh blocks, and the two rules pass the same order pairs, at
+    # 96 as at 192.  The summary walk of all families to 192 asks block_table
+    # for the blocks of each order pair the certificate refuses, once, and
+    # for no other.
+    tables = _log_tables(192)
+    passed, dominant, refused = set(), set(), []
+    for n in range(2, 193):
+        for m in range(n, 193):
+            shared = divisors(gcd(n, m))
+            if len(shared) == 1:
+                continue
+            if reciprocity._certified(n, m, shared, tables):
+                passed.add((n, m))
+            else:
+                refused.append((n, m))
+            if dominates(m, [comb((n + m) // d, n // d) for d in shared[1:]]):
+                dominant.add((n, m))
+    assert passed <= dominant
+    assert passed == dominant and len(passed) == 6796 and len(refused) == 502
+    assert sum(m <= 96 for _, m in passed) == 1656
+    calls = []
+    table = reciprocity.block_table
+
+    def counted(n, m, shared, last):
+        calls.append((n, m))
+        return table(n, m, shared, last)
+
+    monkeypatch.setattr(reciprocity, "block_table", counted)
+    _, spectra = reciprocity._scan_groups(FAMILIES, 192)
+    for _ in reciprocity._class_walk(spectra, summary=True):
+        pass
+    assert calls == refused
+
+
+def planted_logarithms(tables, n, m, planted):
+    """tables with the block logarithm of (n, m) at each d of planted set to log2 planted[d].
+
+    Only the entry lf[(n+m)/d] is changed, so no (n+m)/d may be an n/d' or
+    m/d' that the pair reads.
+    """
+    lf = tables[0][:]
+    for d, block in planted.items():
+        lf[(n + m) // d] = log2(block) + lf[n // d] + lf[m // d]
+    return (lf, *tables[1:])
+
+
+@pytest.mark.parametrize("shift, certified", [(1, False), (0, False), (-1, False), (2 ** 60, True)])
+def test_near_ties_of_the_chain_reach_exact_counting(shift, certified, monkeypatch):
+    # At the order pair (4, 8) the blocks past d = 1 are B_2 = C(6, 2) and
+    # B_4 = C(3, 1).  Planted as B_4 = k = 2^60 and B_2 = 8k + shift through
+    # the entries lf[6] and lf[3], which only their logarithms read, the link
+    # B_2 > 8 * B_4 lies within 2^-60 bits of a tie, far inside the
+    # tolerance of the pair (above 2^-25 bits), so the certificate refuses
+    # it for every small shift, and the summary walk counts the pair from
+    # its block table.  B_2 = 9k, log2(9/8) bits above the tie, is certified.
+    k = 2 ** 60
+    certify = reciprocity._certified
+    verdicts = []
+
+    def doctored(n, m, shared, tables):
+        if (n, m) == (4, 8):
+            tables = planted_logarithms(tables, n, m, {2: 8 * k + shift, 4: k})
+            verdicts.append(certify(n, m, shared, tables))
+            return verdicts[-1]
+        return certify(n, m, shared, tables)
+
+    calls = []
+    table = reciprocity.block_table
+    monkeypatch.setattr(reciprocity, "_certified", doctored)
+    monkeypatch.setattr(reciprocity, "block_table", lambda n, m, shared, last: (
+        calls.append((n, m)) or table(n, m, shared, last)))
+    descriptors = [AbelianGroup((4,)), AbelianGroup((2, 2)), AbelianGroup((8,)),
+                   AbelianGroup((2, 4)), Dihedral(4)]
+    spectra = [order_spectrum(d) for d in descriptors]
+    [entry] = [entry for positions, row in reciprocity._class_walk(spectra, summary=True)
+               for entry in row if spectra[positions.start].group_order == 4 and entry[0] == 8]
+    assert verdicts == [certified]
+    assert ((4, 8) in calls) == (not certified) == (entry[2] is not None)
+    if not certified:
+        assert len(entry[4]) == 4 and entry[5] == ()
 
 
 def test_summary_walk_builds_classes_only_for_uncertified_order_pairs(monkeypatch):
@@ -615,13 +728,15 @@ def test_summary_scan_to_the_ceiling_factorizes_each_order_once(monkeypatch):
 def test_summary_scans_skip_coprime_order_pairs(monkeypatch):
     # With every block n + m a class's count is the sum of its restricted
     # entries, which plants collisions, so both paths have violations to agree on.
+    # The certificate judges the planted blocks by exact dominance.
     calls = []
 
     def planted(n, m, shared, last):
         calls.append((n, m))
-        return [n + m] * len(shared)
+        return equal_blocks(n, m, shared)
 
     monkeypatch.setattr(reciprocity, "block_table", planted)
+    monkeypatch.setattr(reciprocity, "_certified", certify_equal_blocks)
     summary = conjecture_scan(FAMILIES, 32)
     summary_calls = list(calls)
     calls.clear()
@@ -629,9 +744,10 @@ def test_summary_scans_skip_coprime_order_pairs(monkeypatch):
     orders = sorted({d.order for d in family_descriptors(FAMILIES, 32)})
     every = [(n, m) for i, n in enumerate(orders) for m in orders[i:]]
     assert calls == every
-    # A summary scan asks for the blocks past d = 1 first, and for the block
-    # at d = 1 only where it counts exactly, so it may ask twice per pair.
-    assert list(dict.fromkeys(summary_calls)) == [(n, m) for n, m in every if gcd(n, m) > 1]
+    # A summary scan asks for the blocks of an order pair with gcd > 1 once,
+    # and only where the certificate refuses it.  Equal planted blocks
+    # dominate only where one block follows d = 1, at a prime gcd.
+    assert summary_calls == [(n, m) for n, m in every if len(divisors(gcd(n, m))) > 2]
     assert len(summary_calls) < len(every)
     assert summary.violations == records.violations and len(summary.violations) > 100
 
@@ -682,8 +798,10 @@ def restricted(spectrum, shared):
 
 def test_planted_collisions_reach_both_scan_paths(monkeypatch):
     # With every block equal to n + m, a class's count is the sum of its
-    # restricted entries, so different restricted spectra collide often.
-    monkeypatch.setattr(reciprocity, "block_table", lambda n, m, shared, last: [n + m] * len(shared))
+    # restricted entries, so different restricted spectra collide often.  The
+    # certificate judges the planted blocks by exact dominance.
+    monkeypatch.setattr(reciprocity, "block_table", equal_blocks)
+    monkeypatch.setattr(reciprocity, "_certified", certify_equal_blocks)
     expected = []
     for g, h in pair_sequence(family_descriptors(FAMILIES, 32)):
         shared = gcd(g.order, h.order)
@@ -718,7 +836,7 @@ def test_class_scan_raises_on_inconsistent_spectrum_under_optimize():
     # enters the scan, also under python -O, which strips asserts.
     # At the order pair (2, 4) it would pass dominance and get no counts.
     assert reciprocity._admissible({1: 1, 2: 0, 4: 3}, factorize(4)) == 2
-    assert reciprocity._certified(2, 4, 2, [3])
+    assert reciprocity._certified(2, 4, [1, 2], _log_tables(4))
     code = ("import zsr.reciprocity as r\n"
             "from zsr.groups import solutions\n"
             "r.solutions = lambda g, divs: [1, 1, 4] if g.notation() == 'C4' else solutions(g, divs)\n"
@@ -736,16 +854,20 @@ def test_class_scan_raises_on_inconsistent_spectrum_under_optimize():
                              "solutions of x^2 = 1 is not a multiple of 2\n") * 2
 
 
-def test_blocks_off_the_guard_modulus_take_the_exact_path(monkeypatch):
-    # A planted block 4 at d = 2 of the order pair (2, 4) is no multiple of
-    # 6 / 2, so the pair is not certified though it dominates, and both scan
-    # paths refuse C2's divisor sum 15 + 4 with one message.
-    assert not reciprocity._certified(2, 4, 2, [4])
+def test_refused_order_pairs_are_counted_from_block_table(monkeypatch):
+    # Planted blocks 15 at d = 1 and 4 at d = 2 of the order pair (2, 4) give
+    # C2 the divisor sum 15 + 4, which 6 does not divide.  A record scan
+    # counts every order pair; a summary scan counts, from block_table, the
+    # pairs its certificate refuses, here (2, 4).  Both scan paths refuse
+    # the sum with one message.
     planted = {1: 15, 2: 4}
     table = reciprocity.block_table
     monkeypatch.setattr(reciprocity, "block_table", lambda n, m, shared, last:
                         [planted[d] for d in shared] if (n, m) == (2, 4)
                         else table(n, m, shared, last))
+    certify = reciprocity._certified
+    monkeypatch.setattr(reciprocity, "_certified", lambda n, m, shared, tables:
+                        (n, m) != (2, 4) and certify(n, m, shared, tables))
     for consumer in (None, lambda text: None):
         with pytest.raises(ValueError) as refused:
             conjecture_scan(("abelian",), 4, on_row=consumer)
