@@ -2,8 +2,9 @@
 
 Exit codes: 0 for success with nothing found, 1 when a scan or grid found a
 violation (the interesting outcome), 2 for usage and domain errors, for an
---out path that cannot be opened or written and for a failed write to stdout,
-141 when the reader closed stdout early.
+--out path that cannot be opened or written and for a failed write to stdout
+(a stdout closed at start-up too), 141 when the reader closed stdout early.
+A closed or unwritable stderr drops the messages and keeps the exit code.
 All machine output is deterministic: records carry big integers as decimal
 strings, field order is fixed, and rerunning an identical invocation
 produces identical bytes.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import os
 import sys
@@ -49,6 +51,31 @@ def _writes_to(path):
         if path is None or exc.filename is not None:
             raise
         raise _WriteError(exc.errno, exc.strerror, path) from None
+
+
+class _ClosedStdout:
+    """sys.stdout when descriptor 1 was closed at start-up: every write fails with EBADF."""
+
+    def write(self, text: str) -> int:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+    def flush(self) -> None:
+        pass
+
+
+def _note(text: str) -> None:
+    """Print text on stderr; a stderr closed at start-up or unwritable drops it.
+
+    An unwritable stderr is pointed at devnull, so that the flush at
+    interpreter exit cannot fail again.
+    """
+    if sys.stderr is None:
+        # print would fall back to stdout.
+        return
+    try:
+        print(text, file=sys.stderr)
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
 
 
 def _dump(obj) -> str:
@@ -221,7 +248,7 @@ class _ScanLog:
             start, pair = jsonl_record_pair(line)
             if not logged.startswith(start):
                 raise ValueError(f"{where} is not the record for {pair}; it is the log of another scan")
-            print(f"{where}: the record for {pair} differs from its recomputation", file=sys.stderr)
+            _note(f"{where}: the record for {pair} differs from its recomputation")
             differing.append(offset)
         return differing
 
@@ -270,7 +297,7 @@ def _cmd_scan_conjecture(args) -> int:
     ]
     human += [f"  VIOLATION {r.g.notation()} vs {r.h.notation()}" for r in summary.violations]
     if stream_stdout:
-        print("\n".join(human), file=sys.stderr)
+        _note("\n".join(human))
     else:
         record = summary.to_record()
         violating = [r.to_record() for r in summary.violations]
@@ -315,7 +342,7 @@ def _cmd_lemma(args) -> int:
     _emit(args, human, dict(summary, failing_instances=failure_records),
           failure_records + [summary], failure_records, LEMMA_CSV_COLUMNS)
     if args.format == "csv":
-        print(f"checked: {result.checked}, failures: {len(result.failures)}", file=sys.stderr)
+        _note(f"checked: {result.checked}, failures: {len(result.failures)}")
     return 1 if result.failures else 0
 
 
@@ -432,28 +459,35 @@ def main(argv=None) -> int:
     set_int_max_str_digits = getattr(sys, "set_int_max_str_digits", None)
     if set_int_max_str_digits is not None:
         set_int_max_str_digits(0)
+    stdout = sys.stdout
+    if stdout is None:
+        sys.stdout = _ClosedStdout()
     try:
         code = args.func(args)
         sys.stdout.flush()
         return code
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _note(f"error: {exc}")
         return 2
     except OSError as exc:
         if exc.filename is not None:
             # An --out path that cannot be opened (a directory, a missing
             # parent, not a regular file) or written.
             verb = "write" if isinstance(exc, _WriteError) else "open"
-            print(f"error: cannot {verb} {exc.filename}: {exc.strerror}", file=sys.stderr)
+            _note(f"error: cannot {verb} {exc.filename}: {exc.strerror}")
             return 2
         # A write to stdout failed.  Point stdout at devnull so that the flush
-        # at interpreter exit cannot fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # at interpreter exit cannot fail again; a stdout closed at start-up
+        # has no descriptor, and an --out log may hold descriptor 1.
+        if stdout is not None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stdout.fileno())
         if isinstance(exc, BrokenPipeError):
             # The reader closed stdout: exit as SIGPIPE would (128 + 13).
             return 141
-        print(f"error: cannot write standard output: {exc.strerror}", file=sys.stderr)
+        _note(f"error: cannot write standard output: {exc.strerror}")
         return 2
+    finally:
+        sys.stdout = stdout
 
 
 if __name__ == "__main__":

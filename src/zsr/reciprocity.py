@@ -9,16 +9,19 @@ sides plus an iff-consistency verdict.
 Both counts read only the spectrum entries at the divisors d of gcd(n, m),
 weighted by the blocks C((n+m)/d, n/d) = C((n+m)/d, m/d).  A scan therefore
 decides by spectrum class, in one walk over the orders in increasing n: for
-each n and every order m >= n it builds one block table, groups the groups of
-both orders by their spectrum restricted to the shared divisors, and gives each
-class one count.  A pair is a violation exactly when its two classes differ but
-their counts are equal; the walk finds such colliding classes once per order
-pair, with a dict keyed by count where two counts tie.  Each candidate is
-built once and its numbers of solutions of x^d = 1 computed once; these fix
-the spectrum, so the candidates are deduplicated by them and each distinct
-spectrum is inverted from them once.  A summary scan skips the coprime order
-pairs, which cannot collide, and expands only colliding classes into pairs;
-a record scan renders, from the walk's row, each group's records with itself
+each n and every order m >= n with gcd(n, m) > 1 it builds one block table,
+groups the groups of both orders by their spectrum restricted to the shared
+divisors, and gives each class one count.  A pair is a violation exactly when
+its two classes differ but their counts are equal; the walk finds such
+colliding classes once per order pair, with a dict keyed by count where two
+counts tie.  Each candidate is built once and its numbers of solutions of
+x^d = 1 computed once; these fix the spectrum, so the candidates are
+deduplicated by them and each distinct spectrum is inverted from them once.
+A coprime order pair cannot collide: every group of either order has the key
+(1,) and the count C(n+m, n)/(n+m), a rational Catalan number.  A summary
+scan skips these pairs and expands only colliding classes into pairs; a
+record scan gives each of them that one count, with no block table and no
+classes, and renders, from the walk's row, each group's records with itself
 and every later group as one text, in canonical order.
 
 A summary scan gives most order pairs no classes, no blocks and no counts,
@@ -41,8 +44,9 @@ does not clear the tolerance is counted exactly, as a record scan counts it.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from itertools import chain, repeat
-from math import gcd
+from math import comb, gcd
 from operator import add, itemgetter, mul
 
 from .counting import count_formula
@@ -340,23 +344,30 @@ def _class_walk(spectra: list[OrderSpectrum], summary: bool = False):
     order n, in increasing order, this yields the range of positions of order
     n and a row with one (m, shared, left, right, counts, collisions) for
     every order m >= n; with summary true, only for those m with gcd(n, m) >
-    1.  A coprime order pair has one class, key (1,), on each side, so it has
-    no collision, and its count C(n+m, n)/(n+m) is an integer for every
-    spectrum, a rational Catalan number: a summary scan, which needs only the
-    collisions, skips it.  A summary scan decides every other order pair by
-    _certified first, from one table of block logarithms, and a certified
-    pair gets no block table, no classes (left and right are None), no counts
-    and no collisions; its counts are exact because every spectrum of a scan
-    is admissible.  Every other pair is counted as below, from one block
-    table.  shared lists the divisors of gcd(n, m) in increasing order.  left
-    and right are the classes of order n and of order m from _classes, each
-    built once per order and gcd.  counts gives each key its dot product
-    with the block table divided by n + m, which is |M(G, m)| for a group G
-    of order n in that class (and the same with n and m swapped).  An
-    inexact division means an inconsistent spectrum or table and raises
-    ValueError.  collisions is a tuple of each (left class, right class)
-    with different keys and equal counts; the classes are matched by count
-    only when two keys share one.
+    1.  shared lists the divisors of gcd(n, m) in increasing order.
+
+    A coprime order pair has one class, key (1,), on each side, so it has no
+    collision, and its count C(n+m, n)/(n+m) is an integer for every
+    spectrum, a rational Catalan number.  A summary scan, which needs only
+    the collisions, skips it.  A record walk yields it as (m, [1], None, None,
+    count, ()), with that one count in place of counts, from one binomial:
+    no block table, no classes and no counts dict.  An inexact division there
+    means a wrong binomial and raises ValueError.
+
+    A summary scan decides every other order pair by _certified first, from
+    one table of block logarithms, and a certified pair gets no block table,
+    no classes (left and right are None), no counts and no collisions; its
+    counts are exact because every spectrum of a scan is admissible.
+
+    Every other pair is counted from one block table.  left and right are the
+    classes of order n and of order m from _classes, each built once per
+    order and gcd.  counts gives each key its dot product with the block
+    table divided by n + m, which is |M(G, m)| for a group G of order n in
+    that class (and the same with n and m swapped).  An inexact division
+    means an inconsistent spectrum or table and raises ValueError.
+    collisions is a tuple of each (left class, right class) with different
+    keys and equal counts; the classes are matched by count only when two
+    keys share one.
     """
     orders = [spectrum.group_order for spectrum in spectra]
     members = {n: range(bisect_left(orders, n), bisect_right(orders, n))
@@ -378,7 +389,13 @@ def _class_walk(spectra: list[OrderSpectrum], summary: bool = False):
         row = []
         for m in orders[a:]:
             g = gcd(n, m)
-            if g == 1 and summary:
+            if g == 1:
+                if not summary:
+                    total = n + m
+                    top = comb(total, n)
+                    if top % total:
+                        raise ValueError(f"C({total}, {n}) = {top} not divisible by {total}")
+                    row.append((m, [1], None, None, top // total, ()))
                 continue
             shared = divisors_of.get(g)
             if shared is None:
@@ -436,11 +453,13 @@ def _record_rows(descriptors, spectra, on_row, record_format: str) -> dict:
     rendered once per order pair, its left part once per order pair, class of
     i and witness, and its right part once per order pair and class of j (and
     once more per colliding class of i); a group's row only selects the parts
-    of its class.  The witness of a class pair is found by bucket: the classes
-    of j are grouped by their count at shared[1], the first shared divisor
-    above 1, and a class of i is compared further only with the classes in
-    its own bucket; every other class of j first differs from it at
-    shared[1].  on_row is called with each row's text and may return the
+    of its class.  A coprime order pair, which the walk gives one count and no
+    classes, has one left part and one right part, and a row repeats them for
+    every j of that order.  The witness of a class pair is found by bucket:
+    the classes of j are grouped by their count at shared[1], the first
+    shared divisor above 1, and a class of i is compared further only with
+    the classes in its own bucket; every other class of j first differs from
+    it at shared[1].  on_row is called with each row's text and may return the
     offsets, within the row, of lines to count as violations.  Returns the
     pair (i, j) of those lines and of every inconsistent record mapped to
     (count_g_at_h, count_h_at_g).
@@ -448,6 +467,7 @@ def _record_rows(descriptors, spectra, on_row, record_format: str) -> dict:
     prefix_format, middle_format, left_format, right_format, null = RECORD_FORMATS[record_format]
     names = [d.notation() for d in descriptors]
     orders = [s.group_order for s in spectra]
+    sizes = Counter(orders)
     found = {}
     for positions, row in _class_walk(spectra):
         first = positions.start
@@ -456,42 +476,54 @@ def _record_rows(descriptors, spectra, on_row, record_format: str) -> dict:
         heads = list(map(add, names[first:], map(middles.__getitem__, orders[first:])))
         _violating_pairs(row, found)
         blocks = {}
-        for m, shared, (left_keys, left_of, _), right, counts, collisions in row:
+        for m, shared, left, right, counts, collisions in row:
+            if left is None:
+                # A coprime order pair: one count, and every record agrees.
+                text = str(counts)
+                blocks[m] = (None, sizes[m], left_format.format("true", null, text),
+                             right_format.format(text, "true"))
+                continue
+            left_keys, left_of, _ = left
+            right_keys, right_of, _ = right
             texts = {key: str(count) for key, count in counts.items()}
-            block_rights = [right_format.format(texts[key], "true") for key in right[0]]
+            block_rights = [right_format.format(texts[key], "true") for key in right_keys]
             # The right parts of each class of i, inconsistent where it collides.
             class_rights = [block_rights] * len(left_keys)
             for c, other in collisions:
                 if class_rights[c] is block_rights:
                     class_rights[c] = [*block_rights]
-                class_rights[c][other] = right_format.format(texts[right[0][other]], "false")
-            if len(shared) == 1:
-                # A coprime order pair: one class on each side, key (1,), and they agree.
-                class_lefts = [[left_format.format("true", null, texts[key])] for key in left_keys]
-            else:
-                # The classes of j by their count at shared[1].  Every class
-                # counts 1 at d = 1, so outside its own bucket a class of i
-                # first differs from each at shared[1].
-                right_keys = right[0]
-                bucket: dict[int, list[int]] = {}
-                for c, other in enumerate(right_keys):
-                    bucket.setdefault(other[1], []).append(c)
-                class_lefts = []
-                for key in left_keys:
-                    # The left part of class key with each class of j.
-                    text = texts[key]
-                    lefts = [left_format.format("false", shared[1], text)] * len(right_keys)
-                    by_witness = {None: left_format.format("true", null, text)}
-                    for c in bucket.get(key[1], ()):
-                        d = next((d for d, x, y in zip(shared, key, right_keys[c]) if x != y), None)
-                        if d not in by_witness:
-                            by_witness[d] = left_format.format("false", d, text)
-                        lefts[c] = by_witness[d]
-                    class_lefts.append(lefts)
-            blocks[m] = (left_keys, left_of, right, counts, class_lefts, class_rights)
+                class_rights[c][other] = right_format.format(texts[right_keys[other]], "false")
+            # The classes of j by their count at shared[1].  Every class
+            # counts 1 at d = 1, so outside its own bucket a class of i
+            # first differs from each at shared[1].
+            bucket: dict[int, list[int]] = {}
+            for c, other in enumerate(right_keys):
+                bucket.setdefault(other[1], []).append(c)
+            class_lefts = []
+            for key in left_keys:
+                # The left part of class key with each class of j.
+                text = texts[key]
+                lefts = [left_format.format("false", shared[1], text)] * len(right_keys)
+                by_witness = {}
+                for c in bucket.get(key[1], ()):
+                    other = right_keys[c]
+                    d = None if other == key else next(d for d, x, y in zip(shared, key, other) if x != y)
+                    if d not in by_witness:
+                        by_witness[d] = left_format.format("false" if d else "true", d or null, text)
+                    lefts[c] = by_witness[d]
+                class_lefts.append(lefts)
+            blocks[m] = (left_of, right_of, class_lefts, class_rights)
         for i in positions:
             lefts, rights = [], []
-            for m, (_, left_of, (_, right_of, _), _, class_lefts, class_rights) in blocks.items():
+            for m, (left_of, right_of, class_lefts, class_rights) in blocks.items():
+                if left_of is None:
+                    # A coprime order pair: right_of counts the groups of
+                    # order m, and class_lefts and class_rights are its one
+                    # left and one right part.
+                    k = right_of - (i - first) if m == n else right_of
+                    lefts.append(repeat(class_lefts, k))
+                    rights.append(repeat(class_rights, k))
+                    continue
                 c = left_of[i - first]
                 of = right_of[i - first:] if m == n else right_of
                 lefts.append(map(class_lefts[c].__getitem__, of))
@@ -501,7 +533,11 @@ def _record_rows(descriptors, spectra, on_row, record_format: str) -> dict:
                 chain.from_iterable(lefts), chain.from_iterable(rights))))
             for offset in on_row(text) or ():
                 j = i + offset
-                left_keys, left_of, right, counts, *_ = blocks[orders[j]]
+                _, _, left, right, counts, _ = next(entry for entry in row if entry[0] == orders[j])
+                if left is None:
+                    found.setdefault((i, j), (counts, counts))
+                    continue
+                left_keys, left_of, _ = left
                 right_keys, right_of, right_at = right
                 key, other = left_keys[left_of[i - first]], right_keys[right_of[j - right_at.start]]
                 found.setdefault((i, j), (counts[key], counts[other]))

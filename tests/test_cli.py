@@ -1013,3 +1013,79 @@ def test_closed_stdout_exits_141_without_traceback():
         assert proc.wait(timeout=60) == 141
     assert json.loads(first)["g"] == "C1"
     assert "Traceback" not in err
+
+
+def run_closed(fd, *argv):
+    """Run zsr in a child whose descriptor fd (1 or 2) is closed before Python starts."""
+    return subprocess.run([sys.executable, "-m", "zsr.cli", *argv], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, env=child_env(), timeout=60,
+                          preexec_fn=lambda: os.close(fd))
+
+
+# One call of each subcommand, every one of which writes to stdout.
+EVERY_SUBCOMMAND = [
+    ["count", "--group", "C6", "--length", "3"],
+    ["spectrum", "--group", "D8", "--format", "json"],
+    ["enumerate", "--order", "8", "--format", "csv"],
+    ["check", "--g", "C4", "--h", "C2xC2"],
+    ["verify-theorem", "--max-order", "8", "--format", "jsonl"],
+    ["scan-conjecture", "--max-order", "8", "--format", "csv"],
+    ["lemma", "--id", "2.2i", "--max", "30", "--format", "csv"],
+    ["catalan", "--n", "3", "--m", "5"],
+    ["gapfree", "--n", "12", "--format", "jsonl"],
+]
+
+
+@pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=lambda argv: argv[0])
+def test_stdout_closed_at_start_exits_2(argv):
+    # sys.stdout is None: the first write to it fails, as a write to a closed
+    # descriptor does, and the command exits 2 with no traceback.
+    result = run_closed(1, *argv)
+    assert (result.returncode, result.stdout) == (2, ""), result.stderr
+    assert result.stderr == f"error: cannot write standard output: {os.strerror(errno.EBADF)}\n"
+
+
+def test_stdout_closed_at_start_keeps_the_scan_log_whole(tmp_path):
+    # The log opens on descriptor 1, the lowest free one.  It is written to
+    # its end and closed before the summary fails to print, and nothing is
+    # pointed at devnull over it.
+    logs = [tmp_path / "closed.log", tmp_path / "open.log"]
+    argv = ["scan-conjecture", "--max-order", "12", "--format", "json", "--out"]
+    result = run_closed(1, *argv, str(logs[0]))
+    assert result.returncode == 2
+    assert result.stderr == f"error: cannot write standard output: {os.strerror(errno.EBADF)}\n"
+    assert run_limited(*argv, str(logs[1])).returncode == 0
+    assert logs[0].read_bytes() == logs[1].read_bytes() and logs[0].stat().st_size > 0
+    # A rerun checks the whole log and appends nothing.
+    assert run_closed(1, *argv, str(logs[0])).returncode == 2
+    assert logs[0].read_bytes() == logs[1].read_bytes()
+
+
+def test_stderr_closed_at_start_keeps_exit_codes_and_stdout(tmp_path):
+    # sys.stderr is None: messages are dropped, never printed to stdout, and
+    # the exit codes stay.
+    refused = run_closed(2, "count", "--group", "Z9", "--length", "3")
+    assert (refused.returncode, refused.stdout) == (2, "")
+    assert run_closed(2, "count", "--group", "C6", "--length", "3").stdout == "|M(C6, 3)| = 10  [formula]\n"
+    for argv in EVERY_SUBCOMMAND:
+        expected = run_limited(*argv)
+        result = run_closed(2, *argv)
+        assert (result.returncode, result.stdout) == (expected.returncode, expected.stdout), argv
+    # Both closed: the failed write to stdout still exits 2.
+    both = subprocess.run([sys.executable, "-m", "zsr.cli", "count", "--group", "C6", "--length", "3"],
+                          env=child_env(), timeout=60, preexec_fn=lambda: (os.close(1), os.close(2)))
+    assert both.returncode == 2
+    # A stderr that cannot be written (a file open only for reading) drops
+    # the message too.
+    unwritable = tmp_path / "unwritable"
+    unwritable.write_text("")
+    with unwritable.open() as stderr:
+        result = subprocess.run([sys.executable, "-m", "zsr.cli", "count", "--group", "Z9", "--length", "3"],
+                                stdout=subprocess.PIPE, stderr=stderr, text=True, env=child_env(), timeout=60)
+        assert (result.returncode, result.stdout) == (2, "")
+        result = subprocess.run([sys.executable, "-m", "zsr.cli", "scan-conjecture", "--max-order", "8",
+                                 "--format", "jsonl"],
+                                stdout=subprocess.PIPE, stderr=stderr, text=True, env=child_env(), timeout=60)
+        assert result.returncode == 0 and result.stdout == run_limited(
+            "scan-conjecture", "--max-order", "8", "--format", "jsonl").stdout
+    assert unwritable.read_text() == ""

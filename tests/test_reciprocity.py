@@ -16,6 +16,7 @@ import pytest
 
 import zsr
 from zsr import reciprocity
+from zsr.counting import rational_catalan
 from zsr.exactmath import block_table, divisors, factorize
 from zsr.groups import (
     AbelianGroup,
@@ -165,9 +166,11 @@ def test_record_rows_match_json_dumps(monkeypatch):
     assert next(pairs, None) is None
     # Counts of several hundred digits: every block times 10**300, so that each
     # class count is its divisor sum over n + m times 10**300.
+    # A coprime order pair's one count is C(n+m, n)/(n+m), read from comb.
     table = reciprocity.block_table
     monkeypatch.setattr(reciprocity, "block_table",
                         lambda n, m, shared, last: [b * 10**300 for b in table(n, m, shared, last)])
+    monkeypatch.setattr(reciprocity, "comb", lambda top, bottom: comb(top, bottom) * 10**300)
     lines = "".join(record_rows(FAMILIES, 12)).splitlines()
     assert len(lines) == len(pair_sequence(family_descriptors(FAMILIES, 12)))
     for line in lines:
@@ -181,16 +184,18 @@ def test_record_rows_take_every_witness_path():
     # order-48 record scan, which test_record_rows_match_json_dumps compares
     # line by line, take each path: a witness at shared[1] (outside the left
     # class's bucket), at shared[2], shared[3] or later (inside it), agreeing
-    # classes, and the one class pair of a coprime order pair.
+    # classes, and a coprime order pair, which the walk gives no classes.
     _, spectra = reciprocity._scan_groups(FAMILIES, 48)
     paths = dict.fromkeys((1, 2, 3, 4, "agree", "coprime"), 0)
     for _, row in reciprocity._class_walk(spectra):
-        for _, shared, (left_keys, *_), (right_keys, *_), _, _ in row:
-            for key in left_keys:
-                for other in right_keys:
-                    if len(shared) == 1:
-                        path = "coprime"
-                    elif key == other:
+        for _, shared, left, right, _, _ in row:
+            if left is None:
+                assert shared == [1]
+                paths["coprime"] += 1
+                continue
+            for key in left[0]:
+                for other in right[0]:
+                    if key == other:
                         path = "agree"
                     else:
                         path = min(4, next(i for i, (x, y) in enumerate(zip(key, other)) if x != y))
@@ -625,8 +630,8 @@ def test_near_ties_of_the_chain_reach_exact_counting(shift, certified, monkeypat
 def test_summary_walk_builds_classes_only_for_uncertified_order_pairs(monkeypatch):
     # A certified order pair is decided from its blocks alone: at 192 the
     # summary walk builds the classes of each order and gcd that an
-    # uncertified pair reads, once each, 429 in all, against 1,047 in a
-    # record walk, which builds them for every order pair.
+    # uncertified pair reads, once each, 429 in all, against 855 in a
+    # record walk, which builds them for every order pair with gcd > 1.
     built = []
     classes = reciprocity._classes
 
@@ -644,7 +649,47 @@ def test_summary_walk_builds_classes_only_for_uncertified_order_pairs(monkeypatc
     built.clear()
     for _ in reciprocity._class_walk(spectra):
         pass
-    assert len(built) == len(set(built)) == 1047
+    assert len(built) == len(set(built)) == 855
+
+
+def test_record_walk_gives_coprime_order_pairs_one_catalan_count(monkeypatch):
+    # A coprime order pair has the key (1,) on both sides, so the record walk
+    # gives it one count, C(n+m, n)/(n+m), and no block table, no classes
+    # and no counts dict.  It asks block_table for exactly the order pairs
+    # with gcd > 1, 1,850 at 96 and 7,298 at 192, and builds classes at no
+    # gcd 1: 363 and 855 builds in all.  Every coprime record carries the
+    # rational Catalan number in both count fields.
+    calls, built = [], []
+    table, classes = reciprocity.block_table, reciprocity._classes
+    monkeypatch.setattr(reciprocity, "block_table", lambda n, m, shared, last: (
+        calls.append((n, m)) or table(n, m, shared, last)))
+    monkeypatch.setattr(reciprocity, "_classes", lambda spectra, positions, shared: (
+        built.append((spectra[positions.start].group_order, shared[-1]))
+        or classes(spectra, positions, shared)))
+    for max_order, blocks, coprime, builds in ((96, 1850, 2806, 363), (192, 7298, 11230, 855)):
+        calls.clear()
+        built.clear()
+        _, spectra = reciprocity._scan_groups(FAMILIES, max_order)
+        orders = sorted({spectrum.group_order for spectrum in spectra})
+        counted = []
+        for positions, row in reciprocity._class_walk(spectra):
+            n = spectra[positions.start].group_order
+            for m, shared, left, right, count, collisions in row:
+                if gcd(n, m) == 1:
+                    assert (shared, left, right, collisions) == ([1], None, None, ())
+                    assert count == rational_catalan(n, m), (n, m)
+                    counted.append((n, m))
+        every = [(n, m) for i, n in enumerate(orders) for m in orders[i:]]
+        assert counted == [(n, m) for n, m in every if gcd(n, m) == 1] and len(counted) == coprime
+        assert calls == [(n, m) for n, m in every if gcd(n, m) > 1] and len(calls) == blocks
+        assert len(built) == len(set(built)) == builds and all(g > 1 for _, g in built)
+    records = [json.loads(line) for line in "".join(record_rows(FAMILIES, 96)).splitlines()]
+    coprime_records = [r for r in records if gcd(r["order_g"], r["order_h"]) == 1]
+    assert len(records) == 71253 and len(coprime_records) > 10000
+    for r in coprime_records:
+        catalan = str(rational_catalan(r["order_g"], r["order_h"]))
+        assert (r["count_g_at_h"], r["count_h_at_g"]) == (catalan, catalan), r
+        assert r["spectra_agree"] and r["witness_divisor"] is None and r["iff_consistent"], r
 
 
 def mobius(j):
@@ -743,7 +788,8 @@ def test_summary_scans_skip_coprime_order_pairs(monkeypatch):
     records = conjecture_scan(FAMILIES, 32, on_row=lambda text: None)
     orders = sorted({d.order for d in family_descriptors(FAMILIES, 32)})
     every = [(n, m) for i, n in enumerate(orders) for m in orders[i:]]
-    assert calls == every
+    # A record scan asks for the blocks of every order pair with gcd > 1.
+    assert calls == [(n, m) for n, m in every if gcd(n, m) > 1]
     # A summary scan asks for the blocks of an order pair with gcd > 1 once,
     # and only where the certificate refuses it.  Equal planted blocks
     # dominate only where one block follows d = 1, at a prime gcd.
@@ -845,13 +891,34 @@ def test_class_scan_raises_on_inconsistent_spectrum_under_optimize():
             "        print(r.conjecture_scan(('abelian',), 4, on_row=consumer))\n"
             "    except ValueError as exc:\n"
             "        print('ValueError:', exc)\n")
+    assert run_optimized(code) == ("ValueError: the spectrum of C4 is no group's: the number of "
+                                   "solutions of x^2 = 1 is not a multiple of 2\n") * 2
+
+
+def run_optimized(code):
+    """The stdout of code run by python -O, which strips asserts, with zsr importable."""
     env = dict(os.environ)
     src = str(Path(zsr.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == ("ValueError: the spectrum of C4 is no group's: the number of "
-                             "solutions of x^2 = 1 is not a multiple of 2\n") * 2
+    return result.stdout
+
+
+def test_record_walk_refuses_an_inexact_coprime_count_under_optimize():
+    # With C(n+m, n) planted one too large, the coprime order pair (1, 1)
+    # has C(2, 1) = 3, which 2 does not divide: a record scan refuses it,
+    # also under python -O.  A summary scan, which skips coprime order
+    # pairs, never reads it.
+    code = ("import zsr.reciprocity as r\n"
+            "from math import comb\n"
+            "r.comb = lambda top, bottom: comb(top, bottom) + 1\n"
+            "for consumer in (None, lambda text: None):\n"
+            "    try:\n"
+            "        print(r.conjecture_scan(('abelian',), 3, on_row=consumer).pairs_checked)\n"
+            "    except ValueError as exc:\n"
+            "        print('ValueError:', exc)\n")
+    assert run_optimized(code) == "6\nValueError: C(2, 1) = 3 not divisible by 2\n"
 
 
 def test_refused_order_pairs_are_counted_from_block_table(monkeypatch):
