@@ -3,7 +3,8 @@
 Exit codes: 0 for success with nothing found, 1 when a scan or grid found a
 violation (the interesting outcome), 2 for usage and domain errors, for an
 --out path that cannot be opened or written and for a failed write to stdout
-(a stdout closed at start-up too), 141 when the reader closed stdout early.
+(a stdout closed at start-up too, and --help), 3 for a crash, with its
+traceback on stderr, and 141 when the reader closed stdout early.
 A closed or unwritable stderr drops the messages and keeps the exit code.
 All machine output is deterministic: records carry big integers as decimal
 strings, field order is fixed, and rerunning an identical invocation
@@ -51,6 +52,19 @@ def _writes_to(path):
         if path is None or exc.filename is not None:
             raise
         raise _WriteError(exc.errno, exc.strerror, path) from None
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose help fails as any write to stdout does.
+
+    argparse's own print_help falls back to stderr when stdout is closed and
+    drops a failed write.
+    """
+
+    def print_help(self, file=None) -> None:
+        file = file or sys.stdout
+        file.write(self.format_help())
+        file.flush()
 
 
 class _ClosedStdout:
@@ -390,7 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default="human",
                         help="output format (default: human)")
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zsr",
         description="Exact zero-sum multiset counting over finite groups, "
                     "with reciprocity scans and inequality grids.",
@@ -453,16 +467,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    # Exact counts print in full: lift the interpreter's limit on int-to-str
-    # digits (where it has one), which argument parsing above still kept.
-    set_int_max_str_digits = getattr(sys, "set_int_max_str_digits", None)
-    if set_int_max_str_digits is not None:
-        set_int_max_str_digits(0)
     stdout = sys.stdout
     if stdout is None:
         sys.stdout = _ClosedStdout()
     try:
+        args = _build_parser().parse_args(argv)
+        # Exact counts print in full: lift the interpreter's limit on
+        # int-to-str digits (where it has one), which argument parsing above
+        # still kept.
+        set_int_max_str_digits = getattr(sys, "set_int_max_str_digits", None)
+        if set_int_max_str_digits is not None:
+            set_int_max_str_digits(0)
         code = args.func(args)
         sys.stdout.flush()
         return code
@@ -486,6 +501,12 @@ def main(argv=None) -> int:
             return 141
         _note(f"error: cannot write standard output: {exc.strerror}")
         return 2
+    except Exception:
+        # A crash is no finding, so it has a code of its own, never 1.
+        import traceback
+
+        _note(traceback.format_exc().rstrip("\n"))
+        return 3
     finally:
         sys.stdout = stdout
 

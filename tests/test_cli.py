@@ -720,7 +720,7 @@ def test_write_errors_exit_2_with_the_path_named():
     assert result.stderr == f"error: cannot write /dev/full: {full}\n"
     with open("/dev/full", "w") as stdout:
         for argv in (["count", "--group", "C6", "--length", "3"],
-                     ["scan-conjecture", "--max-order", "40", "--format", "jsonl"]):
+                     ["scan-conjecture", "--max-order", "40", "--format", "jsonl"], *HELP_CALLS):
             result = run_limited(*argv, stdout=stdout)
             assert result.returncode == 2, argv
             assert result.stderr == f"error: cannot write standard output: {full}\n", argv
@@ -1036,10 +1036,22 @@ EVERY_SUBCOMMAND = [
 ]
 
 
+# zsr's help and a subcommand's help, both written to stdout.
+HELP_CALLS = [["--help"], ["count", "--help"]]
+
+
 @pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=lambda argv: argv[0])
 def test_stdout_closed_at_start_exits_2(argv):
     # sys.stdout is None: the first write to it fails, as a write to a closed
     # descriptor does, and the command exits 2 with no traceback.
+    result = run_closed(1, *argv)
+    assert (result.returncode, result.stdout) == (2, ""), result.stderr
+    assert result.stderr == f"error: cannot write standard output: {os.strerror(errno.EBADF)}\n"
+
+
+@pytest.mark.parametrize("argv", HELP_CALLS, ids=" ".join)
+def test_help_to_a_closed_stdout_exits_2(argv):
+    # argparse alone would print the help on stderr and exit 0.
     result = run_closed(1, *argv)
     assert (result.returncode, result.stdout) == (2, ""), result.stderr
     assert result.stderr == f"error: cannot write standard output: {os.strerror(errno.EBADF)}\n"
@@ -1067,7 +1079,7 @@ def test_stderr_closed_at_start_keeps_exit_codes_and_stdout(tmp_path):
     refused = run_closed(2, "count", "--group", "Z9", "--length", "3")
     assert (refused.returncode, refused.stdout) == (2, "")
     assert run_closed(2, "count", "--group", "C6", "--length", "3").stdout == "|M(C6, 3)| = 10  [formula]\n"
-    for argv in EVERY_SUBCOMMAND:
+    for argv in EVERY_SUBCOMMAND + HELP_CALLS:
         expected = run_limited(*argv)
         result = run_closed(2, *argv)
         assert (result.returncode, result.stdout) == (expected.returncode, expected.stdout), argv
@@ -1089,3 +1101,32 @@ def test_stderr_closed_at_start_keeps_exit_codes_and_stdout(tmp_path):
         assert result.returncode == 0 and result.stdout == run_limited(
             "scan-conjecture", "--max-order", "8", "--format", "jsonl").stdout
     assert unwritable.read_text() == ""
+
+
+# A child that plants a RuntimeError in one command.
+CRASH = """
+import sys
+from zsr import cli
+
+
+def crash(n, m):
+    raise RuntimeError("planted")
+
+
+cli.rational_catalan = crash
+sys.exit(cli.main(["catalan", "--n", "3", "--m", "5"]))
+"""
+
+
+def test_a_crash_exits_3_with_its_traceback():
+    # An exception other than ValueError and OSError is a crash, never a
+    # finding: it exits 3, not 1, and a closed stderr keeps the code.
+    command = [sys.executable, "-c", CRASH]
+    result = subprocess.run(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            env=child_env(), timeout=60)
+    assert (result.returncode, result.stdout) == (3, ""), result.stderr
+    assert result.stderr.startswith("Traceback (most recent call last):\n")
+    assert result.stderr.endswith("RuntimeError: planted\n")
+    closed = subprocess.run(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            env=child_env(), timeout=60, preexec_fn=lambda: os.close(2))
+    assert (closed.returncode, closed.stdout, closed.stderr) == (3, "", "")

@@ -169,7 +169,7 @@ def test_record_rows_match_json_dumps(monkeypatch):
     # A coprime order pair's one count is C(n+m, n)/(n+m), read from comb.
     table = reciprocity.block_table
     monkeypatch.setattr(reciprocity, "block_table",
-                        lambda n, m, shared, last: [b * 10**300 for b in table(n, m, shared, last)])
+                        lambda n, m, shared: [b * 10**300 for b in table(n, m, shared)])
     monkeypatch.setattr(reciprocity, "comb", lambda top, bottom: comb(top, bottom) * 10**300)
     lines = "".join(record_rows(FAMILIES, 12)).splitlines()
     assert len(lines) == len(pair_sequence(family_descriptors(FAMILIES, 12)))
@@ -461,7 +461,7 @@ def dominates(m, tail):
     return True
 
 
-def equal_blocks(n, m, shared, last=None):
+def equal_blocks(n, m, shared):
     """A planted block table: n + m at every shared divisor, so a count is its key's sum."""
     return [n + m] * len(shared)
 
@@ -504,7 +504,7 @@ def test_certificate_property():
     def certificate(case):
         n, m, shared, key, other, admissible = case
         g, total = shared[-1], n + m
-        table = block_table(n, m, shared, {})
+        table = block_table(n, m, shared)
         assert all(block % (total // g) == 0 for block in table)
         assert reciprocity._admissible(dict(zip(shared, admissible)), factorize(g)) is None
         assert sum(map(mul, admissible, table)) % total == 0
@@ -568,9 +568,9 @@ def test_log_certificate_passes_exactly_the_dominant_order_pairs(monkeypatch):
     calls = []
     table = reciprocity.block_table
 
-    def counted(n, m, shared, last):
+    def counted(n, m, shared):
         calls.append((n, m))
-        return table(n, m, shared, last)
+        return table(n, m, shared)
 
     monkeypatch.setattr(reciprocity, "block_table", counted)
     _, spectra = reciprocity._scan_groups(FAMILIES, 192)
@@ -614,8 +614,8 @@ def test_near_ties_of_the_chain_reach_exact_counting(shift, certified, monkeypat
     calls = []
     table = reciprocity.block_table
     monkeypatch.setattr(reciprocity, "_certified", doctored)
-    monkeypatch.setattr(reciprocity, "block_table", lambda n, m, shared, last: (
-        calls.append((n, m)) or table(n, m, shared, last)))
+    monkeypatch.setattr(reciprocity, "block_table", lambda n, m, shared: (
+        calls.append((n, m)) or table(n, m, shared)))
     descriptors = [AbelianGroup((4,)), AbelianGroup((2, 2)), AbelianGroup((8,)),
                    AbelianGroup((2, 4)), Dihedral(4)]
     spectra = [order_spectrum(d) for d in descriptors]
@@ -661,8 +661,8 @@ def test_record_walk_gives_coprime_order_pairs_one_catalan_count(monkeypatch):
     # rational Catalan number in both count fields.
     calls, built = [], []
     table, classes = reciprocity.block_table, reciprocity._classes
-    monkeypatch.setattr(reciprocity, "block_table", lambda n, m, shared, last: (
-        calls.append((n, m)) or table(n, m, shared, last)))
+    monkeypatch.setattr(reciprocity, "block_table", lambda n, m, shared: (
+        calls.append((n, m)) or table(n, m, shared)))
     monkeypatch.setattr(reciprocity, "_classes", lambda spectra, positions, shared: (
         built.append((spectra[positions.start].group_order, shared[-1]))
         or classes(spectra, positions, shared)))
@@ -776,7 +776,7 @@ def test_summary_scans_skip_coprime_order_pairs(monkeypatch):
     # The certificate judges the planted blocks by exact dominance.
     calls = []
 
-    def planted(n, m, shared, last):
+    def planted(n, m, shared):
         calls.append((n, m))
         return equal_blocks(n, m, shared)
 
@@ -806,8 +806,8 @@ def test_counts_tied_on_one_side_are_no_collision(monkeypatch):
     descriptors = [AbelianGroup((4,)), AbelianGroup((2, 2)), Dihedral(4)]
     spectra = [order_spectrum(d) for d in descriptors]
     table = reciprocity.block_table
-    monkeypatch.setattr(reciprocity, "block_table", lambda n, m, shared, last:
-                        [12] * len(shared) if (n, m) == (4, 8) else table(n, m, shared, last))
+    monkeypatch.setattr(reciprocity, "block_table", lambda n, m, shared:
+                        [12] * len(shared) if (n, m) == (4, 8) else table(n, m, shared))
     rows = [row for _, row in reciprocity._class_walk(spectra)]
     m, _, left, right, counts, collisions = rows[0][1]
     assert m == 8 and left[0] == [(1, 1, 2), (1, 3, 0)] and right[0] == [(1, 5, 2)]
@@ -929,9 +929,9 @@ def test_refused_order_pairs_are_counted_from_block_table(monkeypatch):
     # the sum with one message.
     planted = {1: 15, 2: 4}
     table = reciprocity.block_table
-    monkeypatch.setattr(reciprocity, "block_table", lambda n, m, shared, last:
+    monkeypatch.setattr(reciprocity, "block_table", lambda n, m, shared:
                         [planted[d] for d in shared] if (n, m) == (2, 4)
-                        else table(n, m, shared, last))
+                        else table(n, m, shared))
     certify = reciprocity._certified
     monkeypatch.setattr(reciprocity, "_certified", lambda n, m, shared, tables:
                         (n, m) != (2, 4) and certify(n, m, shared, tables))
