@@ -8,7 +8,10 @@ a decidable statement about concrete integers, and every verdict is exact.
 
 A binomial check is about two divisors a < b of gcd(m, n), so its grid
 walks the pairs (a, b) and, for each, the strip of m and n that are
-multiples of lcm(a, b).  The grids need only the sign of each comparison:
+multiples of lcm(a, b).  A Lemma 2.1 verdict is the same for a = g*x,
+b = g*y at every scale g, so its grid decides each coprime (x, y) at its
+least scale and reads every multiple g from that strip (lemma21_grid).
+The grids need only the sign of each comparison:
 they read each block's logarithm from one table of log2(k!)
 (logblocks._log_tables, shared with the summary scans) and certify in
 floats every instance whose margin clears a proven tolerance
@@ -21,9 +24,10 @@ decide into compact check tuples.
 A LemmaInstance, with its exact Fraction values from fresh binomials, is
 built only for an instance that fails, and fractions is imported only then.
 
-Each grid refuses a bound above its ceiling (LEMMA21_GRID_MAX,
-LEMMA22_GRID_MAX, STRUCTURE_GRID_MAX; GRID_CEILINGS by grid id) with
-BudgetError before any work (check_grid_bound).
+Each grid refuses a bound below 1 with ValueError and a bound above its
+ceiling (LEMMA21_GRID_MAX, LEMMA22_GRID_MAX, STRUCTURE_GRID_MAX;
+GRID_CEILINGS by grid id) with BudgetError, before any work
+(check_grid_bound).
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .value import Value
 
 # Grid ceilings: the largest m, n bound of lemma21_grid and lemma22_grid, and
 # the largest order bound of structure_grid.  At its ceiling each grid took
-# at most about 5 s on a 2-core Xeon host (Python 3.11), so twice that on a
+# at most about 3 s on a 2-core Xeon host (Python 3.11), so twice that on a
 # slow day.
 LEMMA21_GRID_MAX = 3000
 LEMMA22_GRID_MAX = 3000
@@ -339,7 +343,9 @@ def _structure_checks(sg, sh, pair: tuple) -> list[tuple]:
 
 
 def check_grid_bound(lemma: str, bound: int) -> None:
-    """Refuse with BudgetError a bound above the ceiling of the grid with the id lemma."""
+    """Refuse a bound below 1 (ValueError) or above the ceiling (BudgetError) of the grid lemma."""
+    if bound < 1:
+        raise ValueError(f"grid {lemma} needs max >= 1, got max = {bound}")
     ceiling = GRID_CEILINGS[lemma]
     if bound > ceiling:
         raise BudgetError(f"grid {lemma} is limited to max <= {ceiling}, got max = {bound}")
@@ -395,10 +401,20 @@ def lemma21_grid(max_mn: int, variant: str) -> GridResult:
 
     Its instances are the pairs a < b (b >= 2a for variant ii), each with
     every m and n that are multiples of lcm(a, b).  A pair is a = g*x and
-    b = g*y with x < y coprime, so lcm(a, b) = g*x*y; _lemma21_strip decides
-    each pair's strip from one set of _log_tables.  check_lemma21 builds the
-    reported instance of a failing tuple only, in grid order (m, then n, a,
-    b).
+    b = g*y with x < y coprime, so lcm(a, b) = g*x*y, and an instance is
+    (g*x*y*i, g*x*y*j, g*x, g*y) with i, j >= 1.  Its verdict does not
+    depend on g: block_a = C(y(i+j), y*i) and block_b = C(x(i+j), x*i), the
+    exponents en = (y-x)*j and em = (y-x)*i, and the ratios (n+m)/n =
+    (i+j)/j and (b*m+a*n)/(b*m) = (y*i+x*j)/(y*i) are free of g, so both
+    sides of _lemma21_holds scale by g^(en+2*em) and both sides of
+    _lemma21ii_holds by g.  So each coprime (x, y) is decided once, at its
+    least scale g0 (1, or 2 when x = 1, so that a >= 2), by one
+    _lemma21_strip call from one set of _log_tables; an (i, j) of a larger
+    g occurs at g0 too, as max_mn // (g*x*y) <= max_mn // (g0*x*y), and the
+    strip's float filter is sound at g0 by its own tolerance.  A failing
+    (i, j) fails at every g with g*x*y*max(i, j) <= max_mn.  check_lemma21
+    builds the reported instance of a failing tuple only, from fresh
+    binomials, in grid order (m, then n, a, b).
     """
     if variant not in ("i", "ii"):
         raise ValueError(f"variant must be 'i' or 'ii', got {variant!r}")
@@ -410,10 +426,17 @@ def lemma21_grid(max_mn: int, variant: str) -> GridResult:
         for x in range(1, min(y, max_mn // y + 1)):
             if gcd(x, y) > 1 or (variant == "ii" and y < 2 * x):
                 continue
-            for g in range(1 if x > 1 else 2, max_mn // (x * y) + 1):
-                multiples = range(g * x * y, max_mn + 1, g * x * y)
-                checked += len(multiples) ** 2
-                failing += _lemma21_strip(tables, g * x, g * y, multiples, multiples, variant)
+            least = 1 if x > 1 else 2
+            step = least * x * y
+            if step > max_mn:
+                continue
+            checked += sum((max_mn // (g * x * y)) ** 2 for g in range(least, max_mn // (x * y) + 1))
+            multiples = range(step, max_mn + 1, step)
+            for m, n, _, _ in _lemma21_strip(tables, least * x, least * y, multiples, multiples,
+                                             variant):
+                i, j = m // step, n // step
+                failing += [(g * x * y * i, g * x * y * j, g * x, g * y)
+                            for g in range(least, max_mn // (x * y * max(i, j)) + 1)]
     return GridResult(f"2.1{variant}", checked,
                       [check_lemma21(*parameters, variant) for parameters in sorted(failing)])
 
@@ -498,31 +521,26 @@ def lemma22_grid(max_mn: int, variant: str) -> GridResult:
 def structure_grid(max_order: int) -> GridResult:
     """Structure checks over every unordered pair of abelian groups up to max_order.
 
-    max_order is at most STRUCTURE_GRID_MAX.  The facts of each pair of
-    orders (n, m), n <= m, are found once (_order_pair, with one dict of the
-    facts of each gcd for the whole grid) and kept while the groups of order
-    n are walked.
+    max_order is at most STRUCTURE_GRID_MAX.  Orders n and m with gcd 1
+    share no divisor >= 2, so their groups give no check and are skipped.
+    The facts of each other pair of orders (n, m), n <= m, are found once
+    (_order_pair, with one dict of the facts of each gcd for the whole
+    grid) and kept while the groups of order n are walked.
     """
-    if max_order < 1:
-        raise ValueError(f"max_order must be positive, got {max_order}")
     check_grid_bound("struct", max_order)
-    groups = [g for n in range(1, max_order + 1) for g in enumerate_abelian(n)]
-    spectra = [order_spectrum(g) for g in groups]
+    blocks = {n: [order_spectrum(g) for g in enumerate_abelian(n)] for n in range(2, max_order + 1)}
     checked = 0
     failures = []
     by_gcd: dict[int, tuple] = {}
-    pairs: dict[int, tuple] = {}
-    for i, sg in enumerate(spectra):
-        n = sg.group_order
-        if i and n != spectra[i - 1].group_order:
-            pairs.clear()
-        for sh in spectra[i:]:
-            m = sh.group_order
-            pair = pairs.get(m)
-            if pair is None:
-                pair = pairs[m] = _order_pair(n, m, by_gcd)
-            checks = _structure_checks(sg, sh, pair)
-            if checks:
-                checked += len(checks)
-                failures += [_structure_instance(n, m, check) for check in checks if not check[1]]
+    for n in range(2, max_order + 1):
+        later = [(m, blocks[m], _order_pair(n, m, by_gcd))
+                 for m in range(n, max_order + 1) if gcd(n, m) > 1]
+        for i, sg in enumerate(blocks[n]):
+            for m, block, pair in later:
+                for sh in block[i:] if m == n else block:
+                    checks = _structure_checks(sg, sh, pair)
+                    if checks:
+                        checked += len(checks)
+                        failures += [_structure_instance(n, m, check)
+                                     for check in checks if not check[1]]
     return GridResult("struct", checked, failures)

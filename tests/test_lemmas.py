@@ -331,7 +331,13 @@ def test_structure_grid_order_pairs_give_the_checks_of_lone_pairs(monkeypatch):
 
     monkeypatch.setattr(lemmas, "_structure_checks", spy)
     grid = structure_grid(64)
-    assert len(calls) == 117 * 118 // 2 and all(calls)
+    # Groups of coprime orders share no divisor >= 2 and give no check, so
+    # the grid makes no call for them: one call per other group pair.
+    groups_64 = [g for n in range(1, 65) for g in enumerate_abelian(n)]
+    pairs = [(g, h) for i, g in enumerate(groups_64) for h in groups_64[i:]]
+    coprime = [(g, h) for g, h in pairs if gcd(g.order, h.order) == 1]
+    assert len(calls) == len(pairs) - len(coprime) == 3819 and all(calls)
+    assert all(check_structure_lemmas(g, h) == [] for g, h in coprime)
     assert grid.checked == 6074 and grid.failures == []
 
 
@@ -367,11 +373,52 @@ def fraction_verdict(m, n, a, b, variant):
     return ratio >= lemma21_bound(m, n, a, b) and ratio > 1
 
 
+def admissible_lemma21(max_mn, variant):
+    """Every admissible (m, n, a, b) of lemma21_grid in grid order, spelled out locally."""
+    return [
+        (m, n, a, b)
+        for m in range(2, max_mn + 1) for n in range(2, max_mn + 1) for g in [gcd(m, n)]
+        for a in range(2, g + 1) for b in range(a + 1, g + 1)
+        if g % a == g % b == 0 and (variant == "i" or b >= 2 * a)
+    ]
+
+
+def least_scale(m, n, a, b):
+    """The instance of the scale class of (m, n, a, b) at its least scale, spelled out locally.
+
+    With a = g*x and b = g*y, x and y coprime, it takes g = 1, or g = 2
+    when x = 1, and keeps m/lcm(a, b) and n/lcm(a, b).
+    """
+    g = gcd(a, b)
+    least = 1 if a > g else 2
+    return m // g * least, n // g * least, a // g * least, b // g * least
+
+
+def test_lemma21_verdicts_do_not_depend_on_the_scale():
+    # Every admissible instance of both variants to 120 has the verdict, by
+    # Fractions, of its least-scale instance.  In variant i lhs and rhs are
+    # the same too; in variant ii both scale by g.
+    for variant in ("i", "ii"):
+        least = {}
+        instances = admissible_lemma21(120, variant)
+        for m, n, a, b in instances:
+            key = least_scale(m, n, a, b)
+            if key not in least:
+                least[key] = check_lemma21(*key, variant)
+            scaled, base = check_lemma21(m, n, a, b, variant), least[key]
+            assert scaled.holds == base.holds == fraction_verdict(m, n, a, b, variant), (m, n, a, b)
+            if variant == "i":
+                assert (scaled.lhs, scaled.rhs) == (base.lhs, base.rhs), (m, n, a, b)
+            else:
+                assert Fraction(scaled.lhs, scaled.rhs) == Fraction(base.lhs, base.rhs), (m, n, a, b)
+        assert len(least) < len(instances)
+
+
 def test_lemma21_grid_integer_verdicts_match_fraction_reference(monkeypatch):
-    # Each variant decides one (a, b) strip at a time.  Spying on
-    # _lemma21_strip shows every instance the grids visit, with the
-    # logarithms of its blocks, as the strip reads them from its table, and
-    # its verdict.
+    # Each variant decides one (a, b) strip at a time, for each coprime
+    # (x, y) at its least scale only.  Spying on _lemma21_strip shows every
+    # instance the grids visit, with the logarithms of its blocks, as the
+    # strip reads them from its table, and its verdict.
     strip = lemmas._lemma21_strip
     seen = {"i": [], "ii": []}
 
@@ -385,14 +432,9 @@ def test_lemma21_grid_integer_verdicts_match_fraction_reference(monkeypatch):
     monkeypatch.setattr(lemmas, "_lemma21_strip", spy)
     for variant in ("i", "ii"):
         grid = lemma21_grid(60, variant)
-        expected = [
-            (m, n, a, b)
-            for m in range(2, 61) for n in range(2, 61) for g in [gcd(m, n)]
-            for a in range(2, g + 1) for b in range(a + 1, g + 1)
-            if g % a == g % b == 0 and (variant == "i" or b >= 2 * a)
-        ]
-        # Each instance is visited once.
-        assert sorted(entry[:4] for entry in seen[variant]) == expected
+        expected = admissible_lemma21(60, variant)
+        # Each scale class is visited once, at its least scale.
+        assert sorted(entry[:4] for entry in seen[variant]) == sorted({least_scale(*t) for t in expected})
         assert grid.checked == len(expected) and grid.failures == []
         for m, n, a, b, log_a, log_b, holds in seen[variant]:
             # Each logarithm is within the bound _tolerance proves for a block
@@ -407,8 +449,10 @@ def test_lemma21_grid_integer_verdicts_match_fraction_reference(monkeypatch):
 
 
 def test_lemma21_filter_passes_exactly_the_ties_on(monkeypatch):
-    # The float filter certifies every instance of variant i to 60 except the
-    # 51 where the inequality holds with equality; those reach _lemma21_holds.
+    # Variant i to 60 has 51 instances where the inequality holds with
+    # equality, in 7 scale classes.  The float filter certifies every
+    # least-scale instance the grid visits except those 7 ties, which reach
+    # _lemma21_holds.
     decide = lemmas._lemma21_holds
     reached = []
 
@@ -418,10 +462,11 @@ def test_lemma21_filter_passes_exactly_the_ties_on(monkeypatch):
 
     monkeypatch.setattr(lemmas, "_lemma21_holds", spy)
     assert lemma21_grid(60, "i").failures == []
-    assert sorted(reached)[:3] == [(4, 4, 2, 4), (6, 6, 2, 3), (6, 6, 3, 6)]
-    ties = [(m, n, a, b) for m, n, a, b in reached
+    assert sorted(reached)[:3] == [(4, 4, 2, 4), (6, 6, 2, 3), (12, 12, 3, 4)]
+    ties = [(m, n, a, b) for m, n, a, b in admissible_lemma21(60, "i")
             if Fraction(block(m, n, a), block(m, n, b)) == lemma21_bound(m, n, a, b)]
-    assert ties == reached and len(reached) == 51
+    assert len(ties) == 51 and sorted(reached) == sorted({least_scale(*tie) for tie in ties})
+    assert len(reached) == 7
 
 
 def test_lemma21_doctored_block_fails_through_the_filter(monkeypatch, doctor_blocks):
@@ -685,19 +730,35 @@ def test_lemma21i_plant_in_one_mirror_row_is_reported_alone(planted, plant_lemma
 def test_lemma21ii_plant_is_reported_at_its_own_row_only(plant_lemma21_failures):
     # Variant ii decides each instance on its own blocks, so a plant in the
     # row (m, n) leaves the mirror row (n, m) clean, although the verdicts
-    # of the true blocks of mirror rows agree.
-    planted = [(16, 12, 2, 4), (18, 12, 3, 6)]
-    plant_lemma21_failures(planted)
+    # of the true blocks of mirror rows agree.  The grid decides each scale
+    # class at its least scale and reports a failure there at every scale:
+    # the plant (12, 8, 2, 4), x = 1, y = 2, g = 2, is reported at g = 3
+    # too, as (18, 12, 3, 6).
+    plant_lemma21_failures([(12, 8, 2, 4), (16, 12, 2, 4)])
     grid = lemma21_grid(18, "ii")
     assert grid.checked == 66
-    assert grid.failures == [check_lemma21(*parameters, "ii") for parameters in planted]
+    reported = [(12, 8, 2, 4), (16, 12, 2, 4), (18, 12, 3, 6)]
+    assert grid.failures == [check_lemma21(*parameters, "ii") for parameters in reported]
+
+
+def test_lemma21_plant_at_the_least_scale_is_reported_at_every_scale(plant_lemma21_failures):
+    # (12, 18, 2, 3) is the least scale of its class (x = 2, y = 3, g = 1);
+    # at 36 the class has g = 2 too, (24, 36, 4, 6).  Both are reported, in
+    # grid order with the failure of another class, (20, 30, 2, 5), whose
+    # scale 2 is past the bound.  Reports come from fresh binomials.
+    plant_lemma21_failures([(12, 18, 2, 3), (20, 30, 2, 5)])
+    grid = lemma21_grid(36, "i")
+    reported = [(12, 18, 2, 3), (20, 30, 2, 5), (24, 36, 4, 6)]
+    assert grid.failures == [check_lemma21(*parameters, "i") for parameters in reported]
+    assert grid.checked == len(admissible_lemma21(36, "i"))
 
 
 def test_benchmark_size_grids_are_pinned(monkeypatch):
     # The bounds of the lemma-grids benchmark.  The binomial grids build no
     # block table: they read block logarithms from one table of log2(k!), and
     # decide in integers only the instances their float filter passes on (the
-    # ties of variant 2.1i).  The structure grid finds the facts of each gcd
+    # ties of variant 2.1i, 19 of them at their least scale, for the 372
+    # ties of the grid).  The structure grid finds the facts of each gcd
     # once: the factorize calls left are those of the group spectra (1,448)
     # and two per gcd (factorize and divisors).
     calls = dict.fromkeys(["block_table", "factorize", "_lemma21_holds", "_lemma21ii_holds",
@@ -717,7 +778,7 @@ def test_benchmark_size_grids_are_pinned(monkeypatch):
     for module in (exactmath, groups, lemmas):
         monkeypatch.setattr(module, "factorize", factorize)
     for grid, bound, variant, checked, exact, fallbacks in (
-            (lemma21_grid, 400, "i", 82896, "_lemma21_holds", 372),
+            (lemma21_grid, 400, "i", 82896, "_lemma21_holds", 19),
             (lemma21_grid, 400, "ii", 70973, "_lemma21ii_holds", 0),
             (lemma22_grid, 360, "i", 5685, "_lemma22_holds", 0)):
         calls.update(dict.fromkeys(calls, 0))
@@ -867,10 +928,11 @@ for grid in (lemmas.lemma21_grid(12, "i"), lemmas.lemma22_grid(28, "i")):
 
 def test_row_deciders_report_doctored_failures_under_optimize():
     # The same under python -O for variant ii and for the structure checks:
-    # in the row (12, 12), block_12 = 3 makes (6, 12) fail, 6 * 6 > 12 * 3
-    # being false, and no other pair; the L23 check of the pair of orders
+    # in the row (4, 4), block_4 = 3 makes (2, 4) fail, 2 * 6 > 4 * 3 being
+    # false, and the grid reports its scale class at every scale to 12,
+    # (6, 6, 3, 6) to (12, 12, 6, 12); the L23 check of the pair of orders
     # (6, 9) is planted as a failure.
-    script = "DOCTORED = {(12, 12, 12): 3}" + DOCTOR_BLOCKS + """
+    script = "DOCTORED = {(4, 4, 4): 3}" + DOCTOR_BLOCKS + """
 checks = lemmas._structure_checks
 lemmas._structure_checks = lambda sg, sh, pair: [
     (check[0], False, *check[2:]) if (sg.group_order, sh.group_order, check[0]) == (6, 9, lemmas._L23_H)
@@ -881,7 +943,8 @@ for grid in (lemmas.lemma21_grid(12, "ii"), lemmas.structure_grid(12)):
     result = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
                             env=doctoring_env(), timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "27 [('L21ii', 12, 12, 6, 12)]\n80 [('L23', 6, 9, 3)]\n"
+    scales = ", ".join(f"('L21ii', {2 * g}, {2 * g}, {g}, {2 * g})" for g in range(2, 7))
+    assert result.stdout == f"27 [{scales}]\n80 [('L23', 6, 9, 3)]\n"
 
 
 def test_structure_grid_reports_failures_in_grid_order(monkeypatch, capsys):
@@ -912,6 +975,18 @@ def test_lemma22_grid_boundary_instances():
     assert lemma22_grid(18, "i").checked == 3  # the {2, 3} pairs at n = 18
     assert lemma22_grid(18, "ii").checked == 1
     assert lemma22_grid(24, "ii").checked == 3
+
+
+@pytest.mark.parametrize("lemma", ["2.1i", "2.1ii", "2.2i", "2.2ii", "struct"])
+def test_grids_refuse_a_bound_below_one(lemma):
+    # Every grid refuses a bound below 1 by name before any work, as it
+    # refuses one past its ceiling.
+    run = (structure_grid if lemma == "struct"
+           else lambda bound: (lemma21_grid if lemma < "2.2" else lemma22_grid)(bound, lemma[3:]))
+    for bound in (0, -3):
+        with pytest.raises(ValueError, match=f"^grid {lemma} needs max >= 1, got max = {bound}$"):
+            run(bound)
+    assert run(1).checked == 0
 
 
 def test_grid_variant_validation():
