@@ -214,8 +214,8 @@ class _ScanLog:
     violation, and a line for another pair or past the last pair raises
     ValueError.  A torn last line ends the log.  The log is written (created,
     cut back to its complete lines, appended to) only after all its complete
-    lines have matched, so a refused log is left as it was.  Files close with
-    the stack.
+    lines have matched, so a refused log is left as it was.  Only a message
+    counts lines, in the matched bytes.  Files close with the stack.
     """
 
     def __init__(self, path: str, stack: contextlib.ExitStack):
@@ -229,7 +229,7 @@ class _ScanLog:
                 raise OSError(None, "not a regular file", path)
             self.log = stack.enter_context(open(path, "rb"))
         self.matched_bytes = 0
-        self.matched_lines = 0
+        self.counted = (0, 0)  # (bytes, lines) that _matched_lines has counted
         self.out = None
 
     def __call__(self, text: str) -> list[int]:
@@ -240,7 +240,6 @@ class _ScanLog:
             return []
         if self.log.read(len(row)) == row:
             self.matched_bytes += len(row)
-            self.matched_lines += row.count(b"\n")
             return []
         self.log.seek(self.matched_bytes)
         return self._check_lines(row.splitlines(keepends=True))
@@ -255,16 +254,22 @@ class _ScanLog:
                 self._append(b"".join(lines[offset:]))
                 break
             self.matched_bytes += len(logged)
-            self.matched_lines += 1
             if logged == line:
                 continue
-            where = f"log {self.path} line {self.matched_lines}"
+            where = f"log {self.path} line {self._matched_lines()}"
             start, pair = jsonl_record_pair(line)
             if not logged.startswith(start):
                 raise ValueError(f"{where} is not the record for {pair}; it is the log of another scan")
             _note(f"{where}: the record for {pair} differs from its recomputation")
             differing.append(offset)
         return differing
+
+    def _matched_lines(self) -> int:
+        at, lines = self.counted
+        while chunk := os.pread(self.log.fileno(), min(1 << 20, self.matched_bytes - at), at):
+            at, lines = at + len(chunk), lines + chunk.count(b"\n")
+        self.counted = at, lines
+        return lines
 
     def _append(self, data: bytes) -> None:
         if self.out is None:
@@ -276,7 +281,7 @@ class _ScanLog:
     def finish(self) -> None:
         """Refuse a line past the last pair, then create the log or cut its torn tail."""
         if self.log is not None and self.log.readline().endswith(b"\n"):
-            raise ValueError(f"log {self.path} line {self.matched_lines + 1} is past the last pair; "
+            raise ValueError(f"log {self.path} line {self._matched_lines() + 1} is past the last pair; "
                              "it is the log of another scan")
         self._append(b"")
 

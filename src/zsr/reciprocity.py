@@ -47,7 +47,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from itertools import chain, repeat
 from math import comb, gcd
-from operator import add, itemgetter, mul
+from operator import itemgetter, mul
 
 from .counting import count_formula
 from .errors import BudgetError
@@ -82,17 +82,15 @@ RECORD_FIELDS = (
     "count_g_at_h", "count_h_at_g", "iff_consistent",
 )
 
-# A record line is prefix + h + middle + left + right, in str.format templates
-# per format: prefix takes g's notation, middle both orders, left
-# spectra_agree, witness_divisor and count_g_at_h, and right count_h_at_g and
-# iff_consistent.  The last item stands for an absent witness.  Notations hold
-# only letters, digits and x, and counts only digits, so no text needs
-# escaping or quoting.
+# A record line is its values in RECORD_FIELDS order, each after the piece of
+# its format at the same index, then the last piece; a boolean is true or
+# false, and the second item stands for an absent witness.  Notations hold only
+# letters, digits and x, and counts digits: nothing needs escaping or quoting.
 RECORD_FORMATS = {
-    "jsonl": ('{{"g":"{}","h":"', '","order_g":{},"order_h":{},',
-              '"spectra_agree":{},"witness_divisor":{},"count_g_at_h":"{}","count_h_at_g":"',
-              '{}","iff_consistent":{}}}\n', "null"),
-    "csv": ("{},", ",{},{},", "{},{},{},", "{},{}\n", ""),
+    "jsonl": (('{"g":"', '","h":"', '","order_g":', ',"order_h":', ',"spectra_agree":',
+               ',"witness_divisor":', ',"count_g_at_h":"', '","count_h_at_g":"',
+               '","iff_consistent":', "}\n"), "null"),
+    "csv": (("", ",", ",", ",", ",", ",", ",", ",", ",", "\n"), ""),
 }
 
 
@@ -445,68 +443,71 @@ def _record_rows(descriptors, spectra, on_row, record_format: str) -> dict:
     """Render every pair's record one row at a time and return the violating pairs.
 
     The row of group i holds its records with every group j >= i, in canonical
-    order, one line each in record_format.  Every field of a record is fixed by
-    the spectrum classes of i and j at their order pair.  So a line's middle is
-    rendered once per order pair, its left part once per order pair, class of
-    i and witness, and its right part once per order pair and class of j (and
-    once more per colliding class of i); a group's row only selects the parts
-    of its class.  A coprime order pair, which the walk gives one count and no
-    classes, has one left part and one right part, and a row repeats them for
-    every j of that order.  The witness of a class pair is found by bucket:
-    the classes of j are grouped by their count at shared[1], the first
-    shared divisor above 1, and a class of i is compared further only with
-    the classes in its own bucket; every other class of j first differs from
-    it at shared[1].  on_row is called with each row's text and may return the
-    offsets, within the row, of lines to count as violations.  Returns the
-    pair (i, j) of those lines and of every inconsistent record mapped to
-    (count_g_at_h, count_h_at_g).
+    order, one line each in record_format: i's prefix, j's notation, a left
+    part (both orders, spectra_agree, witness_divisor, count_g_at_h) and a
+    right part (count_h_at_g, iff_consistent), concatenated from the format's
+    pieces.  Both parts are fixed by the spectrum classes of i and j at their
+    order pair: the left part is built once per order pair, class of i and
+    witness, the right part once per order pair and class of j (and once more
+    per colliding class of i), and a row only selects its class's parts.  A
+    coprime order pair has one count and one left and one right part, which a
+    row repeats.  A class pair's witness is found by bucket: the classes of j
+    are grouped by their count at shared[1], the first shared divisor above 1,
+    and a class of i is compared further only with its own bucket.  on_row is
+    called with each row's text and may return the offsets, within the row, of
+    lines to count as violations.  Returns the pair (i, j) of those lines and
+    of every inconsistent record mapped to (count_g_at_h, count_h_at_g).
     """
-    prefix_format, middle_format, left_format, right_format, null = RECORD_FORMATS[record_format]
+    (before_g, before_h, before_n, before_m, before_agree, before_witness, before_count_g,
+     before_count_h, before_iff, end), null = RECORD_FORMATS[record_format]
     names = [d.notation() for d in descriptors]
     orders = [s.group_order for s in spectra]
     sizes = Counter(orders)
+    # A left part's head by witness: None, or any d from 2 to the largest order.
+    heads = {d: f"false{before_witness}{d}{before_count_g}" for d in range(2, max(sizes, default=1) + 1)}
+    heads[None] = f"true{before_witness}{null}{before_count_g}"
+    agree_tail, collide_tail = (f"{before_iff}{verdict}{end}" for verdict in ("true", "false"))
     found = {}
     for positions, row in _class_walk(spectra):
         first = positions.start
         n = orders[first]
-        middles = {m: middle_format.format(n, m) for m, *_ in row}
-        heads = list(map(add, names[first:], map(middles.__getitem__, orders[first:])))
         _violating_pairs(row, found)
         blocks = {}
         for m, shared, left, right, counts, collisions in row:
+            middle = f"{before_n}{n}{before_m}{m}{before_agree}"
             if left is None:
                 # A coprime order pair: one count, and every record agrees.
                 text = str(counts)
-                blocks[m] = (None, sizes[m], left_format.format("true", null, text),
-                             right_format.format(text, "true"))
+                blocks[m] = (None, sizes[m], middle + heads[None] + text + before_count_h,
+                             text + agree_tail)
                 continue
             left_keys, left_of, _ = left
             right_keys, right_of, _ = right
             texts = {key: str(count) for key, count in counts.items()}
-            block_rights = [right_format.format(texts[key], "true") for key in right_keys]
+            block_rights = [texts[key] + agree_tail for key in right_keys]
             # The right parts of each class of i, inconsistent where it collides.
             class_rights = [block_rights] * len(left_keys)
             for c, other in collisions:
                 if class_rights[c] is block_rights:
                     class_rights[c] = [*block_rights]
-                class_rights[c][other] = right_format.format(texts[right_keys[other]], "false")
+                class_rights[c][other] = texts[right_keys[other]] + collide_tail
             # The classes of j by their count at shared[1].  Every class
             # counts 1 at d = 1, so outside its own bucket a class of i
             # first differs from each at shared[1].
             bucket: dict[int, list[int]] = {}
             for c, other in enumerate(right_keys):
                 bucket.setdefault(other[1], []).append(c)
+            differ_first = middle + heads[shared[1]]
             class_lefts = []
             for key in left_keys:
-                # The left part of class key with each class of j.
-                text = texts[key]
-                lefts = [left_format.format("false", shared[1], text)] * len(right_keys)
+                text = texts[key] + before_count_h
+                lefts = [differ_first + text] * len(right_keys)
                 by_witness = {}
                 for c in bucket.get(key[1], ()):
                     other = right_keys[c]
                     d = None if other == key else next(d for d, x, y in zip(shared, key, other) if x != y)
                     if d not in by_witness:
-                        by_witness[d] = left_format.format("false" if d else "true", d or null, text)
+                        by_witness[d] = middle + heads[d] + text
                     lefts[c] = by_witness[d]
                 class_lefts.append(lefts)
             blocks[m] = (left_of, right_of, class_lefts, class_rights)
@@ -514,30 +515,24 @@ def _record_rows(descriptors, spectra, on_row, record_format: str) -> dict:
             lefts, rights = [], []
             for m, (left_of, right_of, class_lefts, class_rights) in blocks.items():
                 if left_of is None:
-                    # A coprime order pair: right_of counts the groups of
-                    # order m, and class_lefts and class_rights are its one
-                    # left and one right part.
-                    k = right_of - (i - first) if m == n else right_of
-                    lefts.append(repeat(class_lefts, k))
-                    rights.append(repeat(class_rights, k))
+                    # A coprime order pair (n < m, or n = m = 1 with one group): right_of
+                    # counts the groups of order m; class_lefts and class_rights are its parts.
+                    lefts.append(repeat(class_lefts, right_of))
+                    rights.append(repeat(class_rights, right_of))
                     continue
                 c = left_of[i - first]
                 of = right_of[i - first:] if m == n else right_of
                 lefts.append(map(class_lefts[c].__getitem__, of))
                 rights.append(map(class_rights[c].__getitem__, of))
             text = "".join(chain.from_iterable(zip(
-                repeat(prefix_format.format(names[i])), heads[i - first:],
+                repeat(f"{before_g}{names[i]}{before_h}"), names[i:],
                 chain.from_iterable(lefts), chain.from_iterable(rights))))
             for offset in on_row(text) or ():
                 j = i + offset
-                _, _, left, right, counts, _ = next(entry for entry in row if entry[0] == orders[j])
-                if left is None:
-                    found.setdefault((i, j), (counts, counts))
-                    continue
-                left_keys, left_of, _ = left
-                right_keys, right_of, right_at = right
-                key, other = left_keys[left_of[i - first]], right_keys[right_of[j - right_at.start]]
-                found.setdefault((i, j), (counts[key], counts[other]))
+                _, shared, left, _, counts, _ = next(entry for entry in row if entry[0] == orders[j])
+                key = itemgetter(*shared)
+                found.setdefault((i, j), (counts, counts) if left is None else
+                                 (counts[key(spectra[i].entries)], counts[key(spectra[j].entries)]))
     return found
 
 

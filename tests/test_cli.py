@@ -338,6 +338,54 @@ def test_log_checks_hold_inside_and_across_rows(tmp_path, capsys):
     assert smaller.read_bytes() == before
 
 
+def test_log_line_numbers_after_many_whole_rows(tmp_path, capsys):
+    # Whole rows that match are skipped without counting their lines, so a
+    # message counts them from the log.  Each expected line number is counted
+    # here from the doctored byte's offset.
+    log = tmp_path / "scan.jsonl"
+    argv = ("scan-conjecture", "--max-order", "48", "--out", str(log))
+    run(capsys, *argv)
+    fresh = log.read_bytes()
+    records = fresh.count(b"\n")
+    assert records == 150 * 151 // 2
+
+    def doctored(data, near):
+        """data with one digit of count_g_at_h flipped in the first record from near on."""
+        start = data.index(b"\n", near) + 1
+        at = data.index(b'"count_g_at_h":"', start) + len('"count_g_at_h":"')
+        digit = b"2" if data[at:at + 1] == b"1" else b"1"
+        record = json.loads(data[start:data.index(b"\n", start)])
+        line = data.count(b"\n", 0, at) + 1
+        message = (f"log {log} line {line}: the record for {record['g']} vs {record['h']} "
+                   "differs from its recomputation\n")
+        return data[:at] + digit + data[at + 1:], message
+
+    # A doctored record in the back half: exit 1, that line named, the log kept.
+    back, message = doctored(fresh, 2 * len(fresh) // 3)
+    log.write_bytes(back)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, message) and "violations: 1" in out
+    assert log.read_bytes() == back
+    # One record line past the last pair: exit 2, line records + 1 named.
+    log.write_bytes(fresh + fresh.splitlines(keepends=True)[-1])
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (f"error: log {log} line {records + 1} is past the last pair; "
+                   "it is the log of another scan\n")
+    # An earlier doctored record and a torn last line: the doctored line is
+    # named and the torn line is completed.
+    early, message = doctored(fresh, len(fresh) // 3)
+    log.write_bytes(early[:-30])
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, message) and "violations: 1" in out
+    assert log.read_bytes() == early
+    # Two doctored records: the second line number is counted on from the first.
+    both, later = doctored(early, 2 * len(fresh) // 3)
+    log.write_bytes(both)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, message + later) and "violations: 2" in out
+
+
 def test_bad_scan_arguments_leave_the_log_alone(tmp_path, capsys):
     missing = tmp_path / "missing.jsonl"
     torn = tmp_path / "torn.jsonl"

@@ -312,18 +312,38 @@ def test_pair_sequence_is_upper_triangle():
     assert all(indices[g] <= indices[h] for g, h in pairs)
 
 
+def written(values):
+    """A record's csv line, as the csv module writes its values (without the newline)."""
+    line = io.StringIO()
+    csv.writer(line, lineterminator="").writerow(
+        ["" if v is None else str(v).lower() if isinstance(v, bool) else v for v in values])
+    return line.getvalue()
+
+
 def test_record_rows_match_reciprocity_check():
     # The csv rows hold the values of the jsonl rows, as the csv module writes them.
     descriptors = family_descriptors(FAMILIES, 24)
-    expected = io.StringIO()
-    writer = csv.writer(expected, lineterminator="\n")
-    for g, h in pair_sequence(descriptors):
-        writer.writerow(["" if v is None else str(v).lower() if isinstance(v, bool) else v
-                         for v in reciprocity_check(g, h).values()])
+    expected = "".join(written(reciprocity_check(g, h).values()) + "\n"
+                       for g, h in pair_sequence(descriptors))
     rows = record_rows(FAMILIES, 24, "csv")
     assert len(rows) == len(descriptors)
-    assert "".join(rows) == expected.getvalue()
+    assert "".join(rows) == expected
     assert [row.count("\n") for row in rows] == list(range(len(descriptors), 0, -1))
+
+
+@pytest.mark.parametrize("record_format", ["jsonl", "csv"])
+@pytest.mark.parametrize("families", [*((family,) for family in FAMILIES), ("abelian", "products")],
+                         ids=",".join)
+def test_record_rows_match_per_pair_rendering_on_single_families(families, record_format):
+    # Single families give rows the all-family oracles above do not: C1, all
+    # of whose order pairs are coprime, orders with one group, and dihedral
+    # rows that first differ at 2, the first shared divisor.
+    descriptors = family_descriptors(families, 30)
+    render = dumped if record_format == "jsonl" else written
+    rows = record_rows(families, 30, record_format)
+    assert [row.count("\n") for row in rows] == list(range(len(descriptors), 0, -1))
+    assert "".join(rows).splitlines() == [render(reciprocity_check(g, h).values())
+                                          for g, h in pair_sequence(descriptors)]
 
 
 def count_spectra(monkeypatch):
