@@ -13,12 +13,11 @@ produces identical bytes.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import errno
-import json
 import os
 import sys
+from types import SimpleNamespace
 
 from .counting import count_dp, count_formula, count_molien, rational_catalan
 from .groups import (
@@ -54,19 +53,6 @@ def _writes_to(path):
         raise _WriteError(exc.errno, exc.strerror, path) from None
 
 
-class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose help fails as any write to stdout does.
-
-    argparse's own print_help falls back to stderr when stdout is closed and
-    drops a failed write.
-    """
-
-    def print_help(self, file=None) -> None:
-        file = file or sys.stdout
-        file.write(self.format_help())
-        file.flush()
-
-
 class _ClosedStdout:
     """sys.stdout when descriptor 1 was closed at start-up: every write fails with EBADF."""
 
@@ -93,6 +79,8 @@ def _note(text: str) -> None:
 
 
 def _dump(obj) -> str:
+    import json
+
     return json.dumps(obj, separators=(",", ":"))
 
 
@@ -386,88 +374,169 @@ def _integer(text: str) -> int:
     """text as an int if it is ASCII decimal digits after at most one leading -.
 
     int() alone also takes other scripts' digits, _, a leading + and spaces.
+    Any other text raises ValueError with the message a usage error shows.
     """
     digits = text[1:] if text.startswith("-") else text
     if not (digits.isascii() and digits.isdigit()):
-        raise argparse.ArgumentTypeError(f"expected an integer in ASCII digits, got {text!r}")
+        raise ValueError(f"expected an integer in ASCII digits, got {text!r}")
     try:
         return int(text)
     except ValueError:
         # Past the interpreter's limit on the digits of int(str), which
         # arguments keep.
-        raise argparse.ArgumentTypeError(f"expected fewer digits, got {len(digits)}") from None
+        raise ValueError(f"expected fewer digits, got {len(digits)}") from None
 
 
 def _positive_int(text: str) -> int:
     value = _integer(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+        raise ValueError(f"expected a positive integer, got {text}")
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=FORMATS, default="human",
-                        help="output format (default: human)")
+# The grammar of zsr, read by both parsers: subcommand -> (help, function,
+# further namespace defaults, options), in help order.  Each option maps its
+# flag to the add_argument keywords that declare it, of which _fast_parse
+# reads dest, type, choices, default, required and action.
+_FORMAT = {"choices": FORMATS, "default": "human", "help": "output format (default: human)"}
+_LOG = {"help": "JSONL log path (append; enables resume)"}
+_COMMANDS = {
+    "count": ("count zero-sum multisets of a given length", _cmd_count, {}, {
+        "--format": _FORMAT,
+        "--group": {"dest": "notation", "metavar": "GROUP", "required": True,
+                    "help": "group notation, e.g. C2xC6, D10, Dic3, Q8"},
+        "--length": {"type": _integer, "required": True, "help": "multiset length m"},
+        "--method": {"choices": ("formula", "dp", "molien"), "default": "formula"},
+    }),
+    "spectrum": ("element counts by exact order", _cmd_spectrum, {}, {
+        "--format": _FORMAT,
+        "--group": {"dest": "notation", "metavar": "GROUP", "required": True},
+        "--brute-force": {"action": "store_true", "default": False,
+                          "help": "enumerate elements instead of using the structural rules"},
+    }),
+    "enumerate": ("abelian groups of a given order", _cmd_enumerate, {}, {
+        "--format": _FORMAT,
+        "--order": {"type": _positive_int, "required": True},
+    }),
+    "check": ("reciprocity check for one pair", _cmd_check, {}, {
+        "--format": _FORMAT,
+        "--g": {"required": True},
+        "--h": {"required": True},
+    }),
+    "verify-theorem": ("scan all abelian pairs up to an order bound", _cmd_scan_conjecture,
+                       {"families": "abelian"}, {
+        "--format": _FORMAT,
+        "--max-order": {"type": _positive_int, "required": True},
+        "--out": _LOG,
+    }),
+    "scan-conjecture": ("scan pairs from chosen families up to an order bound",
+                        _cmd_scan_conjecture, {}, {
+        "--format": _FORMAT,
+        "--families": {"default": ",".join(FAMILIES),
+                       "help": f"comma-separated subset of {{{','.join(FAMILIES)}}}"},
+        "--max-order": {"type": _positive_int, "required": True},
+        "--out": _LOG,
+    }),
+    "lemma": ("run one inequality/structure grid", _cmd_lemma, {}, {
+        "--format": _FORMAT,
+        "--id": {"choices": LEMMA_IDS, "required": True},
+        "--max": {"type": _positive_int, "required": True,
+                  "help": "grid bound (m, n bound for 2.*, order bound for struct)"},
+        "--out": {"help": "CSV failure report path"},
+    }),
+    "catalan": ("C(n+m, n)/(n+m) for coprime n, m", _cmd_catalan, {}, {
+        "--format": _FORMAT,
+        "--n": {"type": _positive_int, "required": True},
+        "--m": {"type": _positive_int, "required": True},
+    }),
+    "gapfree": ("test whether n has no consecutive divisors above 1", _cmd_gapfree, {}, {
+        "--format": _FORMAT,
+        "--n": {"type": _positive_int, "required": True},
+    }),
+}
+
+
+def _fast_parse(argv) -> SimpleNamespace | None:
+    """The namespace argparse would give for a well-formed argv, or None for any other.
+
+    Well-formed is a subcommand's exact name, then its options by their exact
+    flags, each at most once and every required one present, with a value
+    after each option that takes one: a value that does not start with - and
+    that passes the option's type and choices.  Every other argv is left to
+    argparse: help, usage errors, and its readings of abbreviations,
+    --flag=value, repeats and values that start with -.
+    """
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    _, func, defaults, options = command
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        spec = options.get(flag)
+        if spec is None or flag in given:
+            return None
+        if spec.get("action") == "store_true":
+            given[flag] = True
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-"):
+            return None
+        if "type" in spec:
+            try:
+                value = spec["type"](value)
+            except ValueError:
+                return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        given[flag] = value
+    args = SimpleNamespace(command=argv[0], func=func, **defaults)
+    for flag, spec in options.items():
+        if flag not in given and spec.get("required"):
+            return None
+        dest = spec.get("dest", flag[2:].replace("-", "_"))
+        setattr(args, dest, given.get(flag, spec.get("default")))
+    return args
+
+
+def _build_parser():
+    """The argparse parser of _COMMANDS, for every argv that _fast_parse leaves."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """An ArgumentParser whose help fails as any write to stdout does.
+
+        argparse's own print_help falls back to stderr when stdout is closed and
+        drops a failed write.
+        """
+
+        def print_help(self, file=None) -> None:
+            file = file or sys.stdout
+            file.write(self.format_help())
+            file.flush()
+
+    def usage_type(convert):
+        # argparse shows the message of an ArgumentTypeError as it is.
+        def parse(text):
+            try:
+                return convert(text)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+        return parse
+
     parser = _Parser(
         prog="zsr",
         description="Exact zero-sum multiset counting over finite groups, "
                     "with reciprocity scans and inequality grids.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("count", parents=[common], help="count zero-sum multisets of a given length")
-    p.add_argument("--group", dest="notation", metavar="GROUP", required=True,
-                   help="group notation, e.g. C2xC6, D10, Dic3, Q8")
-    p.add_argument("--length", type=_integer, required=True, help="multiset length m")
-    p.add_argument("--method", choices=("formula", "dp", "molien"), default="formula")
-    p.set_defaults(func=_cmd_count)
-
-    p = sub.add_parser("spectrum", parents=[common], help="element counts by exact order")
-    p.add_argument("--group", dest="notation", metavar="GROUP", required=True)
-    p.add_argument("--brute-force", action="store_true",
-                   help="enumerate elements instead of using the structural rules")
-    p.set_defaults(func=_cmd_spectrum)
-
-    p = sub.add_parser("enumerate", parents=[common], help="abelian groups of a given order")
-    p.add_argument("--order", type=_positive_int, required=True)
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = sub.add_parser("check", parents=[common], help="reciprocity check for one pair")
-    p.add_argument("--g", required=True)
-    p.add_argument("--h", required=True)
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("verify-theorem", parents=[common],
-                       help="scan all abelian pairs up to an order bound")
-    p.add_argument("--max-order", type=_positive_int, required=True)
-    p.add_argument("--out", help="JSONL log path (append; enables resume)")
-    p.set_defaults(func=_cmd_scan_conjecture, families="abelian")
-
-    p = sub.add_parser("scan-conjecture", parents=[common],
-                       help="scan pairs from chosen families up to an order bound")
-    p.add_argument("--families", default=",".join(FAMILIES),
-                   help=f"comma-separated subset of {{{','.join(FAMILIES)}}}")
-    p.add_argument("--max-order", type=_positive_int, required=True)
-    p.add_argument("--out", help="JSONL log path (append; enables resume)")
-    p.set_defaults(func=_cmd_scan_conjecture)
-
-    p = sub.add_parser("lemma", parents=[common], help="run one inequality/structure grid")
-    p.add_argument("--id", choices=LEMMA_IDS, required=True)
-    p.add_argument("--max", type=_positive_int, required=True,
-                   help="grid bound (m, n bound for 2.*, order bound for struct)")
-    p.add_argument("--out", help="CSV failure report path")
-    p.set_defaults(func=_cmd_lemma)
-
-    p = sub.add_parser("catalan", parents=[common], help="C(n+m, n)/(n+m) for coprime n, m")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--m", type=_positive_int, required=True)
-    p.set_defaults(func=_cmd_catalan)
-
-    p = sub.add_parser("gapfree", parents=[common],
-                       help="test whether n has no consecutive divisors above 1")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.set_defaults(func=_cmd_gapfree)
+    for name, (help_text, func, defaults, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, spec in options.items():
+            if "type" in spec:
+                spec = dict(spec, type=usage_type(spec["type"]))
+            p.add_argument(flag, **spec)
+        p.set_defaults(func=func, **defaults)
     return parser
 
 
@@ -476,7 +545,9 @@ def main(argv=None) -> int:
     if stdout is None:
         sys.stdout = _ClosedStdout()
     try:
-        args = _build_parser().parse_args(argv)
+        args = _fast_parse(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            args = _build_parser().parse_args(argv)
         # Exact counts print in full: lift the interpreter's limit on
         # int-to-str digits (where it has one), which argument parsing above
         # still kept.

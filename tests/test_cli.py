@@ -1,7 +1,10 @@
 """End-to-end tests for the zsr command line."""
 
+import argparse
 import ast
+import contextlib
 import errno
+import io
 import json
 import os
 import pkgutil
@@ -17,9 +20,22 @@ import pytest
 
 import zsr
 from zsr import lemmas, reciprocity
-from zsr.cli import main
+from zsr.cli import (
+    FORMATS,
+    LEMMA_IDS,
+    _cmd_catalan,
+    _cmd_check,
+    _cmd_count,
+    _cmd_enumerate,
+    _cmd_gapfree,
+    _cmd_lemma,
+    _cmd_scan_conjecture,
+    _cmd_spectrum,
+    _fast_parse,
+    main,
+)
 from zsr.counting import count_formula
-from zsr.groups import AbelianGroup, order_spectrum, solutions
+from zsr.groups import FAMILIES, AbelianGroup, order_spectrum, solutions
 from zsr.reciprocity import RECORD_FIELDS
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -900,25 +916,47 @@ def test_counts_past_the_digit_limit_print_in_full():
     assert decimal_value(count) == count_formula(order_spectrum(AbelianGroup((8000,))), 8000)
 
 
-def test_one_shot_commands_import_only_what_they_run():
-    # Without site, so that no .pth file can load a watched module first.
+def loaded_after(calls, watched):
+    """Which of watched a fresh zsr.cli process has loaded at import and after each call.
+
+    It runs without site, so that no .pth file can load a watched module first.
+    """
     probe = "\n".join([
         "import sys",
         "import zsr.cli",
-        "def loaded(): print([m for m in sys.argv[1:] if m in sys.modules], file=sys.stderr)",
+        f"watched = {watched!r}",
+        "def loaded(): print('loaded', [m for m in watched if m in sys.modules], file=sys.stderr)",
         "loaded()",
-        "zsr.cli.main(['count', '--group', 'C2xC6', '--length', '4'])",
-        "loaded()",
-        "zsr.cli.main(['lemma', '--id', '2.1i', '--max', '20'])",
-        "loaded()",
+        f"for argv in {calls!r}:",
+        "    try:",
+        "        zsr.cli.main(argv)",
+        "    except SystemExit:",
+        "        pass",
+        "    loaded()",
     ])
-    watched = ["dataclasses", "inspect", "fractions", "csv", "zsr.lemmas", "zsr.reciprocity"]
-    result = subprocess.run([sys.executable, "-S", "-c", probe, *watched], capture_output=True,
-                            text=True, env=child_env(), timeout=60)
+    result = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                            env=child_env(), timeout=60)
     assert result.returncode == 0, result.stderr
-    at_import, after_count, after_lemma = map(ast.literal_eval, result.stderr.splitlines())
+    return [ast.literal_eval(line[len("loaded "):]) for line in result.stderr.splitlines()
+            if line.startswith("loaded [")]
+
+
+def test_one_shot_commands_import_only_what_they_run():
+    # A well-formed call parses without argparse (and the locale module that
+    # its messages load), and a human-format call prints without json.
+    watched = ["dataclasses", "inspect", "fractions", "csv", "zsr.lemmas", "zsr.reciprocity",
+               "argparse", "locale", "json"]
+    calls = [["count", "--group", "C2xC6", "--length", "4"], ["lemma", "--id", "2.1i", "--max", "20"],
+             *(argv for argv in EVERY_SUBCOMMAND if argv[0] not in ("count", "lemma"))]
+    at_import, after_count, after_lemma, *after_rest = loaded_after(calls, watched)
     assert at_import == [] and after_count == []
     assert "zsr.lemmas" in after_lemma and "zsr.reciprocity" not in after_lemma
+    assert len(after_rest) == 7 and not {"argparse", "locale"} & set(after_rest[-1])
+    # Help, a usage error and an abbreviated flag go to the argparse tree.
+    for call in (["--help"], ["count", "--help"], ["count", "--group", "C4"],
+                 ["scan-conjecture", "--max", "8"]):
+        _, after = loaded_after([call], ["argparse", "locale"])
+        assert after == ["argparse", "locale"], call
 
 
 def test_clean_grids_do_not_import_fractions():
@@ -1178,3 +1216,216 @@ def test_a_crash_exits_3_with_its_traceback():
     closed = subprocess.run(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
                             env=child_env(), timeout=60, preexec_fn=lambda: os.close(2))
     assert (closed.returncode, closed.stdout, closed.stderr) == (3, "", "")
+
+
+# The hand-written argparse tree that zsr.cli's option table replaced, kept
+# verbatim with its parser class and converters: the reference for the help,
+# the usage errors and the namespaces of both of zsr's parsers.
+def reference_parser() -> argparse.ArgumentParser:
+    class _Parser(argparse.ArgumentParser):
+        """An ArgumentParser whose help fails as any write to stdout does.
+
+        argparse's own print_help falls back to stderr when stdout is closed and
+        drops a failed write.
+        """
+
+        def print_help(self, file=None) -> None:
+            file = file or sys.stdout
+            file.write(self.format_help())
+            file.flush()
+
+    def _integer(text: str) -> int:
+        """text as an int if it is ASCII decimal digits after at most one leading -.
+
+        int() alone also takes other scripts' digits, _, a leading + and spaces.
+        """
+        digits = text[1:] if text.startswith("-") else text
+        if not (digits.isascii() and digits.isdigit()):
+            raise argparse.ArgumentTypeError(f"expected an integer in ASCII digits, got {text!r}")
+        try:
+            return int(text)
+        except ValueError:
+            # Past the interpreter's limit on the digits of int(str), which
+            # arguments keep.
+            raise argparse.ArgumentTypeError(f"expected fewer digits, got {len(digits)}") from None
+
+    def _positive_int(text: str) -> int:
+        value = _integer(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+        return value
+
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=FORMATS, default="human",
+                        help="output format (default: human)")
+    parser = _Parser(
+        prog="zsr",
+        description="Exact zero-sum multiset counting over finite groups, "
+                    "with reciprocity scans and inequality grids.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("count", parents=[common], help="count zero-sum multisets of a given length")
+    p.add_argument("--group", dest="notation", metavar="GROUP", required=True,
+                   help="group notation, e.g. C2xC6, D10, Dic3, Q8")
+    p.add_argument("--length", type=_integer, required=True, help="multiset length m")
+    p.add_argument("--method", choices=("formula", "dp", "molien"), default="formula")
+    p.set_defaults(func=_cmd_count)
+
+    p = sub.add_parser("spectrum", parents=[common], help="element counts by exact order")
+    p.add_argument("--group", dest="notation", metavar="GROUP", required=True)
+    p.add_argument("--brute-force", action="store_true",
+                   help="enumerate elements instead of using the structural rules")
+    p.set_defaults(func=_cmd_spectrum)
+
+    p = sub.add_parser("enumerate", parents=[common], help="abelian groups of a given order")
+    p.add_argument("--order", type=_positive_int, required=True)
+    p.set_defaults(func=_cmd_enumerate)
+
+    p = sub.add_parser("check", parents=[common], help="reciprocity check for one pair")
+    p.add_argument("--g", required=True)
+    p.add_argument("--h", required=True)
+    p.set_defaults(func=_cmd_check)
+
+    p = sub.add_parser("verify-theorem", parents=[common],
+                       help="scan all abelian pairs up to an order bound")
+    p.add_argument("--max-order", type=_positive_int, required=True)
+    p.add_argument("--out", help="JSONL log path (append; enables resume)")
+    p.set_defaults(func=_cmd_scan_conjecture, families="abelian")
+
+    p = sub.add_parser("scan-conjecture", parents=[common],
+                       help="scan pairs from chosen families up to an order bound")
+    p.add_argument("--families", default=",".join(FAMILIES),
+                   help=f"comma-separated subset of {{{','.join(FAMILIES)}}}")
+    p.add_argument("--max-order", type=_positive_int, required=True)
+    p.add_argument("--out", help="JSONL log path (append; enables resume)")
+    p.set_defaults(func=_cmd_scan_conjecture)
+
+    p = sub.add_parser("lemma", parents=[common], help="run one inequality/structure grid")
+    p.add_argument("--id", choices=LEMMA_IDS, required=True)
+    p.add_argument("--max", type=_positive_int, required=True,
+                   help="grid bound (m, n bound for 2.*, order bound for struct)")
+    p.add_argument("--out", help="CSV failure report path")
+    p.set_defaults(func=_cmd_lemma)
+
+    p = sub.add_parser("catalan", parents=[common], help="C(n+m, n)/(n+m) for coprime n, m")
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--m", type=_positive_int, required=True)
+    p.set_defaults(func=_cmd_catalan)
+
+    p = sub.add_parser("gapfree", parents=[common],
+                       help="test whether n has no consecutive divisors above 1")
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.set_defaults(func=_cmd_gapfree)
+    return parser
+
+
+# zsr's help, each subcommand's help, and usage errors.
+USAGE_CALLS = [
+    ["--help"],
+    *([argv[0], "--help"] for argv in EVERY_SUBCOMMAND),
+    [],
+    ["frobnicate"],
+    ["count", "--group", "C4"],
+    ["count", "--group", "C4", "--length", "2", "--format", "xml"],
+    ["verify-theorem", "--max-order", "0"],
+    ["scan-conjecture", "--max-order=-12"],
+    ["count", "--group", "C4", "--length=-+3"],
+]
+
+
+def outcome(parse, argv, capsys):
+    """The exit code of parse(argv), None when it returns, with its stdout and stderr."""
+    try:
+        parse(argv)
+        code = None
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", USAGE_CALLS, ids=lambda argv: " ".join(argv) or "no-subcommand")
+def test_help_and_usage_errors_match_the_reference_tree(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = outcome(reference_parser().parse_args, argv, capsys)
+    assert expected[0] in (0, 2)
+    assert outcome(main, argv, capsys) == expected
+
+
+def test_fast_parse_reads_exact_flags_only():
+    reference = reference_parser()
+    for argv in [*EVERY_SUBCOMMAND, ["check", "--h", "D6", "--g", "C2"],
+                 ["spectrum", "--brute-force", "--group", "C6"]]:
+        assert vars(_fast_parse(argv)) == vars(reference.parse_args(argv)), argv
+    # argparse reads --max as an abbreviation of --max-order here.
+    argv = ["scan-conjecture", "--max", "12"]
+    assert _fast_parse(argv) is None and reference.parse_args(argv).max_order == 12
+
+
+def test_fast_parse_agrees_with_the_reference_tree():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    reference = reference_parser()
+    [subparsers] = [a for a in reference._actions if isinstance(a, argparse._SubParsersAction)]
+    odd = ["", "-", "--", "-h", "--help", "-1", "-x", "--bogus", "é", "Ｃ4", "coun", "frobnicate"]
+    bad = ["0", "-3", "+3", "٣", "1_2", " 7", "9" * 5000, "xml"]
+    anything = st.sampled_from(odd + bad) | st.text(max_size=3)
+
+    def given(action, clean=False):
+        """One use of action: one of its flags, then a value unless it is a switch.
+
+        A clean value is one of its choices, a positive integer or a group
+        notation; any other value may be one too.
+        """
+        flag = st.sampled_from(action.option_strings)
+        if action.nargs == 0:
+            return flag.map(lambda f: [f])
+        pool = list(action.choices or []) or (["1", "12", "30"] if action.type else ["C4", "D6", "Q8"])
+        return st.tuples(flag, st.sampled_from(pool) if clean else st.sampled_from(pool) | anything).map(list)
+
+    def noise(options):
+        """Tokens that a well-formed argv does not hold there, or a repeat."""
+        flag = st.sampled_from([f for a in options for f in a.option_strings])
+        return st.one_of(
+            st.sampled_from(options).flatmap(given),
+            flag.map(lambda f: [f]),
+            st.tuples(flag, anything).map(lambda t: ["=".join(t)]),
+            st.tuples(flag, st.integers(2, 8)).map(lambda t: [t[0][:t[1]]]),
+            anything.map(lambda t: [t]),
+        )
+
+    accepted = []
+
+    @hypothesis.settings(max_examples=500, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        # A subcommand's options, each at most once and mostly with a clean
+        # value (a required one is left out now and then), with up to two
+        # edits: tokens inserted, one token replaced, or one dropped.
+        name = data.draw(st.sampled_from(list(subparsers.choices)))
+        options = [a for a in subparsers.choices[name]._actions if a.option_strings]
+        chunks = [data.draw(given(a, clean=data.draw(st.integers(0, 3)) > 0)) for a in options
+                  if a.dest != "help" and data.draw(st.integers(0, 9)) >= (1 if a.required else 5)]
+        argv = [name, *(token for chunk in data.draw(st.permutations(chunks)) for token in chunk)]
+        for _ in range(data.draw(st.integers(0, 2))):
+            at = data.draw(st.integers(0, len(argv) - 1)) if argv else 0
+            edit = data.draw(st.sampled_from(["insert", "replace", "drop"]))
+            if edit == "insert":
+                argv[at:at] = data.draw(noise(options))
+            elif argv:
+                argv[at:at + 1] = [data.draw(anything)] if edit == "replace" else []
+        fast = _fast_parse(argv)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                expected = vars(reference.parse_args(argv))
+        except SystemExit:
+            assert fast is None, argv
+        else:
+            assert fast is None or vars(fast) == expected, argv
+            if fast is not None:
+                accepted.append(argv)
+
+    check()
+    # Well-formed argv do come up, and the fast path takes them.
+    assert len(accepted) > 100
