@@ -544,16 +544,16 @@ def main(argv=None) -> int:
     stdout = sys.stdout
     if stdout is None:
         sys.stdout = _ClosedStdout()
+    # The interpreter's limit on int-to-str digits, where it has one.
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
     try:
         args = _fast_parse(sys.argv[1:] if argv is None else argv)
         if args is None:
             args = _build_parser().parse_args(argv)
-        # Exact counts print in full: lift the interpreter's limit on
-        # int-to-str digits (where it has one), which argument parsing above
-        # still kept.
-        set_int_max_str_digits = getattr(sys, "set_int_max_str_digits", None)
-        if set_int_max_str_digits is not None:
-            set_int_max_str_digits(0)
+        # Exact counts print in full: lift the limit, which argument parsing
+        # above still kept, until main returns.
+        if digits is not None:
+            sys.set_int_max_str_digits(0)
         code = args.func(args)
         sys.stdout.flush()
         return code
@@ -585,6 +585,8 @@ def main(argv=None) -> int:
         return 3
     finally:
         sys.stdout = stdout
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

@@ -283,10 +283,6 @@ class OrderSpectrum(Value):
             raise ValueError("element counts must sum to the group order")
         super().__init__(dict(zip(divs, counts)), group_order)
 
-    def count_of(self, d: int) -> int:
-        """Number of elements of order exactly d (0 for non-divisors)."""
-        return self.entries.get(d, 0)
-
 
 def solutions(g: GroupDescriptor, divs: list[int]) -> list[int]:
     """F(d), the number of solutions of x^d = 1 in g, for each d of divs.

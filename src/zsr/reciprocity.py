@@ -25,7 +25,7 @@ classes, and renders, from the walk's row, each group's records with itself
 and every later group as one text, in canonical order.
 
 A summary scan gives most order pairs no classes, no blocks and no counts,
-by proof.  Every key has 1 at d = 1 and every other entry in
+and no visit, by proof.  Every key has 1 at d = 1 and every other entry in
 [0, max(n, m) - 1], so two different keys first differ at some later
 divisor.  If every block after the first exceeds max(n, m) - 1 times the sum
 of the blocks after it (dominance, the fact behind the paper's proof and
@@ -37,8 +37,13 @@ blocks' logarithms, read from one table of log2(k!) with the tolerance that
 the lemma grids use (logblocks), so it builds no block and no class.
 Exactness needs no sums either: every spectrum of a scan is checked once to
 be admissible (Frobenius' theorem, see _admissible), and an admissible
-spectrum has an exact count at every order m.  An order pair whose chain
-does not clear the tolerance is counted exactly, as a record scan counts it.
+spectrum has an exact count at every order m.  For fixed n and gcd g, and
+unless two consecutive shared divisors d < d' have n/d - n/d' = 1, the
+chain holds at every m from some threshold on (the lemma in _certified's
+docstring), so the summary walk finds one threshold per (n, g) and visits
+no certified pair: its rows list only the pairs it counts.  An order pair
+whose chain does not clear the tolerance, and every pair of a class with
+such divisors, is counted exactly, as a record scan counts it.
 """
 
 from __future__ import annotations
@@ -68,8 +73,8 @@ from .logblocks import _log_tables
 from .value import Value
 
 # Scans refuse max_order past this ceiling (BudgetError) before they enumerate
-# a group; a summary scan of all families at the ceiling took 0.84-1.00 s on
-# 2 cores, with 30 MB peak RSS.  The tolerance proof of logblocks._tolerance
+# a group; a summary scan of all families at the ceiling took 0.65-0.77 s on
+# 2 cores, with 29 MB peak RSS.  The tolerance proof of logblocks._tolerance
 # needs it below 4096.
 SCAN_MAX_ORDER = 1024
 # Record scans (with on_row) refuse more pairs than this (BudgetError) after
@@ -283,13 +288,6 @@ def _scan_groups(families, max_order: int) -> tuple[list[GroupDescriptor], list[
     return list(kept.values()), spectra
 
 
-def pair_sequence(descriptors) -> list[tuple[GroupDescriptor, GroupDescriptor]]:
-    """All unordered pairs (diagonal included) in canonical scan order."""
-    return [(descriptors[i], descriptors[j])
-            for i in range(len(descriptors))
-            for j in range(i, len(descriptors))]
-
-
 def _certified(n: int, m: int, shared: list[int], tables: tuple) -> bool:
     """True when the keys of the order pair (n, m), n <= m, have pairwise distinct counts.
 
@@ -305,6 +303,22 @@ def _certified(n: int, m: int, shared: list[int], tables: tuple) -> bool:
     with lb_d = lf[(n+m)/d] - lf[n/d] - lf[m/d] the logarithm of B_d, and
     holds when the margin exceeds tau[n + m] (logblocks._tolerance proves
     this); no block is built.
+
+    Lemma: fix n and g > 1, and call a link d < d' a unit link when n/d -
+    n/d' = 1.  The margin of a link that is not a unit link never decreases
+    as m grows over the orders m >= n with gcd(n, m) = g, so where the
+    chain of such links holds at one m it holds at every larger one.
+    Proof: with x = n/d, B_d is the product over i <= x of (m + i d)/(i d),
+    so as a function of real m >= n the margin log B_d - log B_d' - log m
+    has the derivative: the sum over i <= x of 1/(m + i d), less the sum
+    over j <= x' = n/d' of 1/(m + j d'), less 1/m.  The map j -> i =
+    floor(j d'/d) is one-to-one, as d'/d > 1, and lands in [1, x], as j d'
+    <= n = x d; and i d <= j d', so it pairs each term of the second sum
+    with a distinct term of the first that is at least as large.  Each of
+    the x - x' >= 2 terms left over is at least 1/(2m), as i d <= n <= m,
+    so together they cover 1/m.  A float pass proves the true margins
+    positive at its m, so the lemma carries them to every larger m of the
+    class, and _uncounted calls this once per step of a binary search.
     """
     lf, lg, tau = tables
     total = n + m
@@ -317,6 +331,38 @@ def _certified(n: int, m: int, shared: list[int], tables: tuple) -> bool:
             return False
         before = after
     return True
+
+
+def _uncounted(n: int, shared: list[int], present: bytearray, tables: tuple) -> list[int]:
+    """The orders m >= n with gcd(n, m) = g = shared[-1] that the chain does not certify.
+
+    shared lists the divisors of g in increasing order; g divides n and has
+    at least two divisors past 1, so the chain has a link.  present[m] is 1
+    for the orders of the scan, which are at most len(present) - 1.  The
+    orders m are g t with gcd(n/g, t) = 1, and such a t is valid when g t
+    is present.  Without a unit link (_certified's lemma) the certified m
+    are those from a threshold on, and a binary search over t finds it:
+    each step calls _certified at the first valid t from the middle of the
+    open interval, so every call is at an order pair of the scan.  A class
+    with a unit link is not searched: each of its m is returned and counted
+    exactly.
+    """
+    g = shared[-1]
+    r = n // g
+    lo, hi = r, (len(present) - 1) // g + 1
+    if all(n // d - n // e > 1 for d, e in zip(shared[1:], shared[2:])):
+        # Valid t below lo are uncertified, and valid t from hi on certified.
+        while lo < hi:
+            t = mid = (lo + hi) // 2
+            while t < hi and not (present[g * t] and gcd(r, t) == 1):
+                t += 1
+            if t == hi:
+                hi = mid
+            elif _certified(n, g * t, shared, tables):
+                hi = t
+            else:
+                lo = t + 1
+    return [g * t for t in range(r, hi) if present[g * t] and gcd(r, t) == 1]
 
 
 def _classes(spectra: list[OrderSpectrum], positions: range, shared: list[int]):
@@ -339,8 +385,9 @@ def _class_walk(spectra: list[OrderSpectrum], summary: bool = False):
     Spectra are addressed by position and sorted by group order.  For each
     order n, in increasing order, this yields the range of positions of order
     n and a row with one (m, shared, left, right, counts, collisions) for
-    every order m >= n; with summary true, only for those m with gcd(n, m) >
-    1.  shared lists the divisors of gcd(n, m) in increasing order.
+    every order m >= n, in increasing order; with summary true, only for
+    the m that it counts exactly.  shared lists the divisors of gcd(n, m)
+    in increasing order.
 
     A coprime order pair has one class, key (1,), on each side, so it has no
     collision, and its count C(n+m, n)/(n+m) is an integer for every
@@ -350,13 +397,16 @@ def _class_walk(spectra: list[OrderSpectrum], summary: bool = False):
     no block table, no classes and no counts dict.  An inexact division there
     means a wrong binomial and raises ValueError.
 
-    A summary scan decides every other order pair by _certified first, from
-    one table of block logarithms, and a certified pair gets no block table,
-    no classes (left and right are None), no counts and no collisions; its
-    counts are exact because every spectrum of a scan is admissible.
+    A summary walk visits no certified order pair: for each n and each
+    divisor g > 1 of n that is no prime, _uncounted returns the m with
+    gcd(n, m) = g that the chain certificate leaves, from one threshold per
+    (n, g), and the walk counts those, merged into increasing m.  A prime g
+    has one block past d = 1, so its chain has no link and certifies every
+    m.  A certified pair needs no counts, because every spectrum of a scan
+    is admissible.
 
-    Every other pair is counted from one block table.  left and right are the
-    classes of order n and of order m from _classes, each built once per
+    Every counted pair is counted from one block table.  left and right are
+    the classes of order n and of order m from _classes, each built once per
     order and gcd.  counts gives each key its dot product with the block
     table divided by n + m, which is |M(G, m)| for a group G of order n in
     that class (and the same with n and m swapped).  An inexact division
@@ -378,48 +428,66 @@ def _class_walk(spectra: list[OrderSpectrum], summary: bool = False):
             entry = classes[n, g] = _classes(spectra, members[n], divisors_of[g])
         return entry
 
+    def shared_at(g: int, keys) -> list[int]:
+        """The divisors of g, computed once from keys, the divisors of a multiple of g."""
+        shared = divisors_of.get(g)
+        if shared is None:
+            shared = divisors_of[g] = [d for d in keys if g % d == 0]
+        return shared
+
+    def counted(n: int, m: int, shared: list[int]) -> tuple:
+        """The row entry of the order pair (n, m), with gcd shared[-1] > 1, from its block table."""
+        g = shared[-1]
+        table = block_table(n, m, shared)
+        left, right = classes_at(n, g), classes_at(m, g)
+        total = n + m
+        counts: dict[tuple[int, ...], int] = {}
+        for key in (*left[0], *right[0]):
+            if key not in counts:
+                divisor_sum = sum(map(mul, key, table))
+                if divisor_sum % total:
+                    raise ValueError(f"divisor sum {divisor_sum} not divisible by {total}: "
+                                     "inconsistent spectrum")
+                counts[key] = divisor_sum // total
+        collisions = ()
+        if len(set(counts.values())) < len(counts):
+            by_count: dict[int, list[int]] = {}
+            for c, key in enumerate(left[0]):
+                by_count.setdefault(counts[key], []).append(c)
+            for c, key in enumerate(right[0]):
+                for other in by_count.get(counts[key], ()):
+                    if left[0][other] != key:
+                        collisions += ((other, c),)
+        return m, shared, left, right, counts, collisions
+
     orders = list(members)
-    tables = _log_tables(max(orders, default=0)) if summary else None
+    if summary:
+        tables = _log_tables(max(orders, default=0))
+        present = bytearray(max(orders, default=0) + 1)
+        for n in orders:
+            present[n] = 1
     for a, n in enumerate(orders):
+        # A spectrum's keys are its order's divisors.
+        keys = spectra[members[n].start].entries
         row = []
-        for m in orders[a:]:
-            g = gcd(n, m)
-            if g == 1:
-                if not summary:
-                    total = n + m
-                    top = comb(total, n)
-                    if top % total:
-                        raise ValueError(f"C({total}, {n}) = {top} not divisible by {total}")
-                    row.append((m, [1], None, None, top // total, ()))
-                continue
-            shared = divisors_of.get(g)
-            if shared is None:
-                # g divides n, and a spectrum's keys are its order's divisors.
-                shared = divisors_of[g] = [d for d in spectra[members[n].start].entries if g % d == 0]
-            if summary and _certified(n, m, shared, tables):
-                row.append((m, shared, None, None, {}, ()))
-                continue
-            table = block_table(n, m, shared)
-            left, right = classes_at(n, g), classes_at(m, g)
-            total = n + m
-            counts: dict[tuple[int, ...], int] = {}
-            for key in (*left[0], *right[0]):
-                if key not in counts:
-                    divisor_sum = sum(map(mul, key, table))
-                    if divisor_sum % total:
-                        raise ValueError(f"divisor sum {divisor_sum} not divisible by {total}: "
-                                         "inconsistent spectrum")
-                    counts[key] = divisor_sum // total
-            collisions = ()
-            if len(set(counts.values())) < len(counts):
-                by_count: dict[int, list[int]] = {}
-                for c, key in enumerate(left[0]):
-                    by_count.setdefault(counts[key], []).append(c)
-                for c, key in enumerate(right[0]):
-                    for other in by_count.get(counts[key], ()):
-                        if left[0][other] != key:
-                            collisions += ((other, c),)
-            row.append((m, shared, left, right, counts, collisions))
+        if summary:
+            uncounted = []
+            for g in keys:
+                if g > 1 and len(shared := shared_at(g, keys)) > 2:
+                    uncounted.extend((m, shared) for m in _uncounted(n, shared, present, tables))
+            # Each m has one gcd with n, so the sort compares only the m.
+            row = [counted(n, m, shared) for m, shared in sorted(uncounted)]
+        else:
+            for m in orders[a:]:
+                g = gcd(n, m)
+                if g > 1:
+                    row.append(counted(n, m, shared_at(g, keys)))
+                    continue
+                total = n + m
+                top = comb(total, n)
+                if top % total:
+                    raise ValueError(f"C({total}, {n}) = {top} not divisible by {total}")
+                row.append((m, [1], None, None, top // total, ()))
         yield members[n], row
 
 

@@ -916,6 +916,27 @@ def test_counts_past_the_digit_limit_print_in_full():
     assert decimal_value(count) == count_formula(order_spectrum(AbelianGroup((8000,))), 8000)
 
 
+def test_main_restores_the_digit_limit(capsys):
+    # main lifts the interpreter's limit on int-to-str digits only while it
+    # runs: an in-process caller gets its own limit back after each call,
+    # also after a refused one, and each call still prints a count of
+    # about 4,800 digits in full.
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    before = sys.get_int_max_str_digits()
+    for argv in (["catalan", "--n", "8000", "--m", "8001", "--format", "json"],
+                 ["catalan", "--n", "6", "--m", "3"],
+                 ["catalan", "--n", "8000", "--m", "8001", "--format", "json"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert sys.get_int_max_str_digits() == before
+        if code == 0:
+            assert decimal_value(json.loads(captured.out)["value"]) == comb(16001, 8000) // 16001
+        else:
+            assert (code, captured.err) == (2, "error: rational_catalan requires coprime "
+                                                "arguments, gcd(6, 3) = 3\n")
+
+
 def loaded_after(calls, watched):
     """Which of watched a fresh zsr.cli process has loaded at import and after each call.
 

@@ -480,5 +480,5 @@ def test_order_spectrum_validation_rejects_malformed_tables():
     with pytest.raises(ValueError):
         OrderSpectrum(entries={1: 1, 2: 1, 4: 1}, group_order=4)  # sums to 3
     spectrum = OrderSpectrum(entries={1: 1, 2: 3, 4: 0}, group_order=4)
-    assert spectrum.count_of(2) == 3
+    assert spectrum.entries[2] == 3
     assert tuple(spectrum.entries.items()) == ((1, 1), (2, 3), (4, 0))

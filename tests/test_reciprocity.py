@@ -7,7 +7,7 @@ import json
 import os
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, pairwise
 from math import comb, gcd, log2
 from operator import mul
 from pathlib import Path
@@ -35,7 +35,6 @@ from zsr.reciprocity import (
     divisor_gap_free,
     family_descriptors,
     jsonl_record_pair,
-    pair_sequence,
     reciprocity_check,
     spectrum_condition,
     verify_theorem,
@@ -49,6 +48,11 @@ def divisor_lists(limit):
         for multiple in range(d, limit + 1, d):
             table[multiple].append(d)
     return table
+
+
+def pair_sequence(descriptors):
+    """Every pair (g, h) of descriptors, h at or after g, in canonical scan order."""
+    return list(combinations_with_replacement(descriptors, 2))
 
 
 def test_divisor_gap_free_examples():
@@ -90,7 +94,7 @@ def test_witness_is_smallest_disagreeing_shared_divisor():
     for g, h in pair_sequence(descriptors):
         agree, witness = spectrum_condition(g, h)
         shared = [d for d in range(1, min(g.order, h.order) + 1) if g.order % d == 0 and h.order % d == 0]
-        mismatches = [d for d in shared if spectra[g].count_of(d) != spectra[h].count_of(d)]
+        mismatches = [d for d in shared if spectra[g].entries[d] != spectra[h].entries[d]]
         if agree:
             assert witness is None and not mismatches
         else:
@@ -301,15 +305,6 @@ def test_scans_refuse_orders_past_the_ceiling_before_enumerating(monkeypatch):
                  lambda: family_descriptors(("dihedral",), 100000)):
         with pytest.raises(BudgetError, match=f"^scans are limited to max_order <= {ceiling}, got"):
             scan()
-
-
-def test_pair_sequence_is_upper_triangle():
-    descriptors = family_descriptors(("abelian",), 5)
-    pairs = pair_sequence(descriptors)
-    k = len(descriptors)
-    assert len(pairs) == k * (k + 1) // 2
-    indices = {d: i for i, d in enumerate(descriptors)}
-    assert all(indices[g] <= indices[h] for g, h in pairs)
 
 
 def written(values):
@@ -536,25 +531,29 @@ def test_certificate_property():
 
 
 def test_certified_order_pairs_have_distinct_exact_counts():
-    # Brute force on the family spectra to 96: at every order pair that the
-    # summary walk certifies, counts from fresh binomials are exact and
-    # pairwise distinct over the keys of both orders; every other pair keeps
-    # the record walk's counts and collisions.  The numbers of certified order
-    # pairs are pinned, so that the certificate becomes neither vacuous nor
-    # broader unnoticed.
+    # Brute force on the family spectra to 96: at every order pair with gcd
+    # > 1 that the summary walk leaves out of its rows, which the thresholds
+    # certify, counts from fresh binomials are exact and pairwise distinct
+    # over the keys of both orders; every pair in its rows keeps the record
+    # walk's counts and collisions.  The numbers of certified order pairs are
+    # pinned, so that the certificate becomes neither vacuous nor broader
+    # unnoticed.
     for max_order, certified, pairs in ((192, 6796, 7298), (96, 1656, 1850)):
         _, spectra = reciprocity._scan_groups(FAMILIES, max_order)
+        orders = sorted({spectrum.group_order for spectrum in spectra})
+        every = [(n, m) for i, n in enumerate(orders) for m in orders[i:] if gcd(n, m) > 1]
         rows = {(spectra[positions.start].group_order, entry[0]): entry
                 for positions, row in reciprocity._class_walk(spectra, summary=True)
                 for entry in row}
-        assert (sum(not entry[4] for entry in rows.values()), len(rows)) == (certified, pairs)
+        assert set(rows) <= set(every) and all(entry[4] for entry in rows.values())
+        assert (len(every) - len(rows), len(every)) == (certified, pairs)
     # spectra and rows are now those of 96.
     for positions, row in reciprocity._class_walk(spectra):
         n = spectra[positions.start].group_order
         for m, shared, left, right, counts, collisions in row:
             if gcd(n, m) == 1:
                 continue
-            if rows[n, m][4]:
+            if (n, m) in rows:
                 assert rows[n, m][4:] == (counts, collisions), (n, m)
                 continue
             keys = set(left[0]) | set(right[0])
@@ -613,20 +612,23 @@ def planted_logarithms(tables, n, m, planted):
 
 @pytest.mark.parametrize("shift, certified", [(1, False), (0, False), (-1, False), (2 ** 60, True)])
 def test_near_ties_of_the_chain_reach_exact_counting(shift, certified, monkeypatch):
-    # At the order pair (4, 8) the blocks past d = 1 are B_2 = C(6, 2) and
-    # B_4 = C(3, 1).  Planted as B_4 = k = 2^60 and B_2 = 8k + shift through
-    # the entries lf[6] and lf[3], which only their logarithms read, the link
-    # B_2 > 8 * B_4 lies within 2^-60 bits of a tie, far inside the
-    # tolerance of the pair (above 2^-25 bits), so the certificate refuses
-    # it for every small shift, and the summary walk counts the pair from
-    # its block table.  B_2 = 9k, log2(9/8) bits above the tie, is certified.
+    # The order pair (8, 12) is the one pair of the class n = 8, gcd 4 here,
+    # whose one link (2, 4) is no unit link (8/2 - 8/4 = 2), so the threshold
+    # search asks the certificate about it.  Its blocks past d = 1 are B_2 =
+    # C(10, 4) and B_4 = C(5, 2).  Planted as B_4 = k = 2^60 and B_2 = 12k +
+    # shift through the entries lf[10] and lf[5], which only their
+    # logarithms read, the link B_2 > 12 * B_4 lies within 2^-60 bits of a
+    # tie, far inside the tolerance of the pair (above 2^-25 bits), so the
+    # certificate refuses it for every small shift, and the summary walk
+    # counts the pair from its block table.  B_2 = 13k, log2(13/12) bits
+    # above the tie, is certified, and the pair is in no row.
     k = 2 ** 60
     certify = reciprocity._certified
     verdicts = []
 
     def doctored(n, m, shared, tables):
-        if (n, m) == (4, 8):
-            tables = planted_logarithms(tables, n, m, {2: 8 * k + shift, 4: k})
+        if (n, m) == (8, 12):
+            tables = planted_logarithms(tables, n, m, {2: 12 * k + shift, 4: k})
             verdicts.append(certify(n, m, shared, tables))
             return verdicts[-1]
         return certify(n, m, shared, tables)
@@ -636,22 +638,106 @@ def test_near_ties_of_the_chain_reach_exact_counting(shift, certified, monkeypat
     monkeypatch.setattr(reciprocity, "_certified", doctored)
     monkeypatch.setattr(reciprocity, "block_table", lambda n, m, shared: (
         calls.append((n, m)) or table(n, m, shared)))
-    descriptors = [AbelianGroup((4,)), AbelianGroup((2, 2)), AbelianGroup((8,)),
-                   AbelianGroup((2, 4)), Dihedral(4)]
+    descriptors = [AbelianGroup((8,)), AbelianGroup((2, 4)), Dihedral(4),
+                   AbelianGroup((12,)), AbelianGroup((2, 6)), Dihedral(6)]
     spectra = [order_spectrum(d) for d in descriptors]
-    [entry] = [entry for positions, row in reciprocity._class_walk(spectra, summary=True)
-               for entry in row if spectra[positions.start].group_order == 4 and entry[0] == 8]
+    entries = [entry for positions, row in reciprocity._class_walk(spectra, summary=True)
+               for entry in row if spectra[positions.start].group_order == 8 and entry[0] == 12]
     assert verdicts == [certified]
-    assert ((4, 8) in calls) == (not certified) == (entry[2] is not None)
+    assert ((8, 12) in calls) == (not certified) == (len(entries) == 1)
     if not certified:
-        assert len(entry[4]) == 4 and entry[5] == ()
+        # The keys (1, k_2, k_4): C8 and C12 share (1, 1, 2); C2xC4 has
+        # (1, 3, 4), D8 (1, 5, 2), C2xC6 (1, 3, 0) and D12 (1, 7, 0).
+        [(_, _, _, _, counts, collisions)] = entries
+        assert len(counts) == 5 and collisions == ()
+
+
+def test_links_past_a_threshold_stay_certified_property():
+    # _certified's lemma in exact integers: fix n and g = gcd(n, m) with no
+    # unit link (consecutive divisors d < d' > 1 of g with n/d - n/d' = 1).
+    # Then each link B_d > m * B_d' of the blocks B_d = C((n+m)/d, n/d) that
+    # holds at one order m holds at every larger m of the class.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    # Each (n, g, links) with n <= 240 and at least one link, none a unit link.
+    free = [(n, g, links) for n in range(4, 241) for g in divisors(n)[1:]
+            for links in [list(pairwise(divisors(g)[1:]))]
+            if links and all(n // d - n // e > 1 for d, e in links)]
+
+    @st.composite
+    def classes(draw):
+        n, g, links = draw(st.sampled_from(free))
+        # Small t, where the links still change; m = g t with gcd(n/g, t) = 1.
+        coprime = st.integers(n // g, n // g + 40).filter(lambda t: gcd(n // g, t) == 1)
+        t1, t2 = sorted(draw(st.lists(coprime, min_size=2, max_size=2, unique=True)))
+        return n, links, g * t1, g * t2
+
+    def holds(n, m, d, e):
+        return comb((n + m) // d, n // d) > m * comb((n + m) // e, n // e)
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(classes())
+    def monotone(case):
+        n, links, m1, m2 = case
+        for d, e in links:
+            assert not holds(n, m1, d, e) or holds(n, m2, d, e), (n, m1, m2, d, e)
+
+    monotone()
+
+
+def per_pair_summary_walk(spectra):
+    """The summary walk decided pair by pair: (positions, row) per order, as _class_walk yields.
+
+    Each row keeps the record walk's entry of every order pair with gcd > 1
+    that reciprocity._certified refuses, in increasing m.
+    """
+    tables = _log_tables(max(spectrum.group_order for spectrum in spectra))
+    for positions, row in reciprocity._class_walk(spectra):
+        n = spectra[positions.start].group_order
+        yield positions, [entry for entry in row if entry[2] is not None
+                          and not reciprocity._certified(n, entry[0], entry[1], tables)]
+
+
+def test_threshold_walk_counts_what_the_per_pair_walk_counts():
+    # For every non-empty family subset at 192 the thresholds leave exactly
+    # the order pairs that the certificate refuses pair by pair, in the same
+    # order, with the same classes, counts and collisions.
+    subsets = [families for size in range(1, len(FAMILIES) + 1)
+               for families in combinations(FAMILIES, size)]
+    assert len(subsets) == 15
+    for families in subsets:
+        _, spectra = reciprocity._scan_groups(families, 192)
+        walked = list(reciprocity._class_walk(spectra, summary=True))
+        assert walked == list(per_pair_summary_walk(spectra)), families
+        assert sum(map(len, (row for _, row in walked))) in (186, 388, 502), families
+
+
+def test_threshold_search_calls_the_chain_only_at_pairs_of_the_scan(monkeypatch):
+    # The summary walk of all families to 192 calls the chain 770 times,
+    # where deciding pair by pair called it 7,298 times, once per order pair
+    # with gcd > 1.  Each call is at an order pair of the scan, n <= m, with
+    # gcd(n, m) the last shared divisor and no prime, and no pair is asked
+    # twice.
+    calls = []
+    certify = reciprocity._certified
+    monkeypatch.setattr(reciprocity, "_certified", lambda n, m, shared, tables: (
+        calls.append((n, m, shared[-1])) or certify(n, m, shared, tables)))
+    _, spectra = reciprocity._scan_groups(FAMILIES, 192)
+    for _ in reciprocity._class_walk(spectra, summary=True):
+        pass
+    orders = {spectrum.group_order for spectrum in spectra}
+    assert len(calls) == len(set(calls)) == 770
+    assert all(n <= m and {n, m} <= orders and gcd(n, m) == g and len(divisors(g)) > 2
+               for n, m, g in calls)
 
 
 def test_summary_walk_builds_classes_only_for_uncertified_order_pairs(monkeypatch):
-    # A certified order pair is decided from its blocks alone: at 192 the
-    # summary walk builds the classes of each order and gcd that an
-    # uncertified pair reads, once each, 429 in all, against 855 in a
-    # record walk, which builds them for every order pair with gcd > 1.
+    # A certified order pair is decided without a visit: the rows of the
+    # summary walk hold only the pairs it counts, each with its classes and
+    # counts, and at 192 it builds the classes of each order and gcd that
+    # such a pair reads, once each, 429 in all, against 855 in a record
+    # walk, which builds them for every order pair with gcd > 1.
     built = []
     classes = reciprocity._classes
 
@@ -663,8 +749,8 @@ def test_summary_walk_builds_classes_only_for_uncertified_order_pairs(monkeypatc
     _, spectra = reciprocity._scan_groups(FAMILIES, 192)
     rows = [(spectra[positions.start].group_order, entry)
             for positions, row in reciprocity._class_walk(spectra, summary=True) for entry in row]
-    assert all((entry[2] is None) == (not entry[4]) for _, entry in rows)
-    needed = {(order, gcd(n, entry[0])) for n, entry in rows if entry[4] for order in (n, entry[0])}
+    assert len(rows) == 502 and all(entry[2] is not None and entry[4] for _, entry in rows)
+    needed = {(order, gcd(n, entry[0])) for n, entry in rows for order in (n, entry[0])}
     assert len(built) == len(set(built)) == len(needed) == 429 and set(built) == needed
     built.clear()
     for _ in reciprocity._class_walk(spectra):
@@ -859,7 +945,7 @@ def test_scan_summary_record_shape():
 
 def restricted(spectrum, shared):
     """Spectrum entries at the divisors of shared, found by trial division."""
-    return [spectrum.count_of(d) for d in range(1, shared + 1) if shared % d == 0]
+    return [spectrum.entries[d] for d in range(1, shared + 1) if shared % d == 0]
 
 
 def test_planted_collisions_reach_both_scan_paths(monkeypatch):
@@ -942,20 +1028,22 @@ def test_record_walk_refuses_an_inexact_coprime_count_under_optimize():
 
 
 def test_refused_order_pairs_are_counted_from_block_table(monkeypatch):
-    # Planted blocks 15 at d = 1 and 4 at d = 2 of the order pair (2, 4) give
-    # C2 the divisor sum 15 + 4, which 6 does not divide.  A record scan
-    # counts every order pair; a summary scan counts, from block_table, the
-    # pairs its certificate refuses, here (2, 4).  Both scan paths refuse
-    # the sum with one message.
-    planted = {1: 15, 2: 4}
+    # Planted blocks 15 at d = 1, 4 at d = 2 and 0 at d = 4 of the order
+    # pair (8, 12) give C2xC2xC2, the first group of order 8 and key
+    # (1, 7, 0), the divisor sum 15 + 7 * 4, which 20 does not divide.  A
+    # record scan counts every order pair; a summary scan counts, from
+    # block_table, the pairs its certificate refuses, here (8, 12), the one
+    # pair of its class (n = 8, gcd 4), which the threshold search asks
+    # about.  Both scan paths refuse the sum with one message.
+    planted = {1: 15, 2: 4, 4: 0}
     table = reciprocity.block_table
     monkeypatch.setattr(reciprocity, "block_table", lambda n, m, shared:
-                        [planted[d] for d in shared] if (n, m) == (2, 4)
+                        [planted[d] for d in shared] if (n, m) == (8, 12)
                         else table(n, m, shared))
     certify = reciprocity._certified
     monkeypatch.setattr(reciprocity, "_certified", lambda n, m, shared, tables:
-                        (n, m) != (2, 4) and certify(n, m, shared, tables))
+                        (n, m) != (8, 12) and certify(n, m, shared, tables))
     for consumer in (None, lambda text: None):
         with pytest.raises(ValueError) as refused:
-            conjecture_scan(("abelian",), 4, on_row=consumer)
-        assert str(refused.value) == "divisor sum 19 not divisible by 6: inconsistent spectrum"
+            conjecture_scan(("abelian",), 12, on_row=consumer)
+        assert str(refused.value) == "divisor sum 43 not divisible by 20: inconsistent spectrum"
