@@ -278,8 +278,6 @@ def _cmd_scan_conjecture(args) -> int:
     from .reciprocity import RECORD_FIELDS, conjecture_scan
 
     families = tuple(p for p in args.families.split(",") if p)
-    if not families:
-        raise ValueError("at least one family is required")
     stream_stdout = args.out is None and args.format in ("csv", "jsonl")
     with _writes_to(args.out), contextlib.ExitStack() as stack:
         log = on_row = _ScanLog(args.out, stack) if args.out is not None else None

@@ -90,11 +90,11 @@ class Dicyclic(Value):
 
 
 class Product(Value):
-    """Direct product of two or more descriptors, at least one non-abelian.
+    """Direct product of two or more nontrivial descriptors, at least one non-abelian.
 
-    An all-abelian product has a canonical single-descriptor form, so it is
-    not representable here; build products through make_product(), which
-    performs that normalization.
+    An all-abelian product has a canonical single-descriptor form, and a
+    trivial factor changes no product, so neither is representable here;
+    build products through make_product(), which performs that normalization.
     """
 
     __slots__ = ("factors",)
@@ -105,6 +105,8 @@ class Product(Value):
             raise ValueError("a product needs at least two factors")
         if all(isinstance(f, AbelianGroup) for f in facs):
             raise ValueError("all-abelian products must be normalized via make_product")
+        if any(f.order == 1 for f in facs):
+            raise ValueError("trivial factors must be dropped via make_product")
         super().__init__(facs)
 
     @property
@@ -119,7 +121,7 @@ GroupDescriptor = AbelianGroup | Dihedral | Dicyclic | Product
 
 
 def make_product(factors) -> GroupDescriptor:
-    """Product descriptor for the given factors, normalizing all-abelian products."""
+    """Product descriptor for the given factors: all-abelian products normalized, C1 factors dropped."""
     facs = tuple(factors)
     if not facs:
         raise ValueError("a product needs at least one factor")
@@ -127,7 +129,9 @@ def make_product(factors) -> GroupDescriptor:
         return facs[0]
     if all(isinstance(f, AbelianGroup) for f in facs):
         return canonicalize([x for f in facs for x in f.invariant_factors])
-    return Product(facs)
+    # A non-abelian factor is never trivial, so at least one factor is left.
+    facs = tuple(f for f in facs if f.order > 1)
+    return facs[0] if len(facs) == 1 else Product(facs)
 
 
 def canonicalize(factors) -> AbelianGroup:

@@ -40,10 +40,11 @@ be admissible (Frobenius' theorem, see _admissible), and an admissible
 spectrum has an exact count at every order m.  For fixed n and gcd g, and
 unless two consecutive shared divisors d < d' have n/d - n/d' = 1, the
 chain holds at every m from some threshold on (the lemma in _certified's
-docstring), so the summary walk finds one threshold per (n, g) and visits
-no certified pair: its rows list only the pairs it counts.  An order pair
-whose chain does not clear the tolerance, and every pair of a class with
-such divisors, is counted exactly, as a record scan counts it.
+docstring), so the summary walk climbs each (n, g) in increasing m to its
+first certified order and stops there: it visits no certified pair but
+that one, and its rows list only the pairs it counts.  An order pair whose
+chain does not clear the tolerance, and every pair of a class with such
+divisors, is counted exactly, as a record scan counts it.
 """
 
 from __future__ import annotations
@@ -232,6 +233,8 @@ def _scan_groups(families, max_order: int) -> tuple[list[GroupDescriptor], list[
     ValueError naming its group and divisor.
     """
     chosen = set(families)
+    if not chosen:
+        raise ValueError("at least one family is required")
     unknown = chosen - set(FAMILIES)
     if unknown:
         raise ValueError(f"unknown families {sorted(unknown)}; valid names: {', '.join(FAMILIES)}")
@@ -318,7 +321,7 @@ def _certified(n: int, m: int, shared: list[int], tables: tuple) -> bool:
     the x - x' >= 2 terms left over is at least 1/(2m), as i d <= n <= m,
     so together they cover 1/m.  A float pass proves the true margins
     positive at its m, so the lemma carries them to every larger m of the
-    class, and _uncounted calls this once per step of a binary search.
+    class, and the summary walk climbs each class only to its first pass.
     """
     lf, lg, tau = tables
     total = n + m
@@ -331,38 +334,6 @@ def _certified(n: int, m: int, shared: list[int], tables: tuple) -> bool:
             return False
         before = after
     return True
-
-
-def _uncounted(n: int, shared: list[int], present: bytearray, tables: tuple) -> list[int]:
-    """The orders m >= n with gcd(n, m) = g = shared[-1] that the chain does not certify.
-
-    shared lists the divisors of g in increasing order; g divides n and has
-    at least two divisors past 1, so the chain has a link.  present[m] is 1
-    for the orders of the scan, which are at most len(present) - 1.  The
-    orders m are g t with gcd(n/g, t) = 1, and such a t is valid when g t
-    is present.  Without a unit link (_certified's lemma) the certified m
-    are those from a threshold on, and a binary search over t finds it:
-    each step calls _certified at the first valid t from the middle of the
-    open interval, so every call is at an order pair of the scan.  A class
-    with a unit link is not searched: each of its m is returned and counted
-    exactly.
-    """
-    g = shared[-1]
-    r = n // g
-    lo, hi = r, (len(present) - 1) // g + 1
-    if all(n // d - n // e > 1 for d, e in zip(shared[1:], shared[2:])):
-        # Valid t below lo are uncertified, and valid t from hi on certified.
-        while lo < hi:
-            t = mid = (lo + hi) // 2
-            while t < hi and not (present[g * t] and gcd(r, t) == 1):
-                t += 1
-            if t == hi:
-                hi = mid
-            elif _certified(n, g * t, shared, tables):
-                hi = t
-            else:
-                lo = t + 1
-    return [g * t for t in range(r, hi) if present[g * t] and gcd(r, t) == 1]
 
 
 def _classes(spectra: list[OrderSpectrum], positions: range, shared: list[int]):
@@ -397,13 +368,16 @@ def _class_walk(spectra: list[OrderSpectrum], summary: bool = False):
     no block table, no classes and no counts dict.  An inexact division there
     means a wrong binomial and raises ValueError.
 
-    A summary walk visits no certified order pair: for each n and each
-    divisor g > 1 of n that is no prime, _uncounted returns the m with
-    gcd(n, m) = g that the chain certificate leaves, from one threshold per
-    (n, g), and the walk counts those, merged into increasing m.  A prime g
-    has one block past d = 1, so its chain has no link and certifies every
-    m.  A certified pair needs no counts, because every spectrum of a scan
-    is admissible.
+    A summary walk climbs each class: for each n and each divisor g > 1 of
+    n that is no prime, it takes the orders m >= n of the scan with gcd(n,
+    m) = g in increasing order, asks _certified at each, and keeps each
+    refused m until the first certified one, which by _certified's lemma
+    certifies every larger m too.  A class with a unit link (n/d - n/d' = 1
+    for consecutive divisors d < d' of g) is outside the lemma: all its m
+    are kept, with no call.  A prime g has one block past d = 1, so its
+    chain has no link and certifies every m.  The kept m of each n are
+    counted in increasing m.  A certified pair needs no counts, because
+    every spectrum of a scan is admissible.
 
     Every counted pair is counted from one block table.  left and right are
     the classes of order n and of order m from _classes, each built once per
@@ -462,10 +436,8 @@ def _class_walk(spectra: list[OrderSpectrum], summary: bool = False):
 
     orders = list(members)
     if summary:
-        tables = _log_tables(max(orders, default=0))
-        present = bytearray(max(orders, default=0) + 1)
-        for n in orders:
-            present[n] = 1
+        top = max(orders, default=0)
+        tables = _log_tables(top)
     for a, n in enumerate(orders):
         # A spectrum's keys are its order's divisors.
         keys = spectra[members[n].start].entries
@@ -474,7 +446,13 @@ def _class_walk(spectra: list[OrderSpectrum], summary: bool = False):
             uncounted = []
             for g in keys:
                 if g > 1 and len(shared := shared_at(g, keys)) > 2:
-                    uncounted.extend((m, shared) for m in _uncounted(n, shared, present, tables))
+                    # A unit link voids _certified's lemma, so its class is counted whole.
+                    unit = any(n // d - n // e == 1 for d, e in zip(shared[1:], shared[2:]))
+                    for m in range(n, top + 1, g):
+                        if m in members and gcd(n, m) == g:
+                            if not unit and _certified(n, m, shared, tables):
+                                break
+                            uncounted.append((m, shared))
             # Each m has one gcd with n, so the sort compares only the m.
             row = [counted(n, m, shared) for m, shared in sorted(uncounted)]
         else:
@@ -608,17 +586,21 @@ def conjecture_scan(families, max_order: int, *, on_row=None,
                     record_format: str = "jsonl") -> ScanSummary:
     """Check every pair from the chosen families up to max_order.
 
-    An unknown family name raises ValueError.  Without on_row the scan decides
-    by spectrum class and builds reports only for violating pairs.  With
-    on_row it also renders every pair's record as a line of record_format
-    ("jsonl" or "csv", the record's values in RECORD_FIELDS order) and calls
-    on_row with the text of each group's row: its records with itself and
-    every later group, in canonical order.  on_row may return the offsets,
-    within the row, of lines to count as violations even where the record is
-    consistent.  Reports are built only for the pairs counted as violations.
-    A scan with on_row over more than RECORD_SCAN_MAX_PAIRS pairs raises
-    BudgetError before its first row.
+    No family, an unknown family name or a record_format not in
+    RECORD_FORMATS raises ValueError before any work.  Without on_row the
+    scan decides by spectrum class and builds reports only for violating
+    pairs.  With on_row it also renders every pair's record as a line of
+    record_format ("jsonl" or "csv", the record's values in RECORD_FIELDS
+    order) and calls on_row with the text of each group's row: its records
+    with itself and every later group, in canonical order.  on_row may
+    return the offsets, within the row, of lines to count as violations even
+    where the record is consistent.  Reports are built only for the pairs
+    counted as violations.  A scan with on_row over more than
+    RECORD_SCAN_MAX_PAIRS pairs raises BudgetError before its first row.
     """
+    if record_format not in RECORD_FORMATS:
+        raise ValueError(f"unknown record format {record_format!r}; "
+                         f"valid formats: {', '.join(RECORD_FORMATS)}")
     descriptors, spectra = _scan_groups(families, max_order)
     family_tuple = tuple(f for f in FAMILIES if f in set(families))
     k = len(descriptors)

@@ -406,10 +406,14 @@ def test_bad_scan_arguments_leave_the_log_alone(tmp_path, capsys):
     missing = tmp_path / "missing.jsonl"
     torn = tmp_path / "torn.jsonl"
     torn.write_bytes(b'{"g":"C1","h"')
-    for log in (missing, torn):
-        code, _, err = run(capsys, "scan-conjecture", "--families", "abelian,weird",
-                           "--max-order", "12", "--out", str(log))
-        assert code == 2 and "unknown families" in err
+    for families, message in (
+            ("abelian,weird", "unknown families ['weird']; valid names: abelian, dihedral, dicyclic, "
+                              "products"),
+            (",", "at least one family is required")):
+        for log in (missing, torn):
+            code, out, err = run(capsys, "scan-conjecture", "--families", families,
+                                 "--max-order", "12", "--out", str(log))
+            assert (code, out, err) == (2, "", f"error: {message}\n")
     assert not missing.exists()
     assert torn.read_bytes() == b'{"g":"C1","h"'
 

@@ -165,6 +165,14 @@ def test_parse_group_canonicalizes_abelian_terms():
     assert parse_group("C2xC2xC3") == AbelianGroup((2, 6))
 
 
+def test_trivial_product_factors_are_dropped():
+    assert parse_group("D6xC1") == parse_group("C1xD6") == parse_group("D6") == Dihedral(3)
+    assert parse_group("C1xDic3xC1") == Dicyclic(3)
+    assert parse_group("C1xC2xD6") == Product((AbelianGroup((2,)), Dihedral(3)))
+    with pytest.raises(ValueError, match="trivial factors must be dropped via make_product"):
+        Product((Dihedral(3), AbelianGroup(())))
+
+
 def test_parse_group_mixed_products_keep_term_order():
     left = parse_group("C3xD10")
     assert left == Product((AbelianGroup((3,)), Dihedral(5)))

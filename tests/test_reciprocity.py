@@ -288,6 +288,19 @@ def test_family_descriptors_single_families():
         conjecture_scan(FAMILIES, 0)
 
 
+def test_scans_refuse_no_family_and_an_unknown_record_format_before_enumerating(monkeypatch):
+    # An empty family list and a record format outside RECORD_FORMATS are
+    # refused with ValueError before a group is enumerated.
+    monkeypatch.setattr(reciprocity, "factorize", lambda n: pytest.fail("enumerated"))
+    for scan in (conjecture_scan, family_descriptors):
+        with pytest.raises(ValueError, match="^at least one family is required$"):
+            scan((), 6)
+    rows = []
+    with pytest.raises(ValueError, match="^unknown record format 'xml'; valid formats: jsonl, csv$"):
+        conjecture_scan(FAMILIES, 6, on_row=rows.append, record_format="xml")
+    assert rows == []
+
+
 def test_scans_refuse_orders_past_the_ceiling_before_enumerating(monkeypatch):
     from zsr.errors import BudgetError
 
@@ -714,22 +727,37 @@ def test_threshold_walk_counts_what_the_per_pair_walk_counts():
 
 
 def test_threshold_search_calls_the_chain_only_at_pairs_of_the_scan(monkeypatch):
-    # The summary walk of all families to 192 calls the chain 770 times,
+    # The summary walk of all families to 192 calls the chain 408 times,
     # where deciding pair by pair called it 7,298 times, once per order pair
     # with gcd > 1.  Each call is at an order pair of the scan, n <= m, with
     # gcd(n, m) the last shared divisor and no prime, and no pair is asked
-    # twice.
+    # twice.  Each class (n, g) is climbed in increasing m and left at its
+    # first certified m, so only its last call may pass, and a class with a
+    # unit link is never asked.
     calls = []
     certify = reciprocity._certified
-    monkeypatch.setattr(reciprocity, "_certified", lambda n, m, shared, tables: (
-        calls.append((n, m, shared[-1])) or certify(n, m, shared, tables)))
+
+    def logged(n, m, shared, tables):
+        passed = certify(n, m, shared, tables)
+        calls.append((n, m, shared[-1], tuple(shared), passed))
+        return passed
+
+    monkeypatch.setattr(reciprocity, "_certified", logged)
     _, spectra = reciprocity._scan_groups(FAMILIES, 192)
     for _ in reciprocity._class_walk(spectra, summary=True):
         pass
     orders = {spectrum.group_order for spectrum in spectra}
-    assert len(calls) == len(set(calls)) == 770
+    pairs = [(n, m) for n, m, *_ in calls]
+    assert len(calls) == len(set(pairs)) == 408
     assert all(n <= m and {n, m} <= orders and gcd(n, m) == g and len(divisors(g)) > 2
-               for n, m, g in calls)
+               for n, m, g, _, _ in calls)
+    climbs: dict[tuple[int, int], list] = {}
+    for n, m, g, shared, passed in calls:
+        assert all(n // d - n // e > 1 for d, e in zip(shared[1:], shared[2:])), (n, g)
+        climbs.setdefault((n, g), []).append((m, passed))
+    for (n, g), climb in climbs.items():
+        assert all(a < b for (a, _), (b, _) in zip(climb, climb[1:])), (n, g)
+        assert not any(passed for _, passed in climb[:-1]), (n, g)
 
 
 def test_summary_walk_builds_classes_only_for_uncertified_order_pairs(monkeypatch):
