@@ -40,16 +40,12 @@ def factorize(n: int) -> Factorization:
     return out
 
 
-def generated_divisors(fac: Factorization) -> list[int]:
-    """The divisors of the number factorized by fac, in generation order.
-
-    Each prime p^e of fac in turn multiplies every divisor so far by p^0, ...,
-    p^e, so a divisor's position is its exponents read as mixed-radix digits,
-    the last prime's fastest.
-    """
+def sorted_divisors(fac: Factorization) -> list[int]:
+    """The divisors of the number factorized by fac, in increasing order."""
     divs = [1]
     for p, e in fac:
         divs = [d * p**k for d in divs for k in range(e + 1)]
+    divs.sort()
     return divs
 
 
@@ -57,7 +53,7 @@ def divisors(n: int) -> list[int]:
     """All positive divisors of n in increasing order."""
     if n < 1:
         raise ValueError(f"divisors requires a positive integer, got {n}")
-    return sorted(generated_divisors(factorize(n)))
+    return sorted_divisors(factorize(n))
 
 
 def binomial(top: int, bottom: int) -> int:

@@ -16,7 +16,7 @@ from itertools import product as cartesian
 from math import gcd, lcm, prod
 
 from .errors import BudgetError, GroupParseError
-from .exactmath import FACTORIZE_CEILING, Factorization, divisors, factorize, generated_divisors
+from .exactmath import FACTORIZE_CEILING, Factorization, divisors, factorize, sorted_divisors
 from .value import Value
 
 DEFAULT_SPECTRUM_BOUND = 5000
@@ -137,9 +137,8 @@ def make_product(factors) -> GroupDescriptor:
 def canonicalize(factors) -> AbelianGroup:
     """Invariant-factor form of a direct sum of cyclic groups of the given orders.
 
-    Splits every factor into prime powers, sorts each prime's exponents
-    descending, and recombines position by position (lcm of coprime prime
-    powers is their product).  Empty input gives the trivial group.
+    Splits every factor into prime powers and recombines them by
+    _from_prime_parts.  Empty input gives the trivial group.
     """
     per_prime: dict[int, list[int]] = {}
     for f in factors:
@@ -147,12 +146,20 @@ def canonicalize(factors) -> AbelianGroup:
             raise ValueError(f"cyclic factors must be >= 2, got {f}")
         for p, e in factorize(f):
             per_prime.setdefault(p, []).append(e)
-    for exps in per_prime.values():
-        exps.sort(reverse=True)
-    width = max((len(exps) for exps in per_prime.values()), default=0)
-    slots = []
-    for i in range(width):
-        slots.append(prod(p ** exps[i] for p, exps in per_prime.items() if i < len(exps)))
+    return _from_prime_parts([(p, sorted(exps, reverse=True)) for p, exps in per_prime.items()])
+
+
+def _from_prime_parts(parts) -> AbelianGroup:
+    """The abelian group that is, for each (p, exponents) of parts, the sum of the C_p^e.
+
+    parts is a list, and each exponent sequence is descending.  The i-th
+    largest invariant factor is the product over the primes of p to the
+    i-th exponent (lcm of coprime prime powers is their product).
+    """
+    slots = [1] * max((len(exps) for _, exps in parts), default=0)
+    for p, exps in parts:
+        for i, e in enumerate(exps):
+            slots[i] *= p ** e
     return AbelianGroup(tuple(reversed(slots)))
 
 
@@ -179,16 +186,11 @@ def enumerate_abelian(n: int) -> list[AbelianGroup]:
 def abelian_groups(fac: Factorization) -> list[AbelianGroup]:
     """Every abelian group of the order that fac factorizes, sorted by invariant-factor tuple.
 
-    A group is one partition of each prime's exponent; its i-th largest
-    invariant factor is the product over the primes of p to the i-th part.
+    A group is one partition of each prime's exponent (_from_prime_parts).
     """
-    groups = []
-    for parts in cartesian(*(_partitions(e) for _, e in fac)):
-        slots = [1] * max(map(len, parts), default=0)
-        for (p, _), part in zip(fac, parts):
-            for i, k in enumerate(part):
-                slots[i] *= p ** k
-        groups.append(AbelianGroup(tuple(reversed(slots))))
+    primes = [p for p, _ in fac]
+    groups = [_from_prime_parts(list(zip(primes, parts)))
+              for parts in cartesian(*(_partitions(e) for _, e in fac))]
     return sorted(groups, key=lambda g: g.invariant_factors)
 
 
@@ -339,7 +341,7 @@ def order_spectrum(g: GroupDescriptor) -> OrderSpectrum:
         raise BudgetError(f"order spectra are limited to order <= {FACTORIZE_CEILING}, "
                           f"got {g.notation()} of order {g.order}")
     fac = factorize(g.order)
-    divs = sorted(generated_divisors(fac))
+    divs = sorted_divisors(fac)
     return spectrum_from_solutions(solutions(g, divs), fac, divs)
 
 

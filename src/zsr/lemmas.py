@@ -35,7 +35,7 @@ from __future__ import annotations
 from math import gcd, isqrt, log2
 
 from .errors import BudgetError
-from .exactmath import binomial, divisors, factorize, prime_power_root, valuation
+from .exactmath import binomial, factorize, prime_power_root, sorted_divisors, valuation
 from .groups import GroupDescriptor, enumerate_abelian, order_spectrum
 from .logblocks import _log_tables
 from .value import Value
@@ -274,15 +274,15 @@ def _order_pair(n: int, m: int, by_gcd: dict) -> tuple:
     each of them to the largest prime power dividing it, and for each prime
     p of gcd(n, m), in increasing order, (p, [p, p^2, ..., p^e], alpha,
     gamma), where p^e exactly divides gcd(n, m) and alpha and gamma are the
-    p-valuations of n and m.  The facts of gcd(n, m) come from its
-    factorization and divisors once per gcd; by_gcd, which the caller owns,
-    keeps them by gcd.
+    p-valuations of n and m.  The facts of gcd(n, m) come from one
+    factorization per gcd; by_gcd, which the caller owns, keeps them by gcd.
     """
     common = gcd(n, m)
     facts = by_gcd.get(common)
     if facts is None:
-        powers = [(p, [p ** k for k in range(1, e + 1)]) for p, e in factorize(common)]
-        shared = divisors(common)[1:]
+        fac = factorize(common)
+        powers = [(p, [p ** k for k in range(1, e + 1)]) for p, e in fac]
+        shared = sorted_divisors(fac)[1:]
         top_power = {d: max(q for _, qs in powers for q in qs if d % q == 0) for d in shared}
         facts = by_gcd[common] = shared, top_power, powers
     shared, top_power, powers = facts

@@ -15,6 +15,8 @@ from math import log2
 # Tolerance of the float margins per unit of (m + n) * log2(m + n) (see
 # _tolerance).
 _FILTER_TOLERANCE = 2.0 ** -30
+# The error bound of _tolerance holds for m and n below this limit only.
+_PROOF_LIMIT = 2 ** 12
 
 
 def _log_tables(top: int) -> tuple[list[float], list[float], list[float]]:
@@ -22,8 +24,12 @@ def _log_tables(top: int) -> tuple[list[float], list[float], list[float]]:
 
     lf[k] is log2(k!) for k <= top, the float sum of log2(i) for i <= k; it
     covers every (m+n)/d, as d >= 2.  lg[k] = log2(k) and tau[k] =
-    _tolerance(k) for 2 <= k <= 2 * top cover every m + n.
+    _tolerance(k) for 2 <= k <= 2 * top cover every m + n.  A top of
+    _PROOF_LIMIT or more raises ValueError: there _tolerance proves nothing.
     """
+    if top >= _PROOF_LIMIT:
+        raise ValueError(f"log tables need top < {_PROOF_LIMIT}, the domain of the error bound "
+                         f"proved in logblocks._tolerance, got top = {top}")
     lg = [0.0, *map(log2, range(1, 2 * top + 1))]
     tau = [0.0, 0.0, *map(_tolerance, range(2, 2 * top + 1))]
     return list(accumulate(lg[1:top + 1], initial=0.0)), lg, tau
@@ -55,8 +61,9 @@ def _tolerance(total: int) -> float:
       2^-51 * (t + 1) * lf[t] <= 2^-39 * t * log2(t) < 2^-40 * W of the
       truth, as t + 1 <= max(m, n) + 1 < 2^12.  This step needs the ceilings
       lemmas.LEMMA21_GRID_MAX, lemmas.LEMMA22_GRID_MAX and
-      reciprocity.SCAN_MAX_ORDER below 4096 (pinned by a test); a higher
-      ceiling needs this bound, and tau, worked out again.
+      reciprocity.SCAN_MAX_ORDER below 4096 (pinned by a test, and
+      _log_tables refuses a larger top); a higher ceiling needs this bound,
+      and tau, worked out again.
     - Any other term.  math.log2 of an int x rounds x to 53 bits and takes
       the platform log2, within one ulp, so it is within
       2^-50 * (log2 x + 1).  Each margin has at most four such logarithms,

@@ -18,11 +18,12 @@ counts tie.  Each candidate is built once and its numbers of solutions of
 x^d = 1 computed once; these fix the spectrum, so the candidates are
 deduplicated by them and each distinct spectrum is inverted from them once.
 A coprime order pair cannot collide: every group of either order has the key
-(1,) and the count C(n+m, n)/(n+m), a rational Catalan number.  A summary
-scan skips these pairs and expands only colliding classes into pairs; a
-record scan gives each of them that one count, with no block table and no
-classes, and renders, from the walk's row, each group's records with itself
-and every later group as one text, in canonical order.
+(1,) and the count C(n+m, n)/(n+m), a rational Catalan number
+(counting.rational_catalan).  A summary scan skips these pairs and expands
+only colliding classes into pairs; a record scan gives each of them that one
+count, with no block table and no classes, and renders, from the walk's row,
+each group's records with itself and every later group as one text, in
+canonical order.
 
 A summary scan gives most order pairs no classes, no blocks and no counts,
 and no visit, by proof.  Every key has 1 at d = 1 and every other entry in
@@ -51,13 +52,14 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from functools import cache
 from itertools import chain, repeat
-from math import comb, gcd
+from math import gcd
 from operator import itemgetter, mul
 
-from .counting import count_formula
+from .counting import count_formula, rational_catalan
 from .errors import BudgetError
-from .exactmath import Factorization, block_table, divisors, factorize, generated_divisors
+from .exactmath import Factorization, block_table, divisors, factorize, sorted_divisors
 from .groups import (
     FAMILIES,
     Dicyclic,
@@ -244,7 +246,7 @@ def _scan_groups(families, max_order: int) -> tuple[list[GroupDescriptor], list[
         raise BudgetError(f"scans are limited to max_order <= {SCAN_MAX_ORDER}, "
                           f"got max_order = {max_order}")
     factorizations = [[], *map(factorize, range(1, max_order + 1))]
-    divisors_of = [sorted(generated_divisors(fac)) for fac in factorizations]
+    divisors_of = [sorted_divisors(fac) for fac in factorizations]
     abelian = [g for fac in factorizations[1:] for g in abelian_groups(fac)]
     dihedral = [Dihedral(k) for k in range(3, max_order // 2 + 1)]
     dicyclic = [Dicyclic(k) for k in range(2, max_order // 4 + 1)]
@@ -364,9 +366,9 @@ def _class_walk(spectra: list[OrderSpectrum], summary: bool = False):
     collision, and its count C(n+m, n)/(n+m) is an integer for every
     spectrum, a rational Catalan number.  A summary scan, which needs only
     the collisions, skips it.  A record walk yields it as (m, [1], None, None,
-    count, ()), with that one count in place of counts, from one binomial:
-    no block table, no classes and no counts dict.  An inexact division there
-    means a wrong binomial and raises ValueError.
+    count, ()), with that one count, counting.rational_catalan(n, m), in
+    place of counts: no block table, no classes and no counts dict.  An
+    inexact division there means a wrong binomial and raises ValueError.
 
     A summary walk climbs each class: for each n and each divisor g > 1 of
     n that is no prime, it takes the orders m >= n of the scan with gcd(n,
@@ -381,33 +383,28 @@ def _class_walk(spectra: list[OrderSpectrum], summary: bool = False):
 
     Every counted pair is counted from one block table.  left and right are
     the classes of order n and of order m from _classes, each built once per
-    order and gcd.  counts gives each key its dot product with the block
-    table divided by n + m, which is |M(G, m)| for a group G of order n in
-    that class (and the same with n and m swapped).  An inexact division
-    means an inconsistent spectrum or table and raises ValueError.
-    collisions is a tuple of each (left class, right class) with different
-    keys and equal counts; the classes are matched by count only when two
-    keys share one.
+    order and gcd.  The divisors of each gcd are read once, off the keys of
+    the order being walked, which the gcd divides.  counts gives each key its
+    dot product with the block table divided by n + m, which is |M(G, m)| for
+    a group G of order n in that class (and the same with n and m swapped).
+    An inexact division means an inconsistent spectrum or table and raises
+    ValueError.  collisions is a tuple of each (left class, right class) with
+    different keys and equal counts; the classes are matched by count only
+    when two keys share one.
     """
     orders = [spectrum.group_order for spectrum in spectra]
     members = {n: range(bisect_left(orders, n), bisect_right(orders, n))
                for n in dict.fromkeys(orders)}
-    divisors_of: dict[int, list[int]] = {}
-    classes: dict[tuple[int, int], tuple] = {}
 
+    @cache
+    def shared_at(g: int) -> list[int]:
+        """The divisors of g, from keys, the divisors of the order being walked."""
+        return [d for d in keys if g % d == 0]
+
+    @cache
     def classes_at(n: int, g: int):
-        """The classes of order n restricted to the divisors of g, computed once."""
-        entry = classes.get((n, g))
-        if entry is None:
-            entry = classes[n, g] = _classes(spectra, members[n], divisors_of[g])
-        return entry
-
-    def shared_at(g: int, keys) -> list[int]:
-        """The divisors of g, computed once from keys, the divisors of a multiple of g."""
-        shared = divisors_of.get(g)
-        if shared is None:
-            shared = divisors_of[g] = [d for d in keys if g % d == 0]
-        return shared
+        """The classes of order n restricted to the divisors of g."""
+        return _classes(spectra, members[n], shared_at(g))
 
     def counted(n: int, m: int, shared: list[int]) -> tuple:
         """The row entry of the order pair (n, m), with gcd shared[-1] > 1, from its block table."""
@@ -445,7 +442,7 @@ def _class_walk(spectra: list[OrderSpectrum], summary: bool = False):
         if summary:
             uncounted = []
             for g in keys:
-                if g > 1 and len(shared := shared_at(g, keys)) > 2:
+                if g > 1 and len(shared := shared_at(g)) > 2:
                     # A unit link voids _certified's lemma, so its class is counted whole.
                     unit = any(n // d - n // e == 1 for d, e in zip(shared[1:], shared[2:]))
                     for m in range(n, top + 1, g):
@@ -459,13 +456,9 @@ def _class_walk(spectra: list[OrderSpectrum], summary: bool = False):
             for m in orders[a:]:
                 g = gcd(n, m)
                 if g > 1:
-                    row.append(counted(n, m, shared_at(g, keys)))
-                    continue
-                total = n + m
-                top = comb(total, n)
-                if top % total:
-                    raise ValueError(f"C({total}, {n}) = {top} not divisible by {total}")
-                row.append((m, [1], None, None, top // total, ()))
+                    row.append(counted(n, m, shared_at(g)))
+                else:
+                    row.append((m, [1], None, None, rational_catalan(n, m), ()))
         yield members[n], row
 
 

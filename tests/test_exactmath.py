@@ -13,8 +13,8 @@ from zsr.exactmath import (
     block_table,
     divisors,
     factorize,
-    generated_divisors,
     prime_power_root,
+    sorted_divisors,
     valuation,
 )
 
@@ -131,16 +131,14 @@ def test_divisors_count_and_order():
         assert all(a < b for a, b in zip(divs, divs[1:]))
 
 
-def test_generated_divisors_follow_mixed_radix_order():
-    # A divisor's position reads its exponents as mixed-radix digits, the
-    # last prime's fastest, which is the order itertools.product walks
-    # p^0, ..., p^e in; sorted, they are the divisors that spectra are keyed by.
+def test_sorted_divisors_are_the_divisors():
+    # The one divisor builder: from a factorization, the divisors in
+    # increasing order, which spectra are keyed by; every product of prime
+    # powers once, by a route of its own.
     for n in range(1, 2001):
         fac = factorize(n)
-        generated = generated_divisors(fac)
-        assert sorted(generated) == divisors(n), n
         powers = [[p**k for k in range(e + 1)] for p, e in fac]
-        assert generated == [prod(choice) for choice in product(*powers)], n
+        assert sorted_divisors(fac) == divisors(n) == sorted(map(prod, product(*powers))), n
 
 
 def test_valuation():

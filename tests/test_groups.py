@@ -1,5 +1,6 @@
 """Tests for group descriptors, parsing, canonical forms, and order spectra."""
 
+import random
 from functools import lru_cache
 from itertools import product as cartesian
 from math import gcd, lcm, prod
@@ -276,6 +277,17 @@ def test_canonicalize_is_stable():
         canonical = canonicalize(list(factors))
         assert canonicalize(list(reversed(factors))) == canonical
         assert canonicalize(list(canonical.invariant_factors)) == canonical
+
+
+def test_canonicalize_and_abelian_groups_assemble_alike():
+    # Both build invariant factors through one helper: canonicalize of a
+    # group's prime-power cyclic factors, in any order, is that group.
+    rng = random.Random(38)
+    for n in range(1, 201):
+        for group in abelian_groups(factorize(n)):
+            primary = [p ** e for f in group.invariant_factors for p, e in factorize(f)]
+            rng.shuffle(primary)
+            assert canonicalize(primary) == group, (n, primary)
 
 
 def test_enumerate_abelian_known_values():

@@ -606,6 +606,15 @@ def test_the_tolerance_proof_covers_the_grid_ceilings():
     assert logblocks._FILTER_TOLERANCE >= 2.0 ** -30
 
 
+def test_log_tables_refuse_tops_outside_the_tolerance_proof():
+    # The error bound of logblocks._tolerance needs every m and n below 4096,
+    # so the tables that float margins read stop at 4095.
+    lf, lg, tau = logblocks._log_tables(4095)
+    assert (len(lf), len(lg), len(tau)) == (4096, 8191, 8191)
+    with pytest.raises(ValueError, match=r"top < 4096.*logblocks\._tolerance, got top = 4096"):
+        logblocks._log_tables(4096)
+
+
 def lemma22_fraction_verdict(m, n, a, b, p, q, variant, block_a, block_b):
     """The verdict of check_lemma22 on the given blocks, in Fractions from the valuations."""
     factor = 2 if variant == "i" else 1
@@ -760,7 +769,7 @@ def test_benchmark_size_grids_are_pinned(monkeypatch):
     # ties of variant 2.1i, 19 of them at their least scale, for the 372
     # ties of the grid).  The structure grid finds the facts of each gcd
     # once: the factorize calls left are those of the group spectra (1,448)
-    # and two per gcd (factorize and divisors).
+    # and one per gcd.
     calls = dict.fromkeys(["block_table", "factorize", "_lemma21_holds", "_lemma21ii_holds",
                            "_lemma22_holds"], 0)
 
@@ -788,7 +797,7 @@ def test_benchmark_size_grids_are_pinned(monkeypatch):
     calls["factorize"] = 0
     grid = structure_grid(128)
     assert (grid.checked, grid.failures) == (28759, [])
-    assert 0 < calls["factorize"] <= 1448 + 2 * 128
+    assert 0 < calls["factorize"] <= 1448 + 128
 
 
 def test_lemma22_grids_at_the_ceiling_are_pinned():

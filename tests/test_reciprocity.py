@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import zsr
-from zsr import reciprocity
+from zsr import counting, reciprocity
 from zsr.counting import rational_catalan
 from zsr.exactmath import block_table, divisors, factorize
 from zsr.groups import (
@@ -170,11 +170,12 @@ def test_record_rows_match_json_dumps(monkeypatch):
     assert next(pairs, None) is None
     # Counts of several hundred digits: every block times 10**300, so that each
     # class count is its divisor sum over n + m times 10**300.
-    # A coprime order pair's one count is C(n+m, n)/(n+m), read from comb.
+    # A coprime order pair's one count is C(n+m, n)/(n+m), from
+    # counting.rational_catalan, which reads C(n+m, n) from counting.binomial.
     table = reciprocity.block_table
     monkeypatch.setattr(reciprocity, "block_table",
                         lambda n, m, shared: [b * 10**300 for b in table(n, m, shared)])
-    monkeypatch.setattr(reciprocity, "comb", lambda top, bottom: comb(top, bottom) * 10**300)
+    monkeypatch.setattr(counting, "binomial", lambda top, bottom: comb(top, bottom) * 10**300)
     lines = "".join(record_rows(FAMILIES, 12)).splitlines()
     assert len(lines) == len(pair_sequence(family_descriptors(FAMILIES, 12)))
     for line in lines:
@@ -1044,9 +1045,9 @@ def test_record_walk_refuses_an_inexact_coprime_count_under_optimize():
     # has C(2, 1) = 3, which 2 does not divide: a record scan refuses it,
     # also under python -O.  A summary scan, which skips coprime order
     # pairs, never reads it.
-    code = ("import zsr.reciprocity as r\n"
+    code = ("import zsr.counting, zsr.reciprocity as r\n"
             "from math import comb\n"
-            "r.comb = lambda top, bottom: comb(top, bottom) + 1\n"
+            "zsr.counting.binomial = lambda top, bottom: comb(top, bottom) + 1\n"
             "for consumer in (None, lambda text: None):\n"
             "    try:\n"
             "        print(r.conjecture_scan(('abelian',), 3, on_row=consumer).pairs_checked)\n"
